@@ -26,4 +26,4 @@ __all__ = [
     "RankConditionError", "ViConfig", "vi_run",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

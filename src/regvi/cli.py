@@ -80,8 +80,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="regvi",
         description="Data-driven value iteration for linear output regulation")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; the pipeline is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a config file or preset")

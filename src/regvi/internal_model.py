@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import companion_from_alpha, char_poly_alpha
+from .linalg import companion_from_alpha
 
 ANNIHILATION_TOL = 1e-10
 
@@ -108,19 +108,3 @@ def recast_exosystem(minpoly, vhat0):
     S_hat = companion_from_alpha(minpoly)
     return Exosystem(S=S_hat, v0=np.asarray(vhat0, dtype=float))
 
-
-def check_minpoly(minpoly, S, tol=1e-8):
-    """Frobenius norm of minpoly(S); diagnostic for user-supplied polynomials."""
-    minpoly = np.asarray(minpoly, dtype=float)
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    acc = np.linalg.matrix_power(S, minpoly.size)
-    power = np.eye(S.shape[0])
-    for a in minpoly:
-        acc = acc + a * power
-        power = power @ S
-    return float(np.linalg.norm(acc, "fro"))
-
-
-def companion_char_poly(beta):
-    """Ascending characteristic-polynomial coefficients of a companion block."""
-    return char_poly_alpha(beta)

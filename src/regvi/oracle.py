@@ -180,68 +180,9 @@ def solve_sylvester_regulator(S, A, E):
     return X
 
 
-def solve_lyapunov(F, C):
-    """Solve F^T P + P F = C (C symmetric) by Kronecker vectorization."""
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = F.shape[0]
-    op = np.kron(np.eye(n), F.T) + np.kron(F.T, np.eye(n))
-    P = np.linalg.solve(op, C.reshape(-1, order="F")).reshape((n, n), order="F")
-    return 0.5 * (P + P.T)
-
-
 # ---------------------------------------------------------------------------
 # Gains and Riccati equations
 # ---------------------------------------------------------------------------
-
-def stabilizing_gain(A, B):
-    """Some K with A + BK Hurwitz, via pole placement on the controllable subspace.
-
-    Deterministic: the controllable-subspace poles are placed at
-    -1, -1.5, -2, ...; the uncontrollable part must already be stable.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n, m = B.shape
-    # strict margin: eigenvalues within STABLE_EIG_TOL of the axis must be moved
-    if is_hurwitz(A)[1] < -STABLE_EIG_TOL:
-        return np.zeros((m, n))
-    # orthonormal basis of the controllable subspace by Krylov expansion;
-    # avoids the huge dynamic range of the raw controllability matrix
-    scale = max(1.0, np.linalg.norm(A, 2))
-    V = scipy.linalg.orth(B, rcond=RANK_RTOL)
-    grew = V.shape[1] > 0
-    while grew and V.shape[1] < n:
-        grew = False
-        for w in (A @ V / scale).T:
-            for _ in range(2):  # re-orthogonalize for numerical safety
-                w = w - V @ (V.T @ w)
-            norm_w = np.linalg.norm(w)
-            if norm_w > RANK_RTOL:
-                V = np.hstack([V, (w / norm_w)[:, None]])
-                grew = True
-                if V.shape[1] == n:
-                    break
-    r = V.shape[1]
-    if r == 0:
-        raise AssumptionError("unstable system with trivial controllable subspace")
-    U = np.linalg.qr(np.hstack([V, np.eye(n)]))[0][:, :n] if r < n else V
-    U[:, :r] = V
-    At = U.T @ A @ U
-    A11, B1 = At[:r, :r], (U.T @ B)[:r, :]
-    if r < n and is_hurwitz(At[r:, r:])[1] >= -STABLE_EIG_TOL:
-        raise AssumptionError("(A, B) not stabilizable: unstable uncontrollable mode")
-    target = -(1.0 + 0.5 * np.arange(r))
-    if r == 1:
-        K1 = -np.linalg.lstsq(B1, (A11 - target[0]).reshape(1, 1), rcond=None)[0].reshape(m, 1)
-    else:
-        K1 = -place_poles(A11, B1, target).gain_matrix
-    K = np.hstack([K1, np.zeros((m, n - r))]) @ U.T
-    ok, margin = is_hurwitz(A + B @ K)
-    if not ok:
-        raise RuntimeError("stabilizing gain construction failed (margin %g)" % margin)
-    return K
-
 
 @dataclass
 class RiccatiSolution:
@@ -255,12 +196,13 @@ def care_residual(A, B, Q, R, P):
     return A.T @ P + P @ A + Q - P @ B @ np.linalg.solve(R, B.T @ P)
 
 
-def solve_care(A, B, Q, R, max_newton=60):
+def solve_care(A, B, Q, R):
     """Stabilizing solution of A^T P + P A + Q - P B R^-1 B^T P = 0.
 
-    Newton/Kleinman iteration of Lyapunov solves starting from a
-    deterministically constructed stabilizing gain; quadratic convergence is
-    certified by the residual bound 1e-8 * (1 + ||P||).
+    (A, B) must pass the PBH stabilizability test, which is checked first
+    because scipy's Schur solver reports an unstabilizable pair only as a
+    generic LinAlgError.  The solution is certified by the residual bound
+    1e-8 * (1 + ||P||) and a Hurwitz closed loop.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -269,25 +211,18 @@ def solve_care(A, B, Q, R, max_newton=60):
     if np.abs(R - R.T).max() > 1e-12 * max(1.0, np.abs(R).max()) or \
             np.min(np.linalg.eigvalsh(R)) <= 0:
         raise ValueError("R must be symmetric positive definite")
-    K = stabilizing_gain(A, B)
-    P_prev = None
-    for _ in range(max_newton):
-        Acl = A + B @ K
-        if not is_hurwitz(Acl)[0]:
-            raise RuntimeError("Newton iterate lost stability")
-        P = solve_lyapunov(Acl, -(Q + K.T @ R @ K))
-        K = -np.linalg.solve(R, B.T @ P)
-        if P_prev is not None and \
-                np.linalg.norm(P - P_prev, "fro") <= 1e-13 * (1.0 + np.linalg.norm(P, "fro")):
-            break
-        P_prev = P
+    rep = pbh_check(A, B, "stabilizable")
+    if not rep.ok:
+        raise AssumptionError("(A, B) not stabilizable; PBH fails at eigenvalue %s"
+                              % rep.worst_eigenvalue)
+    P = scipy.linalg.solve_continuous_are(A, B, Q, R)
+    K = -np.linalg.solve(R, B.T @ P)
     res = float(np.linalg.norm(care_residual(A, B, Q, R, P), "fro"))
-    norm_p = np.linalg.norm(P, "fro")
-    if res > 1e-8 * (1.0 + norm_p):
-        raise RuntimeError("Newton stagnated at residual %g" % res)
+    if res > 1e-8 * (1.0 + np.linalg.norm(P, "fro")):
+        raise RuntimeError("CARE residual %g exceeds the certificate" % res)
     ok, margin = is_hurwitz(A + B @ K)
     if not ok:
-        raise RuntimeError("closed loop not Hurwitz after Newton (margin %g)" % margin)
+        raise RuntimeError("CARE closed loop not Hurwitz (margin %g)" % margin)
     return RiccatiSolution(P=P, K=K, residual=res, closed_loop_margin=margin)
 
 

@@ -1,15 +1,21 @@
 """Value-iteration engine over the regression data.
 
-All six variants share one loop: solve the least-squares stage for the
-current iterate, take a Robbins-Monro step on the Riccati residual, reset to
-the initial iterate when the update escapes the current bound set, and stop
-when the normalized step falls below the convergence threshold.  Stage
-systems with a fixed matrix are QR-factored once; when the exogenous matrix
-is parameterized through a known injection map the full-system matrix depends
-on the iterate and is refactored per solve (it is small, so this stays cheap).
+The least-squares stage is affine in the iterate, so it is fitted once per
+run: `_fit_stage` factors the data matrices and returns stage(P) -> (H, K),
+where H estimates A^T P + P A of the learner's system and K is the gain the
+stage assigns to P.  Variants 1, 2, 4 and 6 reduce to vec(H) = L vec(P) + h0,
+one matrix-vector product per iterate.  Variants 3 and 5 keep the exogenous
+matrix E = S W unknown: I_aa is factored once, and each iterate solves only
+for W on the complement of range(I_aa) before back-substituting H.  Variants
+4 and 6 identify E by that same solve at P0 and fold it into L.
+
+All six variants then share one loop: a Robbins-Monro step on the Riccati
+residual H + Q - K^T R K, a reset to the initial iterate when the update
+escapes the current bound set, and a stop when the normalized step falls
+below the convergence threshold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -43,11 +49,11 @@ class ViConfig:
     bound_scale: float = 1000.0
     bound_shift: float = 20.0
     # Known injection map S for the exogenous matrix, E = S @ W with W the
-    # reduced unknown.  The observer filters and the internal model admit
-    # exogenous signals only through their input columns, so S is available
-    # to the learner; constraining the solve to range(S) is what keeps the
-    # identification error below the level the ill-conditioned reduced
-    # iteration can tolerate.
+    # reduced unknown; required by variants 3-6.  The observer filters and the
+    # internal model admit exogenous signals only through their input columns,
+    # so S is available to the learner; solving the stage for W instead of E
+    # is what keeps the identification error below the level the
+    # ill-conditioned reduced iteration can tolerate.
     E_structure: np.ndarray | None = None
 
     def __post_init__(self):
@@ -76,14 +82,6 @@ class ViConfig:
 
 
 @dataclass
-class StageResult:
-    H: np.ndarray
-    K: np.ndarray
-    E_term: np.ndarray | None = None   # E^T P for the variants that carry it
-    E: np.ndarray | None = None        # direct estimate when E is structured
-
-
-@dataclass
 class ViResult:
     P_final: np.ndarray
     K_final: np.ndarray
@@ -94,15 +92,21 @@ class ViResult:
     E_rho_identified: np.ndarray | None = None
 
 
-def _qr_solver(M):
-    """Return a least-squares solver for the fixed tall matrix M."""
-    Q, Rf = np.linalg.qr(M)
+def _qr(M, mode="reduced"):
+    """QR factors (Q, R) of the tall matrix M, screened for exact singularity."""
+    Q, Rf = np.linalg.qr(M, mode=mode)
     diag = np.abs(np.diag(Rf))
     if diag.min() <= RANK_QR_RTOL * diag.max():
         raise RankConditionError(
             "stage matrix is numerically rank deficient (needs %d independent columns)"
             % M.shape[1])
-    return lambda rhs: solve_triangular(Rf, Q.T @ rhs, lower=False)
+    return Q, Rf[:M.shape[1]]
+
+
+def _lstsq(M, rhs):
+    """Least-squares solution of M x = rhs for a vector or a matrix rhs."""
+    Q, Rf = _qr(M)
+    return solve_triangular(Rf, Q.T @ rhs, lower=False)
 
 
 # The data matrices carry directions excited only by decaying plant modes,
@@ -112,117 +116,90 @@ def _qr_solver(M):
 RANK_QR_RTOL = 64 * np.finfo(float).eps
 
 
-class _StageSolver:
-    """Pre-factored least-squares stages for one (variant, data) pair."""
+def _vec_maps(n):
+    """D, U with vecs(P) = D vec(P) and vec(unvecs(v, n)) = U v.
 
-    def __init__(self, variant, data: RegressionData, cfg: ViConfig):
-        self.variant = variant
-        self.data = data
-        self.cfg = cfg
-        self.n_a = data.dims["n_a"]
-        self.half = self.n_a * (self.n_a + 1) // 2
-        verdict = check_rank(data, 3 if variant in (4, 6) else variant)
-        if not verdict.satisfied:
-            raise RankConditionError(
-                "rank %d < required %d for variant %d"
-                % (verdict.rank, verdict.required, variant))
-        self.S = cfg.E_structure if variant in (3, 4, 5, 6) else None
-        if variant == 1:
-            self.solve_full = _qr_solver(np.hstack([data.I_aa, -2.0 * data.I_au]))
-        elif variant == 2:
-            self.solve_reduced = _qr_solver(data.I_aa)
-        else:
-            if self.S is None:
-                self.solve_full = _qr_solver(
-                    np.hstack([data.I_aa, 2.0 * data.Gamma_av]))
-            if variant in (4, 6):
-                self.solve_reduced = _qr_solver(data.I_aa)
-        self.Rinv_Bt = None
-        if data.known_B is not None:
-            self.Rinv_Bt = np.linalg.solve(cfg.R, data.known_B.T)
-        self.const_rhs = np.zeros(data.delta_a.shape[0])
-        if variant in (2, 5, 6):
-            self.const_rhs = self.const_rhs + data.I_yy @ vecs(cfg.Q_y)
-        if variant in (5, 6):
-            self.const_rhs = self.const_rhs + data.I_zz @ vecs(cfg.Q_z)
-
-    def gain(self, P):
-        return -self.Rinv_Bt @ P
-
-    def _phi(self, P):
-        """Right-hand side common to all variants for the iterate P."""
-        rhs = self.data.delta_a @ vecs(P) + self.const_rhs
-        if self.variant == 1:
-            return rhs
-        if self.variant == 2:
-            K = self.gain(P)
-            return rhs + 2.0 * self.data.I_au @ K.reshape(-1, order="F")
-        return rhs - 2.0 * self.data.Gamma_aBu @ P.reshape(-1, order="F")
-
-    def _e_term_map(self, P):
-        """T with vec(E^T P) = T vec(W) for the parameterization E = S W."""
-        q = self.data.dims["q"]
-        SP = self.S.T @ P                       # r x n_a
-        r = SP.shape[0]
-        T = np.zeros((q * self.n_a, r * q))
-        for i in range(self.n_a):
-            for a in range(q):
-                T[i * q + a, a * r:(a + 1) * r] = SP[:, i]
-        return T
-
-    def solve(self, P, reduced=False, E_term=None) -> StageResult:
-        rhs = self._phi(P)
-        if self.variant == 1:
-            theta = self.solve_full(rhs)
-            H = unvecs(theta[:self.half], self.n_a)
-            m = self.data.dims["m"]
-            K = theta[self.half:].reshape((m, self.n_a), order="F")
-            return StageResult(H=H, K=K)
-        if self.variant == 2:
-            theta = self.solve_reduced(rhs)
-            return StageResult(H=unvecs(theta, self.n_a), K=self.gain(P))
-        if reduced:
-            rhs = rhs - 2.0 * self.data.Gamma_av @ E_term.reshape(-1, order="F")
-            theta = self.solve_reduced(rhs)
-            return StageResult(H=unvecs(theta, self.n_a), K=self.gain(P))
-        q = self.data.dims["q"]
-        if self.S is not None:
-            r = self.S.shape[1]
-            M = np.hstack([self.data.I_aa, 2.0 * self.data.Gamma_av @ self._e_term_map(P)])
-            theta = _qr_solver(M)(rhs)
-            W = theta[self.half:].reshape((r, q), order="F")
-            E_out = self.S @ W
-            return StageResult(H=unvecs(theta[:self.half], self.n_a),
-                               K=self.gain(P), E_term=E_out.T @ P, E=E_out)
-        theta = self.solve_full(rhs)
-        E_term_out = theta[self.half:].reshape((q, self.n_a), order="F")
-        return StageResult(H=unvecs(theta[:self.half], self.n_a),
-                           K=self.gain(P), E_term=E_term_out)
+    vec stacks the columns of a matrix; like vecs, D reads only the
+    symmetric part of its argument.
+    """
+    basis = np.eye(n * n).reshape(n * n, n, n)
+    D = np.column_stack([vecs(0.5 * (B + B.T)) for B in basis])
+    U = np.column_stack([unvecs(e, n).reshape(-1, order="F")
+                         for e in np.eye(n * (n + 1) // 2)])
+    return D, U
 
 
-def solve_stage(variant, P_k, data: RegressionData, cfg: ViConfig,
-                identified_E=None) -> StageResult:
-    """One least-squares stage for the iterate P_k (convenience wrapper)."""
-    solver = _StageSolver(variant, data, cfg)
-    if variant in (4, 6) and identified_E is not None:
-        return solver.solve(P_k, reduced=True, E_term=identified_E.T @ P_k)
-    return solver.solve(P_k)
+def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
+    """Fit the least-squares stage of one (variant, data) pair once.
 
+    Returns (stage, E_identified).  stage(P) -> (H, K) solves the stage for
+    the iterate P, whose right-hand side is G vec(P) + c; E_identified is
+    the exogenous matrix of variants 4 and 6 and None otherwise.
+    """
+    verdict = check_rank(data, 3 if variant in (4, 6) else variant)
+    if not verdict.satisfied:
+        raise RankConditionError(
+            "rank %d < required %d for variant %d"
+            % (verdict.rank, verdict.required, variant))
+    n, m = data.dims["n_a"], data.dims["m"]
+    half = n * (n + 1) // 2
+    D, U = _vec_maps(n)
+    G = data.delta_a @ D
+    c = np.zeros(G.shape[0])
+    if variant in (2, 5, 6):
+        c = c + data.I_yy @ vecs(cfg.Q_y)
+    if variant in (5, 6):
+        c = c + data.I_zz @ vecs(cfg.Q_z)
 
-def identify_E(solver: _StageSolver, P0):
-    """Recover the exogenous-input matrix from the k = 0 full stage solve."""
-    if np.min(np.linalg.eigvalsh(P0)) <= 0:
-        raise ValueError("E identification needs a positive definite P0")
-    stage = solver.solve(P0)
-    if stage.E is not None:
-        return stage.E
-    # stage.E_term = E^T P0  =>  E = P0^{-1} (E^T P0)^T
-    return np.linalg.solve(P0, stage.E_term.T)
+    def affine(L_H, h0, L_K):
+        def stage(P):
+            p = P.reshape(-1, order="F")
+            return ((L_H @ p + h0).reshape((n, n), order="F"),
+                    (L_K @ p).reshape((m, n), order="F"))
+        return stage
+
+    if variant == 1:
+        theta = _lstsq(np.hstack([data.I_aa, -2.0 * data.I_au]), G)
+        return affine(U @ theta[:half], 0.0, theta[half:]), None
+    # the gain K = -R^{-1} B^T P is known exactly: vec(K) = L_K vec(P)
+    L_K = -np.kron(np.eye(n), np.linalg.solve(cfg.R, data.known_B.T))
+    Q, R_aa = _qr(data.I_aa, mode="complete")
+    lift = U @ solve_triangular(R_aa, Q[:, :half].T, lower=False)   # rhs -> vec(H)
+    if variant == 2:
+        G = G + 2.0 * data.I_au @ L_K
+        return affine(lift @ G, lift @ c, L_K), None
+    G = G - 2.0 * data.Gamma_aBu
+    # The E term of the rhs is 2 Gamma_av vec(E^T P) with E = S W.  Projected
+    # onto Q_c, the complement of range(I_aa), it leaves r*q unknowns vec(W):
+    # row (t, a) of Gq holds (Q_c^T Gamma_av)[t, (i, a)] over i.
+    S = cfg.E_structure
+    r, q = S.shape[1], data.dims["q"]
+    Q_c = Q[:, half:]
+    Gq = (Q_c.T @ data.Gamma_av).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
+
+    def solve_E(P, rhs):
+        C = (Gq @ (P.T @ S)).reshape(Q_c.shape[1], q * r)
+        W = _lstsq(2.0 * C, Q_c.T @ rhs).reshape((r, q), order="F")
+        return S @ W
+
+    if variant in (4, 6):
+        E = solve_E(cfg.P0, G @ cfg.P0.reshape(-1, order="F") + c)
+        G = G - 2.0 * data.Gamma_av @ np.kron(np.eye(n), E.T)
+        return affine(lift @ G, lift @ c, L_K), E
+
+    def stage(P):
+        p = P.reshape(-1, order="F")
+        rhs = G @ p + c
+        E = solve_E(P, rhs)
+        H = lift @ (rhs - 2.0 * data.Gamma_av @ (E.T @ P).reshape(-1, order="F"))
+        return H.reshape((n, n), order="F"), (L_K @ p).reshape((m, n), order="F")
+    return stage, None
 
 
 def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
     """Run the value-iteration loop; non-convergence is reported, not raised."""
-    if variant in (1, 3, 4) and np.min(np.linalg.eigvalsh(cfg.P0)) <= 0:
+    # variants 4 and 6 identify E at P0, which needs P0 positive definite
+    if variant in (1, 3, 4, 6) and np.min(np.linalg.eigvalsh(cfg.P0)) <= 0:
         raise ValueError("variant %d requires a positive definite P0" % variant)
     if variant in (1, 3, 4) and cfg.Q is None:
         raise ValueError("variant %d needs the weight Q" % variant)
@@ -230,28 +207,18 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
         raise ValueError("variant %d needs Q_y" % variant)
     if variant in (5, 6) and cfg.Q_z is None:
         raise ValueError("variant %d needs Q_z" % variant)
-    solver = _StageSolver(variant, data, cfg)
-    E_identified = None
-    E_term_fn = None
-    if variant in (4, 6):
-        E_identified = identify_E(solver, cfg.P0)
-        Et = E_identified.T
-        E_term_fn = lambda P: Et @ P
+    if variant in (3, 4, 5, 6) and cfg.E_structure is None:
+        raise ValueError("variant %d needs E_structure" % variant)
+    stage, E_identified = _fit_stage(variant, data, cfg)
+    Q = cfg.Q if variant in (1, 3, 4) else 0.0
     P = cfg.P0.copy()
     j = 0
     resets = 0
     history = np.empty((cfg.max_iters, 4))
     for k in range(cfg.max_iters):
         eps = cfg.eps(k)
-        if variant in (4, 6):
-            stage = solver.solve(P, reduced=True, E_term=E_term_fn(P))
-        else:
-            stage = solver.solve(P)
-        if variant in (1, 3, 4):
-            update = stage.H + cfg.Q - stage.K.T @ cfg.R @ stage.K
-        else:
-            update = stage.H - stage.K.T @ cfg.R @ stage.K
-        P_tilde = P + eps * update
+        H, K = stage(P)
+        P_tilde = P + eps * (H + Q - K.T @ cfg.R @ K)
         step_metric = np.linalg.norm(P_tilde - P, 2) / eps
         history[k] = (k, j, np.linalg.norm(P, 2), step_metric)
         if np.linalg.norm(P_tilde, 2) > cfg.bound_radius(j):
@@ -260,13 +227,11 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
             resets += 1
             continue
         if step_metric < cfg.eps_conv:
-            return ViResult(P_final=P, K_final=stage.K, iters=k + 1, resets=resets,
+            return ViResult(P_final=P, K_final=K, iters=k + 1, resets=resets,
                             converged=True, history=history[:k + 1],
                             E_rho_identified=E_identified)
         P = P_tilde
-    stage = solver.solve(P, reduced=True, E_term=E_term_fn(P)) if variant in (4, 6) \
-        else solver.solve(P)
-    return ViResult(P_final=P, K_final=stage.K, iters=cfg.max_iters, resets=resets,
+    return ViResult(P_final=P, K_final=stage(P)[1], iters=cfg.max_iters, resets=resets,
                     converged=False, history=history,
                     E_rho_identified=E_identified)
 

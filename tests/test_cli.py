@@ -1,9 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import regvi
 from regvi import cli
 from regvi.experiment import PRESETS, serialize_config
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert regvi.__version__ == meta["project"]["version"]
 
 
 def test_preset_list(capsys):

@@ -7,9 +7,9 @@ from regvi.oracle import (AssumptionError, LtiPlant, SpectraOverlapError,
                           build_augmented_plant, care_residual,
                           compute_parameterization,
                           parameterization_identity_errors, pbh_check,
-                          place_observer_gain, solve_care, solve_lyapunov,
-                          solve_sylvester_regulator, stabilizing_gain,
-                          transmission_zero_check, verify_theorem4)
+                          place_observer_gain, solve_care,
+                          solve_sylvester_regulator, transmission_zero_check,
+                          verify_theorem4)
 
 A_PAPER = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
 B_PAPER = np.array([[0.0], [1.0], [0.0]])
@@ -82,14 +82,6 @@ def test_sylvester_zero_rhs_gives_zero(zero_setup):
     assert np.linalg.norm(zero_setup["aux"].X_prime) == 0.0
 
 
-def test_solve_lyapunov():
-    F = np.array([[-1.0, 0.5], [0.0, -2.0]])
-    C = -np.eye(2)
-    P = solve_lyapunov(F, C)
-    assert np.allclose(F.T @ P + P @ F, C, atol=1e-12)
-    assert np.allclose(P, P.T)
-
-
 # ---------------------------------------------------------------------------
 # Riccati machinery
 # ---------------------------------------------------------------------------
@@ -128,20 +120,16 @@ def test_solve_care_rejects_bad_r():
         solve_care(np.eye(2), np.ones((2, 1)), np.eye(2), -np.eye(1))
 
 
-def test_stabilizing_gain_cases():
-    # already stable -> zero gain
-    K = stabilizing_gain(np.diag([-1.0, -2.0]), np.ones((2, 1)))
-    assert np.array_equal(K, np.zeros((1, 2)))
+def test_solve_care_stabilizes():
     # unstable but controllable -> Hurwitz closed loop
     A = np.array([[0.0, 1.0], [2.0, 0.0]])
     B = np.array([[0.0], [1.0]])
-    K = stabilizing_gain(A, B)
-    assert is_hurwitz(A + B @ K)[0]
+    assert is_hurwitz(A + B @ solve_care(A, B, np.eye(2), np.eye(1)).K)[0]
     # marginally stable unreachable paper plant still stabilizable
-    K = stabilizing_gain(A_PAPER, B_PAPER)
+    K = solve_care(A_PAPER, B_PAPER, np.eye(3), np.eye(1)).K
     assert is_hurwitz(A_PAPER + B_PAPER @ K)[0]
     with pytest.raises(AssumptionError):
-        stabilizing_gain(np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]))
+        solve_care(np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]), np.eye(2), np.eye(1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from regvi.oracle import (LtiPlant, compute_parameterization,
                           place_observer_gain, verify_theorem4)
 from regvi.regression import SamplingGrid, build_regression
 from regvi.sim import ExplorationSignal, Policy, Tone, simulate
-from regvi.vi import (RankConditionError, ViConfig, _StageSolver, identify_E,
-                      solve_stage, vi_run)
+from regvi.vi import RankConditionError, ViConfig, _fit_stage, vi_run
 
 
 def rel(a, b):
@@ -101,18 +102,59 @@ def test_rank_gate(fullstate_setup):
         vi_run(1, data, cfg)
 
 
-def test_gain_is_exact_function_of_iterate(nonzero_setup):
-    """For the known-input-matrix variants, K = -R^{-1} B^T P identically."""
+def random_symmetric(n, seed):
+    X = np.random.default_rng(seed).standard_normal((n, n))
+    return X + X.T
+
+
+def test_stage_matches_lyapunov_operator_two_inputs():
+    """Variant 1 on a 2-input plant: H(P) = A^T P + P A and K(P) = -R^{-1} B^T P."""
+    plant = LtiPlant(A=[[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [0.3, 0.0, -1.5]],
+                     B=[[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]], C=[[1.0, 0.0, 0.0]],
+                     E=np.zeros((3, 1)), F=np.zeros((1, 1)))
+    known = ObserverKnown.from_poles([-2.0, -3.0, -4.0], plant.m, plant.p)
+    tones = [Tone(1.0, 1.0, channel=0), Tone(1.0, 2.7, channel=1),
+             Tone(1.0, 5.3, channel=0), Tone(1.0, 9.1, channel=1)]
+    expl = ExplorationSignal(tones=tones, K0=np.zeros((plant.m, known.n_zeta)))
+    log = simulate(plant, recast_exosystem([0.0], [0.0]), known, build_p_copy([0.0], 1),
+                   Policy(exploration=expl), (0.0, 6.0), 1e-3, x0=[1.0, -1.0, 0.5])
+    R = np.array([[2.0, 0.5], [0.5, 1.0]])
+    data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=40), 1, R=R)
+    cfg = ViConfig(P0=np.eye(3), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
+                   max_iters=10, R=R, Q=np.eye(3))
+    stage, E = _fit_stage(1, data, cfg)
+    assert E is None
+    for seed in range(3):
+        P = random_symmetric(3, seed)
+        H, K = stage(P)
+        assert rel(H, plant.A.T @ P + P @ plant.A) <= 1e-6
+        assert rel(K, -np.linalg.solve(R, plant.B.T @ P)) <= 1e-6
+
+
+def test_stage_matches_lyapunov_operator_structured(nonzero_setup):
+    """Variants 3 and 4 on preset data: H(P) = A_rho^T P + P A_rho, and the
+    gain K = -R^{-1} B_rho^T P is an exact function of the iterate."""
+    aux, vicfg = nonzero_setup["aux"], nonzero_setup["vicfg"]
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
+                            known_B=aux.B_rho)
+    for variant in (3, 4):
+        stage, _ = _fit_stage(variant, data, vicfg)
+        for seed in range(3):
+            P = random_symmetric(8, seed)
+            H, K = stage(P)
+            assert rel(H, aux.A_rho.T @ P + P @ aux.A_rho) <= 1e-3
+            assert np.allclose(K, -np.linalg.solve(vicfg.R, aux.B_rho.T) @ P,
+                               rtol=0, atol=1e-12)
+
+
+def test_vi_run_structured_input_errors(nonzero_setup):
     data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
                             known_B=nonzero_setup["objs"].B_rho)
     vicfg = nonzero_setup["vicfg"]
-    rng = np.random.default_rng(11)
-    X = rng.standard_normal((8, 8))
-    P = X + X.T
-    E_id = nonzero_setup["aux"].E_rho
-    stage = solve_stage(4, P, data, vicfg, identified_E=E_id)
-    K_expected = -np.linalg.solve(vicfg.R, nonzero_setup["objs"].B_rho.T) @ P
-    assert np.allclose(stage.K, K_expected, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        vi_run(4, data, replace(vicfg, P0=np.zeros((8, 8))))   # P0 not positive definite
+    with pytest.raises(ValueError):
+        vi_run(3, data, replace(vicfg, E_structure=None))
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +187,6 @@ def test_variant4_matches_oracle(nonzero_setup, nonzero_vi_runs):
 def test_variant3_variant4_agree(nonzero_vi_runs):
     res3, res4 = nonzero_vi_runs
     assert rel(res3.P_final, res4.P_final) <= 0.01
-
-
-def test_identify_e_requires_pd_p0(nonzero_setup):
-    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
-                            known_B=nonzero_setup["objs"].B_rho)
-    solver = _StageSolver(4, data, nonzero_setup["vicfg"])
-    with pytest.raises(ValueError):
-        identify_E(solver, np.zeros((8, 8)))
 
 
 # ---------------------------------------------------------------------------
