@@ -13,7 +13,7 @@ from .internal_model import Exosystem, InternalModel, build_p_copy, \
 from .observer import ObserverKnown
 from .oracle import LtiPlant, solve_care, solve_sylvester_regulator
 from .regression import SamplingGrid, build_regression, check_rank
-from .sim import ExplorationSignal, Policy, Tone, simulate
+from .sim import Tone, simulate
 from .vi import RankConditionError, ViConfig, vi_run
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "Exosystem", "InternalModel", "build_p_copy", "minimal_polynomial",
     "recast_exosystem", "ObserverKnown", "LtiPlant", "solve_care",
     "solve_sylvester_regulator", "SamplingGrid", "build_regression",
-    "check_rank", "ExplorationSignal", "Policy", "Tone", "simulate",
+    "check_rank", "Tone", "simulate",
     "RankConditionError", "ViConfig", "vi_run",
 ]
 

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 rank condition failed, 3 value iteration did not
-converge, 4 configuration error.
+converge, 4 configuration or usage error.
 """
 
 import argparse
@@ -105,7 +105,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

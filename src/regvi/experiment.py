@@ -17,13 +17,13 @@ from .internal_model import build_p_copy, recast_exosystem
 from .linalg import is_hurwitz
 from .observer import ObserverKnown
 from .oracle import (AssumptionError, LtiPlant, build_augmented_aux,
-                     compute_parameterization, parameterization_identity_errors,
-                     pbh_check, place_observer_gain, solve_care,
-                     transmission_zero_check, verify_theorem4)
+                     build_augmented_plant, compute_parameterization,
+                     parameterization_identity_errors, pbh_check,
+                     place_observer_gain, solve_care, transmission_zero_check,
+                     verify_theorem4)
 from .regression import (SamplingGrid, build_regression, check_rank,
                          export_regression_csv, unknown_count)
-from .sim import (ExplorationSignal, Policy, Tone, export_trajectory_csv,
-                  simulate)
+from .sim import Tone, export_trajectory_csv, join_logs, simulate, stack_state
 from .vi import RankConditionError, ViConfig, export_history_csv, vi_run
 
 
@@ -112,6 +112,14 @@ def _poles(raw):
     return np.asarray(out)
 
 
+def _qbar(cfg, p, n_z):
+    """blockdiag(Q_y, Q_z), the cost weight on col(y, z); an unset weight is I."""
+    q_y = 1.0 if cfg.q_y is None else cfg.q_y
+    q_z = 1.0 if cfg.q_z is None else cfg.q_z
+    return np.block([[_as_matrix(q_y, p, "q_y"), np.zeros((p, n_z))],
+                     [np.zeros((n_z, p)), _as_matrix(q_z, n_z, "q_z")]])
+
+
 @dataclass
 class ExperimentObjects:
     plant: LtiPlant
@@ -141,6 +149,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("h, grid_dt and grid_s must be positive")
     if cfg.t_switch >= cfg.t_end:
         raise ConfigError("t_switch must precede t_end")
+    if cfg.k0_on not in ("zeta", "rho"):
+        raise ConfigError("k0_on must be 'zeta' or 'rho'")
     objs = build_objects(cfg)
     plant, im = objs.plant, objs.im
     if len(cfg.x0) != plant.n:
@@ -198,13 +208,13 @@ def make_vi_config(cfg: ExperimentConfig, objs: ExperimentObjects) -> ViConfig:
     return ViConfig(**kwargs)
 
 
-def learn_from_log(log, cfg: ExperimentConfig, objs: ExperimentObjects):
+def learn_from_log(log, cfg: ExperimentConfig, objs: ExperimentObjects,
+                   vicfg: ViConfig):
     """Regression + rank check + value iteration from the logged trajectory.
 
     Touches only learner-visible channels and known matrices.
     """
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
-    vicfg = make_vi_config(cfg, objs)
     if cfg.variant == 1:
         data = build_regression(log, grid, 1, R=vicfg.R)
     elif cfg.variant == 2:
@@ -241,23 +251,6 @@ class ExperimentReport:
     paper_reference: dict = field(default_factory=dict)
 
 
-def _oracle_q_rho(cfg, objs, param, im):
-    """The weight the oracle ARE uses for the configured variant."""
-    n_rho = objs.known.n_zeta + im.n_z
-    if cfg.variant in (3, 4):
-        return _as_matrix(cfg.q_main, n_rho, "q_main")
-    plant = objs.plant
-    Cbar = np.block([[plant.C, np.zeros((plant.p, im.n_z))],
-                     [np.zeros((im.n_z, plant.n)), np.eye(im.n_z)]])
-    Qbar = np.block([[_as_matrix(cfg.q_y, plant.p, "q_y"),
-                      np.zeros((plant.p, im.n_z))],
-                     [np.zeros((im.n_z, plant.p)),
-                      _as_matrix(cfg.q_z, im.n_z, "q_z")]])
-    W = np.block([[param.M, np.zeros((plant.n, im.n_z))],
-                  [np.zeros((im.n_z, objs.known.n_zeta)), np.eye(im.n_z)]])
-    return W.T @ Cbar.T @ Qbar @ Cbar @ W
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentReport:
     """Run the full pipeline and write every artifact under out_dir."""
     objs = validate_config(cfg)
@@ -270,13 +263,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
         param = compute_parameterization(plant, L, known.companion.alpha)
         aux = build_augmented_aux(plant, param, im, exo)
         diag = (param.M, aux.X_prime)
-    expl = ExplorationSignal(tones=[Tone(**t) for t in cfg.tones],
-                             K0=cfg.k0, K0_on=cfg.k0_on)
+    vicfg = make_vi_config(cfg, objs)
+    K0 = np.atleast_2d(np.asarray(cfg.k0, dtype=float))
+    if cfg.k0_on == "zeta":
+        K0 = np.hstack([K0, np.zeros((plant.m, im.n_z))])
     files = {}
-    log_explore = simulate(plant, exo, known, im, Policy(exploration=expl),
-                           (0.0, cfg.t_switch), cfg.h, cfg.x0,
-                           zeta0=cfg.zeta0, z0=cfg.z0, diag=diag)
-    data, verdict, vires = learn_from_log(log_explore, cfg, objs)
+    log_explore = simulate(plant, exo, known, im, K0,
+                           stack_state(exo, known, im, cfg.x0, cfg.zeta0, cfg.z0),
+                           (0.0, cfg.t_switch), cfg.h,
+                           [Tone(**t) for t in cfg.tones], diag=diag)
+    data, verdict, vires = learn_from_log(log_explore, cfg, objs, vicfg)
     files.update(export_regression_csv(data, out_dir))
     history_path = os.path.join(out_dir, "vi_history.csv")
     export_history_csv(vires, history_path)
@@ -290,9 +286,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
         _write_manifest(out_dir, files)
         raise NotConvergedError("VI did not converge in %d iterations" % cfg.max_iters)
 
-    policy = Policy(exploration=expl, K_rho=vires.K_final, t_switch=cfg.t_switch)
-    log_full = simulate(plant, exo, known, im, policy, (0.0, cfg.t_end), cfg.h,
-                        cfg.x0, zeta0=cfg.zeta0, z0=cfg.z0, diag=diag)
+    log_full = join_logs(log_explore, simulate(
+        plant, exo, known, im, vires.K_final, log_explore.final_state,
+        (cfg.t_switch, cfg.t_end), cfg.h, diag=diag))
     traj_path = os.path.join(out_dir, "trajectory.csv")
     export_trajectory_csv(log_full, traj_path)
     files["trajectory"] = traj_path
@@ -312,23 +308,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
                               converged=vires.converged,
                               tracking_max_error=tracking_max, files=files)
     if not blinded and cfg.variant >= 3:
-        Q_rho = _oracle_q_rho(cfg, objs, param, im)
-        sol = solve_care(aux.A_rho, aux.B_rho, Q_rho, make_vi_config(cfg, objs).R)
-        report.gain_error = float(np.linalg.norm(vires.K_final - sol.K, "fro")
-                                  / np.linalg.norm(sol.K, "fro"))
+        if cfg.variant in (3, 4):
+            K_opt = solve_care(aux.A_rho, aux.B_rho, vicfg.Q, vicfg.R).K
+        else:
+            t4 = verify_theorem4(plant, param, im, _qbar(cfg, plant.p, im.n_z), vicfg.R)
+            K_opt = t4.K_rho
+            report.theorem4_deviation = t4.deviation
+            report.theorem4_gain_deviation = t4.gain_deviation
+        report.gain_error = float(np.linalg.norm(vires.K_final - K_opt, "fro")
+                                  / np.linalg.norm(K_opt, "fro"))
         if cfg.variant in (4, 6) and vires.E_rho_identified is not None:
             E_true = aux.E_rho if cfg.variant == 4 else np.vstack(
                 [np.zeros((known.n_zeta, plant.q)), im.G2 @ plant.F])
             report.e_rho_error = float(np.linalg.norm(vires.E_rho_identified - E_true, "fro")
                                        / np.linalg.norm(E_true, "fro"))
-        if cfg.variant in (5, 6):
-            Qbar = np.block([[_as_matrix(cfg.q_y, plant.p, "q_y"),
-                              np.zeros((plant.p, im.n_z))],
-                             [np.zeros((im.n_z, plant.p)),
-                              _as_matrix(cfg.q_z, im.n_z, "q_z")]])
-            t4 = verify_theorem4(plant, param, im, Qbar, make_vi_config(cfg, objs).R)
-            report.theorem4_deviation = t4.deviation
-            report.theorem4_gain_deviation = t4.gain_deviation
     report.paper_reference = _paper_reference(cfg)
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w") as fh:
@@ -410,23 +403,15 @@ def verify(cfg: ExperimentConfig) -> VerificationReport:
             checks.append(VerificationCheck("parameterization_identities",
                                             worst <= 1e-8,
                                             "max relative error %g" % worst))
-            q_y = cfg.q_y if cfg.q_y is not None else 1.0
-            q_z = cfg.q_z if cfg.q_z is not None else 1.0
-            Qbar = np.block([[_as_matrix(q_y, plant.p, "q_y"),
-                              np.zeros((plant.p, im.n_z))],
-                             [np.zeros((im.n_z, plant.p)),
-                              _as_matrix(q_z, im.n_z, "q_z")]])
-            t4 = verify_theorem4(plant, param, im, Qbar,
+            t4 = verify_theorem4(plant, param, im, _qbar(cfg, plant.p, im.n_z),
                                  _as_matrix(cfg.r, plant.m, "r"))
             checks.append(VerificationCheck("theorem4_identity",
                                             t4.deviation <= 1e-6
                                             and t4.gain_deviation <= 1e-6,
                                             "P deviation %g, K deviation %g"
                                             % (t4.deviation, t4.gain_deviation)))
-            hurw, cl_margin = is_hurwitz(
-                np.block([[plant.A, np.zeros((plant.n, im.n_z))],
-                          [im.G2 @ plant.C, im.G1]])
-                + np.vstack([plant.B, np.zeros((im.n_z, plant.m))]) @ (t4.K_xi))
+            Y, J, _ = build_augmented_plant(plant, im)
+            hurw, cl_margin = is_hurwitz(Y + J @ t4.K_xi)
             checks.append(VerificationCheck("augmented_closed_loop_hurwitz", hurw,
                                             "margin %g" % cl_margin))
             dims = (plant.n, plant.m, plant.p, objs.exo.q, im.n_z)

@@ -23,7 +23,6 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .linalg import vecv_rows
-from .sim import TrajectoryLog
 
 VARIANTS = (1, 2, 3, 4, 5, 6)
 
@@ -60,7 +59,7 @@ class RegressionData:
     R: np.ndarray | None = None
 
 
-def _sample_indices(log: TrajectoryLog, grid: SamplingGrid):
+def _sample_indices(log, grid: SamplingGrid):
     ratio = grid.dt / log.h
     if abs(ratio - round(ratio)) > 1e-9:
         raise GridAlignmentError("dt = %g is not an integer multiple of h = %g"
@@ -86,10 +85,12 @@ def _kron_rows(a, b):
     return np.einsum("ni,nj->nij", a, b).reshape(a.shape[0], -1)
 
 
-def build_regression(log: TrajectoryLog, grid: SamplingGrid, variant: int,
+def build_regression(log, grid: SamplingGrid, variant: int,
                      R=None, known_B=None) -> RegressionData:
     """Pack the data matrices for one algorithm variant.
 
+    log carries the fields of a `sim.TrajectoryLog` (times, h and the signal
+    arrays); only the learner-visible channels are read.
     R weights the input integrals of variants 1 and 2; known_B is the known
     input-matrix block (B_zeta for variant 2, B_rho for variants 3-6) applied
     to the logged input before the unweighted Kronecker integral.

@@ -1,19 +1,20 @@
 """Fixed-step RK4 simulation of the exosystem / plant / observer / internal-model loop.
 
-The stacked state is col(v, x, zeta, z).  Within each policy phase the loop
-is linear time-invariant driven by the multitone exploration signal, so the
-integrator advances s' = A_tot s + B_tot delta(t) with the input evaluated at
-the RK4 stage times.  The observer block is propagated through the known
-matrices only; the plant matrices enter solely as physics.
+The stacked state is col(v, x, zeta, z).  `simulate` integrates one linear
+time-invariant phase, u = K_rho rho + delta(t) with delta an optional sum of
+probing tones, from a given state between two points of the grid k*h; its
+sample times are h*k, so a run continued from another's final state takes
+the same steps as one long run.  An experiment is two such runs, exploration
+then closed loop, joined by `join_logs`.  The observer block is propagated
+through the known matrices only; the plant matrices enter solely as physics.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .internal_model import Exosystem, InternalModel
 from .observer import ObserverKnown
-from .oracle import LtiPlant
 
 OVERFLOW_LIMIT = 1e9
 
@@ -26,45 +27,13 @@ class Tone:
     channel: int = 0
 
 
-@dataclass
-class ExplorationSignal:
-    """Multitone probing input delta(t) plus an initial feedback gain K0."""
-
-    tones: list
-    K0: np.ndarray          # m x n_zeta (or m x n_rho, see K0_on)
-    K0_on: str = "zeta"     # which vector K0 multiplies: 'zeta' or 'rho'
-
-    def __post_init__(self):
-        self.K0 = np.atleast_2d(np.asarray(self.K0, dtype=float))
-        if self.K0_on not in ("zeta", "rho"):
-            raise ValueError("K0_on must be 'zeta' or 'rho'")
-
-
-def exploration_signal(sig: ExplorationSignal, t, m):
-    """Evaluate the multitone signal at times t; returns (m,) or (len(t), m)."""
+def exploration_signal(tones, t, m):
+    """Evaluate the sum of tones at times t; returns (m,) or (len(t), m)."""
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape + (m,))
-    for tone in sig.tones:
+    for tone in tones:
         out[..., tone.channel] += tone.amplitude * np.sin(tone.frequency * t + tone.phase)
     return out
-
-
-@dataclass
-class Policy:
-    """Exploration phase followed by an optional hard switch to u = K_rho rho."""
-
-    exploration: ExplorationSignal | None = None
-    K_rho: np.ndarray | None = None
-    t_switch: float | None = None
-
-    def __post_init__(self):
-        if self.K_rho is not None:
-            self.K_rho = np.atleast_2d(np.asarray(self.K_rho, dtype=float))
-        if self.exploration is None and self.K_rho is None:
-            raise ValueError("policy needs an exploration signal or a feedback gain")
-        if self.exploration is not None and self.K_rho is not None \
-                and self.t_switch is None:
-            raise ValueError("both phases given but no switch time")
 
 
 @dataclass
@@ -86,11 +55,38 @@ class TrajectoryLog:
     ex_diag: np.ndarray
     h: float
 
+    @property
+    def final_state(self):
+        """Stacked state col(v, x, zeta, z) at the last sample."""
+        return np.concatenate([self.v[-1], self.x[-1], self.zeta[-1], self.z[-1]])
 
-def _phase_matrices(plant, exo, known, im, Ku_zeta, Ku_z):
-    """Closed-loop matrix for s = col(v, x, zeta, z) under u = Ku [zeta; z] + delta."""
+
+def stack_state(exo: Exosystem, known: ObserverKnown, im: InternalModel,
+                x0, zeta0=None, z0=None):
+    """Initial stacked state col(v0, x0, zeta0, z0); zeta0 and z0 default to 0."""
+    zeta0 = np.zeros(known.n_zeta) if zeta0 is None else zeta0
+    z0 = np.zeros(im.n_z) if z0 is None else z0
+    return np.concatenate([exo.v0, x0, zeta0, z0]).astype(float)
+
+
+def join_logs(head: TrajectoryLog, tail: TrajectoryLog) -> TrajectoryLog:
+    """head followed by tail, a run continued from head's final state.
+
+    head's last row is dropped: tail repeats its state, and its input is the
+    one in force before tail's gain took over.
+    """
+    if head.times[-1] != tail.times[0]:
+        raise ValueError("tail must start at the last sample of head")
+    parts = {f.name: np.concatenate([getattr(head, f.name)[:-1], getattr(tail, f.name)])
+             for f in fields(TrajectoryLog) if f.name != "h"}
+    return TrajectoryLog(h=head.h, **parts)
+
+
+def _loop_matrices(plant, exo, known, im, K_rho):
+    """Closed-loop matrix for s = col(v, x, zeta, z) under u = K_rho rho + delta."""
     n, m, q = plant.n, plant.m, exo.q
     n_zeta, n_z = known.n_zeta, im.n_z
+    Ku_zeta, Ku_z = K_rho[:, :n_zeta], K_rho[:, n_zeta:]
     Z = np.zeros
     A_tot = np.block([
         [exo.S, Z((q, n)), Z((q, n_zeta)), Z((q, n_z))],
@@ -104,21 +100,36 @@ def _phase_matrices(plant, exo, known, im, Ku_zeta, Ku_z):
     return A_tot, B_tot, K_row
 
 
-def _integrate_phase(A_tot, B_tot, s0, t_start, n_steps, h, delta_fn):
-    """RK4 over n_steps from t_start; returns (n_steps+1, dim) states."""
-    dim = s0.size
-    out = np.empty((n_steps + 1, dim))
-    out[0] = s0
-    t_nodes = t_start + h * np.arange(n_steps + 1)
-    if delta_fn is None:
-        f0 = f_half = f1 = np.zeros((n_steps, B_tot.shape[0]))
+def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
+             K_rho, s0, tspan, h, tones=(), diag=None) -> TrajectoryLog:
+    """RK4 of u = K_rho rho + delta(t) from the stacked state s0 over tspan.
+
+    Both ends of tspan must lie on the grid k*h.  delta is the sum of tones
+    (none: pure feedback).  diag, when given, is the oracle pair
+    (M, X_prime) used only to log the reconstruction-error norm
+    ||M zeta + X' v - x||.
+    """
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    j0, j1 = (int(round(t / h)) for t in tspan)
+    if j1 < j0 or abs(j0 * h - tspan[0]) > 1e-9 or abs(j1 * h - tspan[1]) > 1e-9:
+        raise ValueError("tspan must run forward between points of the grid k*h")
+    n, m, q, n_zeta = plant.n, plant.m, exo.q, known.n_zeta
+    A_tot, B_tot, K_row = _loop_matrices(plant, exo, known, im,
+                                         np.atleast_2d(np.asarray(K_rho, dtype=float)))
+    s = np.asarray(s0, dtype=float)
+    if s.shape != (A_tot.shape[0],):
+        raise ValueError("initial state must have length %d" % A_tot.shape[0])
+    times = h * np.arange(j0, j1 + 1)
+    n_steps = j1 - j0
+    if tones:
+        d_nodes = exploration_signal(tones, times, m)
+        d_half = exploration_signal(tones, times[:-1] + 0.5 * h, m)
+        f0, f_half, f1 = d_nodes[:-1] @ B_tot.T, d_half @ B_tot.T, d_nodes[1:] @ B_tot.T
     else:
-        d_nodes = delta_fn(t_nodes)           # (n_steps+1, m)
-        d_half = delta_fn(t_nodes[:-1] + 0.5 * h)
-        f0 = d_nodes[:-1] @ B_tot.T
-        f_half = d_half @ B_tot.T
-        f1 = d_nodes[1:] @ B_tot.T
-    s = s0.copy()
+        f0 = f_half = f1 = np.zeros((n_steps, s.size))
+    s_all = np.empty((n_steps + 1, s.size))
+    s_all[0] = s
     for i in range(n_steps):
         k1 = A_tot @ s + f0[i]
         k2 = A_tot @ (s + 0.5 * h * k1) + f_half[i]
@@ -127,75 +138,11 @@ def _integrate_phase(A_tot, B_tot, s0, t_start, n_steps, h, delta_fn):
         s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(s).all() or np.abs(s).max() > OVERFLOW_LIMIT:
             raise OverflowError("state overflow at t = %g during integration"
-                                % (t_start + (i + 1) * h))
-        out[i + 1] = s
-    return out
-
-
-def simulate(plant: LtiPlant, exo: Exosystem, known: ObserverKnown,
-             im: InternalModel, policy: Policy, tspan, h,
-             x0, zeta0=None, z0=None, diag=None) -> TrajectoryLog:
-    """Simulate the full interconnection over tspan with step h.
-
-    diag, when given, is the oracle pair (M, X_prime) used only to log the
-    reconstruction-error norm ||M zeta + X' v - x||.
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    t0, t1 = float(tspan[0]), float(tspan[1])
-    n, m, q = plant.n, plant.m, exo.q
-    n_zeta, n_z = known.n_zeta, im.n_z
-    x0 = np.asarray(x0, dtype=float).reshape(n)
-    zeta0 = np.zeros(n_zeta) if zeta0 is None else np.asarray(zeta0, dtype=float).reshape(n_zeta)
-    z0 = np.zeros(n_z) if z0 is None else np.asarray(z0, dtype=float).reshape(n_z)
-    s0 = np.concatenate([exo.v0, x0, zeta0, z0])
-
-    # phase plan: (t_start, n_steps, Ku_zeta, Ku_z, delta_fn)
-    n_total = int(round((t1 - t0) / h))
-    if abs(t0 + n_total * h - t1) > 1e-9:
-        raise ValueError("tspan length must be an integer multiple of h")
-    phases = []
-    expl = policy.exploration
-    if expl is not None:
-        if expl.K0_on == "zeta":
-            Ku_zeta, Ku_z = expl.K0, np.zeros((m, n_z))
-        else:
-            Ku_zeta, Ku_z = expl.K0[:, :n_zeta], expl.K0[:, n_zeta:]
-        delta_fn = lambda t: exploration_signal(expl, t, m)
-        if policy.t_switch is None or policy.t_switch >= t1:
-            phases.append((t0, n_total, Ku_zeta, Ku_z, delta_fn))
-        else:
-            n_first = int(round((policy.t_switch - t0) / h))
-            if abs(t0 + n_first * h - policy.t_switch) > 1e-9:
-                raise ValueError("t_switch must land on the integration grid")
-            phases.append((t0, n_first, Ku_zeta, Ku_z, delta_fn))
-            phases.append((policy.t_switch, n_total - n_first,
-                           policy.K_rho[:, :n_zeta], policy.K_rho[:, n_zeta:], None))
-    else:
-        phases.append((t0, n_total, policy.K_rho[:, :n_zeta],
-                       policy.K_rho[:, n_zeta:], None))
-
-    states = [s0[None, :]]
-    u_rows = []
-    for t_start, n_steps, Ku_zeta, Ku_z, delta_fn in phases:
-        if n_steps == 0:
-            continue
-        A_tot, B_tot, K_row = _phase_matrices(plant, exo, known, im, Ku_zeta, Ku_z)
-        seg = _integrate_phase(A_tot, B_tot, states[-1][-1], t_start, n_steps, h, delta_fn)
-        t_seg = t_start + h * np.arange(n_steps)
-        u_seg = seg[:-1] @ K_row.T
-        if delta_fn is not None:
-            u_seg = u_seg + delta_fn(t_seg)
-        states.append(seg[1:])
-        u_rows.append(u_seg)
-    s_all = np.vstack(states)
-    times = t0 + h * np.arange(n_total + 1)
-    # input at the final sample comes from the last active phase gain
-    _, _, K_last = _phase_matrices(plant, exo, known, im, phases[-1][2], phases[-1][3])
-    u_final = s_all[-1] @ K_last.T
-    if phases[-1][4] is not None:
-        u_final = u_final + phases[-1][4](times[-1])
-    u_all = np.vstack(u_rows + [u_final[None, :]])
+                                % ((j0 + i + 1) * h))
+        s_all[i + 1] = s
+    u = s_all @ K_row.T
+    if tones:
+        u += d_nodes
 
     v = s_all[:, :q]
     x = s_all[:, q:q + n]
@@ -209,7 +156,7 @@ def simulate(plant: LtiPlant, exo: Exosystem, known: ObserverKnown,
         ex_diag = np.linalg.norm(ex, axis=1)
     else:
         ex_diag = np.full(times.size, np.nan)
-    return TrajectoryLog(times=times, v=v, x=x, zeta=zeta, z=z, u=u_all,
+    return TrajectoryLog(times=times, v=v, x=x, zeta=zeta, z=z, u=u,
                          y=y, e=e, ex_diag=ex_diag, h=h)
 
 

@@ -9,14 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from regvi.experiment import (PRESETS, _oracle_q_rho, _poles, build_objects,
-                              make_vi_config, run_experiment)
+from regvi.experiment import (PRESETS, _poles, build_objects, make_vi_config,
+                              run_experiment)
 from regvi.internal_model import build_p_copy, recast_exosystem
 from regvi.observer import ObserverKnown
 from regvi.oracle import (LtiPlant, build_augmented_aux, compute_parameterization,
                           place_observer_gain, solve_care)
 from regvi.regression import SamplingGrid, build_regression
-from regvi.sim import ExplorationSignal, Policy, Tone, simulate
+from regvi.sim import Tone, simulate, stack_state
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +51,11 @@ def nonzero_run(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 def _exploration_log(cfg, objs):
-    expl = ExplorationSignal(tones=[Tone(**t) for t in cfg.tones],
-                             K0=cfg.k0, K0_on=cfg.k0_on)
-    return simulate(objs.plant, objs.exo, objs.known, objs.im,
-                    Policy(exploration=expl), (0.0, cfg.t_switch), cfg.h,
-                    cfg.x0, zeta0=cfg.zeta0, z0=cfg.z0)
+    """The exploration phase as run_experiment runs it (presets: K0 on zeta)."""
+    K0 = np.hstack([cfg.k0, np.zeros((objs.plant.m, objs.im.n_z))])
+    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0, cfg.zeta0, cfg.z0)
+    return simulate(objs.plant, objs.exo, objs.known, objs.im, K0, s0,
+                    (0.0, cfg.t_switch), cfg.h, [Tone(**t) for t in cfg.tones])
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +68,7 @@ def nonzero_setup():
     param = compute_parameterization(objs.plant, L, objs.known.companion.alpha)
     aux = build_augmented_aux(objs.plant, param, objs.im, objs.exo)
     vicfg = make_vi_config(cfg, objs)
-    Q_rho = _oracle_q_rho(cfg, objs, param, objs.im)
+    Q_rho = vicfg.Q
     sol = solve_care(aux.A_rho, aux.B_rho, Q_rho, vicfg.R)
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
     return {"cfg": cfg, "objs": objs, "log": log, "L": L, "param": param,
@@ -111,9 +111,9 @@ def fullstate_setup():
     known = ObserverKnown.from_poles([-2.0, -3.0, -4.0], plant.m, plant.p)
     im = build_p_copy([0.0], plant.p)
     tones = [Tone(1.0, 1.0), Tone(1.0, 2.7), Tone(1.0, 5.3), Tone(1.0, 9.1)]
-    expl = ExplorationSignal(tones=tones, K0=np.zeros((1, known.n_zeta)))
-    log = simulate(plant, exo, known, im, Policy(exploration=expl),
-                   (0.0, 6.0), 1e-3, x0=[1.0, -1.0, 0.5])
+    K = np.zeros((1, known.n_zeta + im.n_z))
+    log = simulate(plant, exo, known, im, K,
+                   stack_state(exo, known, im, [1.0, -1.0, 0.5]), (0.0, 6.0), 1e-3, tones)
     grid = SamplingGrid(t0=1.0, dt=0.1, s=40)
     data = build_regression(log, grid, 1, R=np.eye(1))
     sol = solve_care(plant.A, plant.B, np.eye(3), np.eye(1))

@@ -32,6 +32,12 @@ def test_preset_errors(capsys):
     assert cli.main(["preset", "show", "nope"]) == cli.EXIT_CONFIG
 
 
+def test_usage_errors_are_config_errors(capsys):
+    assert cli.main(["--seed", "1", "preset", "list"]) == cli.EXIT_CONFIG
+    assert cli.main(["run"]) == cli.EXIT_CONFIG
+    assert cli.main(["--help"]) == cli.EXIT_OK
+
+
 def test_run_missing_config(tmp_path, capsys):
     code = cli.main(["run", str(tmp_path / "absent.json"),
                      "--out-dir", str(tmp_path / "out")])

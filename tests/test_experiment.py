@@ -43,6 +43,7 @@ def test_parse_config_rejects_garbage():
     {"grid_s": 10000},                     # grid escapes the exploration phase
     {"exo_v0": [1.0]},                     # length must match minimal polynomial
     {"observer_poles": [-5.0, -6.0]},      # need n poles
+    {"k0_on": "x", "k0": [[0.0] * 8]},     # k0_on must be 'zeta' or 'rho'
 ])
 def test_validate_config_rejects(patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))
@@ -108,6 +109,17 @@ def test_report_carries_published_reference(nonzero_run):
     assert ref["reported_iterations"] == 10602
     payload = json.load(open(os.path.join(nonzero_run["out_dir"], "report.json")))
     assert payload["paper_reference"]["reported_iterations"] == 10602
+
+
+def test_trajectory_continues_exploration_log(nonzero_run, nonzero_setup):
+    """Up to t_switch the trajectory holds exactly the states the learner saw."""
+    log, cfg = nonzero_setup["log"], nonzero_run["cfg"]
+    traj = np.loadtxt(os.path.join(nonzero_run["out_dir"], "trajectory.csv"),
+                      delimiter=",", skiprows=1)
+    head = traj[traj[:, 0] <= cfg.t_switch]
+    states = np.hstack([log.v, log.x, log.zeta, log.z])
+    assert np.array_equal(head[:, 0], log.times)
+    assert np.array_equal(head[:, 1:1 + states.shape[1]], states)
 
 
 def test_config_is_dataclass_of_plain_types():

@@ -1,0 +1,36 @@
+"""The learner's model-free boundary, checked on the import graph itself."""
+
+import ast
+from pathlib import Path
+
+import regvi
+
+PACKAGE = Path(regvi.__file__).parent
+LEARNER = ("linalg", "observer", "internal_model", "regression", "vi")
+
+
+def _relative_imports(module):
+    """Sibling modules named by every `from .x import ...`, at any depth."""
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_relative_imports_are_found():
+    assert _relative_imports("experiment") >= {"oracle", "sim", "vi", "linalg"}
+
+
+def test_learner_never_reaches_oracle_or_plant_simulation():
+    reached, todo = set(), list(LEARNER)
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(_relative_imports(module))
+    assert not reached & {"oracle", "sim"}, sorted(reached)

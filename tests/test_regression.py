@@ -5,7 +5,7 @@ from regvi.linalg import vecs
 from regvi.regression import (GridAlignmentError, SamplingGrid, build_regression,
                               check_rank, export_regression_csv, required_rank,
                               unknown_count)
-from regvi.sim import ExplorationSignal, Policy, Tone, simulate
+from regvi.sim import Tone, simulate, stack_state
 
 
 def _residual_rows(data, P, A_rho, E_rho):
@@ -51,11 +51,12 @@ def test_integrals_converge_with_h(fullstate_setup):
     """Refining the integrator step shrinks every integral entry at order >= 2."""
     s = fullstate_setup
     tones = [Tone(1.0, 1.0), Tone(1.0, 2.7), Tone(1.0, 5.3), Tone(1.0, 9.1)]
-    expl = ExplorationSignal(tones=tones, K0=np.zeros((1, s["known"].n_zeta)))
+    K = np.zeros((1, s["known"].n_zeta + s["im"].n_z))
+    s0 = stack_state(s["exo"], s["known"], s["im"], [1.0, -1.0, 0.5])
     grid = SamplingGrid(t0=1.0, dt=0.1, s=20)
     def blocks(h):
-        log = simulate(s["plant"], s["exo"], s["known"], s["im"],
-                       Policy(exploration=expl), (0.0, 4.0), h, [1.0, -1.0, 0.5])
+        log = simulate(s["plant"], s["exo"], s["known"], s["im"], K, s0,
+                       (0.0, 4.0), h, tones)
         d = build_regression(log, grid, 1, R=np.eye(1))
         return d.I_aa, d.I_au
     a1, b1 = blocks(4e-3)
@@ -79,9 +80,9 @@ def test_rank_conditions_on_preset_data(nonzero_setup):
 
 def test_rank_fails_without_excitation(nonzero_setup):
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
-    expl = ExplorationSignal(tones=[], K0=np.zeros((1, objs.known.n_zeta)))
     log = simulate(objs.plant, objs.exo, objs.known, objs.im,
-                   Policy(exploration=expl), (0.0, 10.0), 1e-3, cfg.x0)
+                   np.zeros((1, objs.known.n_zeta + objs.im.n_z)),
+                   stack_state(objs.exo, objs.known, objs.im, cfg.x0), (0.0, 10.0), 1e-3)
     with pytest.warns(UserWarning):
         data = build_regression(log, SamplingGrid(t0=1.0, dt=0.25, s=30), 4,
                                 known_B=objs.B_rho)

@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from regvi.sim import (ExplorationSignal, Policy, Tone, export_trajectory_csv,
-                       exploration_signal, simulate)
+from regvi.sim import (Tone, export_trajectory_csv, exploration_signal,
+                       join_logs, simulate, stack_state)
 
 
-def _full_state(log):
-    return np.concatenate([log.v[-1], log.x[-1], log.zeta[-1], log.z[-1]])
+def _explore(setup, tspan, h, x0=None, diag=None):
+    """The preset's exploration input (K0 on zeta, its tones) from x0."""
+    cfg, objs = setup["cfg"], setup["objs"]
+    K0 = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
+    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0 if x0 is None else x0)
+    return simulate(objs.plant, objs.exo, objs.known, objs.im, K0, s0, tspan, h,
+                    [Tone(**t) for t in cfg.tones], diag=diag)
 
 
 def test_rk4_order(nonzero_setup):
     """Halving h shrinks the terminal-state error by ~2^4 (ratio in [12, 20])."""
-    cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
-    expl = ExplorationSignal(tones=[Tone(**t) for t in cfg.tones],
-                             K0=cfg.k0, K0_on=cfg.k0_on)
     def run(h):
-        return _full_state(simulate(objs.plant, objs.exo, objs.known, objs.im,
-                                    Policy(exploration=expl), (0.0, 2.0), h, cfg.x0))
+        return _explore(nonzero_setup, (0.0, 2.0), h).final_state
     h = 4e-3
     s1, s2, s4 = run(h), run(h / 2), run(h / 4)
     ratio = np.linalg.norm(s1 - s4) / np.linalg.norm(s2 - s4)
@@ -35,10 +36,7 @@ def test_reconstruction_error_follows_observer_dynamics(nonzero_setup):
     plant = objs.plant
     F = plant.A - nonzero_setup["L"] @ plant.C
     diag = (nonzero_setup["param"].M, nonzero_setup["aux"].X_prime)
-    expl = ExplorationSignal(tones=[Tone(**t) for t in cfg.tones],
-                             K0=cfg.k0, K0_on=cfg.k0_on)
-    log = simulate(objs.plant, objs.exo, objs.known, objs.im,
-                   Policy(exploration=expl), (0.0, 3.0), cfg.h, cfg.x0, diag=diag)
+    log = _explore(nonzero_setup, (0.0, 3.0), cfg.h, diag=diag)
     ex0 = nonzero_setup["aux"].X_prime @ objs.exo.v0 - np.asarray(cfg.x0)
     for t in (0.5, 1.0, 2.0, 3.0):
         i = int(round(t / cfg.h))
@@ -55,10 +53,7 @@ def test_reconstruction_error_decay_rate(nonzero_setup):
     v_slow = np.real(V[:, np.argmax(w.real)])         # eigenvector at -5
     x0 = nonzero_setup["aux"].X_prime @ objs.exo.v0 + 5.0 * v_slow
     diag = (nonzero_setup["param"].M, nonzero_setup["aux"].X_prime)
-    expl = ExplorationSignal(tones=[Tone(**t) for t in cfg.tones],
-                             K0=cfg.k0, K0_on=cfg.k0_on)
-    log = simulate(objs.plant, objs.exo, objs.known, objs.im,
-                   Policy(exploration=expl), (0.0, 3.0), cfg.h, x0, diag=diag)
+    log = _explore(nonzero_setup, (0.0, 3.0), cfg.h, x0=x0, diag=diag)
     mask = (log.times >= 1.0) & (log.times <= 3.0)
     slope = np.polyfit(log.times[mask], np.log(log.ex_diag[mask]), 1)[0]
     assert slope <= -4.9
@@ -68,8 +63,8 @@ def test_internal_stability_under_stabilizing_policy(nonzero_setup):
     """With v0 = 0 and the optimal feedback, col(x, zeta, z) converges to zero."""
     objs, sol = nonzero_setup["objs"], nonzero_setup["sol"]
     exo0 = type(objs.exo)(S=objs.exo.S, v0=np.zeros(objs.exo.q))
-    log = simulate(objs.plant, exo0, objs.known, objs.im,
-                   Policy(K_rho=sol.K), (0.0, 40.0), 1e-3, [1.0, 2.0, -0.8])
+    s0 = stack_state(exo0, objs.known, objs.im, [1.0, 2.0, -0.8])
+    log = simulate(objs.plant, exo0, objs.known, objs.im, sol.K, s0, (0.0, 40.0), 1e-3)
     start = np.linalg.norm(np.hstack([log.x[0], log.zeta[0], log.z[0]]))
     end = np.linalg.norm(np.hstack([log.x[-1], log.zeta[-1], log.z[-1]]))
     assert end <= 1e-6 * start
@@ -78,43 +73,41 @@ def test_internal_stability_under_stabilizing_policy(nonzero_setup):
 def test_overflow_guard(nonzero_setup):
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
     # strong feedback from the output-filter states destabilizes the loop
-    K0 = np.zeros((1, objs.known.n_zeta))
-    K0[0, 5] = 1e3
-    expl = ExplorationSignal(tones=[], K0=K0)
+    K = np.zeros((1, objs.known.n_zeta + objs.im.n_z))
+    K[0, 5] = 1e3
+    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
     with pytest.raises(OverflowError):
-        simulate(objs.plant, objs.exo, objs.known, objs.im,
-                 Policy(exploration=expl), (0.0, 20.0), 1e-3, cfg.x0)
+        simulate(objs.plant, objs.exo, objs.known, objs.im, K, s0, (0.0, 20.0), 1e-3)
 
 
 def test_grid_validation(nonzero_setup):
+    with pytest.raises(ValueError):
+        _explore(nonzero_setup, (0.0, 1.0005), 1e-3)
+    with pytest.raises(ValueError):
+        _explore(nonzero_setup, (0.50025, 1.0), 1e-3)   # start off the grid
+    with pytest.raises(ValueError):
+        _explore(nonzero_setup, (0.0, 1.0), -1e-3)
+
+
+def test_continuation_matches_one_run(nonzero_setup):
+    """[0, 2] in one run equals [0, 1] joined with its continuation over [1, 2]."""
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
-    expl = ExplorationSignal(tones=[Tone(**t) for t in cfg.tones],
-                             K0=cfg.k0, K0_on=cfg.k0_on)
-    args = (objs.plant, objs.exo, objs.known, objs.im)
-    with pytest.raises(ValueError):
-        simulate(*args, Policy(exploration=expl), (0.0, 1.0005), 1e-3, cfg.x0)
-    with pytest.raises(ValueError):
-        simulate(*args, Policy(exploration=expl, K_rho=np.zeros((1, 8)),
-                               t_switch=0.50025), (0.0, 1.0), 1e-3, cfg.x0)
-    with pytest.raises(ValueError):
-        simulate(*args, Policy(exploration=expl), (0.0, 1.0), -1e-3, cfg.x0)
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        Policy()
-    with pytest.raises(ValueError):
-        Policy(exploration=ExplorationSignal(tones=[], K0=np.zeros((1, 2))),
-               K_rho=np.zeros((1, 4)))  # both phases but no switch time
-    with pytest.raises(ValueError):
-        ExplorationSignal(tones=[], K0=np.zeros((1, 2)), K0_on="x")
+    K = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
+    tones = [Tone(**t) for t in cfg.tones]
+    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
+    args = (objs.plant, objs.exo, objs.known, objs.im, K)
+    whole = simulate(*args, s0, (0.0, 2.0), cfg.h, tones)
+    head = simulate(*args, s0, (0.0, 1.0), cfg.h, tones)
+    joined = join_logs(head, simulate(*args, head.final_state, (1.0, 2.0), cfg.h, tones))
+    for name in ("times", "v", "x", "zeta", "z", "y", "e"):
+        assert np.array_equal(getattr(joined, name), getattr(whole, name)), name
+    assert np.allclose(joined.u, whole.u, rtol=1e-14, atol=0.0)
 
 
 def test_exploration_signal_values():
-    sig = ExplorationSignal(tones=[Tone(2.0, 3.0, 0.5, 0), Tone(1.0, 1.0, 0.0, 1)],
-                            K0=np.zeros((2, 4)))
+    tones = [Tone(2.0, 3.0, 0.5, 0), Tone(1.0, 1.0, 0.0, 1)]
     t = np.array([0.0, 0.25])
-    out = exploration_signal(sig, t, 2)
+    out = exploration_signal(tones, t, 2)
     assert out.shape == (2, 2)
     assert np.allclose(out[:, 0], 2.0 * np.sin(3.0 * t + 0.5))
     assert np.allclose(out[:, 1], np.sin(t))
@@ -123,9 +116,10 @@ def test_exploration_signal_values():
 def test_simulation_is_deterministic(fullstate_setup):
     s = fullstate_setup
     tones = [Tone(1.0, 1.0), Tone(1.0, 2.7), Tone(1.0, 5.3), Tone(1.0, 9.1)]
-    expl = ExplorationSignal(tones=tones, K0=np.zeros((1, s["known"].n_zeta)))
-    log2 = simulate(s["plant"], s["exo"], s["known"], s["im"],
-                    Policy(exploration=expl), (0.0, 6.0), 1e-3, [1.0, -1.0, 0.5])
+    K = np.zeros((1, s["known"].n_zeta + s["im"].n_z))
+    s0 = stack_state(s["exo"], s["known"], s["im"], [1.0, -1.0, 0.5])
+    log2 = simulate(s["plant"], s["exo"], s["known"], s["im"], K, s0, (0.0, 6.0),
+                    1e-3, tones)
     for name in ("times", "v", "x", "zeta", "z", "u", "y", "e"):
         assert np.array_equal(getattr(s["log"], name), getattr(log2, name))
 

@@ -8,7 +8,7 @@ from regvi.observer import ObserverKnown
 from regvi.oracle import (LtiPlant, compute_parameterization,
                           place_observer_gain, verify_theorem4)
 from regvi.regression import SamplingGrid, build_regression
-from regvi.sim import ExplorationSignal, Policy, Tone, simulate
+from regvi.sim import Tone, simulate, stack_state
 from regvi.vi import RankConditionError, ViConfig, _fit_stage, vi_run
 
 
@@ -115,9 +115,9 @@ def test_stage_matches_lyapunov_operator_two_inputs():
     known = ObserverKnown.from_poles([-2.0, -3.0, -4.0], plant.m, plant.p)
     tones = [Tone(1.0, 1.0, channel=0), Tone(1.0, 2.7, channel=1),
              Tone(1.0, 5.3, channel=0), Tone(1.0, 9.1, channel=1)]
-    expl = ExplorationSignal(tones=tones, K0=np.zeros((plant.m, known.n_zeta)))
-    log = simulate(plant, recast_exosystem([0.0], [0.0]), known, build_p_copy([0.0], 1),
-                   Policy(exploration=expl), (0.0, 6.0), 1e-3, x0=[1.0, -1.0, 0.5])
+    exo, im = recast_exosystem([0.0], [0.0]), build_p_copy([0.0], 1)
+    log = simulate(plant, exo, known, im, np.zeros((plant.m, known.n_zeta + im.n_z)),
+                   stack_state(exo, known, im, [1.0, -1.0, 0.5]), (0.0, 6.0), 1e-3, tones)
     R = np.array([[2.0, 0.5], [0.5, 1.0]])
     data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=40), 1, R=R)
     cfg = ViConfig(P0=np.eye(3), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
@@ -204,11 +204,10 @@ def output_based_setup():
     B_rho = np.vstack([known.B_zeta, np.zeros((im.n_z, 1))])
     tones = [Tone(5.0, 1.3), Tone(5.0, 2.9), Tone(-5.0, 4.7),
              Tone(5.0, 7.1), Tone(-5.0, 9.3)]
-    expl = ExplorationSignal(tones=tones, K0=np.zeros((1, known.n_zeta)))
-    log = simulate(plant, exo, known, im, Policy(exploration=expl),
-                   (0.0, 24.0), 1e-3, x0=[1.0, -0.5])
-    grid = SamplingGrid(t0=2.0, dt=0.2, s=100)
     n_rho = known.n_zeta + im.n_z
+    log = simulate(plant, exo, known, im, np.zeros((1, n_rho)),
+                   stack_state(exo, known, im, [1.0, -0.5]), (0.0, 24.0), 1e-3, tones)
+    grid = SamplingGrid(t0=2.0, dt=0.2, s=100)
     S = np.zeros((n_rho, 2))
     S[:known.n_zeta, :1] = known.E_zeta
     S[known.n_zeta:, 1:] = im.G2
