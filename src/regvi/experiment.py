@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .csvrows import write_rows
 from .internal_model import build_p_copy, recast_exosystem
 from .linalg import is_hurwitz
 from .observer import ObserverKnown
@@ -23,7 +24,8 @@ from .oracle import (AssumptionError, LtiPlant, build_augmented_aux,
                      verify_theorem4)
 from .regression import (SamplingGrid, build_regression, check_rank,
                          export_regression_csv, unknown_count)
-from .sim import Tone, export_trajectory_csv, join_logs, simulate, stack_state
+from .sim import (Tone, export_trajectory_csv, join_logs, on_grid, simulate,
+                  stack_state)
 from .vi import RankConditionError, ViConfig, export_history_csv, vi_run
 
 
@@ -149,6 +151,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("h, grid_dt and grid_s must be positive")
     if cfg.t_switch >= cfg.t_end:
         raise ConfigError("t_switch must precede t_end")
+    if not (on_grid(cfg.t_switch, cfg.h) and on_grid(cfg.t_end, cfg.h)):
+        raise ConfigError("t_switch and t_end must lie on the grid k*h")
     if cfg.k0_on not in ("zeta", "rho"):
         raise ConfigError("k0_on must be 'zeta' or 'rho'")
     objs = build_objects(cfg)
@@ -159,8 +163,11 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("exo_v0 length must equal the minimal-polynomial degree")
     if cfg.p_copies != plant.p:
         raise ConfigError("internal model needs p = %d copies" % plant.p)
-    k0 = np.atleast_2d(np.asarray(cfg.k0, dtype=float))
     n_zeta, n_rho = objs.known.n_zeta, objs.known.n_zeta + im.n_z
+    for name, given, want in (("zeta0", cfg.zeta0, n_zeta), ("z0", cfg.z0, im.n_z)):
+        if given is not None and len(given) != want:
+            raise ConfigError("%s length %d does not match %d" % (name, len(given), want))
+    k0 = np.atleast_2d(np.asarray(cfg.k0, dtype=float))
     want = n_zeta if cfg.k0_on == "zeta" else n_rho
     if k0.shape != (plant.m, want):
         raise ConfigError("k0 must be m x %d for k0_on = %s" % (want, cfg.k0_on))
@@ -279,8 +286,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
     files["vi_history"] = history_path
     gain_path = os.path.join(out_dir, "learned_gain.csv")
     with open(gain_path, "w") as fh:
-        for row in np.atleast_2d(vires.K_final):
-            fh.write(",".join("%.17g" % val for val in row) + "\n")
+        write_rows(fh, np.atleast_2d(vires.K_final))
     files["learned_gain"] = gain_path
     if not vires.converged:
         _write_manifest(out_dir, files)
@@ -298,8 +304,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
     post = log_full.times >= cfg.t_switch
     with open(track_path, "w") as fh:
         fh.write("t," + ",".join("e_%d" % (i + 1) for i in range(log_full.e.shape[1])) + "\n")
-        for t, row in zip(log_full.times[post], log_full.e[post]):
-            fh.write("%.17g," % t + ",".join("%.17g" % val for val in row) + "\n")
+        write_rows(fh, np.column_stack([log_full.times[post], log_full.e[post]]))
     files["tracking_error"] = track_path
 
     report = ExperimentReport(name=cfg.name, variant=cfg.variant, blinded=blinded,

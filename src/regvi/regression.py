@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from .csvrows import write_rows
 from .linalg import vecv_rows
 
 VARIANTS = (1, 2, 3, 4, 5, 6)
@@ -229,8 +230,7 @@ def export_regression_csv(data: RegressionData, out_dir):
             continue
         path = os.path.join(out_dir, "regression_%s.csv" % name)
         with open(path, "w") as fh:
-            for row in arr:
-                fh.write(",".join("%.17g" % val for val in row) + "\n")
+            write_rows(fh, arr)
         files[name] = path
     manifest = {"variant": data.variant, "dims": data.dims,
                 "grid": {"t0": data.grid.t0, "dt": data.grid.dt, "s": data.grid.s},

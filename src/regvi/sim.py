@@ -7,16 +7,27 @@ sample times are h*k, so a run continued from another's final state takes
 the same steps as one long run.  An experiment is two such runs, exploration
 then closed loop, joined by `join_logs`.  The observer block is propagated
 through the known matrices only; the plant matrices enter solely as physics.
+
+Within a phase s' = A s + B delta(t) is LTI, so one classic RK4 step is
+exactly the affine map s+ = Phi s + G0 delta_i + G_half delta_{i+1/2} +
+G1 delta_{i+1} (`_rk4_map`).  The forcing of every step is one matrix
+product of [G0, G_half, G1] with the tone values at the nodes and
+half-steps; the stepping loop is then one matvec and one vector add per
+step, and the overflow guard runs once per block of steps, reporting the
+first offending sample.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .csvrows import write_rows
 from .internal_model import Exosystem, InternalModel
 from .observer import ObserverKnown
 
 OVERFLOW_LIMIT = 1e9
+GRID_TOL = 1e-9
+STEPS_PER_CHECK = 1024
 
 
 @dataclass
@@ -100,6 +111,26 @@ def _loop_matrices(plant, exo, known, im, K_rho):
     return A_tot, B_tot, K_row
 
 
+def on_grid(t, h):
+    """Whether time t lies on the grid k*h (to GRID_TOL)."""
+    return abs(round(t / h) * h - t) <= GRID_TOL
+
+
+def _rk4_map(A_tot, B_tot, h):
+    """One RK4 step of s' = A_tot s + B_tot delta as s+ = Phi s + G d.
+
+    d = col(delta_i, delta_{i+1/2}, delta_{i+1}) and G = [G0, G_half, G1].
+    """
+    I = np.eye(A_tot.shape[0])
+    hA = h * A_tot
+    hA2 = hA @ hA
+    hA3 = hA2 @ hA
+    Phi = I + hA + hA2 / 2.0 + hA3 / 6.0 + hA3 @ hA / 24.0
+    G0 = (I + hA + hA2 / 2.0 + hA3 / 4.0) @ B_tot
+    G_half = (4.0 * I + 2.0 * hA + hA2 / 2.0) @ B_tot
+    return Phi, (h / 6.0) * np.hstack([G0, G_half, B_tot])
+
+
 def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
              K_rho, s0, tspan, h, tones=(), diag=None) -> TrajectoryLog:
     """RK4 of u = K_rho rho + delta(t) from the stacked state s0 over tspan.
@@ -112,7 +143,7 @@ def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
     if h <= 0:
         raise ValueError("step size must be positive")
     j0, j1 = (int(round(t / h)) for t in tspan)
-    if j1 < j0 or abs(j0 * h - tspan[0]) > 1e-9 or abs(j1 * h - tspan[1]) > 1e-9:
+    if j1 < j0 or not (on_grid(tspan[0], h) and on_grid(tspan[1], h)):
         raise ValueError("tspan must run forward between points of the grid k*h")
     n, m, q, n_zeta = plant.n, plant.m, exo.q, known.n_zeta
     A_tot, B_tot, K_row = _loop_matrices(plant, exo, known, im,
@@ -122,24 +153,25 @@ def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
         raise ValueError("initial state must have length %d" % A_tot.shape[0])
     times = h * np.arange(j0, j1 + 1)
     n_steps = j1 - j0
+    Phi, G = _rk4_map(A_tot, B_tot, h)
+    # row i+1 starts as the forcing of step i; the loop adds Phi @ (row i)
+    s_all = np.zeros((n_steps + 1, s.size))
+    s_all[0] = s
     if tones:
         d_nodes = exploration_signal(tones, times, m)
         d_half = exploration_signal(tones, times[:-1] + 0.5 * h, m)
-        f0, f_half, f1 = d_nodes[:-1] @ B_tot.T, d_half @ B_tot.T, d_nodes[1:] @ B_tot.T
-    else:
-        f0 = f_half = f1 = np.zeros((n_steps, s.size))
-    s_all = np.empty((n_steps + 1, s.size))
-    s_all[0] = s
-    for i in range(n_steps):
-        k1 = A_tot @ s + f0[i]
-        k2 = A_tot @ (s + 0.5 * h * k1) + f_half[i]
-        k3 = A_tot @ (s + 0.5 * h * k2) + f_half[i]
-        k4 = A_tot @ (s + h * k3) + f1[i]
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(s).all() or np.abs(s).max() > OVERFLOW_LIMIT:
-            raise OverflowError("state overflow at t = %g during integration"
-                                % ((j0 + i + 1) * h))
-        s_all[i + 1] = s
+        np.matmul(np.hstack([d_nodes[:-1], d_half, d_nodes[1:]]), G.T, out=s_all[1:])
+    step = Phi.dot
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0 in range(0, n_steps, STEPS_PER_CHECK):
+            block = s_all[b0:min(b0 + STEPS_PER_CHECK, n_steps) + 1]
+            rows = list(block)
+            for i in range(len(rows) - 1):
+                rows[i + 1] += step(rows[i])
+            bad = ~(np.abs(block[1:]) <= OVERFLOW_LIMIT).all(axis=1)
+            if bad.any():
+                raise OverflowError("state overflow at t = %g during integration"
+                                    % ((j0 + b0 + 1 + int(np.argmax(bad))) * h))
     u = s_all @ K_row.T
     if tones:
         u += d_nodes
@@ -174,5 +206,4 @@ def export_trajectory_csv(log: TrajectoryLog, path):
     data = np.hstack([arr for _, arr in cols])
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for row in data:
-            fh.write(",".join("%.17g" % val for val in row) + "\n")
+        write_rows(fh, data)

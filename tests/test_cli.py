@@ -59,6 +59,13 @@ def _patched_nonzero_file(tmp_path, **patch):
     return str(path)
 
 
+@pytest.mark.parametrize("patch", [{"t_switch": 28.0005}, {"zeta0": [0.0, 0.0]}])
+def test_run_inconsistent_config(tmp_path, capsys, patch):
+    path = _patched_nonzero_file(tmp_path, **patch)
+    code = cli.main(["run", path, "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+
+
 def test_run_rank_failure_exit_code(tmp_path, capsys):
     path = _patched_nonzero_file(tmp_path, tones=[], k0=[[0.0] * 6],
                                  t_switch=6.0, t_end=8.0, settle_time=7.0,

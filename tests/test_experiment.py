@@ -44,6 +44,10 @@ def test_parse_config_rejects_garbage():
     {"exo_v0": [1.0]},                     # length must match minimal polynomial
     {"observer_poles": [-5.0, -6.0]},      # need n poles
     {"k0_on": "x", "k0": [[0.0] * 8]},     # k0_on must be 'zeta' or 'rho'
+    {"t_switch": 28.0005},                 # off the grid k*h (h = 1e-3)
+    {"t_end": 80.0005},
+    {"zeta0": [0.0, 0.0]},                 # n_zeta = 6
+    {"z0": [0.0]},                         # n_z = 2
 ])
 def test_validate_config_rejects(patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from regvi.sim import (Tone, export_trajectory_csv, exploration_signal,
-                       join_logs, simulate, stack_state)
+from regvi.sim import (Tone, TrajectoryLog, _loop_matrices, export_trajectory_csv,
+                       exploration_signal, join_logs, simulate, stack_state)
 
 
 def _explore(setup, tspan, h, x0=None, diag=None):
@@ -70,14 +70,51 @@ def test_internal_stability_under_stabilizing_policy(nonzero_setup):
     assert end <= 1e-6 * start
 
 
+def _classic_rk4(plant, exo, known, im, K_rho, s0, tspan, h, tones):
+    """Reference: the four-stage RK4 loop, one step at a time."""
+    A_tot, B_tot, _ = _loop_matrices(plant, exo, known, im, K_rho)
+    t = h * np.arange(round(tspan[0] / h), round(tspan[1] / h) + 1)
+
+    def f(s, tau):
+        return A_tot @ s + B_tot @ exploration_signal(tones, tau, plant.m)
+
+    states = [np.asarray(s0, dtype=float)]
+    for tau in t[:-1]:
+        s = states[-1]
+        k1 = f(s, tau)
+        k2 = f(s + 0.5 * h * k1, tau + 0.5 * h)
+        k3 = f(s + 0.5 * h * k2, tau + 0.5 * h)
+        k4 = f(s + h * k3, tau + h)
+        states.append(s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("with_tones", [True, False])
+def test_affine_step_matches_classic_rk4(nonzero_setup, with_tones):
+    """The precomputed affine step reproduces four-stage RK4 to 1e-12 relative."""
+    cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
+    K = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
+    tones = [Tone(**t) for t in cfg.tones] if with_tones else []
+    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
+    args = (objs.plant, objs.exo, objs.known, objs.im, K, s0, (0.0, 1.0), cfg.h, tones)
+    log = simulate(*args)
+    ref = _classic_rk4(*args)
+    got = np.hstack([log.v, log.x, log.zeta, log.z])
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_overflow_guard(nonzero_setup):
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
     # strong feedback from the output-filter states destabilizes the loop
-    K = np.zeros((1, objs.known.n_zeta + objs.im.n_z))
-    K[0, 5] = 1e3
     s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
-    with pytest.raises(OverflowError):
-        simulate(objs.plant, objs.exo, objs.known, objs.im, K, s0, (0.0, 20.0), 1e-3)
+    # the first sample beyond the limit is reported; with 1e6 the state also
+    # overflows float64 before the guard looks, which must raise no warning
+    for gain, t_bad in ((1e3, "0.579"), (1e6, "0.016")):
+        K = np.zeros((1, objs.known.n_zeta + objs.im.n_z))
+        K[0, 5] = gain
+        with pytest.raises(OverflowError, match=r"state overflow at t = %s during" % t_bad):
+            simulate(objs.plant, objs.exo, objs.known, objs.im, K, s0, (0.0, 20.0), 1e-3)
 
 
 def test_grid_validation(nonzero_setup):
@@ -135,3 +172,26 @@ def test_trajectory_csv_roundtrip(fullstate_setup, tmp_path):
     q = log.v.shape[1]
     assert np.array_equal(data[:, 1:1 + q], log.v)
     assert np.all(np.isnan(data[:, -1]))                  # no oracle diagnostics
+
+
+def test_trajectory_csv_matches_per_value_format(tmp_path):
+    """Block formatting writes the bytes of a per-value "%.17g" join."""
+    rng = np.random.default_rng(3)
+    rows = 300                                # not a multiple of the block size
+    cols = {"v": rng.standard_normal((rows, 2)), "x": rng.standard_normal((rows, 3)),
+            "zeta": rng.standard_normal((rows, 2)) * 1e-300,
+            "z": rng.standard_normal((rows, 1)) * 1e300,
+            "u": rng.standard_normal((rows, 1)), "y": rng.standard_normal((rows, 1)),
+            "e": rng.standard_normal((rows, 1))}
+    cols["x"][5, 1] = np.nan
+    cols["u"][7, 0] = -0.0
+    cols["e"][299, 0] = np.inf
+    log = TrajectoryLog(times=1e-3 * np.arange(rows), ex_diag=np.full(rows, np.nan),
+                        h=1e-3, **cols)
+    path = tmp_path / "traj.csv"
+    export_trajectory_csv(log, path)
+    lines = path.read_text().split("\n")
+    data = np.hstack([log.times[:, None], log.v, log.x, log.zeta, log.z, log.u,
+                      log.y, log.e, log.ex_diag[:, None]])
+    assert lines[1:] == [",".join("%.17g" % val for val in row) for row in data] + [""]
+    assert ",-0," in lines[8] and "nan" in lines[6]
