@@ -1,11 +1,10 @@
-"""Command-line entry point.
+"""Command-line entry point; `run` and `verify` take a config path or a preset name.
 
 Exit codes: 0 success, 2 rank condition failed, 3 value iteration did not
 converge, 4 configuration or usage error.
 """
 
 import argparse
-import json
 import sys
 
 from .experiment import (PRESETS, ConfigError, NotConvergedError, parse_config,
@@ -67,13 +66,8 @@ def _cmd_preset(args):
     if args.name not in PRESETS:
         print("unknown preset %r" % args.name, file=sys.stderr)
         return EXIT_CONFIG
-    cfg = PRESETS[args.name]()
-    if args.action == "show":
-        print(serialize_config(cfg))
-        return EXIT_OK
-    # action == "run"
-    args.config = args.name
-    return _cmd_run(args)
+    print(serialize_config(PRESETS[args.name]()))
+    return EXIT_OK
 
 
 def build_parser():
@@ -93,12 +87,10 @@ def build_parser():
     p_verify.add_argument("config", help="JSON config path or preset name")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_preset = sub.add_parser("preset", help="list, show or run built-in scenarios")
-    p_preset.add_argument("action", choices=("list", "show", "run"))
+    p_preset = sub.add_parser(
+        "preset", help="list or show built-in scenarios (run one with 'regvi run NAME')")
+    p_preset.add_argument("action", choices=("list", "show"))
     p_preset.add_argument("name", nargs="?", default=None)
-    p_preset.add_argument("--out-dir", default="out", help="artifact directory")
-    p_preset.add_argument("--blinded", action="store_true",
-                          help="skip every oracle computation and diagnostic")
     p_preset.set_defaults(func=_cmd_preset)
     return parser
 

@@ -1,10 +1,10 @@
 """Numeric CSV rows with 17-significant-digit floats.
 
-Every float artifact is written as ``",".join("%.17g" % val for val in row)``
-per row.  `write_rows` produces exactly those bytes but formats a block of
-rows with one ``%`` operation on the row format repeated for the block.
-Blocks stay small: at thousands of rows the formatted string and the tuple
-of values add megabytes to the peak memory without writing any faster.
+Every CSV artifact is written as ``",".join("%.17g" % val for val in row)``
+per row; integer-valued floats below 2**53 (vi_history's k and j) print as
+under "%d".  `write_rows` formats a block of rows with one ``%`` operation on
+the repeated row format.  Blocks stay small: at thousands of rows the string
+and the tuple of values add megabytes to the peak memory for no speed.
 """
 
 import numpy as np

@@ -15,7 +15,7 @@ import numpy as np
 
 from .csvrows import write_rows
 from .internal_model import build_p_copy, recast_exosystem
-from .linalg import is_hurwitz
+from .linalg import companion_from_alpha, is_hurwitz
 from .observer import ObserverKnown
 from .oracle import (AssumptionError, LtiPlant, build_augmented_aux,
                      build_augmented_plant, compute_parameterization,
@@ -26,7 +26,7 @@ from .regression import (SamplingGrid, build_regression, check_rank,
                          export_regression_csv, unknown_count)
 from .sim import (Tone, export_trajectory_csv, join_logs, on_grid, simulate,
                   stack_state)
-from .vi import RankConditionError, ViConfig, export_history_csv, vi_run
+from .vi import RankConditionError, ViConfig, check_vi_inputs, export_history_csv, vi_run
 
 
 class ConfigError(ValueError):
@@ -145,14 +145,23 @@ def build_objects(cfg: ExperimentConfig) -> ExperimentObjects:
 
 
 def validate_config(cfg: ExperimentConfig):
+    for name, value in asdict(cfg).items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("%s must be a finite JSON value: %s" % (name, exc)) from exc
     if cfg.variant not in (1, 2, 3, 4, 5, 6):
         raise ConfigError("variant must be 1..6")
     if cfg.h <= 0 or cfg.grid_dt <= 0 or cfg.grid_s <= 0:
         raise ConfigError("h, grid_dt and grid_s must be positive")
     if cfg.t_switch >= cfg.t_end:
         raise ConfigError("t_switch must precede t_end")
+    if cfg.settle_time > cfg.t_end:
+        raise ConfigError("settle_time must not exceed t_end")
     if not (on_grid(cfg.t_switch, cfg.h) and on_grid(cfg.t_end, cfg.h)):
         raise ConfigError("t_switch and t_end must lie on the grid k*h")
+    if cfg.grid_t0 < 0 or not (on_grid(cfg.grid_t0, cfg.h) and on_grid(cfg.grid_dt, cfg.h)):
+        raise ConfigError("grid_t0 >= 0 and grid_dt must lie on the grid k*h")
     if cfg.k0_on not in ("zeta", "rho"):
         raise ConfigError("k0_on must be 'zeta' or 'rho'")
     objs = build_objects(cfg)
@@ -173,6 +182,14 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("k0 must be m x %d for k0_on = %s" % (want, cfg.k0_on))
     if cfg.grid_t0 + cfg.grid_s * cfg.grid_dt > cfg.t_switch + 1e-9:
         raise ConfigError("sampling grid must fit inside the exploration phase")
+    for tone in cfg.tones:
+        channel = tone.get("channel", 0)
+        if not (isinstance(channel, int) and 0 <= channel < plant.m):
+            raise ConfigError("tone channel %r outside [0, m = %d)" % (channel, plant.m))
+    try:
+        check_vi_inputs(cfg.variant, make_vi_config(cfg, objs))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return objs
 
 
@@ -388,7 +405,6 @@ def verify(cfg: ExperimentConfig) -> VerificationReport:
     rep = pbh_check(A, C, "observable")
     checks.append(VerificationCheck("assumption2_observable", rep.ok,
                                     "worst eigenvalue %s" % rep.worst_eigenvalue))
-    from .linalg import companion_from_alpha
     S_hat = companion_from_alpha(np.asarray(cfg.exo_minpoly, dtype=float))
     margin = float(np.min(np.linalg.eigvals(S_hat).real))
     checks.append(VerificationCheck("assumption3_no_decaying_modes", margin >= -1e-9,

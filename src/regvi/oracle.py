@@ -6,11 +6,10 @@ tests and the state/output LQR equivalence check.  Tests certify every
 learned quantity against this layer; the learning pipeline never imports it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import place_poles
 
 from .internal_model import InternalModel
 from .linalg import char_poly_alpha, is_hurwitz, poly_from_roots
@@ -46,6 +45,16 @@ def _numerical_rank(M):
     return int(np.sum(s > RANK_RTOL * s[0]))
 
 
+def _worst_rank_gap(pencil, size, eigs):
+    """Largest rank gap size - rank(pencil(lam)) over the eigenvalues eigs."""
+    worst_gap, worst_eig = 0, None
+    for lam in eigs:
+        gap = size - _numerical_rank(pencil(lam))
+        if gap > worst_gap or worst_eig is None:
+            worst_gap, worst_eig = gap, complex(lam)
+    return PbhReport(ok=worst_gap == 0, worst_eigenvalue=worst_eig, worst_rank_gap=worst_gap)
+
+
 def pbh_check(A, B_or_C, mode):
     """Eigenvalue-wise PBH rank test.
 
@@ -60,19 +69,19 @@ def pbh_check(A, B_or_C, mode):
         raise ValueError("A must be square")
     if mode not in ("stabilizable", "controllable", "detectable", "observable"):
         raise ValueError("unknown mode %r" % mode)
-    dual = mode in ("detectable", "observable")
-    partial = mode in ("stabilizable", "detectable")
+    stack = np.vstack if mode in ("detectable", "observable") else np.hstack
     eigs = np.linalg.eigvals(A)
-    worst_gap, worst_eig = 0, None
-    for lam in eigs:
-        if partial and lam.real < -STABLE_EIG_TOL:
-            continue
-        shifted = A - lam * np.eye(n)
-        pencil = np.vstack([shifted, M]) if dual else np.hstack([shifted, M])
-        gap = n - _numerical_rank(pencil)
-        if gap > worst_gap or worst_eig is None:
-            worst_gap, worst_eig = gap, complex(lam)
-    return PbhReport(ok=worst_gap == 0, worst_eigenvalue=worst_eig, worst_rank_gap=worst_gap)
+    if mode in ("stabilizable", "detectable"):
+        eigs = eigs[eigs.real >= -STABLE_EIG_TOL]
+    return _worst_rank_gap(lambda lam: stack([A - lam * np.eye(n), M]), n, eigs)
+
+
+def _require_pbh(A, B_or_C, mode, pair):
+    """Raise AssumptionError unless the pair passes pbh_check in mode."""
+    rep = pbh_check(A, B_or_C, mode)
+    if not rep.ok:
+        raise AssumptionError("%s not %s; PBH fails at eigenvalue %s"
+                              % (pair, mode, rep.worst_eigenvalue))
 
 
 def transmission_zero_check(A, B, C, S):
@@ -82,14 +91,9 @@ def transmission_zero_check(A, B, C, S):
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n, m = B.shape
     p = C.shape[0]
-    worst_gap, worst_eig = 0, None
-    for lam in np.linalg.eigvals(np.atleast_2d(np.asarray(S, dtype=float))):
-        pencil = np.block([[A - lam * np.eye(n), B],
-                           [C, np.zeros((p, m))]])
-        gap = (n + p) - _numerical_rank(pencil)
-        if gap > worst_gap or worst_eig is None:
-            worst_gap, worst_eig = gap, complex(lam)
-    return PbhReport(ok=worst_gap == 0, worst_eigenvalue=worst_eig, worst_rank_gap=worst_gap)
+    eigs = np.linalg.eigvals(np.atleast_2d(np.asarray(S, dtype=float)))
+    return _worst_rank_gap(lambda lam: np.block([[A - lam * np.eye(n), B],
+                                                 [C, np.zeros((p, m))]]), n + p, eigs)
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +126,8 @@ class LtiPlant:
             raise ValueError("B, C, E dimensions inconsistent with A")
         if self.F.shape != (self.C.shape[0], self.E.shape[1]):
             raise ValueError("F must be p x q")
-        rep = pbh_check(self.A, self.B, "stabilizable")
-        if not rep.ok:
-            raise AssumptionError("(A, B) not stabilizable; PBH fails at eigenvalue %s"
-                                  % rep.worst_eigenvalue)
-        rep = pbh_check(self.A, self.C, "observable")
-        if not rep.ok:
-            raise AssumptionError("(A, C) not observable; PBH fails at eigenvalue %s"
-                                  % rep.worst_eigenvalue)
+        _require_pbh(self.A, self.B, "stabilizable", "(A, B)")
+        _require_pbh(self.A, self.C, "observable", "(A, C)")
 
     @property
     def n(self):
@@ -153,7 +151,7 @@ class LtiPlant:
 # ---------------------------------------------------------------------------
 
 def solve_sylvester_regulator(S, A, E):
-    """Solve X S = A X + E by dense Kronecker vectorization.
+    """Solve X S = A X + E, i.e. (-A) X + X S = E, by Bartels-Stewart.
 
     Requires the spectra of S and A to be disjoint (pairwise eigenvalue gap
     above 1e-8); the residual is certified by back substitution.
@@ -168,12 +166,9 @@ def solve_sylvester_regulator(S, A, E):
     eig_s = np.linalg.eigvals(S)
     gaps = np.abs(eig_a[:, None] - eig_s[None, :])
     if gaps.min() <= 1e-8:
-        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-        raise SpectraOverlapError(
-            "spectra of A and S overlap at eigenvalue %s" % eig_s[j])
-    # X S - A X = E  <=>  (S^T kron I - I kron A) vec(X) = vec(E)
-    op = np.kron(S.T, np.eye(n)) - np.kron(np.eye(q), A)
-    X = np.linalg.solve(op, E.reshape(-1, order="F")).reshape((n, q), order="F")
+        raise SpectraOverlapError("spectra of A and S overlap at eigenvalue %s"
+                                  % eig_s[np.argmin(gaps.min(axis=0))])
+    X = scipy.linalg.solve_sylvester(-A, S, E)
     residual = np.linalg.norm(X @ S - A @ X - E, "fro")
     if residual > 1e-9 * (1.0 + np.linalg.norm(X, "fro")):
         raise RuntimeError("Sylvester back-substitution residual %g too large" % residual)
@@ -211,10 +206,7 @@ def solve_care(A, B, Q, R):
     if np.abs(R - R.T).max() > 1e-12 * max(1.0, np.abs(R).max()) or \
             np.min(np.linalg.eigvalsh(R)) <= 0:
         raise ValueError("R must be symmetric positive definite")
-    rep = pbh_check(A, B, "stabilizable")
-    if not rep.ok:
-        raise AssumptionError("(A, B) not stabilizable; PBH fails at eigenvalue %s"
-                              % rep.worst_eigenvalue)
+    _require_pbh(A, B, "stabilizable", "(A, B)")
     P = scipy.linalg.solve_continuous_are(A, B, Q, R)
     K = -np.linalg.solve(R, B.T @ P)
     res = float(np.linalg.norm(care_residual(A, B, Q, R, P), "fro"))
@@ -238,10 +230,7 @@ def place_observer_gain(A, C, desired_poles):
     desired = np.atleast_1d(np.asarray(desired_poles, dtype=complex))
     if desired.size != n:
         raise ValueError("need exactly n = %d poles" % n)
-    rep = pbh_check(A, C, "observable")
-    if not rep.ok:
-        raise AssumptionError("(A, C) not observable; PBH fails at eigenvalue %s"
-                              % rep.worst_eigenvalue)
+    _require_pbh(A, C, "observable", "(A, C)")
     alpha = poly_from_roots(desired)  # also validates conjugate pairing
     if p == 1:
         # Ackermann on the dual: L^T = e_n^T O_ctrb^{-1} phi(A^T)
@@ -259,6 +248,7 @@ def place_observer_gain(A, C, desired_poles):
         row = np.linalg.solve(ctrb.T, np.eye(n)[:, -1])  # e_n^T ctrb^{-1}
         L = (row @ phi).reshape(n, 1)
     else:
+        from scipy.signal import place_poles   # heavy import, multi-output only
         L = place_poles(A.T, C.T, desired).gain_matrix.T
     achieved = np.sort_complex(np.linalg.eigvals(A - L @ C))
     want = np.sort_complex(desired)
@@ -273,7 +263,7 @@ def place_observer_gain(A, C, desired_poles):
 
 @dataclass
 class ObserverParameterization:
-    """Oracle-side observer data: gain L, adjugate matrices D_i and map M.
+    """Oracle-side observer data: gain L and the parameterization map M.
 
     M reconstructs the Luenberger estimate from the filter-bank state; the
     identities M A_full = (A-LC) M, M B_zeta = B, M E_zeta = L are verified
@@ -282,12 +272,7 @@ class ObserverParameterization:
 
     known: ObserverKnown
     L: np.ndarray
-    D: list = field(default_factory=list)
     M: np.ndarray | None = None
-
-    @property
-    def lambda_coeffs(self):
-        return self.known.companion.alpha
 
 
 def compute_parameterization(plant, L, lambda_coeffs):
@@ -317,7 +302,7 @@ def compute_parameterization(plant, L, lambda_coeffs):
     cols = [plant.B[:, [i]] for i in range(m)] + [L[:, [i]] for i in range(p)]
     M = np.hstack([np.hstack([D[k] @ f for k in range(n)]) for f in cols])
     known = ObserverKnown.from_alpha(alpha, m, p)
-    param = ObserverParameterization(known=known, L=L, D=D, M=M)
+    param = ObserverParameterization(known=known, L=L, M=M)
     errs = parameterization_identity_errors(plant, param)
     if max(errs.values()) > 1e-8:
         raise RuntimeError("parameterization identities violated: %s" % errs)
@@ -385,10 +370,7 @@ def build_augmented_aux(plant, param, im, exo):
                        im.G2 @ (CXp + plant.F)])
     D_rho = np.vstack([-param.known.E_zeta @ plant.C,
                        -im.G2 @ plant.C])
-    rep = pbh_check(A_rho, B_rho, "stabilizable")
-    if not rep.ok:
-        raise AssumptionError("(A_rho, B_rho) not stabilizable; PBH fails at eigenvalue %s"
-                              % rep.worst_eigenvalue)
+    _require_pbh(A_rho, B_rho, "stabilizable", "(A_rho, B_rho)")
     return AugmentedAux(A_rho=A_rho, B_rho=B_rho, E_rho=E_rho, D_rho=D_rho,
                         W=W, X_prime=X_prime)
 

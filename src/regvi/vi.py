@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .csvrows import write_rows
 from .linalg import unvecs, vecs
 from .regression import RegressionData, check_rank
 
@@ -63,14 +64,18 @@ class ViConfig:
             val = getattr(self, name)
             if val is not None:
                 setattr(self, name, np.atleast_2d(np.asarray(val, dtype=float)))
-        if self.eps_num <= 0 or self.eps_shift <= 0:
+        # written as "not (x > 0)" so that NaN fails them too
+        if not (self.eps_num > 0 and self.eps_shift > 0):
             raise ValueError("step schedule a/(k+b) needs a > 0 and b > 0")
-        if self.eps_conv <= 0:
+        if not self.eps_conv > 0:
             raise ValueError("convergence threshold must be positive")
-        if self.bound_scale <= 0 or self.bound_shift <= 0:
+        if not (self.bound_scale > 0 and self.bound_shift > 0):
             raise ValueError("bound-set radii must be positive and increasing")
         if np.abs(self.P0 - self.P0.T).max() > 1e-12 * max(1.0, np.abs(self.P0).max()):
             raise ValueError("P0 must be symmetric")
+        if not (np.abs(self.R - self.R.T).max() <= 1e-12 * max(1.0, np.abs(self.R).max())
+                and np.linalg.eigvalsh(self.R).min() > 0):
+            raise ValueError("R must be symmetric positive definite")
         if self.E_structure is not None:
             self.E_structure = np.atleast_2d(np.asarray(self.E_structure, dtype=float))
 
@@ -196,8 +201,8 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     return stage, None
 
 
-def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
-    """Run the value-iteration loop; non-convergence is reported, not raised."""
+def check_vi_inputs(variant, cfg: ViConfig):
+    """Raise ValueError unless cfg holds what the variant needs."""
     # variants 4 and 6 identify E at P0, which needs P0 positive definite
     if variant in (1, 3, 4, 6) and np.min(np.linalg.eigvalsh(cfg.P0)) <= 0:
         raise ValueError("variant %d requires a positive definite P0" % variant)
@@ -209,6 +214,11 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
         raise ValueError("variant %d needs Q_z" % variant)
     if variant in (3, 4, 5, 6) and cfg.E_structure is None:
         raise ValueError("variant %d needs E_structure" % variant)
+
+
+def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
+    """Run the value-iteration loop; non-convergence is reported, not raised."""
+    check_vi_inputs(variant, cfg)
     stage, E_identified = _fit_stage(variant, data, cfg)
     Q = cfg.Q if variant in (1, 3, 4) else 0.0
     P = cfg.P0.copy()
@@ -240,5 +250,4 @@ def export_history_csv(result: ViResult, path):
     """Convergence history: k, j, ||P_k||, ||P~_{k+1}-P_k||/eps_k."""
     with open(path, "w") as fh:
         fh.write("k,j,normP,step_metric\n")
-        for k, j, norm_p, metric in result.history:
-            fh.write("%d,%d,%.17g,%.17g\n" % (int(k), int(j), norm_p, metric))
+        write_rows(fh, result.history)

@@ -35,6 +35,7 @@ def test_preset_errors(capsys):
 def test_usage_errors_are_config_errors(capsys):
     assert cli.main(["--seed", "1", "preset", "list"]) == cli.EXIT_CONFIG
     assert cli.main(["run"]) == cli.EXIT_CONFIG
+    assert cli.main(["preset", "run", "paper-e-nonzero"]) == cli.EXIT_CONFIG
     assert cli.main(["--help"]) == cli.EXIT_OK
 
 
@@ -59,7 +60,8 @@ def _patched_nonzero_file(tmp_path, **patch):
     return str(path)
 
 
-@pytest.mark.parametrize("patch", [{"t_switch": 28.0005}, {"zeta0": [0.0, 0.0]}])
+@pytest.mark.parametrize("patch", [{"t_switch": 28.0005}, {"zeta0": [0.0, 0.0]},
+                                   {"grid_t0": 3.9995}])
 def test_run_inconsistent_config(tmp_path, capsys, patch):
     path = _patched_nonzero_file(tmp_path, **patch)
     code = cli.main(["run", path, "--out-dir", str(tmp_path / "out")])

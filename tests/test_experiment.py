@@ -48,6 +48,18 @@ def test_parse_config_rejects_garbage():
     {"t_end": 80.0005},
     {"zeta0": [0.0, 0.0]},                 # n_zeta = 6
     {"z0": [0.0]},                         # n_z = 2
+    {"grid_t0": -1.0},                     # sampling starts before t = 0
+    {"grid_t0": 3.9995},                   # off the grid k*h
+    {"grid_dt": 0.1995},
+    {"h": float("nan")},                   # NaN and Infinity anywhere
+    {"x0": [float("nan"), 0.0, 0.0]},
+    {"eps_num": float("nan")},
+    {"eps_conv": float("inf")},
+    {"tones": [{"amplitude": 1.0, "frequency": 2.0, "phase": -float("inf")}]},
+    {"p0_scale": -1.0},                    # variant 4 needs a positive definite P0
+    {"tones": [{"amplitude": 1.0, "frequency": 2.0, "channel": 3}]},   # m = 1
+    {"settle_time": 90.0},                 # after t_end
+    {"r": -1.0},                           # R must be positive definite
 ])
 def test_validate_config_rejects(patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))

@@ -1,6 +1,9 @@
 """The learner's model-free boundary, checked on the import graph itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import regvi
@@ -34,3 +37,10 @@ def test_learner_never_reaches_oracle_or_plant_simulation():
             reached.add(module)
             todo.extend(_relative_imports(module))
     assert not reached & {"oracle", "sim"}, sorted(reached)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """scipy.signal (pole placement for p > 1 only) is imported where it is used."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, regvi; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -33,6 +33,11 @@ def test_pbh_detects_unstabilizable():
     assert not rep.ok and rep.worst_eigenvalue == pytest.approx(1.0)
 
 
+def test_pbh_reports_no_eigenvalue_when_none_is_tested():
+    rep = pbh_check(-np.eye(2), np.zeros((2, 1)), "stabilizable")
+    assert rep.ok and rep.worst_eigenvalue is None and rep.worst_rank_gap == 0
+
+
 def test_pbh_rejects_bad_mode():
     with pytest.raises(ValueError):
         pbh_check(np.eye(2), np.ones((2, 1)), "nonsense")
@@ -49,26 +54,40 @@ def test_transmission_zero_check():
 
 
 def test_lti_plant_enforces_assumptions():
-    with pytest.raises(AssumptionError):
+    with pytest.raises(AssumptionError) as exc:
         LtiPlant(A=np.diag([1.0, -1.0]), B=[[0.0], [1.0]], C=[[1.0, 1.0]],
                  E=np.zeros((2, 1)), F=np.zeros((1, 1)))
-    with pytest.raises(AssumptionError):
+    assert str(exc.value) == "(A, B) not stabilizable; PBH fails at eigenvalue (1+0j)"
+    with pytest.raises(AssumptionError) as exc:
         LtiPlant(A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]], C=[[1.0, 0.0]],
                  E=np.zeros((2, 1)), F=np.zeros((1, 1)))
+    assert str(exc.value) == "(A, C) not observable; PBH fails at eigenvalue (-2+0j)"
 
 
 # ---------------------------------------------------------------------------
 # Linear matrix equations
 # ---------------------------------------------------------------------------
 
-def test_sylvester_regulator_random_instance():
+def _kronecker_sylvester(S, A, E):
+    """Reference solve of X S = A X + E: (S^T kron I - I kron A) vec(X) = vec(E)."""
+    n, q = E.shape
+    op = np.kron(S.T, np.eye(n)) - np.kron(np.eye(q), A)
+    return np.linalg.solve(op, E.reshape(-1, order="F")).reshape((n, q), order="F")
+
+
+def test_sylvester_regulator_random_instance(nonzero_setup):
     rng = np.random.default_rng(1)
     A = -np.eye(4) + 0.3 * rng.standard_normal((4, 4))
     S = np.array([[0.0, 2.0], [-2.0, 0.0]])
     E = rng.standard_normal((4, 2))
-    X = solve_sylvester_regulator(S, A, E)
-    res = np.linalg.norm(X @ S - A @ X - E, "fro")
-    assert res <= 1e-9 * (1.0 + np.linalg.norm(X, "fro"))
+    plant, L = nonzero_setup["objs"].plant, nonzero_setup["L"]
+    paper = (nonzero_setup["objs"].exo.S, plant.A - L @ plant.C, plant.E)
+    for S, A, E in ((S, A, E), paper):
+        X = solve_sylvester_regulator(S, A, E)
+        res = np.linalg.norm(X @ S - A @ X - E, "fro")
+        assert res <= 1e-9 * (1.0 + np.linalg.norm(X, "fro"))
+        X_ref = _kronecker_sylvester(S, A, E)
+        assert np.linalg.norm(X - X_ref, "fro") <= 1e-10 * np.linalg.norm(X_ref, "fro")
 
 
 def test_sylvester_regulator_rejects_spectra_overlap():
@@ -128,8 +147,9 @@ def test_solve_care_stabilizes():
     # marginally stable unreachable paper plant still stabilizable
     K = solve_care(A_PAPER, B_PAPER, np.eye(3), np.eye(1)).K
     assert is_hurwitz(A_PAPER + B_PAPER @ K)[0]
-    with pytest.raises(AssumptionError):
+    with pytest.raises(AssumptionError) as exc:
         solve_care(np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]), np.eye(2), np.eye(1))
+    assert str(exc.value) == "(A, B) not stabilizable; PBH fails at eigenvalue (1+0j)"
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +169,22 @@ def test_place_observer_gain_repeated_poles():
     assert np.allclose(eigs, [-3.0, -2.0, -2.0], atol=1e-6)
 
 
+def test_place_observer_gain_two_outputs():
+    A = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [0.3, 0.0, -1.5]])
+    C = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    L = place_observer_gain(A, C, [-4.0, -5.0, -6.0])
+    assert L.shape == (3, 2)
+    eigs = np.sort_complex(np.linalg.eigvals(A - L @ C))
+    assert np.max(np.abs(eigs - [-6.0, -5.0, -4.0])) <= 1e-6
+
+
 def test_place_observer_gain_validates():
     with pytest.raises(ValueError):
         place_observer_gain(A_PAPER, C_PAPER, [-5.0, -6.0])
-    with pytest.raises(AssumptionError):
+    with pytest.raises(AssumptionError) as exc:
         place_observer_gain(np.diag([-1.0, -2.0]), np.array([[1.0, 0.0]]),
                             [-3.0, -4.0])
+    assert str(exc.value) == "(A, C) not observable; PBH fails at eigenvalue (-2+0j)"
 
 
 def test_parameterization_identities(nonzero_setup):

@@ -9,7 +9,8 @@ from regvi.oracle import (LtiPlant, compute_parameterization,
                           place_observer_gain, verify_theorem4)
 from regvi.regression import SamplingGrid, build_regression
 from regvi.sim import Tone, simulate, stack_state
-from regvi.vi import RankConditionError, ViConfig, _fit_stage, vi_run
+from regvi.vi import (RankConditionError, ViConfig, ViResult, _fit_stage,
+                      export_history_csv, vi_run)
 
 
 def rel(a, b):
@@ -27,9 +28,14 @@ def test_config_validation():
     assert cfg.eps(0) == pytest.approx(1.0)
     assert cfg.eps(9) == pytest.approx(0.1)
     assert cfg.bound_radius(0) == pytest.approx(1000.0 * 20.0)
+    nan = float("nan")
     for bad in (dict(eps_num=-1.0), dict(eps_shift=0.0), dict(eps_conv=0.0),
                 dict(bound_scale=0.0), dict(bound_shift=-1.0),
-                dict(P0=np.array([[1.0, 2.0], [0.0, 1.0]]))):
+                dict(P0=np.array([[1.0, 2.0], [0.0, 1.0]])),
+                dict(eps_num=nan), dict(eps_shift=nan), dict(eps_conv=nan),
+                dict(bound_scale=nan), dict(bound_shift=nan),
+                dict(R=-np.eye(1)), dict(R=np.zeros((1, 1))), dict(R=[[nan]]),
+                dict(R=np.array([[1.0, 0.5], [0.0, 1.0]]))):
         with pytest.raises(ValueError):
             ViConfig(**{**good, **bad})
 
@@ -240,3 +246,23 @@ def test_variant6_matches_lifted_solution(output_based_setup):
     E_true = np.vstack([np.zeros((s["known"].n_zeta, 2)),
                         s["im"].G2 @ s["plant"].F])
     assert rel(res.E_rho_identified, E_true) <= 0.02
+
+
+# ---------------------------------------------------------------------------
+# History export
+# ---------------------------------------------------------------------------
+
+def test_history_csv_matches_per_row_format(tmp_path):
+    rows = 300   # not a multiple of the writer's block of rows
+    rng = np.random.default_rng(0)
+    history = np.column_stack([np.arange(31000, 31000 + rows), np.arange(rows) // 7,
+                               rng.lognormal(5.0, 3.0, rows), rng.lognormal(0.0, 4.0, rows)])
+    history[17, 3] = np.nan
+    result = ViResult(P_final=np.eye(1), K_final=np.eye(1), iters=rows, resets=0,
+                      converged=True, history=history)
+    path = tmp_path / "vi_history.csv"
+    export_history_csv(result, path)
+    expected = "k,j,normP,step_metric\n" + "".join(
+        "%d,%d,%.17g,%.17g\n" % (int(k), int(j), norm_p, metric)
+        for k, j, norm_p, metric in history)
+    assert path.read_text() == expected
