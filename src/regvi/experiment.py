@@ -9,7 +9,7 @@ it.  Blinded runs exploit exactly that boundary.
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -23,9 +23,8 @@ from .oracle import (AssumptionError, LtiPlant, build_augmented_aux,
                      place_observer_gain, solve_care, transmission_zero_check,
                      verify_theorem4)
 from .regression import (SamplingGrid, build_regression, check_rank,
-                         export_regression_csv, unknown_count)
-from .sim import (Tone, export_trajectory_csv, join_logs, on_grid, simulate,
-                  stack_state)
+                         export_regression_csv, on_grid, unknown_count)
+from .sim import Tone, export_trajectory_csv, join_logs, simulate, stack_state
 from .vi import RankConditionError, ViConfig, check_vi_inputs, export_history_csv, vi_run
 
 
@@ -160,8 +159,9 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("settle_time must not exceed t_end")
     if not (on_grid(cfg.t_switch, cfg.h) and on_grid(cfg.t_end, cfg.h)):
         raise ConfigError("t_switch and t_end must lie on the grid k*h")
-    if cfg.grid_t0 < 0 or not (on_grid(cfg.grid_t0, cfg.h) and on_grid(cfg.grid_dt, cfg.h)):
-        raise ConfigError("grid_t0 >= 0 and grid_dt must lie on the grid k*h")
+    if (cfg.grid_t0 < 0 or round(cfg.grid_dt / cfg.h) < 1
+            or not (on_grid(cfg.grid_t0, cfg.h) and on_grid(cfg.grid_dt, cfg.h))):
+        raise ConfigError("grid_t0 >= 0 and grid_dt >= h must lie on the grid k*h")
     if cfg.k0_on not in ("zeta", "rho"):
         raise ConfigError("k0_on must be 'zeta' or 'rho'")
     objs = build_objects(cfg)
@@ -182,7 +182,11 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("k0 must be m x %d for k0_on = %s" % (want, cfg.k0_on))
     if cfg.grid_t0 + cfg.grid_s * cfg.grid_dt > cfg.t_switch + 1e-9:
         raise ConfigError("sampling grid must fit inside the exploration phase")
+    tone_keys = {f.name for f in fields(Tone)}
     for tone in cfg.tones:
+        if not (isinstance(tone, dict) and {"amplitude", "frequency"} <= tone.keys() <= tone_keys):
+            raise ConfigError("tone %r is not an object with amplitude and frequency, "
+                              "optionally phase and channel" % (tone,))
         channel = tone.get("channel", 0)
         if not (isinstance(channel, int) and 0 <= channel < plant.m):
             raise ConfigError("tone channel %r outside [0, m = %d)" % (channel, plant.m))

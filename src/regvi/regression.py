@@ -1,14 +1,19 @@
 """Trajectory logs -> learning-equation data matrices.
 
 Every integral is a composite Simpson rule over the fine integrator grid
-inside each sampling interval [t_{j-1}, t_j]; the delta rows are endpoint
-differences of the quadratic-monomial vector.  The least-squares systems
-built from these blocks are severely ill-conditioned whenever the plant has
-unreachable stable modes (the filter states become asymptotically dependent),
-so the quadrature must stay orders of magnitude below the smallest data
-singular value; Simpson on the h-grid achieves that where trapezoid does
-not.  Six variants share the same machinery and differ only in which
-channels are packed:
+inside each sampling interval [t_{j-1}, t_j] alone, as
+`scipy.integrate.simpson` (scipy >= 1.11) applies it to the step + 1 rows of
+the interval: an odd step closes with h/12 * (-1, 8, 5) on its last three
+rows, and a single step is the trapezoid.  Each block is one contraction of
+that weight vector with strided interval views, giving int a b^T per
+interval; quadratic blocks keep its upper triangle in `vecv` order, Kronecker
+blocks its row-major flattening.  The delta rows are endpoint differences of
+the quadratic-monomial vector.  The least-squares systems built from these
+blocks are severely ill-conditioned whenever the plant has unreachable stable
+modes (the filter states become asymptotically dependent), so the quadrature
+must stay orders of magnitude below the smallest data singular value;
+Simpson on the h-grid achieves that where trapezoid does not.  Six variants
+share the same machinery and differ only in which channels are packed:
 
   variant 1: state x and input u            (state-based learning)
   variant 2: filter state zeta, u and y     (output-based LQR)
@@ -17,19 +22,25 @@ channels are packed:
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .csvrows import write_rows
 from .linalg import vecv_rows
 
 VARIANTS = (1, 2, 3, 4, 5, 6)
+GRID_TOL = 1e-9
 
 
 class GridAlignmentError(ValueError):
     """Sampling grid does not sit on the integrator grid or horizon."""
+
+
+def on_grid(t, h):
+    """Whether time t lies on the grid k*h (to GRID_TOL)."""
+    return abs(round(t / h) * h - t) <= GRID_TOL
 
 
 @dataclass
@@ -39,9 +50,6 @@ class SamplingGrid:
     t0: float
     dt: float
     s: int
-
-    def times(self):
-        return self.t0 + self.dt * np.arange(self.s + 1)
 
 
 @dataclass
@@ -57,33 +65,46 @@ class RegressionData:
     I_yy: np.ndarray | None = None        # variants 2, 5, 6
     I_zz: np.ndarray | None = None        # variants 5, 6
     known_B: np.ndarray | None = None     # B_zeta (variant 2) or B_rho (3-6)
-    R: np.ndarray | None = None
 
 
-def _sample_indices(log, grid: SamplingGrid):
-    ratio = grid.dt / log.h
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise GridAlignmentError("dt = %g is not an integer multiple of h = %g"
+def _sample_window(log, grid: SamplingGrid):
+    """Log rows [lo, hi) spanned by the grid and the rows per sampling interval."""
+    step = round(grid.dt / log.h)
+    if step < 1 or not on_grid(grid.dt, log.h):
+        raise GridAlignmentError("dt = %g is not a positive multiple of h = %g"
                                  % (grid.dt, log.h))
-    step = int(round(ratio))
-    start = (grid.t0 - log.times[0]) / log.h
-    if abs(start - round(start)) > 1e-6:
+    if not on_grid(grid.t0, log.h):
         raise GridAlignmentError("t0 = %g does not sit on the integrator grid" % grid.t0)
-    idx = int(round(start)) + step * np.arange(grid.s + 1)
-    if idx[0] < 0 or idx[-1] >= log.times.size:
+    lo = int(round((grid.t0 - log.times[0]) / log.h))
+    hi = lo + step * grid.s + 1
+    if lo < 0 or hi > log.times.size:
         raise GridAlignmentError("sampling grid extends outside the simulated horizon")
-    return idx
+    return lo, hi, step
 
 
-def _interval_integrals(values, idx, h):
-    """Integrals of each column of values over the consecutive sample intervals."""
-    cum = cumulative_simpson(values, dx=h, axis=0, initial=0.0)
-    return cum[idx[1:]] - cum[idx[:-1]]
+def _simpson_weights(step, h):
+    """Composite-Simpson weights on step + 1 points spaced h (scipy's rule)."""
+    if step == 1:
+        return np.array([h, h]) / 2.0
+    even = step - step % 2
+    w = np.zeros(step + 1)
+    w[:even + 1] = np.tile([2.0, 4.0], step)[:even + 1] / 3.0
+    w[[0, even]] = 1.0 / 3.0
+    if step % 2:
+        w[-3:] += np.array([-1.0, 8.0, 5.0]) / 12.0
+    return h * w
 
 
-def _kron_rows(a, b):
-    """Row-wise Kronecker products a_t (x) b_t."""
-    return np.einsum("ni,nj->nij", a, b).reshape(a.shape[0], -1)
+def _interval_integrals(a, b, step, h):
+    """int a b^T over each interval of step rows, shape (s, n_a, n_b)."""
+    wa, wb = (sliding_window_view(x, step + 1, axis=0)[::step] for x in (a, b))
+    return np.einsum("k,jik,jlk->jil", _simpson_weights(step, h), wa, wb)
+
+
+def _quadratic(x, step, h):
+    """int vecv(x) over each interval: the upper triangles of int x x^T."""
+    i, j = np.triu_indices(x.shape[1])
+    return _interval_integrals(x, x, step, h)[:, i, j]
 
 
 def build_regression(log, grid: SamplingGrid, variant: int,
@@ -93,15 +114,17 @@ def build_regression(log, grid: SamplingGrid, variant: int,
     log carries the fields of a `sim.TrajectoryLog` (times, h and the signal
     arrays); only the learner-visible channels are read.
     R weights the input integrals of variants 1 and 2; known_B is the known
-    input-matrix block (B_zeta for variant 2, B_rho for variants 3-6) applied
-    to the logged input before the unweighted Kronecker integral.
+    input-matrix block (B_zeta for variant 2, B_rho for variants 3-6).  Both
+    act on int a u^T after integration, which is linear in u.
     """
     if variant not in VARIANTS:
         raise ValueError("variant must be in %s" % (VARIANTS,))
-    idx = _sample_indices(log, grid)
-    lo, hi = idx[0], idx[-1] + 1
-    idx0 = idx - lo
-    h = log.h
+    if variant in (1, 2) and R is None:
+        raise ValueError("variants 1 and 2 need the weight R")
+    if variant != 1 and known_B is None:
+        raise ValueError("variant %d needs its known input block" % variant)
+    lo, hi, step = _sample_window(log, grid)
+    h, s = log.h, grid.s
     u = log.u[lo:hi]
     if variant == 1:
         a = log.x[lo:hi]
@@ -109,41 +132,27 @@ def build_regression(log, grid: SamplingGrid, variant: int,
         a = log.zeta[lo:hi]
     else:
         a = np.hstack([log.zeta[lo:hi], log.z[lo:hi]])
-    n_a = a.shape[1]
-    m = u.shape[1]
-    dims = {"n_a": n_a, "m": m}
-    va = vecv_rows(a)
-    delta_a = va[idx0[1:]] - va[idx0[:-1]]
-    I_aa = _interval_integrals(va, idx0, h)
+    dims = {"n_a": a.shape[1], "m": u.shape[1]}
     data = RegressionData(variant=variant, grid=grid, dims=dims,
-                          delta_a=delta_a, I_aa=I_aa)
-    if variant in (1, 2):
-        if R is None:
-            raise ValueError("variants 1 and 2 need the weight R")
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        data.R = R
-        data.I_au = _interval_integrals(_kron_rows(a, u @ R.T), idx0, h)
-    if variant in (3, 4, 5, 6):
-        if known_B is None:
-            raise ValueError("variants 3-6 need the known input block B_rho")
-        v = log.v[lo:hi]
-        dims["q"] = v.shape[1]
-        data.Gamma_av = _interval_integrals(_kron_rows(a, v), idx0, h)
-        data.Gamma_aBu = _interval_integrals(_kron_rows(a, u @ np.asarray(known_B).T),
-                                             idx0, h)
-    if variant in (2, 5, 6):
-        y = log.y[lo:hi]
-        data.I_yy = _interval_integrals(vecv_rows(y), idx0, h)
-        dims["p"] = y.shape[1]
-    if variant in (5, 6):
-        z = log.z[lo:hi]
-        data.I_zz = _interval_integrals(vecv_rows(z), idx0, h)
-        dims["n_z"] = z.shape[1]
-    if variant == 2:
-        if known_B is None:
-            raise ValueError("variant 2 needs the known input block B_zeta")
+                          delta_a=np.diff(vecv_rows(a[::step]), axis=0),
+                          I_aa=_quadratic(a, step, h))
     if known_B is not None:
         data.known_B = np.atleast_2d(np.asarray(known_B, dtype=float))
+    int_au = _interval_integrals(a, u, step, h)
+    if variant in (1, 2):
+        R = np.atleast_2d(np.asarray(R, dtype=float))
+        data.I_au = (int_au @ R.T).reshape(s, -1)
+    if variant in (3, 4, 5, 6):
+        v = log.v[lo:hi]
+        dims["q"] = v.shape[1]
+        data.Gamma_av = _interval_integrals(a, v, step, h).reshape(s, -1)
+        data.Gamma_aBu = (int_au @ data.known_B.T).reshape(s, -1)
+    if variant in (2, 5, 6):
+        data.I_yy = _quadratic(log.y[lo:hi], step, h)
+        dims["p"] = log.y.shape[1]
+    if variant in (5, 6):
+        data.I_zz = _quadratic(log.z[lo:hi], step, h)
+        dims["n_z"] = log.z.shape[1]
     required = required_rank(variant, dims)
     if grid.s < required:
         warnings.warn("only s = %d rows for %d unknowns; rank condition will fail"
@@ -156,11 +165,9 @@ def required_rank(variant, dims):
     half = n_a * (n_a + 1) // 2
     if variant == 1:
         return half + m * n_a
-    if variant == 2:
-        return half
     if variant in (3, 5):
         return half + dims["q"] * n_a
-    return half  # variants 4 and 6: post-identification condition
+    return half  # variant 2; variants 4 and 6: post-identification condition
 
 
 @dataclass
@@ -180,14 +187,8 @@ def check_rank(data: RegressionData, variant=None) -> RankVerdict:
     exactly-solvable data sets as rank deficient.
     """
     variant = data.variant if variant is None else variant
-    if variant == 1:
-        M = np.hstack([data.I_aa, data.I_au])
-    elif variant == 2:
-        M = data.I_aa
-    elif variant in (3, 5):
-        M = np.hstack([data.I_aa, data.Gamma_av])
-    else:
-        M = data.I_aa
+    extra = {1: data.I_au, 3: data.Gamma_av, 5: data.Gamma_av}.get(variant)
+    M = data.I_aa if extra is None else np.hstack([data.I_aa, extra])
     s = np.linalg.svd(M, compute_uv=False)
     tol = max(M.shape) * np.finfo(float).eps
     rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
@@ -224,17 +225,16 @@ def export_regression_csv(data: RegressionData, out_dir):
     blocks = {"delta_a": data.delta_a, "I_aa": data.I_aa, "I_au": data.I_au,
               "Gamma_av": data.Gamma_av, "Gamma_aBu": data.Gamma_aBu,
               "I_yy": data.I_yy, "I_zz": data.I_zz}
+    blocks = {name: arr for name, arr in blocks.items() if arr is not None}
     files = {}
     for name, arr in blocks.items():
-        if arr is None:
-            continue
         path = os.path.join(out_dir, "regression_%s.csv" % name)
         with open(path, "w") as fh:
             write_rows(fh, arr)
         files[name] = path
     manifest = {"variant": data.variant, "dims": data.dims,
                 "grid": {"t0": data.grid.t0, "dt": data.grid.dt, "s": data.grid.s},
-                "blocks": {k: list(v.shape) for k, v in blocks.items() if v is not None}}
+                "blocks": {k: list(v.shape) for k, v in blocks.items()}}
     mpath = os.path.join(out_dir, "regression_manifest.json")
     with open(mpath, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -24,9 +24,9 @@ import numpy as np
 from .csvrows import write_rows
 from .internal_model import Exosystem, InternalModel
 from .observer import ObserverKnown
+from .regression import on_grid
 
 OVERFLOW_LIMIT = 1e9
-GRID_TOL = 1e-9
 STEPS_PER_CHECK = 1024
 
 
@@ -109,11 +109,6 @@ def _loop_matrices(plant, exo, known, im, K_rho):
     B_tot = np.vstack([Z((q, m)), plant.B, known.B_zeta, Z((n_z, m))])
     K_row = np.hstack([Z((m, q)), Z((m, n)), Ku_zeta, Ku_z])
     return A_tot, B_tot, K_row
-
-
-def on_grid(t, h):
-    """Whether time t lies on the grid k*h (to GRID_TOL)."""
-    return abs(round(t / h) * h - t) <= GRID_TOL
 
 
 def _rk4_map(A_tot, B_tot, h):

@@ -60,6 +60,10 @@ def test_parse_config_rejects_garbage():
     {"tones": [{"amplitude": 1.0, "frequency": 2.0, "channel": 3}]},   # m = 1
     {"settle_time": 90.0},                 # after t_end
     {"r": -1.0},                           # R must be positive definite
+    {"tones": [[1.0, 2.0]]},               # a tone is an object
+    {"tones": [{"amplitude": 1.0, "frequency": 2.0, "gain": 1.0}]},    # unknown key
+    {"tones": [{"amplitude": 1.0}]},       # no frequency
+    {"grid_dt": 1e-10},                    # on the grid, but zero steps of h
 ])
 def test_validate_config_rejects(patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))

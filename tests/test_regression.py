@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
-from regvi.linalg import vecs
+from regvi.linalg import vecs, vecv_rows
 from regvi.regression import (GridAlignmentError, SamplingGrid, build_regression,
                               check_rank, export_regression_csv, required_rank,
                               unknown_count)
@@ -45,6 +48,47 @@ def test_sampling_interval_additivity(nonzero_setup):
         f = getattr(fine, name)
         merged = f[0::2] + f[1::2]
         assert np.allclose(c, merged, rtol=0, atol=1e-9 * (1 + np.abs(c).max()))
+
+
+def _kron_rows(a, b):
+    return np.einsum("ni,nj->nij", a, b).reshape(a.shape[0], -1)
+
+
+@pytest.mark.parametrize("h, dt", [(1e-3, 0.1), (4e-3, 0.1), (1e-3, 3e-3), (1e-3, 1e-3)])
+def test_blocks_match_per_interval_simpson(fullstate_setup, h, dt):
+    """Every block is scipy's Simpson rule of the row-wise products on each interval."""
+    s = fullstate_setup
+    log = s["log"]
+    if h != log.h:
+        tones = [Tone(1.0, 1.0), Tone(1.0, 2.7), Tone(1.0, 5.3), Tone(1.0, 9.1)]
+        K = np.zeros((1, s["known"].n_zeta + s["im"].n_z))
+        log = simulate(s["plant"], s["exo"], s["known"], s["im"], K,
+                       stack_state(s["exo"], s["known"], s["im"], [1.0, -1.0, 0.5]),
+                       (0.0, 6.0), h, tones)
+    grid = SamplingGrid(t0=1.0, dt=dt, s=40)
+    step = round(dt / h)
+    B_rho = np.vstack([s["known"].B_zeta, np.zeros((s["im"].n_z, 1))])
+    rows = int(round(1.0 / h)) + step * np.arange(grid.s + 1)
+    R = np.array([[2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # too few rows for variant 6's rank
+        d1 = build_regression(log, grid, 1, R=R)
+        d6 = build_regression(log, grid, 6, known_B=B_rho)
+    rho = np.hstack([log.zeta, log.z])
+    expected = [
+        (d1.I_aa, vecv_rows(log.x)), (d1.I_au, _kron_rows(log.x, log.u @ R.T)),
+        (d6.I_aa, vecv_rows(rho)), (d6.Gamma_av, _kron_rows(rho, log.v)),
+        (d6.Gamma_aBu, _kron_rows(rho, log.u @ B_rho.T)),
+        (d6.I_yy, vecv_rows(log.y)), (d6.I_zz, vecv_rows(log.z)),
+    ]
+    for block, products in expected:
+        ref = np.array([simpson(products[i:j + 1], dx=h, axis=0)
+                        for i, j in zip(rows[:-1], rows[1:])])
+        assert block.shape == ref.shape
+        assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
+    for d, a in ((d1, log.x), (d6, rho)):
+        va = vecv_rows(a)
+        assert np.array_equal(d.delta_a, va[rows[1:]] - va[rows[:-1]])
 
 
 def test_integrals_converge_with_h(fullstate_setup):
@@ -94,9 +138,21 @@ def test_grid_alignment_errors(fullstate_setup):
     with pytest.raises(GridAlignmentError):
         build_regression(log, SamplingGrid(t0=1.0, dt=0.00025, s=10), 1, R=np.eye(1))
     with pytest.raises(GridAlignmentError):
+        build_regression(log, SamplingGrid(t0=1.0, dt=1e-10, s=10), 1, R=np.eye(1))
+    with pytest.raises(GridAlignmentError):
         build_regression(log, SamplingGrid(t0=1.00033, dt=0.1, s=10), 1, R=np.eye(1))
     with pytest.raises(GridAlignmentError):
         build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=1000), 1, R=np.eye(1))
+
+
+def test_dt_within_grid_tolerance_is_accepted(fullstate_setup):
+    """dt off k*h by less than the config tolerance gives the same blocks."""
+    log = fullstate_setup["log"]
+    exact = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=40), 1, R=np.eye(1))
+    near = build_regression(log, SamplingGrid(t0=1.0, dt=0.1 + 5e-10, s=40), 1,
+                            R=np.eye(1))
+    for name in ("delta_a", "I_aa", "I_au"):
+        assert np.array_equal(getattr(exact, name), getattr(near, name))
 
 
 def test_missing_weights_rejected(fullstate_setup):
