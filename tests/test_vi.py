@@ -6,11 +6,11 @@ import pytest
 from regvi.internal_model import build_p_copy, recast_exosystem
 from regvi.observer import ObserverKnown
 from regvi.oracle import (LtiPlant, compute_parameterization,
-                          place_observer_gain, verify_theorem4)
+                          place_observer_gain, solve_care, verify_theorem4)
 from regvi.regression import SamplingGrid, build_regression
 from regvi.sim import Tone, simulate, stack_state
 from regvi.vi import (RankConditionError, ViConfig, ViResult, _fit_stage,
-                      export_history_csv, vi_run)
+                      check_vi_inputs, export_history_csv, vi_run)
 
 
 def rel(a, b):
@@ -163,6 +163,32 @@ def test_vi_run_structured_input_errors(nonzero_setup):
         vi_run(3, data, replace(vicfg, E_structure=None))
 
 
+# Weights and structure each variant must be given; the rest may stay None.
+NEEDS = {1: {"Q"}, 2: {"Q_y"}, 3: {"Q", "E_structure"}, 4: {"Q", "E_structure"},
+         5: {"Q_y", "Q_z", "E_structure"}, 6: {"Q_y", "Q_z", "E_structure"}}
+
+
+@pytest.mark.parametrize("variant", sorted(NEEDS))
+def test_check_vi_inputs_per_variant(variant):
+    full = ViConfig(P0=np.eye(2), eps_num=1.0, eps_shift=1.0, eps_conv=0.01,
+                    max_iters=10, R=np.eye(1), Q=np.eye(2), Q_y=np.eye(1),
+                    Q_z=np.eye(1), E_structure=np.eye(2))
+    check_vi_inputs(variant, full)
+    for name in ("Q", "Q_y", "Q_z", "E_structure"):
+        cfg = replace(full, **{name: None})
+        if name in NEEDS[variant]:
+            with pytest.raises(ValueError):
+                check_vi_inputs(variant, cfg)
+        else:
+            check_vi_inputs(variant, cfg)
+    zero_P0 = replace(full, P0=np.zeros((2, 2)))
+    if variant in (1, 3, 4, 6):
+        with pytest.raises(ValueError):
+            check_vi_inputs(variant, zero_P0)
+    else:
+        check_vi_inputs(variant, zero_P0)
+
+
 # ---------------------------------------------------------------------------
 # Convergence against the oracle (preset data, E != 0)
 # ---------------------------------------------------------------------------
@@ -225,8 +251,21 @@ def output_based_setup():
     param = compute_parameterization(plant, L, known.companion.alpha)
     t4 = verify_theorem4(plant, param, im, np.eye(1 + im.n_z), np.eye(1))
     P_lift = t4.W.T @ t4.P_xi @ t4.W
-    return {"plant": plant, "im": im, "known": known, "B_rho": B_rho,
+    return {"plant": plant, "im": im, "known": known, "B_rho": B_rho, "M": param.M,
             "log": log, "grid": grid, "vicfg": vicfg, "P_lift": P_lift}
+
+
+def test_variant2_matches_lifted_solution(output_based_setup):
+    """Output-based LQR on zeta: P = M^T P_x M with P_x the LQR solution for y^T y."""
+    s = output_based_setup
+    plant, M = s["plant"], s["M"]
+    data = build_regression(s["log"], s["grid"], 2, R=np.eye(1),
+                            known_B=s["known"].B_zeta)
+    vicfg = replace(s["vicfg"], P0=np.eye(s["known"].n_zeta), Q_z=None, E_structure=None)
+    res = vi_run(2, data, vicfg)
+    assert res.converged
+    P_x = solve_care(plant.A, plant.B, plant.C.T @ plant.C, np.eye(1)).P
+    assert rel(res.P_final, M.T @ P_x @ M) <= 0.02
 
 
 def test_variant5_matches_lifted_solution(output_based_setup):
