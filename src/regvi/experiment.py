@@ -8,8 +8,11 @@ it.  Blinded runs exploit exactly that boundary.
 """
 
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .oracle import (AssumptionError, LtiPlant, build_augmented_aux,
                      parameterization_identity_errors, pbh_check,
                      place_observer_gain, solve_care, transmission_zero_check,
                      verify_theorem4)
-from .regression import (SamplingGrid, build_regression, check_rank,
+from .regression import (VARIANTS, SamplingGrid, build_regression, check_rank,
                          export_regression_csv, on_grid, unknown_count)
 from .sim import Tone, export_trajectory_csv, join_logs, simulate, stack_state
 from .vi import RankConditionError, ViConfig, check_vi_inputs, export_history_csv, vi_run
@@ -38,22 +41,21 @@ class NotConvergedError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    """Declarative experiment description; all fields are plain JSON types."""
+    """Declarative experiment description; validate_config checks each field's
+    JSON type against its annotation.  k0 acts on zeta or rho, by its width."""
 
     name: str
-    plant_a: list
-    plant_b: list
-    plant_c: list
-    plant_e: list
-    plant_f: list
-    exo_minpoly: list
-    exo_v0: list
-    x0: list
-    observer_poles: list
-    p_copies: int
-    tones: list
-    k0: list
-    k0_on: str
+    plant_a: list[list[float]]
+    plant_b: list[list[float]]
+    plant_c: list[list[float]]
+    plant_e: list[list[float]]
+    plant_f: list[list[float]]
+    exo_minpoly: list[float]
+    exo_v0: list[float]
+    x0: list[float]
+    observer_poles: list[float | list[float]]     # a complex pole is [re, im]
+    tones: list[Tone]
+    k0: list[list[float]]
     grid_t0: float
     grid_dt: float
     grid_s: int
@@ -67,14 +69,14 @@ class ExperimentConfig:
     eps_shift: float
     eps_conv: float
     max_iters: int
-    r: object
+    r: float | list[list[float]]
     bound_scale: float = 1000.0
     bound_shift: float = 20.0
-    q_main: object = None
-    q_y: object = None
-    q_z: object = None
-    zeta0: list | None = None
-    z0: list | None = None
+    q_main: float | list[list[float]] | None = None
+    q_y: float | list[list[float]] | None = None
+    q_z: float | list[list[float]] | None = None
+    zeta0: list[float] | None = None
+    z0: list[float] | None = None
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -104,13 +106,8 @@ def _as_matrix(spec, dim, what):
 
 
 def _poles(raw):
-    out = []
-    for item in raw:
-        if isinstance(item, (list, tuple)):
-            out.append(complex(item[0], item[1]))
-        else:
-            out.append(complex(item))
-    return np.asarray(out)
+    """Observer poles; a complex pole is written [re, im]."""
+    return np.asarray([complex(*p) if isinstance(p, list) else complex(p) for p in raw])
 
 
 def _qbar(cfg, p, n_z):
@@ -135,21 +132,38 @@ def build_objects(cfg: ExperimentConfig) -> ExperimentObjects:
         plant = LtiPlant(A=cfg.plant_a, B=cfg.plant_b, C=cfg.plant_c,
                          E=cfg.plant_e, F=cfg.plant_f)
         exo = recast_exosystem(cfg.exo_minpoly, cfg.exo_v0)
-        im = build_p_copy(cfg.exo_minpoly, cfg.p_copies)
+        im = build_p_copy(cfg.exo_minpoly, plant.p)
         known = ObserverKnown.from_poles(_poles(cfg.observer_poles), plant.m, plant.p)
-    except (ValueError, AssumptionError) as exc:
+    except (TypeError, ValueError, AssumptionError) as exc:   # TypeError: a pole [a, b, c]
         raise ConfigError(str(exc)) from exc
     B_rho = np.vstack([known.B_zeta, np.zeros((im.n_z, plant.m))])
     return ExperimentObjects(plant=plant, exo=exo, im=im, known=known, B_rho=B_rho)
 
 
+def _has_type(value, tp):
+    """Whether a parsed JSON value fits annotation tp (never a bool; floats finite)."""
+    if isinstance(tp, UnionType):
+        return any(_has_type(value, t) for t in get_args(tp))
+    if get_origin(tp) is list:
+        return isinstance(value, list) and all(_has_type(v, get_args(tp)[0]) for v in value)
+    if is_dataclass(tp):
+        known = {f.name: f.type for f in fields(tp)}
+        required = {f.name for f in fields(tp) if f.default is MISSING}
+        return (isinstance(value, dict) and required <= value.keys() <= known.keys()
+                and all(_has_type(v, known[k]) for k, v in value.items()))
+    if isinstance(value, bool):
+        return False
+    if tp is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, tp)
+
+
 def validate_config(cfg: ExperimentConfig):
-    for name, value in asdict(cfg).items():
-        try:
-            json.dumps(value, allow_nan=False)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("%s must be a finite JSON value: %s" % (name, exc)) from exc
-    if cfg.variant not in (1, 2, 3, 4, 5, 6):
+    for f in fields(cfg):
+        if not _has_type(getattr(cfg, f.name), f.type):
+            raise ConfigError("%s must be a finite JSON value of type %s"
+                              % (f.name, getattr(f.type, "__name__", f.type)))
+    if cfg.variant not in VARIANTS:
         raise ConfigError("variant must be 1..6")
     if cfg.h <= 0 or cfg.grid_dt <= 0 or cfg.grid_s <= 0:
         raise ConfigError("h, grid_dt and grid_s must be positive")
@@ -162,33 +176,23 @@ def validate_config(cfg: ExperimentConfig):
     if (cfg.grid_t0 < 0 or round(cfg.grid_dt / cfg.h) < 1
             or not (on_grid(cfg.grid_t0, cfg.h) and on_grid(cfg.grid_dt, cfg.h))):
         raise ConfigError("grid_t0 >= 0 and grid_dt >= h must lie on the grid k*h")
-    if cfg.k0_on not in ("zeta", "rho"):
-        raise ConfigError("k0_on must be 'zeta' or 'rho'")
     objs = build_objects(cfg)
     plant, im = objs.plant, objs.im
-    if len(cfg.x0) != plant.n:
-        raise ConfigError("x0 length %d does not match n = %d" % (len(cfg.x0), plant.n))
-    if len(cfg.exo_v0) != len(cfg.exo_minpoly):
-        raise ConfigError("exo_v0 length must equal the minimal-polynomial degree")
-    if cfg.p_copies != plant.p:
-        raise ConfigError("internal model needs p = %d copies" % plant.p)
     n_zeta, n_rho = objs.known.n_zeta, objs.known.n_zeta + im.n_z
-    for name, given, want in (("zeta0", cfg.zeta0, n_zeta), ("z0", cfg.z0, im.n_z)):
+    for name, given, want in (("x0", cfg.x0, plant.n),
+                              ("observer_poles", cfg.observer_poles, plant.n),
+                              ("exo_v0", cfg.exo_v0, len(cfg.exo_minpoly)),
+                              ("zeta0", cfg.zeta0, n_zeta), ("z0", cfg.z0, im.n_z)):
         if given is not None and len(given) != want:
             raise ConfigError("%s length %d does not match %d" % (name, len(given), want))
     k0 = np.atleast_2d(np.asarray(cfg.k0, dtype=float))
-    want = n_zeta if cfg.k0_on == "zeta" else n_rho
-    if k0.shape != (plant.m, want):
-        raise ConfigError("k0 must be m x %d for k0_on = %s" % (want, cfg.k0_on))
+    if k0.shape not in ((plant.m, n_zeta), (plant.m, n_rho)):
+        raise ConfigError("k0 must be m x %d (on zeta) or m x %d (on rho)" % (n_zeta, n_rho))
     if cfg.grid_t0 + cfg.grid_s * cfg.grid_dt > cfg.t_switch + 1e-9:
         raise ConfigError("sampling grid must fit inside the exploration phase")
-    tone_keys = {f.name for f in fields(Tone)}
     for tone in cfg.tones:
-        if not (isinstance(tone, dict) and {"amplitude", "frequency"} <= tone.keys() <= tone_keys):
-            raise ConfigError("tone %r is not an object with amplitude and frequency, "
-                              "optionally phase and channel" % (tone,))
         channel = tone.get("channel", 0)
-        if not (isinstance(channel, int) and 0 <= channel < plant.m):
+        if not 0 <= channel < plant.m:
             raise ConfigError("tone channel %r outside [0, m = %d)" % (channel, plant.m))
     try:
         check_vi_inputs(cfg.variant, make_vi_config(cfg, objs))
@@ -201,58 +205,41 @@ def validate_config(cfg: ExperimentConfig):
 # Learner path (model-free by construction)
 # ---------------------------------------------------------------------------
 
-def _learner_dims(cfg, objs):
-    if cfg.variant == 1:
-        return objs.plant.n
-    if cfg.variant == 2:
-        return objs.known.n_zeta
-    return objs.known.n_zeta + objs.im.n_z
-
-
 def make_vi_config(cfg: ExperimentConfig, objs: ExperimentObjects) -> ViConfig:
-    n_a = _learner_dims(cfg, objs)
-    m, p, n_z = objs.plant.m, objs.plant.p, objs.im.n_z
+    spec = VARIANTS[cfg.variant]
+    m, p, n_z, n_zeta = objs.plant.m, objs.plant.p, objs.im.n_z, objs.known.n_zeta
+    n_a = {"x": objs.plant.n, "zeta": n_zeta, "rho": n_zeta + n_z}[spec.state]
     R = _as_matrix(cfg.r, m, "r")
     kwargs = dict(P0=cfg.p0_scale * np.eye(n_a), eps_num=cfg.eps_num,
                   eps_shift=cfg.eps_shift, eps_conv=cfg.eps_conv,
                   max_iters=cfg.max_iters, R=R, bound_scale=cfg.bound_scale,
                   bound_shift=cfg.bound_shift)
-    if cfg.variant in (1, 3, 4):
+    if not spec.output_cost:
         kwargs["Q"] = _as_matrix(cfg.q_main, n_a, "q_main")
-    if cfg.variant in (2, 5, 6):
+    if spec.output_cost:
         kwargs["Q_y"] = _as_matrix(cfg.q_y, p, "q_y")
-    if cfg.variant in (5, 6):
+    if spec.output_cost and spec.state == "rho":
         kwargs["Q_z"] = _as_matrix(cfg.q_z, n_z, "q_z")
-    if cfg.variant in (3, 4, 5, 6):
+    if spec.exo:
         # Exogenous signals reach the learner state rho = col(zeta, z) only
         # through the filters' output-injection columns and the internal
         # model's input matrix; both are learner-known, so the exogenous
         # matrix is solved for inside that column space.
-        n_zeta = objs.known.n_zeta
-        S = np.zeros((n_zeta + n_z, 2 * p))
-        S[:n_zeta, :p] = objs.known.E_zeta
-        S[n_zeta:, p:] = objs.im.G2
-        kwargs["E_structure"] = S
+        kwargs["E_structure"] = np.block([[objs.known.E_zeta, np.zeros((n_zeta, p))],
+                                          [np.zeros((n_z, p)), objs.im.G2]])
     return ViConfig(**kwargs)
 
 
-def learn_from_log(log, cfg: ExperimentConfig, objs: ExperimentObjects,
-                   vicfg: ViConfig):
+def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig):
     """Regression + rank check + value iteration from the logged trajectory.
 
-    Touches only learner-visible channels and known matrices.
+    Touches only learner-visible channels and known matrices (known_B: None on x).
     """
-    grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
-    if cfg.variant == 1:
-        data = build_regression(log, grid, 1, R=vicfg.R)
-    elif cfg.variant == 2:
-        data = build_regression(log, grid, 2, R=vicfg.R, known_B=objs.known.B_zeta)
-    else:
-        data = build_regression(log, grid, cfg.variant, known_B=objs.B_rho)
+    data = build_regression(log, grid, variant, R=vicfg.R, known_B=known_B)
     verdict = check_rank(data)
     if not verdict.satisfied:
         raise RankConditionError("rank %d < required %d" % (verdict.rank, verdict.required))
-    result = vi_run(cfg.variant, data, vicfg)
+    result = vi_run(variant, data, vicfg)
     return data, verdict, result
 
 
@@ -291,16 +278,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
         param = compute_parameterization(plant, L, known.companion.alpha)
         aux = build_augmented_aux(plant, param, im, exo)
         diag = (param.M, aux.X_prime)
+    spec = VARIANTS[cfg.variant]
     vicfg = make_vi_config(cfg, objs)
     K0 = np.atleast_2d(np.asarray(cfg.k0, dtype=float))
-    if cfg.k0_on == "zeta":
+    if K0.shape[1] == known.n_zeta:
         K0 = np.hstack([K0, np.zeros((plant.m, im.n_z))])
     files = {}
     log_explore = simulate(plant, exo, known, im, K0,
                            stack_state(exo, known, im, cfg.x0, cfg.zeta0, cfg.z0),
                            (0.0, cfg.t_switch), cfg.h,
                            [Tone(**t) for t in cfg.tones], diag=diag)
-    data, verdict, vires = learn_from_log(log_explore, cfg, objs, vicfg)
+    known_B = {"x": None, "zeta": known.B_zeta, "rho": objs.B_rho}[spec.state]
+    grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
+    data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B, vicfg)
     files.update(export_regression_csv(data, out_dir))
     history_path = os.path.join(out_dir, "vi_history.csv")
     export_history_csv(vires, history_path)
@@ -333,8 +323,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
                               iters=vires.iters, resets=vires.resets,
                               converged=vires.converged,
                               tracking_max_error=tracking_max, files=files)
-    if not blinded and cfg.variant >= 3:
-        if cfg.variant in (3, 4):
+    if not blinded and spec.state == "rho":
+        if not spec.output_cost:
             K_opt = solve_care(aux.A_rho, aux.B_rho, vicfg.Q, vicfg.R).K
         else:
             t4 = verify_theorem4(plant, param, im, _qbar(cfg, plant.p, im.n_z), vicfg.R)
@@ -343,11 +333,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
             report.theorem4_gain_deviation = t4.gain_deviation
         report.gain_error = float(np.linalg.norm(vires.K_final - K_opt, "fro")
                                   / np.linalg.norm(K_opt, "fro"))
-        if cfg.variant in (4, 6) and vires.E_rho_identified is not None:
-            E_true = aux.E_rho if cfg.variant == 4 else np.vstack(
-                [np.zeros((known.n_zeta, plant.q)), im.G2 @ plant.F])
-            report.e_rho_error = float(np.linalg.norm(vires.E_rho_identified - E_true, "fro")
-                                       / np.linalg.norm(E_true, "fro"))
+        if vires.E_rho_identified is not None:
+            report.e_rho_error = float(np.linalg.norm(vires.E_rho_identified - aux.E_rho, "fro")
+                                       / np.linalg.norm(aux.E_rho, "fro"))
     report.paper_reference = _paper_reference(cfg)
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w") as fh:
@@ -471,8 +459,7 @@ def preset_paper_e_zero() -> ExperimentConfig:
         plant_a=_PLANT_A, plant_b=_PLANT_B, plant_c=_PLANT_C,
         plant_e=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], plant_f=_PLANT_F,
         exo_minpoly=[1.0, 0.0], exo_v0=[1.0, 0.8], x0=[1.0, 2.0, -0.8],
-        observer_poles=[-5.0, -6.0, -7.0], p_copies=1,
-        tones=_TONES, k0=_K0, k0_on="zeta",
+        observer_poles=[-5.0, -6.0, -7.0], tones=_TONES, k0=_K0,
         grid_t0=4.0, grid_dt=0.2, grid_s=120, h=1e-3,
         variant=6, t_switch=28.0, t_end=80.0, settle_time=60.0,
         p0_scale=0.01, eps_num=8.0, eps_shift=10.0, eps_conv=0.05,
@@ -492,8 +479,7 @@ def preset_paper_e_nonzero() -> ExperimentConfig:
         plant_a=_PLANT_A, plant_b=_PLANT_B, plant_c=_PLANT_C,
         plant_e=[[2.0, 0.0], [0.0, 1.0], [3.0, 6.0]], plant_f=_PLANT_F,
         exo_minpoly=[1.0, 0.0], exo_v0=[1.0, 0.8], x0=[1.0, 2.0, -0.8],
-        observer_poles=[-5.0, -6.0, -7.0], p_copies=1,
-        tones=_TONES, k0=_K0, k0_on="zeta",
+        observer_poles=[-5.0, -6.0, -7.0], tones=_TONES, k0=_K0,
         grid_t0=4.0, grid_dt=0.2, grid_s=120, h=1e-3,
         variant=4, t_switch=28.0, t_end=80.0, settle_time=60.0,
         p0_scale=0.1, eps_num=20.0, eps_shift=4000.0, eps_conv=0.01,

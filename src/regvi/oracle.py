@@ -338,8 +338,6 @@ class AugmentedAux:
     A_rho: np.ndarray
     B_rho: np.ndarray
     E_rho: np.ndarray
-    D_rho: np.ndarray
-    W: np.ndarray
     X_prime: np.ndarray
 
     @property
@@ -361,18 +359,15 @@ def _aux_core(plant, param, im):
 
 
 def build_augmented_aux(plant, param, im, exo):
-    """Assemble (A_rho, B_rho, E_rho, D_rho, W, X') and check stabilizability."""
-    A_rho, B_rho, W = _aux_core(plant, param, im)
+    """Assemble (A_rho, B_rho, E_rho, X') and check stabilizability."""
+    A_rho, B_rho, _ = _aux_core(plant, param, im)
     F_obs = plant.A - param.L @ plant.C
     X_prime = solve_sylvester_regulator(exo.S, F_obs, plant.E)
     CXp = plant.C @ X_prime
     E_rho = np.vstack([param.known.E_zeta @ CXp,
                        im.G2 @ (CXp + plant.F)])
-    D_rho = np.vstack([-param.known.E_zeta @ plant.C,
-                       -im.G2 @ plant.C])
     _require_pbh(A_rho, B_rho, "stabilizable", "(A_rho, B_rho)")
-    return AugmentedAux(A_rho=A_rho, B_rho=B_rho, E_rho=E_rho, D_rho=D_rho,
-                        W=W, X_prime=X_prime)
+    return AugmentedAux(A_rho=A_rho, B_rho=B_rho, E_rho=E_rho, X_prime=X_prime)
 
 
 @dataclass

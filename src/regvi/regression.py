@@ -12,13 +12,10 @@ the quadratic-monomial vector.  The least-squares systems built from these
 blocks are severely ill-conditioned whenever the plant has unreachable stable
 modes (the filter states become asymptotically dependent), so the quadrature
 must stay orders of magnitude below the smallest data singular value;
-Simpson on the h-grid achieves that where trapezoid does not.  Six variants
-share the same machinery and differ only in which channels are packed:
-
-  variant 1: state x and input u            (state-based learning)
-  variant 2: filter state zeta, u and y     (output-based LQR)
-  variant 3/4: rho = col(zeta, z), u and v  (regulation, general E)
-  variant 5/6: rho, u, v plus y and z       (regulation, E = 0)
+Simpson on the h-grid achieves that where trapezoid does not.  Each variant,
+a row of `VARIANTS`, packs the blocks its choices read: I_au on state x and
+Gamma_aBu otherwise (variant 2 writes regression_Gamma_aBu.csv), Gamma_av
+with an exogenous term, I_yy with the output cost and I_zz with it on rho.
 """
 
 import warnings
@@ -30,8 +27,25 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .csvrows import write_rows
 from .linalg import vecv_rows
 
-VARIANTS = (1, 2, 3, 4, 5, 6)
 GRID_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Variant:
+    """The three choices that set one learner apart from the others."""
+
+    state: str          # learner state a: "x", "zeta" or "rho" = col(zeta, z)
+    output_cost: bool   # Q_y on y (and Q_z on z when a = rho) instead of Q on a
+    exo: str | None     # exogenous term: None, "solve" at every iterate
+                        # (Algorithm 3) or "identify" once at P0 (Algorithm 4)
+
+
+VARIANTS = {1: Variant("x", False, None),          # state-based learning
+            2: Variant("zeta", True, None),        # output-based LQR
+            3: Variant("rho", False, "solve"),     # regulation
+            4: Variant("rho", False, "identify"),
+            5: Variant("rho", True, "solve"),
+            6: Variant("rho", True, "identify")}
 
 
 class GridAlignmentError(ValueError):
@@ -59,12 +73,12 @@ class RegressionData:
     dims: dict
     delta_a: np.ndarray
     I_aa: np.ndarray
-    I_au: np.ndarray | None = None        # int a (x) R u   (variants 1, 2)
-    Gamma_av: np.ndarray | None = None    # int rho (x) v   (variants 3-6)
-    Gamma_aBu: np.ndarray | None = None   # int rho (x) B_rho u (variants 3-6)
-    I_yy: np.ndarray | None = None        # variants 2, 5, 6
-    I_zz: np.ndarray | None = None        # variants 5, 6
-    known_B: np.ndarray | None = None     # B_zeta (variant 2) or B_rho (3-6)
+    I_au: np.ndarray | None = None        # int a (x) R u  (state x)
+    Gamma_av: np.ndarray | None = None    # int a (x) v    (exogenous term)
+    Gamma_aBu: np.ndarray | None = None   # int a (x) B u  (state zeta or rho)
+    I_yy: np.ndarray | None = None        # output cost
+    I_zz: np.ndarray | None = None        # output cost on rho
+    known_B: np.ndarray | None = None     # B_zeta or B_rho
 
 
 def _sample_window(log, grid: SamplingGrid):
@@ -113,44 +127,43 @@ def build_regression(log, grid: SamplingGrid, variant: int,
 
     log carries the fields of a `sim.TrajectoryLog` (times, h and the signal
     arrays); only the learner-visible channels are read.
-    R weights the input integrals of variants 1 and 2; known_B is the known
-    input-matrix block (B_zeta for variant 2, B_rho for variants 3-6).  Both
-    act on int a u^T after integration, which is linear in u.
+    R weights the input integral of the state-x variant; known_B is the known
+    input-matrix block (B_zeta or B_rho) of the others.  Both act on
+    int a u^T after integration, which is linear in u.
     """
     if variant not in VARIANTS:
-        raise ValueError("variant must be in %s" % (VARIANTS,))
-    if variant in (1, 2) and R is None:
-        raise ValueError("variants 1 and 2 need the weight R")
-    if variant != 1 and known_B is None:
+        raise ValueError("variant must be in %s" % sorted(VARIANTS))
+    spec = VARIANTS[variant]
+    if spec.state == "x" and R is None:
+        raise ValueError("variant %d needs the weight R" % variant)
+    if spec.state != "x" and known_B is None:
         raise ValueError("variant %d needs its known input block" % variant)
     lo, hi, step = _sample_window(log, grid)
     h, s = log.h, grid.s
     u = log.u[lo:hi]
-    if variant == 1:
-        a = log.x[lo:hi]
-    elif variant == 2:
-        a = log.zeta[lo:hi]
-    else:
+    if spec.state == "rho":
         a = np.hstack([log.zeta[lo:hi], log.z[lo:hi]])
+    else:
+        a = getattr(log, spec.state)[lo:hi]
     dims = {"n_a": a.shape[1], "m": u.shape[1]}
     data = RegressionData(variant=variant, grid=grid, dims=dims,
                           delta_a=np.diff(vecv_rows(a[::step]), axis=0),
                           I_aa=_quadratic(a, step, h))
-    if known_B is not None:
-        data.known_B = np.atleast_2d(np.asarray(known_B, dtype=float))
     int_au = _interval_integrals(a, u, step, h)
-    if variant in (1, 2):
+    if spec.state == "x":
         R = np.atleast_2d(np.asarray(R, dtype=float))
         data.I_au = (int_au @ R.T).reshape(s, -1)
-    if variant in (3, 4, 5, 6):
+    else:
+        data.known_B = np.atleast_2d(np.asarray(known_B, dtype=float))
+        data.Gamma_aBu = (int_au @ data.known_B.T).reshape(s, -1)
+    if spec.exo:
         v = log.v[lo:hi]
         dims["q"] = v.shape[1]
         data.Gamma_av = _interval_integrals(a, v, step, h).reshape(s, -1)
-        data.Gamma_aBu = (int_au @ data.known_B.T).reshape(s, -1)
-    if variant in (2, 5, 6):
+    if spec.output_cost:
         data.I_yy = _quadratic(log.y[lo:hi], step, h)
         dims["p"] = log.y.shape[1]
-    if variant in (5, 6):
+    if spec.output_cost and spec.state == "rho":
         data.I_zz = _quadratic(log.z[lo:hi], step, h)
         dims["n_z"] = log.z.shape[1]
     required = required_rank(variant, dims)
@@ -161,13 +174,15 @@ def build_regression(log, grid: SamplingGrid, variant: int,
 
 
 def required_rank(variant, dims):
+    """Unknowns of the stage: vecs(H), plus K or vec(E^T P) where they are fitted."""
+    spec = VARIANTS[variant]
     n_a, m = dims["n_a"], dims["m"]
     half = n_a * (n_a + 1) // 2
-    if variant == 1:
+    if spec.state == "x":
         return half + m * n_a
-    if variant in (3, 5):
+    if spec.exo == "solve":
         return half + dims["q"] * n_a
-    return half  # variant 2; variants 4 and 6: post-identification condition
+    return half  # identifying variants: post-identification condition
 
 
 @dataclass
@@ -187,7 +202,8 @@ def check_rank(data: RegressionData, variant=None) -> RankVerdict:
     exactly-solvable data sets as rank deficient.
     """
     variant = data.variant if variant is None else variant
-    extra = {1: data.I_au, 3: data.Gamma_av, 5: data.Gamma_av}.get(variant)
+    spec = VARIANTS[variant]
+    extra = data.I_au if spec.state == "x" else data.Gamma_av if spec.exo == "solve" else None
     M = data.I_aa if extra is None else np.hstack([data.I_aa, extra])
     s = np.linalg.svd(M, compute_uv=False)
     tol = max(M.shape) * np.finfo(float).eps

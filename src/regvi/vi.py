@@ -3,11 +3,13 @@
 The least-squares stage is affine in the iterate, so it is fitted once per
 run: `_fit_stage` factors the data matrices and returns stage(P) -> (H, K),
 where H estimates A^T P + P A of the learner's system and K is the gain the
-stage assigns to P.  Variants 1, 2, 4 and 6 reduce to vec(H) = L vec(P) + h0,
-one matrix-vector product per iterate.  Variants 3 and 5 keep the exogenous
-matrix E = S W unknown: I_aa is factored once, and each iterate solves only
-for W on the complement of range(I_aa) before back-substituting H.  Variants
-4 and 6 identify E by that same solve at P0 and fold it into L.
+stage assigns to P, as the variant's row of `regression.VARIANTS` says: on
+state x, K is fitted with H, otherwise K = -R^{-1} B^T P is known; without
+an exogenous term vec(H) = L vec(P) + h0, one matrix-vector product per
+iterate.  A solved exogenous matrix E = S W stays unknown: I_aa is factored
+once, and each iterate solves only for W on the complement of range(I_aa)
+before back-substituting H; an identified one is that solve at P0, folded
+into L.
 
 All six variants then share one loop: a Robbins-Monro step on the Riccati
 residual H + Q - K^T R K, a reset to the initial iterate when the update
@@ -22,7 +24,7 @@ from scipy.linalg import solve_triangular
 
 from .csvrows import write_rows
 from .linalg import unvecs, vecs
-from .regression import RegressionData, check_rank
+from .regression import VARIANTS, RegressionData, check_rank
 
 
 class RankConditionError(RuntimeError):
@@ -44,23 +46,23 @@ class ViConfig:
     eps_conv: float
     max_iters: int
     R: np.ndarray
-    Q: np.ndarray | None = None       # Q (variant 1) or Q_rho (variants 3, 4)
-    Q_y: np.ndarray | None = None     # variants 2, 5, 6
-    Q_z: np.ndarray | None = None     # variants 5, 6
+    Q: np.ndarray | None = None       # cost on the learner state
+    Q_y: np.ndarray | None = None     # output cost on y
+    Q_z: np.ndarray | None = None     # output cost on z (state rho)
     bound_scale: float = 1000.0
     bound_shift: float = 20.0
     # Known injection map S for the exogenous matrix, E = S @ W with W the
-    # reduced unknown; required by variants 3-6.  The observer filters and the
-    # internal model admit exogenous signals only through their input columns,
-    # so S is available to the learner; solving the stage for W instead of E
-    # is what keeps the identification error below the level the
+    # reduced unknown; required with an exogenous term.  The observer filters
+    # and the internal model admit exogenous signals only through their input
+    # columns, so S is available to the learner; solving the stage for W
+    # instead of E is what keeps the identification error below the level the
     # ill-conditioned reduced iteration can tolerate.
     E_structure: np.ndarray | None = None
 
     def __post_init__(self):
         self.P0 = np.atleast_2d(np.asarray(self.P0, dtype=float))
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        for name in ("Q", "Q_y", "Q_z"):
+        for name in ("Q", "Q_y", "Q_z", "E_structure"):
             val = getattr(self, name)
             if val is not None:
                 setattr(self, name, np.atleast_2d(np.asarray(val, dtype=float)))
@@ -76,8 +78,6 @@ class ViConfig:
         if not (np.abs(self.R - self.R.T).max() <= 1e-12 * max(1.0, np.abs(self.R).max())
                 and np.linalg.eigvalsh(self.R).min() > 0):
             raise ValueError("R must be symmetric positive definite")
-        if self.E_structure is not None:
-            self.E_structure = np.atleast_2d(np.asarray(self.E_structure, dtype=float))
 
     def eps(self, k):
         return self.eps_num / (k + self.eps_shift)
@@ -139,9 +139,11 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
 
     Returns (stage, E_identified).  stage(P) -> (H, K) solves the stage for
     the iterate P, whose right-hand side is G vec(P) + c; E_identified is
-    the exogenous matrix of variants 4 and 6 and None otherwise.
+    the exogenous matrix of the identifying variants and None otherwise.
     """
-    verdict = check_rank(data, 3 if variant in (4, 6) else variant)
+    spec = VARIANTS[variant]
+    # identifying E needs the rank condition of the variant that solves for it
+    verdict = check_rank(data, 3 if spec.exo == "identify" else variant)
     if not verdict.satisfied:
         raise RankConditionError(
             "rank %d < required %d for variant %d"
@@ -151,9 +153,9 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     D, U = _vec_maps(n)
     G = data.delta_a @ D
     c = np.zeros(G.shape[0])
-    if variant in (2, 5, 6):
+    if spec.output_cost:
         c = c + data.I_yy @ vecs(cfg.Q_y)
-    if variant in (5, 6):
+    if spec.output_cost and spec.state == "rho":
         c = c + data.I_zz @ vecs(cfg.Q_z)
 
     def affine(L_H, h0, L_K):
@@ -163,17 +165,16 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
                     (L_K @ p).reshape((m, n), order="F"))
         return stage
 
-    if variant == 1:
+    if spec.state == "x":
         theta = _lstsq(np.hstack([data.I_aa, -2.0 * data.I_au]), G)
         return affine(U @ theta[:half], 0.0, theta[half:]), None
     # the gain K = -R^{-1} B^T P is known exactly: vec(K) = L_K vec(P)
     L_K = -np.kron(np.eye(n), np.linalg.solve(cfg.R, data.known_B.T))
     Q, R_aa = _qr(data.I_aa, mode="complete")
     lift = U @ solve_triangular(R_aa, Q[:, :half].T, lower=False)   # rhs -> vec(H)
-    if variant == 2:
-        G = G + 2.0 * data.I_au @ L_K
-        return affine(lift @ G, lift @ c, L_K), None
     G = G - 2.0 * data.Gamma_aBu
+    if spec.exo is None:
+        return affine(lift @ G, lift @ c, L_K), None
     # The E term of the rhs is 2 Gamma_av vec(E^T P) with E = S W.  Projected
     # onto Q_c, the complement of range(I_aa), it leaves r*q unknowns vec(W):
     # row (t, a) of Gq holds (Q_c^T Gamma_av)[t, (i, a)] over i.
@@ -187,7 +188,7 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
         W = _lstsq(2.0 * C, Q_c.T @ rhs).reshape((r, q), order="F")
         return S @ W
 
-    if variant in (4, 6):
+    if spec.exo == "identify":
         E = solve_E(cfg.P0, G @ cfg.P0.reshape(-1, order="F") + c)
         G = G - 2.0 * data.Gamma_av @ np.kron(np.eye(n), E.T)
         return affine(lift @ G, lift @ c, L_K), E
@@ -203,24 +204,24 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
 
 def check_vi_inputs(variant, cfg: ViConfig):
     """Raise ValueError unless cfg holds what the variant needs."""
-    # variants 4 and 6 identify E at P0, which needs P0 positive definite
-    if variant in (1, 3, 4, 6) and np.min(np.linalg.eigvalsh(cfg.P0)) <= 0:
+    spec = VARIANTS[variant]
+    # the state-cost variants and those identifying E at P0 need P0 > 0
+    if ((not spec.output_cost or spec.exo == "identify")
+            and np.min(np.linalg.eigvalsh(cfg.P0)) <= 0):
         raise ValueError("variant %d requires a positive definite P0" % variant)
-    if variant in (1, 3, 4) and cfg.Q is None:
-        raise ValueError("variant %d needs the weight Q" % variant)
-    if variant in (2, 5, 6) and cfg.Q_y is None:
-        raise ValueError("variant %d needs Q_y" % variant)
-    if variant in (5, 6) and cfg.Q_z is None:
-        raise ValueError("variant %d needs Q_z" % variant)
-    if variant in (3, 4, 5, 6) and cfg.E_structure is None:
-        raise ValueError("variant %d needs E_structure" % variant)
+    needs = {"Q": not spec.output_cost, "Q_y": spec.output_cost,
+             "Q_z": spec.output_cost and spec.state == "rho",
+             "E_structure": spec.exo is not None}
+    for name, needed in needs.items():
+        if needed and getattr(cfg, name) is None:
+            raise ValueError("variant %d needs %s" % (variant, name))
 
 
 def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
     """Run the value-iteration loop; non-convergence is reported, not raised."""
     check_vi_inputs(variant, cfg)
     stage, E_identified = _fit_stage(variant, data, cfg)
-    Q = cfg.Q if variant in (1, 3, 4) else 0.0
+    Q = 0.0 if VARIANTS[variant].output_cost else cfg.Q
     P = cfg.P0.copy()
     j = 0
     resets = 0

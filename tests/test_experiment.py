@@ -38,12 +38,12 @@ def test_parse_config_rejects_garbage():
     {"h": -1e-3},
     {"t_switch": 90.0},                    # must precede t_end
     {"x0": [1.0, 2.0]},                    # wrong plant dimension
-    {"p_copies": 2},                       # internal model needs p copies
+    {"k0": [[0.0] * 7]},                   # neither n_zeta = 6 nor n_rho = 8 wide
     {"k0": [[1.0, 2.0]]},                  # wrong gain shape
     {"grid_s": 10000},                     # grid escapes the exploration phase
     {"exo_v0": [1.0]},                     # length must match minimal polynomial
     {"observer_poles": [-5.0, -6.0]},      # need n poles
-    {"k0_on": "x", "k0": [[0.0] * 8]},     # k0_on must be 'zeta' or 'rho'
+    {"k0_on": "zeta"},                     # removed field: k0's width picks the state
     {"t_switch": 28.0005},                 # off the grid k*h (h = 1e-3)
     {"t_end": 80.0005},
     {"zeta0": [0.0, 0.0]},                 # n_zeta = 6
@@ -64,12 +64,31 @@ def test_parse_config_rejects_garbage():
     {"tones": [{"amplitude": 1.0, "frequency": 2.0, "gain": 1.0}]},    # unknown key
     {"tones": [{"amplitude": 1.0}]},       # no frequency
     {"grid_dt": 1e-10},                    # on the grid, but zero steps of h
+    {"tones": 3.0},                        # JSON types follow the annotations
+    {"tones": [{"amplitude": "1", "frequency": 2.0}]},
+    {"x0": 1.0},
+    {"x0": ["a", 0, 0]},
+    {"observer_poles": -5.0},
+    {"k0": "abc"},
+    {"zeta0": 0.0},
+    {"h": "0.001"},
+    {"max_iters": 10.5},
+    {"max_iters": True},
+    {"grid_s": 119.5},
+    {"observer_poles": [[-5.0, 0.0, 1.0], -6.0, -7.0]},   # a complex pole is [re, im]
 ])
 def test_validate_config_rejects(patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))
     payload.update(patch)
     with pytest.raises(ConfigError):
         parse_config(json.dumps(payload))
+
+
+def test_k0_on_rho_is_accepted():
+    """A k0 as wide as rho = col(zeta, z) acts on z too."""
+    payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))
+    payload["k0"] = [payload["k0"][0] + [0.5, -0.5]]
+    assert parse_config(json.dumps(payload)).k0 == [[10.0, 8.0, 0.0, 0.0, -4.0, -4.0, 0.5, -0.5]]
 
 
 def test_build_objects_shapes():
@@ -92,8 +111,8 @@ def test_verify_flags_unstabilizable_plant():
         name="bad", plant_a=[[1.0, 0.0], [0.0, -1.0]], plant_b=[[0.0], [1.0]],
         plant_c=[[1.0, 1.0]], plant_e=[[0.0, 0.0], [0.0, 0.0]],
         plant_f=[[0.0, 0.0]], exo_minpoly=[1.0, 0.0], exo_v0=[1.0, 0.0],
-        x0=[0.0, 0.0], observer_poles=[-2.0, -3.0], p_copies=1, tones=[],
-        k0=[[0.0, 0.0, 0.0, 0.0]], k0_on="zeta", grid_t0=1.0, grid_dt=0.1,
+        x0=[0.0, 0.0], observer_poles=[-2.0, -3.0], tones=[],
+        k0=[[0.0, 0.0, 0.0, 0.0]], grid_t0=1.0, grid_dt=0.1,
         grid_s=10, h=1e-3, variant=4, t_switch=4.0, t_end=8.0, settle_time=6.0,
         p0_scale=0.1, eps_num=1.0, eps_shift=1.0, eps_conv=0.01, max_iters=10,
         r=1.0, q_main=1.0)

@@ -6,7 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import regvi
+from regvi.experiment import learn_from_log
+from regvi.oracle import LtiPlant
 
 PACKAGE = Path(regvi.__file__).parent
 LEARNER = ("linalg", "observer", "internal_model", "regression", "vi")
@@ -46,3 +50,16 @@ def test_import_leaves_scipy_signal_unloaded():
     code = ("import sys, regvi; "
             "assert not {'scipy.signal', 'scipy.integrate'} & set(sys.modules)")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_learner_runs_on_known_matrices_only(nonzero_setup, nonzero_run):
+    """learn_from_log takes the log, the variant, the grid, the known input
+    block and the loop parameters -- no plant -- and learns the run's gain."""
+    known, im = nonzero_setup["objs"].known, nonzero_setup["objs"].im
+    B_rho = np.vstack([known.B_zeta, np.zeros((im.n_z, known.B_zeta.shape[1]))])
+    args = (nonzero_setup["log"], 4, nonzero_setup["grid"], B_rho, nonzero_setup["vicfg"])
+    assert not any(isinstance(arg, LtiPlant) for arg in args)
+    _, verdict, result = learn_from_log(*args)
+    assert verdict.satisfied and result.converged
+    gain = np.loadtxt(Path(nonzero_run["out_dir"]) / "learned_gain.csv", delimiter=",", ndmin=2)
+    assert np.array_equal(result.K_final, gain)
