@@ -10,6 +10,7 @@ it.  Blinded runs exploit exactly that boundary.
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin
@@ -141,7 +142,7 @@ def build_objects(cfg: ExperimentConfig) -> ExperimentObjects:
 
 
 def _has_type(value, tp):
-    """Whether a parsed JSON value fits annotation tp (never a bool; floats finite)."""
+    """Whether a parsed JSON value fits annotation tp (never a bool; numbers finite)."""
     if isinstance(tp, UnionType):
         return any(_has_type(value, t) for t in get_args(tp))
     if get_origin(tp) is list:
@@ -153,8 +154,10 @@ def _has_type(value, tp):
                 and all(_has_type(v, known[k]) for k, v in value.items()))
     if isinstance(value, bool):
         return False
+    if isinstance(value, int):      # a JSON integer must also convert to a float
+        return tp in (int, float) and abs(value) <= sys.float_info.max
     if tp is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        return isinstance(value, float) and math.isfinite(value)
     return isinstance(value, tp)
 
 
@@ -185,8 +188,7 @@ def validate_config(cfg: ExperimentConfig):
                               ("zeta0", cfg.zeta0, n_zeta), ("z0", cfg.z0, im.n_z)):
         if given is not None and len(given) != want:
             raise ConfigError("%s length %d does not match %d" % (name, len(given), want))
-    k0 = np.atleast_2d(np.asarray(cfg.k0, dtype=float))
-    if k0.shape not in ((plant.m, n_zeta), (plant.m, n_rho)):
+    if len(cfg.k0) != plant.m or {len(row) for row in cfg.k0} not in ({n_zeta}, {n_rho}):
         raise ConfigError("k0 must be m x %d (on zeta) or m x %d (on rho)" % (n_zeta, n_rho))
     if cfg.grid_t0 + cfg.grid_s * cfg.grid_dt > cfg.t_switch + 1e-9:
         raise ConfigError("sampling grid must fit inside the exploration phase")

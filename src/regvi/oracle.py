@@ -15,7 +15,7 @@ from .internal_model import InternalModel
 from .linalg import char_poly_alpha, is_hurwitz, poly_from_roots
 from .observer import ObserverKnown
 
-RANK_RTOL = 1e-8       # single knob for all numerical-rank thresholds
+RANK_RTOL = 1e-8       # relative rank cutoff of the PBH and Rosenbrock tests
 STABLE_EIG_TOL = 1e-9  # eigenvalues with Re >= -this count as unstable
 
 
@@ -38,18 +38,11 @@ class PbhReport:
     worst_rank_gap: int
 
 
-def _numerical_rank(M):
-    s = scipy.linalg.svdvals(M)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
-
-
 def _worst_rank_gap(pencil, size, eigs):
     """Largest rank gap size - rank(pencil(lam)) over the eigenvalues eigs."""
     worst_gap, worst_eig = 0, None
     for lam in eigs:
-        gap = size - _numerical_rank(pencil(lam))
+        gap = size - np.linalg.matrix_rank(pencil(lam), rtol=RANK_RTOL)
         if gap > worst_gap or worst_eig is None:
             worst_gap, worst_eig = gap, complex(lam)
     return PbhReport(ok=worst_gap == 0, worst_eigenvalue=worst_eig, worst_rank_gap=worst_gap)

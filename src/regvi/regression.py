@@ -195,7 +195,8 @@ class RankVerdict:
 def check_rank(data: RegressionData, variant=None) -> RankVerdict:
     """Numerical-rank verdict for the variant's solvability condition.
 
-    Uses the standard numerical-rank threshold max(shape)*eps*sigma_max.
+    Uses numpy's numerical-rank threshold max(shape)*eps*sigma_max, the
+    cutoff the least-squares solves of `vi` apply too.
     Plants with unreachable stable modes leave an exponentially decaying
     excitation in one data direction, so its singular value is genuinely
     tiny but nonzero; a coarser relative threshold would misreport such
@@ -205,9 +206,7 @@ def check_rank(data: RegressionData, variant=None) -> RankVerdict:
     spec = VARIANTS[variant]
     extra = data.I_au if spec.state == "x" else data.Gamma_av if spec.exo == "solve" else None
     M = data.I_aa if extra is None else np.hstack([data.I_aa, extra])
-    s = np.linalg.svd(M, compute_uv=False)
-    tol = max(M.shape) * np.finfo(float).eps
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.linalg.matrix_rank(M))
     required = required_rank(variant, data.dims)
     return RankVerdict(rank=rank, required=required, satisfied=rank >= required)
 

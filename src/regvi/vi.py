@@ -9,7 +9,8 @@ an exogenous term vec(H) = L vec(P) + h0, one matrix-vector product per
 iterate.  A solved exogenous matrix E = S W stays unknown: I_aa is factored
 once, and each iterate solves only for W on the complement of range(I_aa)
 before back-substituting H; an identified one is that solve at P0, folded
-into L.
+into L.  Every least-squares fit is numpy's, and it fails with
+RankConditionError under the one rank rule `regression.check_rank` applies.
 
 All six variants then share one loop: a Robbins-Monro step on the Riccati
 residual H + Q - K^T R K, a reset to the initial iterate when the update
@@ -97,28 +98,18 @@ class ViResult:
     E_rho_identified: np.ndarray | None = None
 
 
-def _qr(M, mode="reduced"):
-    """QR factors (Q, R) of the tall matrix M, screened for exact singularity."""
-    Q, Rf = np.linalg.qr(M, mode=mode)
-    diag = np.abs(np.diag(Rf))
-    if diag.min() <= RANK_QR_RTOL * diag.max():
-        raise RankConditionError(
-            "stage matrix is numerically rank deficient (needs %d independent columns)"
-            % M.shape[1])
-    return Q, Rf[:M.shape[1]]
-
-
 def _lstsq(M, rhs):
-    """Least-squares solution of M x = rhs for a vector or a matrix rhs."""
-    Q, Rf = _qr(M)
-    return solve_triangular(Rf, Q.T @ rhs, lower=False)
+    """Least-squares solution of M x = rhs for a vector or a matrix rhs.
 
-
-# The data matrices carry directions excited only by decaying plant modes,
-# whose singular values sit barely above roundoff; the QR gate therefore only
-# screens for exact singularity and the meaningful rank decision is made by
-# regression.check_rank.
-RANK_QR_RTOL = 64 * np.finfo(float).eps
+    M must have full column rank under numpy's cutoff
+    max(shape)*eps*sigma_max, the one check_rank applies.
+    """
+    x, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
+    if rank < M.shape[1]:
+        raise RankConditionError(
+            "stage matrix is numerically rank deficient (rank %d < %d columns)"
+            % (rank, M.shape[1]))
+    return x
 
 
 def _vec_maps(n):
@@ -170,8 +161,9 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
         return affine(U @ theta[:half], 0.0, theta[half:]), None
     # the gain K = -R^{-1} B^T P is known exactly: vec(K) = L_K vec(P)
     L_K = -np.kron(np.eye(n), np.linalg.solve(cfg.R, data.known_B.T))
-    Q, R_aa = _qr(data.I_aa, mode="complete")
-    lift = U @ solve_triangular(R_aa, Q[:, :half].T, lower=False)   # rhs -> vec(H)
+    # check_rank has accepted I_aa; its complete QR gives the lift and Q_c
+    Q, R_aa = np.linalg.qr(data.I_aa, mode="complete")
+    lift = U @ solve_triangular(R_aa[:half], Q[:, :half].T, lower=False)   # rhs -> vec(H)
     G = G - 2.0 * data.Gamma_aBu
     if spec.exo is None:
         return affine(lift @ G, lift @ c, L_K), None
@@ -205,8 +197,9 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
 def check_vi_inputs(variant, cfg: ViConfig):
     """Raise ValueError unless cfg holds what the variant needs."""
     spec = VARIANTS[variant]
-    # the state-cost variants and those identifying E at P0 need P0 > 0
-    if ((not spec.output_cost or spec.exo == "identify")
+    # the state-cost variants need P0 > 0, and so does an exogenous term:
+    # its least-squares fit at P0 = 0 is singular
+    if ((not spec.output_cost or spec.exo)
             and np.min(np.linalg.eigvalsh(cfg.P0)) <= 0):
         raise ValueError("variant %d requires a positive definite P0" % variant)
     needs = {"Q": not spec.output_cost, "Q_y": spec.output_cost,
@@ -223,6 +216,7 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
     stage, E_identified = _fit_stage(variant, data, cfg)
     Q = 0.0 if VARIANTS[variant].output_cost else cfg.Q
     P = cfg.P0.copy()
+    norm_P0 = norm_P = np.linalg.norm(P, 2)
     j = 0
     resets = 0
     history = np.empty((cfg.max_iters, 4))
@@ -231,9 +225,10 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
         H, K = stage(P)
         P_tilde = P + eps * (H + Q - K.T @ cfg.R @ K)
         step_metric = np.linalg.norm(P_tilde - P, 2) / eps
-        history[k] = (k, j, np.linalg.norm(P, 2), step_metric)
-        if np.linalg.norm(P_tilde, 2) > cfg.bound_radius(j):
-            P = cfg.P0.copy()
+        history[k] = (k, j, norm_P, step_metric)
+        norm_P = np.linalg.norm(P_tilde, 2)
+        if norm_P > cfg.bound_radius(j):
+            P, norm_P = cfg.P0.copy(), norm_P0
             j += 1
             resets += 1
             continue

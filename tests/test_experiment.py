@@ -76,6 +76,10 @@ def test_parse_config_rejects_garbage():
     {"max_iters": True},
     {"grid_s": 119.5},
     {"observer_poles": [[-5.0, 0.0, 1.0], -6.0, -7.0]},   # a complex pole is [re, im]
+    {"variant": 5, "p0_scale": 0.0, "q_y": 1.0, "q_z": 1.0},   # E solved at P0 = 0
+    {"k0": [[1.0], [1.0, 2.0]]},           # ragged
+    {"grid_s": 10**400},                   # integers beyond the float range
+    {"grid_dt": 10**400},
 ])
 def test_validate_config_rejects(patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))

@@ -52,6 +52,35 @@ def test_import_leaves_scipy_signal_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def _perfbench_names():
+    """The tuples of module-level names perfbench/child.py traces, read by ast."""
+    tree = ast.parse((PACKAGE.parents[1] / "perfbench" / "child.py").read_text())
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            names[node.targets[0].id] = node.value
+
+    def literal(node):    # a tuple literal, a name bound to one, or their sum
+        if isinstance(node, ast.BinOp):
+            return literal(node.left) + literal(node.right)
+        if isinstance(node, ast.Name):
+            return literal(names[node.id])
+        return ast.literal_eval(node)
+    return literal(names["EXPERIMENT_NAMES"]), literal(names["VI_NAMES"])
+
+
+def test_perfbench_traced_names_exist():
+    """Every name the benchmark's tracer rebinds is still a callable of its
+    module, so no per-layer metric silently turns into `missing`."""
+    import regvi.experiment
+    import regvi.vi
+    experiment_names, vi_names = _perfbench_names()
+    assert "vi_run" in experiment_names and "check_rank" in vi_names
+    for module, names in ((regvi.experiment, experiment_names), (regvi.vi, vi_names)):
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, (module.__name__, missing)
+
+
 def test_learner_runs_on_known_matrices_only(nonzero_setup, nonzero_run):
     """learn_from_log takes the log, the variant, the grid, the known input
     block and the loop parameters -- no plant -- and learns the run's gain."""

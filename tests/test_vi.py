@@ -7,9 +7,10 @@ from regvi.internal_model import build_p_copy, recast_exosystem
 from regvi.observer import ObserverKnown
 from regvi.oracle import (LtiPlant, compute_parameterization,
                           place_observer_gain, solve_care, verify_theorem4)
-from regvi.regression import SamplingGrid, build_regression
+from regvi.regression import (RegressionData, SamplingGrid, build_regression,
+                              check_rank)
 from regvi.sim import Tone, simulate, stack_state
-from regvi.vi import (RankConditionError, ViConfig, ViResult, _fit_stage,
+from regvi.vi import (RankConditionError, ViConfig, ViResult, _fit_stage, _lstsq,
                       check_vi_inputs, export_history_csv, vi_run)
 
 
@@ -108,6 +109,29 @@ def test_rank_gate(fullstate_setup):
         vi_run(1, data, cfg)
 
 
+@pytest.mark.parametrize("factor, accepted", [(4.0, True), (0.25, False), (0.0, False)])
+def test_rank_gate_and_lstsq_share_one_threshold(factor, accepted):
+    """sigma_min a little above or below max(shape)*eps*sigma_max, or exactly
+    zero: check_rank and the stage's least-squares solve give one verdict."""
+    rows, half = 400, 6                 # I_aa of a 3-dimensional state x
+    sigma = np.geomspace(1.0, 1e-3, half)
+    sigma[-1] = factor * rows * np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    U = np.linalg.qr(rng.standard_normal((rows, half)))[0]
+    V = np.linalg.qr(rng.standard_normal((half, half)))[0]
+    M = (U * sigma) @ V.T               # singular values sigma
+    if factor == 0.0:
+        M[:, -1] = M[:, 0]              # exactly singular
+    data = RegressionData(variant=2, grid=SamplingGrid(0.0, 0.1, rows),
+                          dims={"n_a": 3, "m": 1}, delta_a=np.zeros((rows, half)), I_aa=M)
+    assert check_rank(data).satisfied == accepted
+    if accepted:
+        assert np.allclose(M @ _lstsq(M, M @ np.ones(half)), M @ np.ones(half))
+    else:
+        with pytest.raises(RankConditionError):
+            _lstsq(M, np.ones(rows))
+
+
 def random_symmetric(n, seed):
     X = np.random.default_rng(seed).standard_normal((n, n))
     return X + X.T
@@ -182,7 +206,7 @@ def test_check_vi_inputs_per_variant(variant):
         else:
             check_vi_inputs(variant, cfg)
     zero_P0 = replace(full, P0=np.zeros((2, 2)))
-    if variant in (1, 3, 4, 6):
+    if variant in (1, 3, 4, 5, 6):
         with pytest.raises(ValueError):
             check_vi_inputs(variant, zero_P0)
     else:
