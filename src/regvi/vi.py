@@ -1,23 +1,31 @@
 """Value-iteration engine over the regression data.
 
-The least-squares stage is affine in the iterate, so it is fitted once per
-run: `_fit_stage` factors the data matrices and returns stage(P) -> (H, K),
-where H estimates A^T P + P A of the learner's system and K is the gain the
-stage assigns to P, as the variant's row of `regression.VARIANTS` says: on
-state x, K is fitted with H, otherwise K = -R^{-1} B^T P is known; without
-an exogenous term vec(H) = L vec(P) + h0, one matrix-vector product per
-iterate.  A solved exogenous matrix E = S W stays unknown: I_aa is factored
-once, and each iterate solves only for W on the complement of range(I_aa)
-before back-substituting H; an identified one is that solve at P0, folded
-into L.  Every least-squares fit is numpy's, and it fails with
+The least-squares stage is affine in the iterate, so `_fit_stage` fits it
+once per run and returns it as a `Stage`: the operator
+vec(H + Q) = L vec(P) + c0, where H estimates A^T P + P A of the learner's
+system and c0 = h0 + vec(Q), and the gain map vec(K) = L_K vec(P).  The
+variant's row of `regression.VARIANTS` says which gain: on state x, K is
+fitted with H; otherwise K = -R^{-1} B^T P is known, so K^T R K = P M P with
+M = B R^{-1} B^T formed once, the update is one matrix-vector product and
+two small products, and K itself is formed only for the final gain.  A
+solved exogenous matrix E = S W stays unknown: I_aa is factored once, and
+each iterate solves only for W on the complement of range(I_aa) and
+subtracts E's term from vec(H); an identified one is that solve at P0,
+folded into L.  Every least-squares fit is numpy's, and it fails with
 RankConditionError under the one rank rule `regression.check_rank` applies.
 
-All six variants then share one loop: a Robbins-Monro step on the Riccati
-residual H + Q - K^T R K, a reset to the initial iterate when the update
-escapes the current bound set, and a stop when the normalized step falls
-below the convergence threshold.
+All six variants then share one loop: a Robbins-Monro step
+P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
+||P~||_2 escapes the current bound set, and a stop when ||P~ - P||_2 / eps_k
+falls below the convergence threshold.  Each test first reads the Frobenius
+bracket ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F and takes the SVD 2-norm only
+when the bracket straddles the threshold, so every decision is the SVD's.
+The history's 2-norms are taken per block of HISTORY_BLOCK iterates in one
+batched call, the same LAPACK SVD per matrix as one call per iterate.
 """
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +34,10 @@ from scipy.linalg import solve_triangular
 from .csvrows import write_rows
 from .linalg import unvecs, vecs
 from .regression import VARIANTS, RegressionData, check_rank
+
+
+HISTORY_BLOCK = 128      # iterates whose history norms are taken in one batched call
+BRACKET_GUARD = 1e-12    # relative rounding margin of the Frobenius bracket
 
 
 class RankConditionError(RuntimeError):
@@ -125,12 +137,45 @@ def _vec_maps(n):
     return D, U
 
 
+@dataclass(frozen=True)
+class Stage:
+    """The least-squares stage of one (variant, data) pair, fitted once.
+
+    vec(H + Q) = L vec(P) + c0 - exo(P, vec(P)), and vec(K) = L_K vec(P).
+    Where K = -R^{-1} B^T P is known, K^T R K = P M P with M = B R^{-1} B^T;
+    M is None where K is fitted with H (state x).  exo is the term of an
+    exogenous matrix solved at every iterate, and None without one.
+    """
+
+    L: np.ndarray
+    c0: np.ndarray
+    L_K: np.ndarray
+    R: np.ndarray
+    M: np.ndarray | None = None
+    exo: Callable | None = None
+
+    def residual(self, P):
+        """H + Q - K^T R K at the iterate P."""
+        p = P.reshape(-1, order="F")
+        v = self.L @ p + self.c0
+        if self.exo is not None:
+            v -= self.exo(P, p)
+        D = v.reshape(P.shape, order="F")
+        if self.M is None:
+            K = self.gain(P)
+            return D - K.T @ self.R @ K
+        return D - P @ self.M @ P
+
+    def gain(self, P):
+        """K at the iterate P."""
+        return (self.L_K @ P.reshape(-1, order="F")).reshape((-1, P.shape[0]), order="F")
+
+
 def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     """Fit the least-squares stage of one (variant, data) pair once.
 
-    Returns (stage, E_identified).  stage(P) -> (H, K) solves the stage for
-    the iterate P, whose right-hand side is G vec(P) + c; E_identified is
-    the exogenous matrix of the identifying variants and None otherwise.
+    Returns (Stage, E_identified); E_identified is the exogenous matrix of
+    the identifying variants and None otherwise.
     """
     spec = VARIANTS[variant]
     # identifying E needs the rank condition of the variant that solves for it
@@ -139,7 +184,7 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
         raise RankConditionError(
             "rank %d < required %d for variant %d"
             % (verdict.rank, verdict.required, variant))
-    n, m = data.dims["n_a"], data.dims["m"]
+    n = data.dims["n_a"]
     half = n * (n + 1) // 2
     D, U = _vec_maps(n)
     G = data.delta_a @ D
@@ -148,25 +193,21 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
         c = c + data.I_yy @ vecs(cfg.Q_y)
     if spec.output_cost and spec.state == "rho":
         c = c + data.I_zz @ vecs(cfg.Q_z)
-
-    def affine(L_H, h0, L_K):
-        def stage(P):
-            p = P.reshape(-1, order="F")
-            return ((L_H @ p + h0).reshape((n, n), order="F"),
-                    (L_K @ p).reshape((m, n), order="F"))
-        return stage
+    vec_Q = 0.0 if spec.output_cost else cfg.Q.reshape(-1, order="F")
 
     if spec.state == "x":
         theta = _lstsq(np.hstack([data.I_aa, -2.0 * data.I_au]), G)
-        return affine(U @ theta[:half], 0.0, theta[half:]), None
+        return Stage(U @ theta[:half], vec_Q, theta[half:], cfg.R), None
     # the gain K = -R^{-1} B^T P is known exactly: vec(K) = L_K vec(P)
-    L_K = -np.kron(np.eye(n), np.linalg.solve(cfg.R, data.known_B.T))
+    F = np.linalg.solve(cfg.R, data.known_B.T)
+    L_K = -np.kron(np.eye(n), F)
+    M = data.known_B @ F
     # check_rank has accepted I_aa; its complete QR gives the lift and Q_c
     Q, R_aa = np.linalg.qr(data.I_aa, mode="complete")
     lift = U @ solve_triangular(R_aa[:half], Q[:, :half].T, lower=False)   # rhs -> vec(H)
     G = G - 2.0 * data.Gamma_aBu
     if spec.exo is None:
-        return affine(lift @ G, lift @ c, L_K), None
+        return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M), None
     # The E term of the rhs is 2 Gamma_av vec(E^T P) with E = S W.  Projected
     # onto Q_c, the complement of range(I_aa), it leaves r*q unknowns vec(W):
     # row (t, a) of Gq holds (Q_c^T Gamma_av)[t, (i, a)] over i.
@@ -175,23 +216,20 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     Q_c = Q[:, half:]
     Gq = (Q_c.T @ data.Gamma_av).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
 
-    def solve_E(P, rhs):
+    def solve_E(P, rhs_c):      # rhs_c: the rhs at P projected onto Q_c
         C = (Gq @ (P.T @ S)).reshape(Q_c.shape[1], q * r)
-        W = _lstsq(2.0 * C, Q_c.T @ rhs).reshape((r, q), order="F")
-        return S @ W
+        return S @ _lstsq(2.0 * C, rhs_c).reshape((r, q), order="F")
 
     if spec.exo == "identify":
-        E = solve_E(cfg.P0, G @ cfg.P0.reshape(-1, order="F") + c)
+        E = solve_E(cfg.P0, Q_c.T @ (G @ cfg.P0.reshape(-1, order="F") + c))
         G = G - 2.0 * data.Gamma_av @ np.kron(np.eye(n), E.T)
-        return affine(lift @ G, lift @ c, L_K), E
+        return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M), E
+    G_c, c_c, lift_av = Q_c.T @ G, Q_c.T @ c, 2.0 * lift @ data.Gamma_av
 
-    def stage(P):
-        p = P.reshape(-1, order="F")
-        rhs = G @ p + c
-        E = solve_E(P, rhs)
-        H = lift @ (rhs - 2.0 * data.Gamma_av @ (E.T @ P).reshape(-1, order="F"))
-        return H.reshape((n, n), order="F"), (L_K @ p).reshape((m, n), order="F")
-    return stage, None
+    def exo(P, p):
+        E = solve_E(P, G_c @ p + c_c)
+        return lift_av @ (E.T @ P).reshape(-1, order="F")
+    return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M, exo), None
 
 
 def check_vi_inputs(variant, cfg: ViConfig):
@@ -210,35 +248,68 @@ def check_vi_inputs(variant, cfg: ViConfig):
             raise ValueError("variant %d needs %s" % (variant, name))
 
 
+def _frobenius_bracket(A):
+    """(lo, hi) with lo <= ||A||_2 <= hi, as np.linalg.norm(A, 2) computes it.
+
+    ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F, each side widened by a relative
+    guard for rounding; a non-finite A gets (0, inf), which decides nothing.
+    """
+    f = math.sqrt(np.vdot(A, A))
+    if not math.isfinite(f):
+        return 0.0, math.inf
+    return f / math.sqrt(A.shape[0]) * (1.0 - BRACKET_GUARD), f * (1.0 + BRACKET_GUARD)
+
+
+def _history_norms(rows, P_k, P_tilde, eps):
+    """Fill the normP and step_metric columns of history rows from their iterates."""
+    b = len(rows)
+    rows[:, 2] = np.linalg.norm(P_k[:b], 2, axis=(1, 2))
+    rows[:, 3] = np.linalg.norm(P_tilde[:b] - P_k[:b], 2, axis=(1, 2)) / eps[:b]
+
+
 def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
     """Run the value-iteration loop; non-convergence is reported, not raised."""
     check_vi_inputs(variant, cfg)
     stage, E_identified = _fit_stage(variant, data, cfg)
-    Q = 0.0 if VARIANTS[variant].output_cost else cfg.Q
     P = cfg.P0.copy()
-    norm_P0 = norm_P = np.linalg.norm(P, 2)
-    j = 0
-    resets = 0
+    j = 0                               # bound-set index = resets so far
     history = np.empty((cfg.max_iters, 4))
+    # the iterates of the rows since history row `start`, normed in one call
+    block_P = np.empty((HISTORY_BLOCK,) + P.shape)
+    block_P_tilde = np.empty_like(block_P)
+    block_eps = np.empty(HISTORY_BLOCK)
+    start = 0
+    converged = False
     for k in range(cfg.max_iters):
         eps = cfg.eps(k)
-        H, K = stage(P)
-        P_tilde = P + eps * (H + Q - K.T @ cfg.R @ K)
-        step_metric = np.linalg.norm(P_tilde - P, 2) / eps
-        history[k] = (k, j, norm_P, step_metric)
-        norm_P = np.linalg.norm(P_tilde, 2)
-        if norm_P > cfg.bound_radius(j):
-            P, norm_P = cfg.P0.copy(), norm_P0
+        P_tilde = P + eps * stage.residual(P)
+        i = k - start
+        block_P[i], block_P_tilde[i], block_eps[i] = P, P_tilde, eps
+        history[k, 1] = j
+        if i == HISTORY_BLOCK - 1:
+            _history_norms(history[start:k + 1], block_P, block_P_tilde, block_eps)
+            start = k + 1
+        # escape from the bound set: ||P~||_2 > radius
+        radius = cfg.bound_radius(j)
+        lo, hi = _frobenius_bracket(P_tilde)
+        if hi > radius and (lo > radius or np.linalg.norm(P_tilde, 2) > radius):
+            P = cfg.P0.copy()
             j += 1
-            resets += 1
             continue
-        if step_metric < cfg.eps_conv:
-            return ViResult(P_final=P, K_final=K, iters=k + 1, resets=resets,
-                            converged=True, history=history[:k + 1],
-                            E_rho_identified=E_identified)
+        # convergence: ||P~ - P||_2 / eps < eps_conv
+        step = P_tilde - P
+        lo, hi = _frobenius_bracket(step)
+        if lo / eps < cfg.eps_conv and (hi / eps < cfg.eps_conv
+                                        or np.linalg.norm(step, 2) / eps < cfg.eps_conv):
+            converged = True
+            break
         P = P_tilde
-    return ViResult(P_final=P, K_final=stage(P)[1], iters=cfg.max_iters, resets=resets,
-                    converged=False, history=history,
+    iters = k + 1 if converged else cfg.max_iters
+    history = history[:iters]
+    _history_norms(history[start:], block_P, block_P_tilde, block_eps)
+    history[:, 0] = np.arange(iters)
+    return ViResult(P_final=P, K_final=stage.gain(P), iters=iters, resets=j,
+                    converged=converged, history=history,
                     E_rho_identified=E_identified)
 
 

@@ -154,6 +154,18 @@ def test_report_carries_published_reference(nonzero_run):
     assert payload["paper_reference"]["reported_iterations"] == 10602
 
 
+def test_report_carries_vi_resets_and_final_step(zero_run):
+    """The reset iterations and the final step metric are those of vi_history.csv."""
+    out_dir, cfg = zero_run["out_dir"], zero_run["cfg"]
+    payload = json.load(open(os.path.join(out_dir, "report.json")))
+    history = np.loadtxt(os.path.join(out_dir, "vi_history.csv"), delimiter=",", skiprows=1)
+    resets = payload["vi_reset_iterations"]
+    assert len(resets) == payload["resets"] > 0
+    for k in resets:                    # the epoch j moves on right after each reset
+        assert history[k + 1, 1] == history[k, 1] + 1
+    assert payload["vi_final_step_metric"] == history[-1, 3] < cfg.eps_conv
+
+
 def test_trajectory_continues_exploration_log(nonzero_run, nonzero_setup):
     """Up to t_switch the trajectory holds exactly the states the learner saw."""
     log, cfg = nonzero_setup["log"], nonzero_run["cfg"]

@@ -90,6 +90,37 @@ def test_reset_counting(fullstate_setup):
     assert np.array_equal(res.history[:, 1], np.arange(25))   # j increments
 
 
+@pytest.mark.parametrize("P0_diag, radius, resets", [
+    ((1.0, 1.0, 1.0), 1.5, 0),      # ||P~||_2 < radius < ||P~||_F: the bracket straddles
+    ((1.0, 1.0, 1.0), 0.9, 1),      # radius < ||P~||_2
+    ((1.0, 0.1, 0.1), 0.9, 1),      # ||P~||_F / sqrt(3) < radius < ||P~||_2: straddles
+])
+def test_bound_test_is_the_exact_norm(fullstate_setup, P0_diag, radius, resets):
+    """Iterate 0 escapes the first bound set exactly when ||P~_0||_2 exceeds its
+    radius, also where the Frobenius bracket cannot tell."""
+    c = 0.5
+    cfg = ViConfig(P0=c * np.diag(P0_diag), eps_num=1e-6, eps_shift=1.0, eps_conv=1e-12,
+                   max_iters=1, R=np.eye(1), Q=np.eye(3),
+                   bound_scale=radius * c, bound_shift=1.0)
+    assert vi_run(1, fullstate_setup["data"], cfg).resets == resets
+
+
+@pytest.mark.parametrize("ratio, converged", [(1.05, True), (0.9, False)])
+def test_convergence_test_is_the_exact_norm(fullstate_setup, ratio, converged):
+    """eps_conv a little above or below the step metric ||P~_0 - P0||_2 / eps_0,
+    and inside its Frobenius bracket: only the exact norm can decide."""
+    data = fullstate_setup["data"]
+    cfg = ViConfig(P0=0.5 * np.eye(3), eps_num=1e-6, eps_shift=1.0, eps_conv=1e-12,
+                   max_iters=1, R=np.eye(1), Q=np.eye(3))
+    metric = vi_run(1, data, cfg).history[0, 3]
+    stage, _ = _fit_stage(1, data, cfg)
+    eps = cfg.eps(0)
+    fro = np.linalg.norm(cfg.P0 + eps * stage.residual(cfg.P0) - cfg.P0) / eps
+    eps_conv = ratio * metric
+    assert fro / np.sqrt(3) < eps_conv < fro
+    assert vi_run(1, data, replace(cfg, eps_conv=eps_conv)).converged == converged
+
+
 def test_nonconvergence_reported(fullstate_setup):
     cfg = ViConfig(P0=0.05 * np.eye(3), eps_num=5.0, eps_shift=5.0, eps_conv=1e-12,
                    max_iters=30, R=np.eye(1), Q=np.eye(3))
@@ -132,13 +163,76 @@ def test_rank_gate_and_lstsq_share_one_threshold(factor, accepted):
             _lstsq(M, np.ones(rows))
 
 
+def reference_vi(stage, cfg):
+    """The loop as it stood before the fused update, the Frobenius bracket and
+    the blocked history: H and K at every iterate, the residual H + Q - K^T R K,
+    and two SVD 2-norms per iterate.  Returns (history, K_final)."""
+    n = cfg.P0.shape[0]
+    h0 = stage.c0 - cfg.Q.reshape(-1, order="F")
+    P = cfg.P0.copy()
+    norm_P0 = norm_P = np.linalg.norm(P, 2)
+    j = 0
+    history = np.empty((cfg.max_iters, 4))
+    for k in range(cfg.max_iters):
+        eps = cfg.eps(k)
+        H = (stage.L @ P.reshape(-1, order="F") + h0).reshape((n, n), order="F")
+        K = stage.gain(P)
+        P_tilde = P + eps * (H + cfg.Q - K.T @ cfg.R @ K)
+        step_metric = np.linalg.norm(P_tilde - P, 2) / eps
+        history[k] = (k, j, norm_P, step_metric)
+        norm_P = np.linalg.norm(P_tilde, 2)
+        if norm_P > cfg.bound_radius(j):
+            P, norm_P = cfg.P0.copy(), norm_P0
+            j += 1
+            continue
+        if step_metric < cfg.eps_conv:
+            return history[:k + 1], K
+        P = P_tilde
+    return history, stage.gain(P)
+
+
+def test_history_matches_reference_loop_across_blocks(fullstate_setup):
+    """300 iterates (two full history blocks and a partial one) with resets:
+    the history and the gain are bitwise those of the reference loop."""
+    data = fullstate_setup["data"]
+    cfg = ViConfig(P0=0.05 * np.eye(3), eps_num=0.5, eps_shift=5.0, eps_conv=1e-12,
+                   max_iters=300, R=np.eye(1), Q=np.eye(3), bound_scale=0.2, bound_shift=1.0)
+    res = vi_run(1, data, cfg)
+    history, K_final = reference_vi(_fit_stage(1, data, cfg)[0], cfg)
+    assert res.resets >= 1 and res.iters == 300 and not res.converged
+    assert np.array_equal(res.history, history)
+    assert np.array_equal(res.K_final, K_final)
+
+
+def test_fused_history_matches_reference_loop(nonzero_setup):
+    """Variant 4, whose update is fused: 300 iterates agree with the reference loop."""
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
+                            known_B=nonzero_setup["objs"].B_rho)
+    cfg = replace(nonzero_setup["vicfg"], max_iters=300)
+    res = vi_run(4, data, cfg)
+    history, K_final = reference_vi(_fit_stage(4, data, cfg)[0], cfg)
+    assert res.iters == 300
+    assert np.array_equal(res.history[:, :2], history[:, :2])
+    assert np.max(np.abs(res.history[:, 2:] - history[:, 2:]) / np.abs(history[:, 2:])) <= 1e-12
+    assert rel(res.K_final, K_final) <= 1e-12
+
+
 def random_symmetric(n, seed):
     X = np.random.default_rng(seed).standard_normal((n, n))
     return X + X.T
 
 
-def test_stage_matches_lyapunov_operator_two_inputs():
-    """Variant 1 on a 2-input plant: H(P) = A^T P + P A and K(P) = -R^{-1} B^T P."""
+def stage_H_K(stage, P, Q):
+    """H and K of the fitted stage at P, read back from its residual H + Q - K^T R K."""
+    K = stage.gain(P)
+    return stage.residual(P) - Q + K.T @ stage.R @ K, K
+
+
+TWO_INPUT_R = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+
+def two_input_log(t_end):
+    """A 3-state, 2-input, 1-output plant explored by four tones up to t_end."""
     plant = LtiPlant(A=[[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [0.3, 0.0, -1.5]],
                      B=[[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]], C=[[1.0, 0.0, 0.0]],
                      E=np.zeros((3, 1)), F=np.zeros((1, 1)))
@@ -147,8 +241,14 @@ def test_stage_matches_lyapunov_operator_two_inputs():
              Tone(1.0, 5.3, channel=0), Tone(1.0, 9.1, channel=1)]
     exo, im = recast_exosystem([0.0], [0.0]), build_p_copy([0.0], 1)
     log = simulate(plant, exo, known, im, np.zeros((plant.m, known.n_zeta + im.n_z)),
-                   stack_state(exo, known, im, [1.0, -1.0, 0.5]), (0.0, 6.0), 1e-3, tones)
-    R = np.array([[2.0, 0.5], [0.5, 1.0]])
+                   stack_state(exo, known, im, [1.0, -1.0, 0.5]), (0.0, t_end), 1e-3, tones)
+    return plant, known, log
+
+
+def test_stage_matches_lyapunov_operator_two_inputs():
+    """Variant 1 on a 2-input plant: H(P) = A^T P + P A and K(P) = -R^{-1} B^T P."""
+    plant, _, log = two_input_log(6.0)
+    R = TWO_INPUT_R
     data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=40), 1, R=R)
     cfg = ViConfig(P0=np.eye(3), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
                    max_iters=10, R=R, Q=np.eye(3))
@@ -156,7 +256,7 @@ def test_stage_matches_lyapunov_operator_two_inputs():
     assert E is None
     for seed in range(3):
         P = random_symmetric(3, seed)
-        H, K = stage(P)
+        H, K = stage_H_K(stage, P, cfg.Q)
         assert rel(H, plant.A.T @ P + P @ plant.A) <= 1e-6
         assert rel(K, -np.linalg.solve(R, plant.B.T @ P)) <= 1e-6
 
@@ -171,10 +271,33 @@ def test_stage_matches_lyapunov_operator_structured(nonzero_setup):
         stage, _ = _fit_stage(variant, data, vicfg)
         for seed in range(3):
             P = random_symmetric(8, seed)
-            H, K = stage(P)
+            H, K = stage_H_K(stage, P, vicfg.Q)
             assert rel(H, aux.A_rho.T @ P + P @ aux.A_rho) <= 1e-3
             assert np.allclose(K, -np.linalg.solve(vicfg.R, aux.B_rho.T) @ P,
                                rtol=0, atol=1e-12)
+
+
+def test_fused_residual_two_inputs():
+    """Variant 2 with m = 2: the fused residual unvec(L vec P + c0) - P M P is
+    unvec(L vec P + h0) + Q - K^T R K with the known gain K = -R^{-1} B^T P."""
+    _, known, log = two_input_log(12.0)
+    R, B = TWO_INPUT_R, known.B_zeta
+    data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=100), 2, R=R, known_B=B)
+    cfg = ViConfig(P0=np.eye(known.n_zeta), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
+                   max_iters=10, R=R, Q_y=np.eye(1))
+    stage, _ = _fit_stage(2, data, cfg)
+    n = known.n_zeta
+    Q = np.zeros((n, n))                # the output cost enters through h0
+    h0 = stage.c0 - Q.reshape(-1, order="F")
+    for seed in range(3):
+        P = random_symmetric(n, seed)
+        p = P.reshape(-1, order="F")
+        fused = (stage.L @ p + stage.c0).reshape((n, n), order="F") - P @ stage.M @ P
+        K = -np.linalg.solve(R, B.T @ P)
+        H = (stage.L @ p + h0).reshape((n, n), order="F")
+        assert rel(fused, H + Q - K.T @ R @ K) <= 1e-12
+        assert rel(stage.residual(P), fused) <= 1e-12
+        assert rel(stage.gain(P), K) <= 1e-12
 
 
 def test_vi_run_structured_input_errors(nonzero_setup):
@@ -243,6 +366,21 @@ def test_variant4_matches_oracle(nonzero_setup, nonzero_vi_runs):
 def test_variant3_variant4_agree(nonzero_vi_runs):
     res3, res4 = nonzero_vi_runs
     assert rel(res3.P_final, res4.P_final) <= 0.01
+
+
+@pytest.mark.parametrize("seed", [1, 9, 14, 28])
+def test_zero_preset_converges_on_held_out_phases(zero_setup, seed):
+    """paper-e-zero with every exploration tone phase redrawn from U(-0.1, 0.1)
+    rad by numpy.random.default_rng(seed), one draw per tone in order."""
+    cfg, objs = zero_setup["cfg"], zero_setup["objs"]
+    rng = np.random.default_rng(seed)
+    tones = [Tone(**{**t, "phase": float(rng.uniform(-0.1, 0.1))}) for t in cfg.tones]
+    K0 = np.hstack([cfg.k0, np.zeros((objs.plant.m, objs.im.n_z))])
+    log = simulate(objs.plant, objs.exo, objs.known, objs.im, K0,
+                   stack_state(objs.exo, objs.known, objs.im, cfg.x0, cfg.zeta0, cfg.z0),
+                   (0.0, cfg.t_switch), cfg.h, tones)
+    data = build_regression(log, zero_setup["grid"], cfg.variant, known_B=objs.B_rho)
+    assert vi_run(cfg.variant, data, zero_setup["vicfg"]).converged
 
 
 # ---------------------------------------------------------------------------
