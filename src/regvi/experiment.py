@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin
@@ -261,17 +262,24 @@ class ExperimentReport:
     vi_reset_iterations: list         # the iterate k of each reset
     vi_final_step_metric: float       # ||P~ - P||_2 / eps at the last iterate
     converged: bool
-    tracking_max_error: float
+    tracking_max_error: float | None  # None in the partial report of a run that did not converge
     files: dict
     gain_error: float | None = None
     e_rho_error: float | None = None
     theorem4_deviation: float | None = None
     theorem4_gain_deviation: float | None = None
     paper_reference: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)  # wall seconds per pipeline layer
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentReport:
     """Run the full pipeline and write every artifact under out_dir."""
+    timings, clock = {}, [time.perf_counter()]
+
+    def lap(name):                      # add the wall seconds since the last lap to name
+        clock.append(time.perf_counter())
+        timings[name] = timings.get(name, 0.0) + clock[-1] - clock[-2]
+
     objs = validate_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     plant, exo, im, known = objs.plant, objs.exo, objs.im, objs.known
@@ -288,13 +296,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
     if K0.shape[1] == known.n_zeta:
         K0 = np.hstack([K0, np.zeros((plant.m, im.n_z))])
     files = {}
+    lap("setup_s")
     log_explore = simulate(plant, exo, known, im, K0,
                            stack_state(exo, known, im, cfg.x0, cfg.zeta0, cfg.z0),
                            (0.0, cfg.t_switch), cfg.h,
                            [Tone(**t) for t in cfg.tones], diag=diag)
+    lap("explore_sim_s")
     known_B = {"x": None, "zeta": known.B_zeta, "rho": objs.B_rho}[spec.state]
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
     data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B, vicfg)
+    lap("learn_s")
     files.update(export_regression_csv(data, out_dir))
     history_path = os.path.join(out_dir, "vi_history.csv")
     export_history_csv(vires, history_path)
@@ -303,33 +314,37 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
     with open(gain_path, "w") as fh:
         write_rows(fh, np.atleast_2d(vires.K_final))
     files["learned_gain"] = gain_path
-    if not vires.converged:
-        _write_manifest(out_dir, files)
-        raise NotConvergedError("VI did not converge in %d iterations" % cfg.max_iters)
-
-    log_full = join_logs(log_explore, simulate(
-        plant, exo, known, im, vires.K_final, log_explore.final_state,
-        (cfg.t_switch, cfg.t_end), cfg.h, diag=diag))
-    traj_path = os.path.join(out_dir, "trajectory.csv")
-    export_trajectory_csv(log_full, traj_path)
-    files["trajectory"] = traj_path
-    settle_mask = log_full.times >= cfg.settle_time
-    tracking_max = float(np.abs(log_full.e[settle_mask]).max())
-    track_path = os.path.join(out_dir, "tracking_error.csv")
-    post = log_full.times >= cfg.t_switch
-    with open(track_path, "w") as fh:
-        fh.write("t," + ",".join("e_%d" % (i + 1) for i in range(log_full.e.shape[1])) + "\n")
-        write_rows(fh, np.column_stack([log_full.times[post], log_full.e[post]]))
-    files["tracking_error"] = track_path
-
+    lap("other_exports_s")
     report = ExperimentReport(name=cfg.name, variant=cfg.variant, blinded=blinded,
                               rank=verdict.rank, rank_required=verdict.required,
                               iters=vires.iters, resets=vires.resets,
                               vi_reset_iterations=np.flatnonzero(
                                   np.diff(vires.history[:, 1])).tolist(),
                               vi_final_step_metric=float(vires.history[-1, 3]),
-                              converged=vires.converged,
-                              tracking_max_error=tracking_max, files=files)
+                              converged=vires.converged, tracking_max_error=None,
+                              files=files, paper_reference=_paper_reference(cfg),
+                              timings=timings)
+    if not vires.converged:
+        _write_report(out_dir, report)
+        raise NotConvergedError("VI did not converge in %d iterations" % cfg.max_iters)
+
+    log_full = join_logs(log_explore, simulate(
+        plant, exo, known, im, vires.K_final, log_explore.final_state,
+        (cfg.t_switch, cfg.t_end), cfg.h, diag=diag))
+    lap("closed_loop_sim_s")
+    traj_path = os.path.join(out_dir, "trajectory.csv")
+    export_trajectory_csv(log_full, traj_path)
+    files["trajectory"] = traj_path
+    lap("trajectory_export_s")
+    settle_mask = log_full.times >= cfg.settle_time
+    report.tracking_max_error = float(np.abs(log_full.e[settle_mask]).max())
+    track_path = os.path.join(out_dir, "tracking_error.csv")
+    post = log_full.times >= cfg.t_switch
+    with open(track_path, "w") as fh:
+        fh.write("t," + ",".join("e_%d" % (i + 1) for i in range(log_full.e.shape[1])) + "\n")
+        write_rows(fh, np.column_stack([log_full.times[post], log_full.e[post]]))
+    files["tracking_error"] = track_path
+    lap("other_exports_s")
     if not blinded and spec.state == "rho":
         if not spec.output_cost:
             K_opt = solve_care(aux.A_rho, aux.B_rho, vicfg.Q, vicfg.R).K
@@ -343,22 +358,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
         if vires.E_rho_identified is not None:
             report.e_rho_error = float(np.linalg.norm(vires.E_rho_identified - aux.E_rho, "fro")
                                        / np.linalg.norm(aux.E_rho, "fro"))
-    report.paper_reference = _paper_reference(cfg)
-    report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        payload = asdict(report)
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-    files["report"] = report_path
-    _write_manifest(out_dir, files)
+    _write_report(out_dir, report)
     return report
 
 
-def _write_manifest(out_dir, files):
+def _write_report(out_dir, report):
+    """Write report.json, then manifest.json naming every file written so far."""
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "w") as fh:
+        json.dump(asdict(report), fh, indent=2, sort_keys=True, default=str)
+    report.files["report"] = path
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
-        json.dump({k: os.path.basename(v) for k, v in sorted(files.items())},
+        json.dump({k: os.path.basename(v) for k, v in report.files.items()},
                   fh, indent=2, sort_keys=True)
-    files["manifest"] = path
+    report.files["manifest"] = path
 
 
 def _paper_reference(cfg):

@@ -1,0 +1,89 @@
+"""The shared CSV row writer: per-value "%.17g" bytes for every split of a table."""
+
+import os
+
+import numpy as np
+import pytest
+
+from regvi import csvrows
+from regvi.csvrows import MIN_VALUES_PER_WRITER, ROWS_PER_WRITE, write_rows
+
+COLS = 5
+SPLIT_ROWS = 2 * MIN_VALUES_PER_WRITER // COLS   # fewest rows that two writers share
+ROW_COUNTS = (0, 1, 300, SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1, 3 * SPLIT_ROWS + 77)
+HOST_CPUS = len(os.sched_getaffinity(0))
+
+
+@pytest.fixture(scope="module")
+def table():
+    """Random rows holding nan, +-inf, -0 and 1e+-300, with their per-value lines."""
+    assert all(count % ROWS_PER_WRITE for count in ROW_COUNTS[2:])   # ranges end mid-block
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((max(ROW_COUNTS), COLS))
+    rows[:, 1] *= 1e-300
+    rows[:, 2] *= 1e300
+    rows[5, 0] = np.nan
+    rows[7, 3] = -0.0
+    rows[SPLIT_ROWS, 4] = np.inf
+    rows[-1, 4] = -np.inf
+    lines = [",".join("%.17g" % val for val in row) + "\n" for row in rows]
+    return rows, lines
+
+
+def _count_forks(monkeypatch):
+    """Record the pid of every child os.fork starts from here on."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _pin_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [1, None, 4 * HOST_CPUS + 5], ids=["one", "host", "more"])
+@pytest.mark.parametrize("count", ROW_COUNTS)
+def test_write_rows_matches_per_value_format(table, tmp_path, monkeypatch, count, cpus):
+    rows, lines = table
+    if cpus is not None:
+        _pin_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    path = tmp_path / "rows.csv"
+    with open(path, "w") as fh:
+        fh.write("head\n")
+        write_rows(fh, rows[:count])
+        fh.write("tail\n")
+    assert path.read_text() == "head\n" + "".join(lines[:count]) + "tail\n"
+    writers = min(cpus or HOST_CPUS, max(1, count * COLS // MIN_VALUES_PER_WRITER))
+    assert len(forks) == writers - 1           # one per CPU, never one per value
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_failing_writer_raises_and_leaves_no_file(table, tmp_path, monkeypatch, where):
+    """A writer that fails in a child or in the caller raises, reaps every child
+    and leaves only the output file behind."""
+    rows, _ = table
+    _pin_cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    test_pid, write_blocks = os.getpid(), csvrows._write_blocks
+
+    def failing_write_blocks(fh, block_rows, fmt):
+        if (os.getpid() != test_pid) == (where == "child"):
+            raise ValueError("formatter failed")
+        write_blocks(fh, block_rows, fmt)
+    monkeypatch.setattr(csvrows, "_write_blocks", failing_write_blocks)
+    with open(tmp_path / "rows.csv", "w") as fh:
+        with pytest.raises(OSError if where == "child" else ValueError):
+            write_rows(fh, rows)
+    assert len(forks) == 2
+    for pid in forks:                          # already reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["rows.csv"]

@@ -131,6 +131,11 @@ def _quick_nonzero(**patch):
     return parse_config(json.dumps(payload))
 
 
+def _load_json(*path):
+    with open(os.path.join(*path)) as fh:
+        return json.load(fh)
+
+
 def test_run_experiment_not_converged(tmp_path):
     cfg = _quick_nonzero(max_iters=60)
     with pytest.raises(NotConvergedError):
@@ -138,6 +143,15 @@ def test_run_experiment_not_converged(tmp_path):
     # partial artifacts still land on disk for post-mortem
     assert os.path.exists(tmp_path / "manifest.json")
     assert os.path.exists(tmp_path / "vi_history.csv")
+    payload = _load_json(tmp_path, "report.json")
+    history = np.loadtxt(tmp_path / "vi_history.csv", delimiter=",", skiprows=1)
+    assert payload["converged"] is False and payload["tracking_max_error"] is None
+    assert payload["iters"] == len(history) == 60
+    assert payload["resets"] == len(payload["vi_reset_iterations"])
+    assert payload["vi_final_step_metric"] == history[-1, 3]
+    assert set(payload["timings"]) == {"setup_s", "explore_sim_s", "learn_s", "other_exports_s"}
+    listed = _load_json(tmp_path, "manifest.json").values()
+    assert sorted(os.listdir(tmp_path)) == sorted([*listed, "manifest.json"])
 
 
 def test_run_experiment_rank_failure(tmp_path):
@@ -164,6 +178,22 @@ def test_report_carries_vi_resets_and_final_step(zero_run):
     for k in resets:                    # the epoch j moves on right after each reset
         assert history[k + 1, 1] == history[k, 1] + 1
     assert payload["vi_final_step_metric"] == history[-1, 3] < cfg.eps_conv
+
+
+@pytest.mark.parametrize("run", ["zero_run", "nonzero_run"])
+def test_out_dir_holds_exactly_the_manifest(run, request):
+    """No part file of the row writers leaks into a run's artifacts."""
+    out_dir = request.getfixturevalue(run)["out_dir"]
+    listed = _load_json(out_dir, "manifest.json").values()
+    assert sorted(os.listdir(out_dir)) == sorted([*listed, "manifest.json"])
+
+
+def test_report_carries_layer_timings(nonzero_run):
+    timings = _load_json(nonzero_run["out_dir"], "report.json")["timings"]
+    assert set(timings) == {"setup_s", "explore_sim_s", "learn_s", "closed_loop_sim_s",
+                            "trajectory_export_s", "other_exports_s"}
+    assert all(t >= 0 for t in timings.values())
+    assert sum(timings.values()) <= nonzero_run["elapsed"]
 
 
 def test_trajectory_continues_exploration_log(nonzero_run, nonzero_setup):
