@@ -241,7 +241,8 @@ def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig):
     data = build_regression(log, grid, variant, R=vicfg.R, known_B=known_B)
     verdict = check_rank(data)
     if not verdict.satisfied:
-        raise RankConditionError("rank %d < required %d" % (verdict.rank, verdict.required))
+        raise RankConditionError("rank %d < required %d" % (verdict.rank, verdict.required),
+                                 verdict.rank, verdict.required)
     result = vi_run(variant, data, vicfg)
     return data, verdict, result
 
@@ -257,10 +258,12 @@ class ExperimentReport:
     blinded: bool
     rank: int
     rank_required: int
-    iters: int
-    resets: int
-    vi_reset_iterations: list         # the iterate k of each reset
-    vi_final_step_metric: float       # ||P~ - P||_2 / eps at the last iterate
+    # iters, resets, vi_reset_iterations and vi_final_step_metric are None in
+    # the partial report of a run that failed its rank condition
+    iters: int | None
+    resets: int | None
+    vi_reset_iterations: list | None  # the iterate k of each reset
+    vi_final_step_metric: float | None  # ||P~ - P||_2 / eps at the last iterate
     converged: bool
     tracking_max_error: float | None  # None in the partial report of a run that did not converge
     files: dict
@@ -304,7 +307,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
     lap("explore_sim_s")
     known_B = {"x": None, "zeta": known.B_zeta, "rho": objs.B_rho}[spec.state]
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
-    data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B, vicfg)
+    try:
+        data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B, vicfg)
+    except RankConditionError as exc:
+        lap("learn_s")
+        _write_report(out_dir, ExperimentReport(
+            name=cfg.name, variant=cfg.variant, blinded=blinded, rank=exc.rank,
+            rank_required=exc.required, iters=None, resets=None, vi_reset_iterations=None,
+            vi_final_step_metric=None, converged=False, tracking_max_error=None,
+            files=files, paper_reference=_paper_reference(cfg), timings=timings))
+        raise
     lap("learn_s")
     files.update(export_regression_csv(data, out_dir))
     history_path = os.path.join(out_dir, "vi_history.csv")

@@ -17,31 +17,28 @@ RankConditionError under the one rank rule `regression.check_rank` applies.
 All six variants then share one loop: a Robbins-Monro step
 P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
 ||P~||_2 escapes the current bound set, and a stop when ||P~ - P||_2 / eps_k
-falls below the convergence threshold.  Each test first reads the Frobenius
-bracket ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F and takes the SVD 2-norm only
-when the bracket straddles the threshold, so every decision is the SVD's.
-The history's 2-norms are taken per block of HISTORY_BLOCK iterates in one
-batched call, the same LAPACK SVD per matrix as one call per iterate.
+falls below the convergence threshold.  The iterates are symmetric up to the
+rounding of the update, so both 2-norms are the largest |eigenvalue| of one
+eigvalsh call on the pair (P~, P~ - P), which reads one triangle; the two
+tests and the history row read those same two numbers.
 """
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .csvrows import write_rows
 from .linalg import unvecs, vecs
 from .regression import VARIANTS, RegressionData, check_rank
 
 
-HISTORY_BLOCK = 128      # iterates whose history norms are taken in one batched call
-BRACKET_GUARD = 1e-12    # relative rounding margin of the Frobenius bracket
-
-
 class RankConditionError(RuntimeError):
     """The data matrix lacks the full column rank the variant requires."""
+
+    def __init__(self, message, rank, required):
+        super().__init__(message)
+        self.rank, self.required = rank, required
 
 
 @dataclass
@@ -120,7 +117,7 @@ def _lstsq(M, rhs):
     if rank < M.shape[1]:
         raise RankConditionError(
             "stage matrix is numerically rank deficient (rank %d < %d columns)"
-            % (rank, M.shape[1]))
+            % (rank, M.shape[1]), rank, M.shape[1])
     return x
 
 
@@ -183,7 +180,7 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     if not verdict.satisfied:
         raise RankConditionError(
             "rank %d < required %d for variant %d"
-            % (verdict.rank, verdict.required, variant))
+            % (verdict.rank, verdict.required, variant), verdict.rank, verdict.required)
     n = data.dims["n_a"]
     half = n * (n + 1) // 2
     D, U = _vec_maps(n)
@@ -204,7 +201,7 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     M = data.known_B @ F
     # check_rank has accepted I_aa; its complete QR gives the lift and Q_c
     Q, R_aa = np.linalg.qr(data.I_aa, mode="complete")
-    lift = U @ solve_triangular(R_aa[:half], Q[:, :half].T, lower=False)   # rhs -> vec(H)
+    lift = U @ np.linalg.solve(R_aa[:half], Q[:, :half].T)     # rhs -> vec(H)
     G = G - 2.0 * data.Gamma_aBu
     if spec.exo is None:
         return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M), None
@@ -248,68 +245,37 @@ def check_vi_inputs(variant, cfg: ViConfig):
             raise ValueError("variant %d needs %s" % (variant, name))
 
 
-def _frobenius_bracket(A):
-    """(lo, hi) with lo <= ||A||_2 <= hi, as np.linalg.norm(A, 2) computes it.
-
-    ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F, each side widened by a relative
-    guard for rounding; a non-finite A gets (0, inf), which decides nothing.
-    """
-    f = math.sqrt(np.vdot(A, A))
-    if not math.isfinite(f):
-        return 0.0, math.inf
-    return f / math.sqrt(A.shape[0]) * (1.0 - BRACKET_GUARD), f * (1.0 + BRACKET_GUARD)
-
-
-def _history_norms(rows, P_k, P_tilde, eps):
-    """Fill the normP and step_metric columns of history rows from their iterates."""
-    b = len(rows)
-    rows[:, 2] = np.linalg.norm(P_k[:b], 2, axis=(1, 2))
-    rows[:, 3] = np.linalg.norm(P_tilde[:b] - P_k[:b], 2, axis=(1, 2)) / eps[:b]
+def _spec_norms(*mats):
+    """The 2-norms of symmetric matrices: the largest |eigenvalue| of each."""
+    return np.abs(np.linalg.eigvalsh(np.array(mats))).max(axis=-1).tolist()
 
 
 def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
     """Run the value-iteration loop; non-convergence is reported, not raised."""
     check_vi_inputs(variant, cfg)
     stage, E_identified = _fit_stage(variant, data, cfg)
-    P = cfg.P0.copy()
+    norm_P0 = _spec_norms(cfg.P0)[0]
+    P, norm_P = cfg.P0.copy(), norm_P0
     j = 0                               # bound-set index = resets so far
     history = np.empty((cfg.max_iters, 4))
-    # the iterates of the rows since history row `start`, normed in one call
-    block_P = np.empty((HISTORY_BLOCK,) + P.shape)
-    block_P_tilde = np.empty_like(block_P)
-    block_eps = np.empty(HISTORY_BLOCK)
-    start = 0
     converged = False
     for k in range(cfg.max_iters):
         eps = cfg.eps(k)
         P_tilde = P + eps * stage.residual(P)
-        i = k - start
-        block_P[i], block_P_tilde[i], block_eps[i] = P, P_tilde, eps
-        history[k, 1] = j
-        if i == HISTORY_BLOCK - 1:
-            _history_norms(history[start:k + 1], block_P, block_P_tilde, block_eps)
-            start = k + 1
-        # escape from the bound set: ||P~||_2 > radius
-        radius = cfg.bound_radius(j)
-        lo, hi = _frobenius_bracket(P_tilde)
-        if hi > radius and (lo > radius or np.linalg.norm(P_tilde, 2) > radius):
-            P = cfg.P0.copy()
+        norm_tilde, norm_step = _spec_norms(P_tilde, P_tilde - P)
+        step = norm_step / eps
+        history[k] = k, j, norm_P, step
+        if norm_tilde > cfg.bound_radius(j):      # escape from the bound set
+            P, norm_P = cfg.P0.copy(), norm_P0
             j += 1
-            continue
-        # convergence: ||P~ - P||_2 / eps < eps_conv
-        step = P_tilde - P
-        lo, hi = _frobenius_bracket(step)
-        if lo / eps < cfg.eps_conv and (hi / eps < cfg.eps_conv
-                                        or np.linalg.norm(step, 2) / eps < cfg.eps_conv):
+        elif step < cfg.eps_conv:
             converged = True
             break
-        P = P_tilde
+        else:
+            P, norm_P = P_tilde, norm_tilde
     iters = k + 1 if converged else cfg.max_iters
-    history = history[:iters]
-    _history_norms(history[start:], block_P, block_P_tilde, block_eps)
-    history[:, 0] = np.arange(iters)
     return ViResult(P_final=P, K_final=stage.gain(P), iters=iters, resets=j,
-                    converged=converged, history=history,
+                    converged=converged, history=history[:iters],
                     E_rho_identified=E_identified)
 
 

@@ -150,5 +150,6 @@ def test_10_blinded_run_is_byte_identical(zero_run, zero_run_blinded):
             assert fa.read() == fb.read(), "artifact %s differs when blinded" % name
     # the trajectory's oracle diagnostic column is the only intended difference
     blind_traj = os.path.join(zero_run_blinded["out_dir"], "trajectory.csv")
-    tail = open(blind_traj).readlines()[-1].split(",")[-1].strip()
+    with open(blind_traj) as fh:
+        tail = fh.readlines()[-1].split(",")[-1].strip()
     assert tail == "nan"

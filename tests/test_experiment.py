@@ -155,23 +155,32 @@ def test_run_experiment_not_converged(tmp_path):
 
 
 def test_run_experiment_rank_failure(tmp_path):
+    """A rank-failing run leaves a partial report of its rank verdict."""
     cfg = _quick_nonzero(tones=[], k0=[[0.0] * 6], t_switch=6.0, t_end=8.0,
                          settle_time=7.0, grid_t0=1.0, grid_dt=0.1, grid_s=40)
-    with pytest.raises(RankConditionError):
+    with pytest.raises(RankConditionError) as info:
         run_experiment(cfg, str(tmp_path))
+    assert (info.value.rank, info.value.required) == (15, 36)
+    payload = _load_json(tmp_path, "report.json")
+    assert payload["converged"] is False
+    assert (payload["rank"], payload["rank_required"]) == (15, 36)
+    assert set(payload["timings"]) == {"setup_s", "explore_sim_s", "learn_s"}
+    listed = _load_json(tmp_path, "manifest.json").values()
+    assert sorted(os.listdir(tmp_path)) == sorted([*listed, "manifest.json"]) \
+        == ["manifest.json", "report.json"]
 
 
 def test_report_carries_published_reference(nonzero_run):
     ref = nonzero_run["report"].paper_reference
     assert ref["reported_iterations"] == 10602
-    payload = json.load(open(os.path.join(nonzero_run["out_dir"], "report.json")))
+    payload = _load_json(nonzero_run["out_dir"], "report.json")
     assert payload["paper_reference"]["reported_iterations"] == 10602
 
 
 def test_report_carries_vi_resets_and_final_step(zero_run):
     """The reset iterations and the final step metric are those of vi_history.csv."""
     out_dir, cfg = zero_run["out_dir"], zero_run["cfg"]
-    payload = json.load(open(os.path.join(out_dir, "report.json")))
+    payload = _load_json(out_dir, "report.json")
     history = np.loadtxt(os.path.join(out_dir, "vi_history.csv"), delimiter=",", skiprows=1)
     resets = payload["vi_reset_iterations"]
     assert len(resets) == payload["resets"] > 0

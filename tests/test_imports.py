@@ -43,6 +43,17 @@ def test_learner_never_reaches_oracle_or_plant_simulation():
     assert not reached & {"oracle", "sim"}, sorted(reached)
 
 
+def test_learner_imports_no_scipy():
+    """The learner is numpy only: no learner module imports scipy, at any depth."""
+    for module in LEARNER:
+        tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 0]
+        assert not [name for name in names if name.split(".")[0] == "scipy"], module
+
+
 def test_import_leaves_scipy_signal_unloaded():
     """scipy.signal (pole placement for p > 1 only) is imported where it is used,
     and no quadrature needs scipy.integrate."""

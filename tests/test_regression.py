@@ -193,6 +193,7 @@ def test_export_regression_csv(fullstate_setup, tmp_path):
     loaded = np.loadtxt(files["I_aa"], delimiter=",")
     assert np.array_equal(loaded, data.I_aa)
     import json
-    manifest = json.loads(open(files["manifest"]).read())
+    with open(files["manifest"]) as fh:
+        manifest = json.load(fh)
     assert manifest["variant"] == 1
     assert manifest["grid"] == {"t0": 1.0, "dt": 0.1, "s": 40}
