@@ -29,7 +29,8 @@ from .oracle import (AssumptionError, LtiPlant, build_augmented_aux,
                      verify_theorem4)
 from .regression import (VARIANTS, SamplingGrid, build_regression, check_rank,
                          export_regression_csv, on_grid, unknown_count)
-from .sim import Tone, export_trajectory_csv, join_logs, simulate, stack_state
+from .sim import (Tone, export_trajectory_csv, simulate, stack_state,
+                  start_trajectory_head)
 from .vi import RankConditionError, ViConfig, check_vi_inputs, export_history_csv, vi_run
 
 
@@ -242,7 +243,7 @@ def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig):
     verdict = check_rank(data)
     if not verdict.satisfied:
         raise RankConditionError("rank %d < required %d" % (verdict.rank, verdict.required),
-                                 verdict.rank, verdict.required)
+                                 verdict.rank, verdict.required, verdict.quality)
     result = vi_run(variant, data, vicfg)
     return data, verdict, result
 
@@ -258,6 +259,7 @@ class ExperimentReport:
     blinded: bool
     rank: int
     rank_required: int
+    data_quality: dict | None       # RankVerdict.quality of the rank verdict
     # iters, resets, vi_reset_iterations and vi_final_step_metric are None in
     # the partial report of a run that failed its rank condition
     iters: int | None
@@ -307,54 +309,60 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
     lap("explore_sim_s")
     known_B = {"x": None, "zeta": known.B_zeta, "rho": objs.B_rho}[spec.state]
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
-    try:
-        data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B, vicfg)
-    except RankConditionError as exc:
+    # The exploration rows are final: a forked writer formats them while the
+    # run learns (its start counts as learning); leaving the block by any path
+    # stops and reaps it.
+    with start_trajectory_head(log_explore, out_dir) as traj_head:
+        try:
+            data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B, vicfg)
+        except RankConditionError as exc:
+            lap("learn_s")
+            _write_report(out_dir, ExperimentReport(
+                name=cfg.name, variant=cfg.variant, blinded=blinded, rank=exc.rank,
+                rank_required=exc.required, data_quality=exc.quality, iters=None,
+                resets=None, vi_reset_iterations=None, vi_final_step_metric=None,
+                converged=False, tracking_max_error=None, files=files,
+                paper_reference=_paper_reference(cfg), timings=timings))
+            raise
         lap("learn_s")
-        _write_report(out_dir, ExperimentReport(
-            name=cfg.name, variant=cfg.variant, blinded=blinded, rank=exc.rank,
-            rank_required=exc.required, iters=None, resets=None, vi_reset_iterations=None,
-            vi_final_step_metric=None, converged=False, tracking_max_error=None,
-            files=files, paper_reference=_paper_reference(cfg), timings=timings))
-        raise
-    lap("learn_s")
-    files.update(export_regression_csv(data, out_dir))
-    history_path = os.path.join(out_dir, "vi_history.csv")
-    export_history_csv(vires, history_path)
-    files["vi_history"] = history_path
-    gain_path = os.path.join(out_dir, "learned_gain.csv")
-    with open(gain_path, "w") as fh:
-        write_rows(fh, np.atleast_2d(vires.K_final))
-    files["learned_gain"] = gain_path
-    lap("other_exports_s")
-    report = ExperimentReport(name=cfg.name, variant=cfg.variant, blinded=blinded,
-                              rank=verdict.rank, rank_required=verdict.required,
-                              iters=vires.iters, resets=vires.resets,
-                              vi_reset_iterations=np.flatnonzero(
-                                  np.diff(vires.history[:, 1])).tolist(),
-                              vi_final_step_metric=float(vires.history[-1, 3]),
-                              converged=vires.converged, tracking_max_error=None,
-                              files=files, paper_reference=_paper_reference(cfg),
-                              timings=timings)
-    if not vires.converged:
-        _write_report(out_dir, report)
-        raise NotConvergedError("VI did not converge in %d iterations" % cfg.max_iters)
+        files.update(export_regression_csv(data, out_dir))
+        history_path = os.path.join(out_dir, "vi_history.csv")
+        export_history_csv(vires, history_path)
+        files["vi_history"] = history_path
+        gain_path = os.path.join(out_dir, "learned_gain.csv")
+        with open(gain_path, "w") as fh:
+            write_rows(fh, np.atleast_2d(vires.K_final))
+        files["learned_gain"] = gain_path
+        lap("other_exports_s")
+        report = ExperimentReport(name=cfg.name, variant=cfg.variant, blinded=blinded,
+                                  rank=verdict.rank, rank_required=verdict.required,
+                                  data_quality=verdict.quality,
+                                  iters=vires.iters, resets=vires.resets,
+                                  vi_reset_iterations=np.flatnonzero(
+                                      np.diff(vires.history[:, 1])).tolist(),
+                                  vi_final_step_metric=float(vires.history[-1, 3]),
+                                  converged=vires.converged, tracking_max_error=None,
+                                  files=files, paper_reference=_paper_reference(cfg),
+                                  timings=timings)
+        if not vires.converged:
+            _write_report(out_dir, report)
+            raise NotConvergedError("VI did not converge in %d iterations" % cfg.max_iters)
 
-    log_full = join_logs(log_explore, simulate(
-        plant, exo, known, im, vires.K_final, log_explore.final_state,
-        (cfg.t_switch, cfg.t_end), cfg.h, diag=diag))
-    lap("closed_loop_sim_s")
-    traj_path = os.path.join(out_dir, "trajectory.csv")
-    export_trajectory_csv(log_full, traj_path)
-    files["trajectory"] = traj_path
-    lap("trajectory_export_s")
-    settle_mask = log_full.times >= cfg.settle_time
-    report.tracking_max_error = float(np.abs(log_full.e[settle_mask]).max())
+        log_closed = simulate(plant, exo, known, im, vires.K_final, log_explore.final_state,
+                              (cfg.t_switch, cfg.t_end), cfg.h, diag=diag)
+        lap("closed_loop_sim_s")
+        traj_path = os.path.join(out_dir, "trajectory.csv")
+        export_trajectory_csv(log_closed, traj_path, head=traj_head)
+        files["trajectory"] = traj_path
+        lap("trajectory_export_s")
+    # the trajectory's rows: the exploration log's but its last, then the closed loop's
+    settled = np.concatenate([e[t >= cfg.settle_time] for t, e in (
+        (log_explore.times[:-1], log_explore.e[:-1]), (log_closed.times, log_closed.e))])
+    report.tracking_max_error = float(np.abs(settled).max())
     track_path = os.path.join(out_dir, "tracking_error.csv")
-    post = log_full.times >= cfg.t_switch
     with open(track_path, "w") as fh:
-        fh.write("t," + ",".join("e_%d" % (i + 1) for i in range(log_full.e.shape[1])) + "\n")
-        write_rows(fh, np.column_stack([log_full.times[post], log_full.e[post]]))
+        fh.write("t," + ",".join("e_%d" % (i + 1) for i in range(log_closed.e.shape[1])) + "\n")
+        write_rows(fh, np.column_stack([log_closed.times, log_closed.e]))
     files["tracking_error"] = track_path
     lap("other_exports_s")
     if not blinded and spec.state == "rho":

@@ -190,13 +190,25 @@ class RankVerdict:
     rank: int
     required: int
     satisfied: bool
+    sigma_max: float
+    sigma_min: float
+    rank_margin: float      # sigma_min / the rank cutoff max(shape)*eps*sigma_max
+    cond: float             # sigma_max / sigma_min
+
+    @property
+    def quality(self):
+        """The singular-value grades of the data; a non-finite one is None."""
+        grades = {"sigma_max": self.sigma_max, "sigma_min": self.sigma_min,
+                  "rank_margin": self.rank_margin, "cond": self.cond}
+        return {k: v if np.isfinite(v) else None for k, v in grades.items()}
 
 
 def check_rank(data: RegressionData, variant=None) -> RankVerdict:
     """Numerical-rank verdict for the variant's solvability condition.
 
-    Uses numpy's numerical-rank threshold max(shape)*eps*sigma_max, the
-    cutoff the least-squares solves of `vi` apply too.
+    One SVD gives the rank under numpy's threshold max(shape)*eps*sigma_max,
+    the cutoff `np.linalg.matrix_rank` and the least-squares solves of `vi`
+    apply too, and the singular values that grade the data.
     Plants with unreachable stable modes leave an exponentially decaying
     excitation in one data direction, so its singular value is genuinely
     tiny but nonzero; a coarser relative threshold would misreport such
@@ -206,9 +218,15 @@ def check_rank(data: RegressionData, variant=None) -> RankVerdict:
     spec = VARIANTS[variant]
     extra = data.I_au if spec.state == "x" else data.Gamma_av if spec.exo == "solve" else None
     M = data.I_aa if extra is None else np.hstack([data.I_aa, extra])
-    rank = int(np.linalg.matrix_rank(M))
+    sv = np.linalg.svd(M, compute_uv=False)
+    cutoff = sv[0] * (max(M.shape) * np.finfo(sv.dtype).eps)
+    rank = int(np.count_nonzero(sv > cutoff))
     required = required_rank(variant, data.dims)
-    return RankVerdict(rank=rank, required=required, satisfied=rank >= required)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin, cond = sv[-1] / cutoff, sv[0] / sv[-1]
+    return RankVerdict(rank=rank, required=required, satisfied=rank >= required,
+                       sigma_max=float(sv[0]), sigma_min=float(sv[-1]),
+                       rank_margin=float(margin), cond=float(cond))
 
 
 def unknown_count(dims, method):

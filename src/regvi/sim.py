@@ -5,8 +5,9 @@ time-invariant phase, u = K_rho rho + delta(t) with delta an optional sum of
 probing tones, from a given state between two points of the grid k*h; its
 sample times are h*k, so a run continued from another's final state takes
 the same steps as one long run.  An experiment is two such runs, exploration
-then closed loop, joined by `join_logs`.  The observer block is propagated
-through the known matrices only; the plant matrices enter solely as physics.
+then closed loop continued from its final state.  The observer block is
+propagated through the known matrices only; the plant matrices enter solely
+as physics.
 
 Within a phase s' = A s + B delta(t) is LTI, so one classic RK4 step is
 exactly the affine map s+ = Phi s + G0 delta_i + G_half delta_{i+1/2} +
@@ -15,13 +16,21 @@ product of [G0, G_half, G1] with the tone values at the nodes and
 half-steps; the stepping loop is then one matvec and one vector add per
 step, and the overflow guard runs once per block of steps, reporting the
 first offending sample.
+
+A trajectory CSV holds the exploration rows but the last, then the closed
+loop's rows: the closed loop repeats that last state, and the input logged
+there is the one in force before the learned gain took over.  The exploration
+rows are final when the exploration phase ends, so `start_trajectory_head`
+has a forked writer format them while the run learns and simulates the
+closed loop; `export_trajectory_csv` appends them after the header and
+before the closed loop's rows, without joining the two logs.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .csvrows import write_rows
+from .csvrows import PendingRows, write_rows
 from .internal_model import Exosystem, InternalModel
 from .observer import ObserverKnown
 from .regression import on_grid
@@ -78,19 +87,6 @@ def stack_state(exo: Exosystem, known: ObserverKnown, im: InternalModel,
     zeta0 = np.zeros(known.n_zeta) if zeta0 is None else zeta0
     z0 = np.zeros(im.n_z) if z0 is None else z0
     return np.concatenate([exo.v0, x0, zeta0, z0]).astype(float)
-
-
-def join_logs(head: TrajectoryLog, tail: TrajectoryLog) -> TrajectoryLog:
-    """head followed by tail, a run continued from head's final state.
-
-    head's last row is dropped: tail repeats its state, and its input is the
-    one in force before tail's gain took over.
-    """
-    if head.times[-1] != tail.times[0]:
-        raise ValueError("tail must start at the last sample of head")
-    parts = {f.name: np.concatenate([getattr(head, f.name)[:-1], getattr(tail, f.name)])
-             for f in fields(TrajectoryLog) if f.name != "h"}
-    return TrajectoryLog(h=head.h, **parts)
 
 
 def _loop_matrices(plant, exo, known, im, K_rho):
@@ -187,8 +183,8 @@ def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
                          y=y, e=e, ex_diag=ex_diag, h=h)
 
 
-def export_trajectory_csv(log: TrajectoryLog, path):
-    """Write the log as CSV with 17-significant-digit floats."""
+def _trajectory_table(log: TrajectoryLog):
+    """Column names and rows of the log's CSV."""
     cols = [("t", log.times[:, None]), ("v", log.v), ("x", log.x),
             ("zeta", log.zeta), ("z", log.z), ("u", log.u),
             ("y", log.y), ("e", log.e), ("ex_norm", log.ex_diag[:, None])]
@@ -198,7 +194,24 @@ def export_trajectory_csv(log: TrajectoryLog, path):
             names.append(name)
         else:
             names.extend("%s_%d" % (name, i + 1) for i in range(arr.shape[1]))
-    data = np.hstack([arr for _, arr in cols])
+    return names, np.hstack([arr for _, arr in cols])
+
+
+def start_trajectory_head(log: TrajectoryLog, directory) -> PendingRows:
+    """Start formatting every row of log but the last, the head of the CSV of
+    a run continued from log's final state, into a file in directory."""
+    return PendingRows(_trajectory_table(log)[1][:-1], directory)
+
+
+def export_trajectory_csv(log: TrajectoryLog, path, head: PendingRows | None = None):
+    """Write the log as CSV with 17-significant-digit floats.
+
+    head, from `start_trajectory_head` on the log this one continues, is
+    written between the header and log's rows.
+    """
+    names, rows = _trajectory_table(log)
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        write_rows(fh, data)
+        if head is not None:
+            head.write_to(fh)
+        write_rows(fh, rows)

@@ -34,11 +34,14 @@ from .regression import VARIANTS, RegressionData, check_rank
 
 
 class RankConditionError(RuntimeError):
-    """The data matrix lacks the full column rank the variant requires."""
+    """The data matrix lacks the full column rank the variant requires.
 
-    def __init__(self, message, rank, required):
+    quality is the failing `RankVerdict.quality`, None where no verdict was taken.
+    """
+
+    def __init__(self, message, rank, required, quality=None):
         super().__init__(message)
-        self.rank, self.required = rank, required
+        self.rank, self.required, self.quality = rank, required, quality
 
 
 @dataclass
@@ -180,7 +183,8 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     if not verdict.satisfied:
         raise RankConditionError(
             "rank %d < required %d for variant %d"
-            % (verdict.rank, verdict.required, variant), verdict.rank, verdict.required)
+            % (verdict.rank, verdict.required, variant), verdict.rank, verdict.required,
+            verdict.quality)
     n = data.dims["n_a"]
     half = n * (n + 1) // 2
     D, U = _vec_maps(n)

@@ -4,6 +4,7 @@ The expensive artifacts (full preset pipelines, exploration logs, oracle
 solutions) are session-scoped so the whole suite pays for each of them once.
 """
 
+import os
 import time
 
 import numpy as np
@@ -17,6 +18,32 @@ from regvi.oracle import (LtiPlant, build_augmented_aux, compute_parameterizatio
                           place_observer_gain, solve_care)
 from regvi.regression import SamplingGrid, build_regression
 from regvi.sim import Tone, simulate, stack_state
+
+
+# ---------------------------------------------------------------------------
+# Forked row writers
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fork_pids(monkeypatch):
+    """The pid of every child os.fork starts during the test."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@pytest.fixture
+def pin_cpus(monkeypatch):
+    """pin_cpus(n) makes os.sched_getaffinity report n usable CPUs."""
+    def pin(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return pin
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""The shared CSV row writer: per-value "%.17g" bytes for every split of a table."""
+"""The shared CSV row writer: per-value "%.17g" bytes for every split of a table
+and for rows formatted early by `PendingRows`."""
 
 import os
+import time
 
 import numpy as np
 import pytest
 
 from regvi import csvrows
-from regvi.csvrows import MIN_VALUES_PER_WRITER, ROWS_PER_WRITE, write_rows
+from regvi.csvrows import MIN_VALUES_PER_WRITER, ROWS_PER_WRITE, PendingRows, write_rows
 
 COLS = 5
 SPLIT_ROWS = 2 * MIN_VALUES_PER_WRITER // COLS   # fewest rows that two writers share
@@ -30,30 +32,12 @@ def table():
     return rows, lines
 
 
-def _count_forks(monkeypatch):
-    """Record the pid of every child os.fork starts from here on."""
-    pids, fork = [], os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
-
-
-def _pin_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
 @pytest.mark.parametrize("cpus", [1, None, 4 * HOST_CPUS + 5], ids=["one", "host", "more"])
 @pytest.mark.parametrize("count", ROW_COUNTS)
-def test_write_rows_matches_per_value_format(table, tmp_path, monkeypatch, count, cpus):
+def test_write_rows_matches_per_value_format(table, tmp_path, fork_pids, pin_cpus, count, cpus):
     rows, lines = table
     if cpus is not None:
-        _pin_cpus(monkeypatch, cpus)
-    forks = _count_forks(monkeypatch)
+        pin_cpus(cpus)
     path = tmp_path / "rows.csv"
     with open(path, "w") as fh:
         fh.write("head\n")
@@ -61,17 +45,17 @@ def test_write_rows_matches_per_value_format(table, tmp_path, monkeypatch, count
         fh.write("tail\n")
     assert path.read_text() == "head\n" + "".join(lines[:count]) + "tail\n"
     writers = min(cpus or HOST_CPUS, max(1, count * COLS // MIN_VALUES_PER_WRITER))
-    assert len(forks) == writers - 1           # one per CPU, never one per value
+    assert len(fork_pids) == writers - 1       # one per CPU, never one per value
     assert os.listdir(tmp_path) == ["rows.csv"]
 
 
 @pytest.mark.parametrize("where", ["child", "parent"])
-def test_failing_writer_raises_and_leaves_no_file(table, tmp_path, monkeypatch, where):
+def test_failing_writer_raises_and_leaves_no_file(table, tmp_path, monkeypatch, fork_pids,
+                                                  pin_cpus, where):
     """A writer that fails in a child or in the caller raises, reaps every child
     and leaves only the output file behind."""
     rows, _ = table
-    _pin_cpus(monkeypatch, 3)
-    forks = _count_forks(monkeypatch)
+    pin_cpus(3)
     test_pid, write_blocks = os.getpid(), csvrows._write_blocks
 
     def failing_write_blocks(fh, block_rows, fmt):
@@ -82,8 +66,50 @@ def test_failing_writer_raises_and_leaves_no_file(table, tmp_path, monkeypatch, 
     with open(tmp_path / "rows.csv", "w") as fh:
         with pytest.raises(OSError if where == "child" else ValueError):
             write_rows(fh, rows)
-    assert len(forks) == 2
-    for pid in forks:                          # already reaped
+    assert len(fork_pids) == 2
+    for pid in fork_pids:                      # already reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
     assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+@pytest.mark.parametrize("cpus", [1, None, 4 * HOST_CPUS + 5], ids=["one", "host", "more"])
+@pytest.mark.parametrize("count", [0, 300, SPLIT_ROWS // 2 - 1, SPLIT_ROWS // 2])
+def test_pending_rows_match_per_value_format(table, tmp_path, fork_pids, pin_cpus, count, cpus):
+    """Rows formatted early land where write_to puts them, byte for byte; one
+    child is forked for at least MIN_VALUES_PER_WRITER values on more than one CPU."""
+    rows, lines = table
+    if cpus is not None:
+        pin_cpus(cpus)
+    path = tmp_path / "rows.csv"
+    with PendingRows(rows[:count], tmp_path) as pending, open(path, "w") as fh:
+        fh.write("head\n")
+        pending.write_to(fh)
+        write_rows(fh, rows[count:2 * count])
+    assert path.read_text() == "head\n" + "".join(lines[:2 * count])
+    early = (cpus or HOST_CPUS) > 1 and count * COLS >= MIN_VALUES_PER_WRITER
+    assert len(fork_pids) == early
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+def test_leaving_pending_rows_kills_the_writer(table, tmp_path, monkeypatch, fork_pids, pin_cpus):
+    """A writer still formatting when its block is left is killed and reaped,
+    not waited for, and its file is closed."""
+    rows, _ = table
+    pin_cpus(2)
+    test_pid, write_blocks = os.getpid(), csvrows._write_blocks
+
+    def stuck_write_blocks(fh, block_rows, fmt):
+        if os.getpid() != test_pid:
+            time.sleep(600)
+        write_blocks(fh, block_rows, fmt)
+    monkeypatch.setattr(csvrows, "_write_blocks", stuck_write_blocks)
+    start = time.monotonic()
+    with pytest.raises(KeyError):
+        with PendingRows(rows, tmp_path):
+            raise KeyError("the run failed")
+    assert time.monotonic() - start < 60.0
+    assert len(fork_pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(fork_pids[0], os.WNOHANG)
+    assert os.listdir(tmp_path) == []

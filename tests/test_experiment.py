@@ -1,15 +1,19 @@
 import dataclasses
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
+from regvi import csvrows, experiment
 from regvi.experiment import (PRESETS, ConfigError, ExperimentConfig,
                               NotConvergedError, build_objects, parse_config,
                               run_experiment, serialize_config, validate_config,
                               verify)
 from regvi.vi import RankConditionError
+
+HOST_CPUS = len(os.sched_getaffinity(0))
 
 
 def test_presets_listed_and_valid():
@@ -136,10 +140,31 @@ def _load_json(*path):
         return json.load(fh)
 
 
-def test_run_experiment_not_converged(tmp_path):
+def _assert_nothing_left_running(out_dir):
+    """No writer is left running or unreaped, and out_dir holds exactly what
+    manifest.json lists."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    listed = _load_json(out_dir, "manifest.json").values()
+    assert sorted(os.listdir(out_dir)) == sorted([*listed, "manifest.json"])
+
+
+def test_run_experiment_not_converged(tmp_path, monkeypatch, fork_pids, pin_cpus):
+    """A run that stops VI early writes a partial report and kills the
+    exploration-row writer, here one that would never finish, without waiting."""
+    pin_cpus(2)
+    test_pid, write_blocks = os.getpid(), csvrows._write_blocks
+
+    def stuck_write_blocks(fh, rows, fmt):
+        if os.getpid() != test_pid:
+            time.sleep(600)
+        write_blocks(fh, rows, fmt)
+    monkeypatch.setattr(csvrows, "_write_blocks", stuck_write_blocks)
     cfg = _quick_nonzero(max_iters=60)
+    start = time.monotonic()
     with pytest.raises(NotConvergedError):
         run_experiment(cfg, str(tmp_path))
+    assert time.monotonic() - start < 60.0
     # partial artifacts still land on disk for post-mortem
     assert os.path.exists(tmp_path / "manifest.json")
     assert os.path.exists(tmp_path / "vi_history.csv")
@@ -150,12 +175,18 @@ def test_run_experiment_not_converged(tmp_path):
     assert payload["resets"] == len(payload["vi_reset_iterations"])
     assert payload["vi_final_step_metric"] == history[-1, 3]
     assert set(payload["timings"]) == {"setup_s", "explore_sim_s", "learn_s", "other_exports_s"}
-    listed = _load_json(tmp_path, "manifest.json").values()
-    assert sorted(os.listdir(tmp_path)) == sorted([*listed, "manifest.json"])
+    assert "trajectory.csv" not in os.listdir(tmp_path)
+    assert fork_pids                    # the exploration rows went to a forked writer
+    _assert_nothing_left_running(tmp_path)
 
 
-def test_run_experiment_rank_failure(tmp_path):
-    """A rank-failing run leaves a partial report of its rank verdict."""
+def test_run_experiment_rank_failure(tmp_path, monkeypatch, fork_pids, pin_cpus):
+    """A rank-failing run leaves a partial report of its rank verdict and no
+    exploration-row writer."""
+    pin_cpus(2)
+    verdicts, check_rank = [], experiment.check_rank
+    monkeypatch.setattr(experiment, "check_rank",
+                        lambda data: verdicts.append((data, check_rank(data))) or verdicts[-1][1])
     cfg = _quick_nonzero(tones=[], k0=[[0.0] * 6], t_switch=6.0, t_end=8.0,
                          settle_time=7.0, grid_t0=1.0, grid_dt=0.1, grid_s=40)
     with pytest.raises(RankConditionError) as info:
@@ -164,10 +195,13 @@ def test_run_experiment_rank_failure(tmp_path):
     payload = _load_json(tmp_path, "report.json")
     assert payload["converged"] is False
     assert (payload["rank"], payload["rank_required"]) == (15, 36)
+    [(data, verdict)] = verdicts
+    assert verdict.rank == np.linalg.matrix_rank(data.I_aa) == 15
+    assert payload["data_quality"] == verdict.quality == info.value.quality
     assert set(payload["timings"]) == {"setup_s", "explore_sim_s", "learn_s"}
-    listed = _load_json(tmp_path, "manifest.json").values()
-    assert sorted(os.listdir(tmp_path)) == sorted([*listed, "manifest.json"]) \
-        == ["manifest.json", "report.json"]
+    assert fork_pids
+    _assert_nothing_left_running(tmp_path)
+    assert sorted(os.listdir(tmp_path)) == ["manifest.json", "report.json"]
 
 
 def test_report_carries_published_reference(nonzero_run):
@@ -214,6 +248,50 @@ def test_trajectory_continues_exploration_log(nonzero_run, nonzero_setup):
     states = np.hstack([log.v, log.x, log.zeta, log.z])
     assert np.array_equal(head[:, 0], log.times)
     assert np.array_equal(head[:, 1:1 + states.shape[1]], states)
+
+
+@pytest.mark.parametrize("run, cond", [("zero_run", 5.3e11), ("nonzero_run", 4.7e8)])
+def test_report_grades_the_data(run, cond, request):
+    """data_quality holds the singular values of I_aa, the matrix the
+    identifying variants' rank verdict is taken on."""
+    quality = _load_json(request.getfixturevalue(run)["out_dir"], "report.json")["data_quality"]
+    assert quality["cond"] == pytest.approx(cond, rel=0.01)
+    assert quality["cond"] == pytest.approx(quality["sigma_max"] / quality["sigma_min"], rel=1e-15)
+    assert quality["rank_margin"] > 1.0
+
+
+def _lines(rows):
+    return "".join(",".join("%.17g" % val for val in row) + "\n" for row in rows)
+
+
+def _csv_rows(log):
+    return np.hstack([log.times[:, None], log.v, log.x, log.zeta, log.z, log.u,
+                      log.y, log.e, log.ex_diag[:, None]])
+
+
+@pytest.mark.parametrize("cpus", [1, None, 4 * HOST_CPUS + 5], ids=["one", "host", "more"])
+def test_trajectory_bytes_for_any_cpu_count(tmp_path, monkeypatch, fork_pids, pin_cpus, cpus):
+    """trajectory.csv is the per-value "%.17g" join of the exploration rows but
+    the last, then the closed loop's; tracking_error.csv is the closed loop's t
+    and e; for every usable CPU count, with or without the early writer."""
+    if cpus is not None:
+        pin_cpus(cpus)
+    logs, simulate = [], experiment.simulate
+    monkeypatch.setattr(experiment, "simulate",
+                        lambda *args, **kwargs: logs.append(simulate(*args, **kwargs)) or logs[-1])
+    payload = json.loads(serialize_config(PRESETS["paper-e-zero"]()))
+    payload.update(t_end=36.0, settle_time=35.0)
+    run_experiment(parse_config(json.dumps(payload)), str(tmp_path))
+    explore, closed = logs
+    header, body = (tmp_path / "trajectory.csv").read_text().split("\n", 1)
+    assert header.startswith("t,v_1,v_2,x_1,") and header.endswith(",e_1,ex_norm")
+    assert body == _lines(_csv_rows(explore)[:-1]) + _lines(_csv_rows(closed))
+    header, body = (tmp_path / "tracking_error.csv").read_text().split("\n", 1)
+    assert header == "t,e_1"
+    assert body == _lines(np.column_stack([closed.times, closed.e]))
+    # the early writer, then one more for the closed loop's 8001 rows of 18 values
+    assert len(fork_pids) == (0 if (cpus or HOST_CPUS) == 1 else 2)
+    _assert_nothing_left_running(tmp_path)
 
 
 def test_config_is_dataclass_of_plain_types():

@@ -92,6 +92,33 @@ def test_perfbench_traced_names_exist():
         assert not missing, (module.__name__, missing)
 
 
+def test_perfbench_traced_names_are_called(tmp_path, monkeypatch):
+    """Every name the tracer rebinds in regvi.experiment is also called through
+    that namespace by an unblinded run: variant 4 compares its gain with
+    solve_care, variant 6 with verify_theorem4.  Each run simulates twice
+    and exports the trajectory once, as the per-layer metrics assume."""
+    import json
+
+    import regvi.experiment as experiment
+    experiment_names, _ = _perfbench_names()
+    calls = []
+    for name in experiment_names:
+        def counted(*args, _name=name, _fn=getattr(experiment, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, counted)
+    seen = set()
+    for preset in ("paper-e-nonzero", "paper-e-zero"):
+        payload = json.loads(experiment.serialize_config(experiment.PRESETS[preset]()))
+        payload.update(t_end=30.0, settle_time=29.0)
+        cfg = experiment.parse_config(json.dumps(payload))
+        calls.clear()
+        experiment.run_experiment(cfg, str(tmp_path / preset))
+        assert calls.count("export_trajectory_csv") == 1 and calls.count("simulate") == 2
+        seen.update(calls)
+    assert seen == set(experiment_names), sorted(set(experiment_names) - seen)
+
+
 def test_learner_runs_on_known_matrices_only(nonzero_setup, nonzero_run):
     """learn_from_log takes the log, the variant, the grid, the known input
     block and the loop parameters -- no plant -- and learns the run's gain."""

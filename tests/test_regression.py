@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import simpson
 
 from regvi.linalg import vecs, vecv_rows
-from regvi.regression import (GridAlignmentError, SamplingGrid, build_regression,
-                              check_rank, export_regression_csv, required_rank,
-                              unknown_count)
+from regvi.regression import (GridAlignmentError, RegressionData, SamplingGrid,
+                              build_regression, check_rank, export_regression_csv,
+                              required_rank, unknown_count)
 from regvi.sim import Tone, simulate, stack_state
 
 
@@ -197,3 +197,34 @@ def test_export_regression_csv(fullstate_setup, tmp_path):
         manifest = json.load(fh)
     assert manifest["variant"] == 1
     assert manifest["grid"] == {"t0": 1.0, "dt": 0.1, "s": 40}
+
+
+@pytest.mark.parametrize("setup", ["zero_setup", "nonzero_setup"])
+def test_check_rank_is_matrix_rank_and_grades_its_matrix(setup, request):
+    """One SVD gives numpy's matrix_rank and the singular values of the
+    matrix each verdict is taken on: I_aa, and [I_aa, Gamma_av] where E is solved."""
+    s = request.getfixturevalue(setup)
+    data = build_regression(s["log"], s["grid"], 3, known_B=s["objs"].B_rho)
+    for variant, M in ((s["cfg"].variant, data.I_aa),
+                       (3, np.hstack([data.I_aa, data.Gamma_av]))):
+        verdict = check_rank(data, variant)
+        sv = np.linalg.svd(M, compute_uv=False)
+        assert verdict.rank == np.linalg.matrix_rank(M)
+        assert verdict.sigma_max == pytest.approx(sv[0], rel=1e-12)
+        assert verdict.sigma_min == pytest.approx(sv[-1], rel=1e-12)
+        assert verdict.cond == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+        cutoff = max(M.shape) * np.finfo(float).eps * sv[0]
+        assert verdict.rank_margin == pytest.approx(sv[-1] / cutoff, rel=1e-12)
+        assert verdict.quality == {"sigma_max": verdict.sigma_max, "sigma_min": verdict.sigma_min,
+                                   "rank_margin": verdict.rank_margin, "cond": verdict.cond}
+
+
+def test_check_rank_of_zero_data_leaves_undefined_grades_out():
+    """All-zero data has rank 0; its margin and condition number are None, not NaN."""
+    data = RegressionData(variant=4, grid=SamplingGrid(t0=0.0, dt=0.1, s=40),
+                          dims={"n_a": 8, "m": 1}, delta_a=np.zeros((40, 36)),
+                          I_aa=np.zeros((40, 36)))
+    verdict = check_rank(data)
+    assert (verdict.rank, verdict.required, verdict.satisfied) == (0, 36, False)
+    assert verdict.quality == {"sigma_max": 0.0, "sigma_min": 0.0,
+                               "rank_margin": None, "cond": None}
