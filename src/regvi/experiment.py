@@ -110,6 +110,8 @@ def _as_matrix(spec, dim, what):
 
 def _poles(raw):
     """Observer poles; a complex pole is written [re, im]."""
+    if any(isinstance(p, list) and len(p) != 2 for p in raw):
+        raise ValueError("a complex observer pole is written [re, im]")
     return np.asarray([complex(*p) if isinstance(p, list) else complex(p) for p in raw])
 
 
@@ -136,9 +138,12 @@ def build_objects(cfg: ExperimentConfig) -> ExperimentObjects:
                          E=cfg.plant_e, F=cfg.plant_f)
         exo = recast_exosystem(cfg.exo_minpoly, cfg.exo_v0)
         im = build_p_copy(cfg.exo_minpoly, plant.p)
-        known = ObserverKnown.from_poles(_poles(cfg.observer_poles), plant.m, plant.p)
-    except (TypeError, ValueError, AssumptionError) as exc:   # TypeError: a pole [a, b, c]
+        poles = _poles(cfg.observer_poles)
+        known = ObserverKnown.from_poles(poles, plant.m, plant.p)
+    except (TypeError, ValueError, AssumptionError) as exc:
         raise ConfigError(str(exc)) from exc
+    if not (poles.real < 0).all():     # the filter bank must be Hurwitz
+        raise ConfigError("observer poles must lie in the open left half-plane")
     B_rho = np.vstack([known.B_zeta, np.zeros((im.n_z, plant.m))])
     return ExperimentObjects(plant=plant, exo=exo, im=im, known=known, B_rho=B_rho)
 
@@ -254,21 +259,22 @@ def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig):
 
 @dataclass
 class ExperimentReport:
+    """What a run found; each layer fills its fields as it finishes, so the
+    partial report of a failed run leaves the later ones None or False."""
+
     name: str
     variant: int
     blinded: bool
-    rank: int
-    rank_required: int
-    data_quality: dict | None       # RankVerdict.quality of the rank verdict
-    # iters, resets, vi_reset_iterations and vi_final_step_metric are None in
-    # the partial report of a run that failed its rank condition
-    iters: int | None
-    resets: int | None
-    vi_reset_iterations: list | None  # the iterate k of each reset
-    vi_final_step_metric: float | None  # ||P~ - P||_2 / eps at the last iterate
-    converged: bool
-    tracking_max_error: float | None  # None in the partial report of a run that did not converge
     files: dict
+    rank: int | None = None
+    rank_required: int | None = None
+    data_quality: dict | None = None    # RankVerdict.quality of the rank verdict
+    iters: int | None = None
+    resets: int | None = None
+    vi_reset_iterations: list | None = None  # the iterate k of each reset
+    vi_final_step_metric: float | None = None  # ||P~ - P||_2 / eps at the last iterate
+    converged: bool = False
+    tracking_max_error: float | None = None
     gain_error: float | None = None
     e_rho_error: float | None = None
     theorem4_deviation: float | None = None
@@ -301,6 +307,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
     if K0.shape[1] == known.n_zeta:
         K0 = np.hstack([K0, np.zeros((plant.m, im.n_z))])
     files = {}
+    report = ExperimentReport(name=cfg.name, variant=cfg.variant, blinded=blinded, files=files,
+                              paper_reference=_paper_reference(cfg), timings=timings)
     lap("setup_s")
     log_explore = simulate(plant, exo, known, im, K0,
                            stack_state(exo, known, im, cfg.x0, cfg.zeta0, cfg.z0),
@@ -317,14 +325,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
             data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B, vicfg)
         except RankConditionError as exc:
             lap("learn_s")
-            _write_report(out_dir, ExperimentReport(
-                name=cfg.name, variant=cfg.variant, blinded=blinded, rank=exc.rank,
-                rank_required=exc.required, data_quality=exc.quality, iters=None,
-                resets=None, vi_reset_iterations=None, vi_final_step_metric=None,
-                converged=False, tracking_max_error=None, files=files,
-                paper_reference=_paper_reference(cfg), timings=timings))
+            report.rank, report.rank_required, report.data_quality = (
+                exc.rank, exc.required, exc.quality)
+            _write_report(out_dir, report)
             raise
         lap("learn_s")
+        report.rank, report.rank_required, report.data_quality = (
+            verdict.rank, verdict.required, verdict.quality)
+        report.iters, report.resets, report.converged = (
+            vires.iters, vires.resets, vires.converged)
+        report.vi_reset_iterations = np.flatnonzero(np.diff(vires.history[:, 1])).tolist()
+        report.vi_final_step_metric = float(vires.history[-1, 3])
         files.update(export_regression_csv(data, out_dir))
         history_path = os.path.join(out_dir, "vi_history.csv")
         export_history_csv(vires, history_path)
@@ -334,16 +345,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
             write_rows(fh, np.atleast_2d(vires.K_final))
         files["learned_gain"] = gain_path
         lap("other_exports_s")
-        report = ExperimentReport(name=cfg.name, variant=cfg.variant, blinded=blinded,
-                                  rank=verdict.rank, rank_required=verdict.required,
-                                  data_quality=verdict.quality,
-                                  iters=vires.iters, resets=vires.resets,
-                                  vi_reset_iterations=np.flatnonzero(
-                                      np.diff(vires.history[:, 1])).tolist(),
-                                  vi_final_step_metric=float(vires.history[-1, 3]),
-                                  converged=vires.converged, tracking_max_error=None,
-                                  files=files, paper_reference=_paper_reference(cfg),
-                                  timings=timings)
         if not vires.converged:
             _write_report(out_dir, report)
             raise NotConvergedError("VI did not converge in %d iterations" % cfg.max_iters)

@@ -22,15 +22,16 @@ loop's rows: the closed loop repeats that last state, and the input logged
 there is the one in force before the learned gain took over.  The exploration
 rows are final when the exploration phase ends, so `start_trajectory_head`
 has a forked writer format them while the run learns and simulates the
-closed loop; `export_trajectory_csv` appends them after the header and
-before the closed loop's rows, without joining the two logs.
+closed loop.  `export_trajectory_csv` passes them to `write_rows` as the
+head of the closed loop's rows, so the closed loop's writers are forked
+before the head is awaited, and the two logs are never joined.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvrows import PendingRows, write_rows
+from .csvrows import MIN_VALUES_PER_WRITER, PendingRows, usable_cpus, write_rows
 from .internal_model import Exosystem, InternalModel
 from .observer import ObserverKnown
 from .regression import on_grid
@@ -199,8 +200,12 @@ def _trajectory_table(log: TrajectoryLog):
 
 def start_trajectory_head(log: TrajectoryLog, directory) -> PendingRows:
     """Start formatting every row of log but the last, the head of the CSV of
-    a run continued from log's final state, into a file in directory."""
-    return PendingRows(_trajectory_table(log)[1][:-1], directory)
+    a run continued from log's final state: in one forked writer with a file
+    in directory on more than one usable CPU and at least
+    `MIN_VALUES_PER_WRITER` values, otherwise later in-process."""
+    rows = _trajectory_table(log)[1][:-1]
+    early = usable_cpus() > 1 and rows.size >= MIN_VALUES_PER_WRITER
+    return PendingRows(rows, int(early), directory)
 
 
 def export_trajectory_csv(log: TrajectoryLog, path, head: PendingRows | None = None):
@@ -212,6 +217,4 @@ def export_trajectory_csv(log: TrajectoryLog, path, head: PendingRows | None = N
     names, rows = _trajectory_table(log)
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        if head is not None:
-            head.write_to(fh)
-        write_rows(fh, rows)
+        write_rows(fh, rows, head)

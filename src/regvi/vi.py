@@ -84,6 +84,8 @@ class ViConfig:
             raise ValueError("step schedule a/(k+b) needs a > 0 and b > 0")
         if not self.eps_conv > 0:
             raise ValueError("convergence threshold must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if not (self.bound_scale > 0 and self.bound_shift > 0):
             raise ValueError("bound-set radii must be positive and increasing")
         if np.abs(self.P0 - self.P0.T).max() > 1e-12 * max(1.0, np.abs(self.P0).max()):

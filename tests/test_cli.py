@@ -63,11 +63,14 @@ def _patched_nonzero_file(tmp_path, **patch):
 @pytest.mark.parametrize("patch", [{"t_switch": 28.0005}, {"zeta0": [0.0, 0.0]},
                                    {"grid_t0": 3.9995},
                                    {"tones": [{"amplitude": "1", "frequency": 2.0}]},
-                                   {"k0": [[1.0], [1.0, 2.0]]}])
+                                   {"k0": [[1.0], [1.0, 2.0]]}, {"max_iters": 0},
+                                   {"observer_poles": [1.0, -6.0, -7.0]}])
 def test_run_inconsistent_config(tmp_path, capsys, patch):
     path = _patched_nonzero_file(tmp_path, **patch)
     code = cli.main(["run", path, "--out-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["verify", path]) == cli.EXIT_CONFIG
 
 
 def test_run_rank_failure_exit_code(tmp_path, capsys):

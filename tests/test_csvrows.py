@@ -82,12 +82,12 @@ def test_pending_rows_match_per_value_format(table, tmp_path, fork_pids, pin_cpu
     if cpus is not None:
         pin_cpus(cpus)
     path = tmp_path / "rows.csv"
-    with PendingRows(rows[:count], tmp_path) as pending, open(path, "w") as fh:
+    early = (cpus or HOST_CPUS) > 1 and count * COLS >= MIN_VALUES_PER_WRITER
+    with PendingRows(rows[:count], int(early), tmp_path) as pending, open(path, "w") as fh:
         fh.write("head\n")
         pending.write_to(fh)
         write_rows(fh, rows[count:2 * count])
     assert path.read_text() == "head\n" + "".join(lines[:2 * count])
-    early = (cpus or HOST_CPUS) > 1 and count * COLS >= MIN_VALUES_PER_WRITER
     assert len(fork_pids) == early
     assert os.listdir(tmp_path) == ["rows.csv"]
 
@@ -106,10 +106,36 @@ def test_leaving_pending_rows_kills_the_writer(table, tmp_path, monkeypatch, for
     monkeypatch.setattr(csvrows, "_write_blocks", stuck_write_blocks)
     start = time.monotonic()
     with pytest.raises(KeyError):
-        with PendingRows(rows, tmp_path):
+        with PendingRows(rows, 1, tmp_path):
             raise KeyError("the run failed")
     assert time.monotonic() - start < 60.0
     assert len(fork_pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(fork_pids[0], os.WNOHANG)
     assert os.listdir(tmp_path) == []
+
+
+def test_write_rows_forks_its_writers_before_awaiting_the_head(table, tmp_path, monkeypatch,
+                                                               fork_pids, pin_cpus):
+    """write_rows(fh, rows, head) writes head first, but forks the writers of
+    its own ranges before it waits for head's child, so they run meanwhile."""
+    rows, lines = table
+    pin_cpus(3)
+    events, fork, waitpid = [], os.fork, os.waitpid
+
+    def logged_fork():
+        pid = fork()
+        if pid:
+            events.append(("fork", pid))
+        return pid
+    monkeypatch.setattr(os, "fork", logged_fork)
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: events.append(("wait", pid))
+                        or waitpid(pid, options))
+    path = tmp_path / "rows.csv"
+    with PendingRows(rows[:SPLIT_ROWS], 1, tmp_path) as head, open(path, "w") as fh:
+        write_rows(fh, rows[SPLIT_ROWS:], head)
+    assert path.read_text() == "".join(lines)
+    assert len(fork_pids) == 3                 # the head's, then one per range but the first
+    assert events == ([("fork", pid) for pid in fork_pids]
+                      + [("wait", pid) for pid in fork_pids])
+    assert os.listdir(tmp_path) == ["rows.csv"]

@@ -78,8 +78,15 @@ def test_parse_config_rejects_garbage():
     {"h": "0.001"},
     {"max_iters": 10.5},
     {"max_iters": True},
+    {"max_iters": 0},                      # VI needs at least one iterate
+    {"max_iters": -1},
     {"grid_s": 119.5},
     {"observer_poles": [[-5.0, 0.0, 1.0], -6.0, -7.0]},   # a complex pole is [re, im]
+    {"observer_poles": [[-5.0], -6.0, -7.0]},
+    {"observer_poles": [[], -6.0, -7.0]},
+    {"observer_poles": [1.0, -6.0, -7.0]},  # the filter bank must be Hurwitz
+    {"observer_poles": [0.0, -6.0, -7.0]},
+    {"observer_poles": [[0.0, 2.0], [0.0, -2.0], -7.0]},
     {"variant": 5, "p0_scale": 0.0, "q_y": 1.0, "q_z": 1.0},   # E solved at P0 = 0
     {"k0": [[1.0], [1.0, 2.0]]},           # ragged
     {"grid_s": 10**400},                   # integers beyond the float range
@@ -112,6 +119,19 @@ def test_verify_presets_all_ok():
         assert report.all_ok, [(c.name, c.detail) for c in report.checks if not c.ok]
         names = [c.name for c in report.checks]
         assert "theorem4_identity" in names and "unknown_counts" in names
+
+
+@pytest.mark.parametrize("poles", [[1.0, -6.0, -7.0], [0.0, -6.0, -7.0],
+                                   [[-5.0], -6.0, -7.0], [[], -6.0, -7.0]])
+def test_observer_poles_outside_the_left_half_plane_are_config_errors(poles):
+    """A filter bank that is not Hurwitz, or a pole that is neither a number nor
+    [re, im], fails build_objects, so verify reports it as a failed check."""
+    cfg = PRESETS["paper-e-nonzero"]()
+    cfg.observer_poles = poles
+    with pytest.raises(ConfigError):
+        build_objects(cfg)
+    report = verify(cfg)
+    assert [c.name for c in report.checks if not c.ok] == ["oracle_construction"]
 
 
 def test_verify_flags_unstabilizable_plant():

@@ -36,7 +36,8 @@ def test_config_validation():
                 dict(eps_num=nan), dict(eps_shift=nan), dict(eps_conv=nan),
                 dict(bound_scale=nan), dict(bound_shift=nan),
                 dict(R=-np.eye(1)), dict(R=np.zeros((1, 1))), dict(R=[[nan]]),
-                dict(R=np.array([[1.0, 0.5], [0.0, 1.0]]))):
+                dict(R=np.array([[1.0, 0.5], [0.0, 1.0]])),
+                dict(max_iters=0), dict(max_iters=-1)):
         with pytest.raises(ValueError):
             ViConfig(**{**good, **bad})
 
