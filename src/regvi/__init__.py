@@ -8,8 +8,7 @@ certification; see the module docstrings.
 from .experiment import (ExperimentConfig, NotConvergedError, PRESETS,
                          parse_config, run_experiment, serialize_config,
                          verify)
-from .internal_model import Exosystem, InternalModel, build_p_copy, \
-    minimal_polynomial, recast_exosystem
+from .internal_model import Exosystem, InternalModel
 from .observer import ObserverKnown
 from .oracle import LtiPlant, solve_care, solve_sylvester_regulator
 from .regression import SamplingGrid, build_regression, check_rank
@@ -19,8 +18,7 @@ from .vi import RankConditionError, ViConfig, vi_run
 __all__ = [
     "ExperimentConfig", "NotConvergedError", "PRESETS", "parse_config",
     "run_experiment", "serialize_config", "verify",
-    "Exosystem", "InternalModel", "build_p_copy", "minimal_polynomial",
-    "recast_exosystem", "ObserverKnown", "LtiPlant", "solve_care",
+    "Exosystem", "InternalModel", "ObserverKnown", "LtiPlant", "solve_care",
     "solve_sylvester_regulator", "SamplingGrid", "build_regression",
     "check_rank", "Tone", "simulate",
     "RankConditionError", "ViConfig", "vi_run",

@@ -1,7 +1,9 @@
 """Command-line entry point; `run` and `verify` take a config path or a preset name.
 
 Exit codes: 0 success, 2 rank condition failed, 3 value iteration did not
-converge, 4 configuration or usage error.
+converge, 4 configuration or usage error, 5 a simulated state overflowed.
+A run that fails after its config is accepted leaves a partial report.json
+and manifest.json in its output directory.
 """
 
 import argparse
@@ -15,6 +17,7 @@ EXIT_OK = 0
 EXIT_RANK = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_CONFIG = 4
+EXIT_OVERFLOW = 5
 
 
 def _load_config(source):
@@ -112,6 +115,9 @@ def main(argv=None):
     except NotConvergedError as exc:
         print("not converged: %s" % exc, file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    except OverflowError as exc:
+        print("simulation diverged: %s" % exc, file=sys.stderr)
+        return EXIT_OVERFLOW
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .csvrows import write_rows
-from .internal_model import build_p_copy, recast_exosystem
+from .internal_model import Exosystem, InternalModel
 from .linalg import companion_from_alpha, is_hurwitz
 from .observer import ObserverKnown
 from .oracle import (AssumptionError, LtiPlant, build_augmented_aux,
@@ -98,8 +98,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _as_matrix(spec, dim, what):
     """Scalar -> scale * identity of the given size; nested list -> matrix."""
-    if spec is None:
-        raise ConfigError("missing weight matrix %s" % what)
     if np.isscalar(spec):
         return float(spec) * np.eye(dim)
     M = np.atleast_2d(np.asarray(spec, dtype=float))
@@ -126,8 +124,8 @@ def _qbar(cfg, p, n_z):
 @dataclass
 class ExperimentObjects:
     plant: LtiPlant
-    exo: object
-    im: object
+    exo: Exosystem
+    im: InternalModel
     known: ObserverKnown
     B_rho: np.ndarray
 
@@ -136,8 +134,11 @@ def build_objects(cfg: ExperimentConfig) -> ExperimentObjects:
     try:
         plant = LtiPlant(A=cfg.plant_a, B=cfg.plant_b, C=cfg.plant_c,
                          E=cfg.plant_e, F=cfg.plant_f)
-        exo = recast_exosystem(cfg.exo_minpoly, cfg.exo_v0)
-        im = build_p_copy(cfg.exo_minpoly, plant.p)
+        im = InternalModel(cfg.exo_minpoly, plant.p)    # rejects an empty polynomial
+        # The known exosystem is the companion form of the minimal polynomial;
+        # the learner treats the signal it generates as the exogenous input,
+        # and the unknown output map is absorbed into the plant's E and F.
+        exo = Exosystem(companion_from_alpha(cfg.exo_minpoly), cfg.exo_v0)
         poles = _poles(cfg.observer_poles)
         known = ObserverKnown.from_poles(poles, plant.m, plant.p)
     except (TypeError, ValueError, AssumptionError) as exc:
@@ -215,28 +216,23 @@ def validate_config(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def make_vi_config(cfg: ExperimentConfig, objs: ExperimentObjects) -> ViConfig:
-    spec = VARIANTS[cfg.variant]
     m, p, n_z, n_zeta = objs.plant.m, objs.plant.p, objs.im.n_z, objs.known.n_zeta
-    n_a = {"x": objs.plant.n, "zeta": n_zeta, "rho": n_zeta + n_z}[spec.state]
-    R = _as_matrix(cfg.r, m, "r")
-    kwargs = dict(P0=cfg.p0_scale * np.eye(n_a), eps_num=cfg.eps_num,
-                  eps_shift=cfg.eps_shift, eps_conv=cfg.eps_conv,
-                  max_iters=cfg.max_iters, R=R, bound_scale=cfg.bound_scale,
-                  bound_shift=cfg.bound_shift)
-    if not spec.output_cost:
-        kwargs["Q"] = _as_matrix(cfg.q_main, n_a, "q_main")
-    if spec.output_cost:
-        kwargs["Q_y"] = _as_matrix(cfg.q_y, p, "q_y")
-    if spec.output_cost and spec.state == "rho":
-        kwargs["Q_z"] = _as_matrix(cfg.q_z, n_z, "q_z")
-    if spec.exo:
-        # Exogenous signals reach the learner state rho = col(zeta, z) only
-        # through the filters' output-injection columns and the internal
-        # model's input matrix; both are learner-known, so the exogenous
-        # matrix is solved for inside that column space.
-        kwargs["E_structure"] = np.block([[objs.known.E_zeta, np.zeros((n_zeta, p))],
-                                          [np.zeros((n_z, p)), objs.im.G2]])
-    return ViConfig(**kwargs)
+    n_a = {"x": objs.plant.n, "zeta": n_zeta, "rho": n_zeta + n_z}[VARIANTS[cfg.variant].state]
+    # every weight the config sets; vi.check_vi_inputs says which the variant needs
+    weights = {"Q": (cfg.q_main, n_a, "q_main"), "Q_y": (cfg.q_y, p, "q_y"),
+               "Q_z": (cfg.q_z, n_z, "q_z")}
+    # Exogenous signals reach the learner state rho = col(zeta, z) only
+    # through the filters' output-injection columns and the internal model's
+    # input matrix; both are learner-known, so an exogenous matrix is solved
+    # for inside that column space.
+    E_structure = np.block([[objs.known.E_zeta, np.zeros((n_zeta, p))],
+                            [np.zeros((n_z, p)), objs.im.G2]])
+    return ViConfig(P0=cfg.p0_scale * np.eye(n_a), eps_num=cfg.eps_num,
+                    eps_shift=cfg.eps_shift, eps_conv=cfg.eps_conv,
+                    max_iters=cfg.max_iters, R=_as_matrix(cfg.r, m, "r"),
+                    bound_scale=cfg.bound_scale, bound_shift=cfg.bound_shift,
+                    E_structure=E_structure,
+                    **{k: _as_matrix(*w) for k, w in weights.items() if w[0] is not None})
 
 
 def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig):
@@ -293,12 +289,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
 
     objs = validate_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    plant, exo, im, known = objs.plant, objs.exo, objs.im, objs.known
+    report = ExperimentReport(name=cfg.name, variant=cfg.variant, blinded=blinded, files={},
+                              paper_reference=_paper_reference(cfg), timings=timings)
+    try:
+        _run_layers(cfg, objs, out_dir, blinded, report, lap)
+    finally:                            # a failed run leaves its partial report too
+        _write_report(out_dir, report)
+    return report
+
+
+def _run_layers(cfg, objs, out_dir, blinded, report, lap):
+    """run_experiment's layers; each fills its fields of report as it finishes."""
+    plant, exo, im, known, files = objs.plant, objs.exo, objs.im, objs.known, report.files
     diag = None
     param = aux = None
     if not blinded:
         L = place_observer_gain(plant.A, plant.C, _poles(cfg.observer_poles))
-        param = compute_parameterization(plant, L, known.companion.alpha)
+        param = compute_parameterization(plant, L, known)
         aux = build_augmented_aux(plant, param, im, exo)
         diag = (param.M, aux.X_prime)
     spec = VARIANTS[cfg.variant]
@@ -306,9 +313,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
     K0 = np.atleast_2d(np.asarray(cfg.k0, dtype=float))
     if K0.shape[1] == known.n_zeta:
         K0 = np.hstack([K0, np.zeros((plant.m, im.n_z))])
-    files = {}
-    report = ExperimentReport(name=cfg.name, variant=cfg.variant, blinded=blinded, files=files,
-                              paper_reference=_paper_reference(cfg), timings=timings)
     lap("setup_s")
     log_explore = simulate(plant, exo, known, im, K0,
                            stack_state(exo, known, im, cfg.x0, cfg.zeta0, cfg.z0),
@@ -327,7 +331,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
             lap("learn_s")
             report.rank, report.rank_required, report.data_quality = (
                 exc.rank, exc.required, exc.quality)
-            _write_report(out_dir, report)
             raise
         lap("learn_s")
         report.rank, report.rank_required, report.data_quality = (
@@ -346,7 +349,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
         files["learned_gain"] = gain_path
         lap("other_exports_s")
         if not vires.converged:
-            _write_report(out_dir, report)
             raise NotConvergedError("VI did not converge in %d iterations" % cfg.max_iters)
 
         log_closed = simulate(plant, exo, known, im, vires.K_final, log_explore.final_state,
@@ -379,8 +381,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
         if vires.E_rho_identified is not None:
             report.e_rho_error = float(np.linalg.norm(vires.E_rho_identified - aux.E_rho, "fro")
                                        / np.linalg.norm(aux.E_rho, "fro"))
-    _write_report(out_dir, report)
-    return report
 
 
 def _write_report(out_dir, report):
@@ -452,7 +452,7 @@ def verify(cfg: ExperimentConfig) -> VerificationReport:
             objs = build_objects(cfg)
             plant, im = objs.plant, objs.im
             L = place_observer_gain(plant.A, plant.C, _poles(cfg.observer_poles))
-            param = compute_parameterization(plant, L, objs.known.companion.alpha)
+            param = compute_parameterization(plant, L, objs.known)
             errs = parameterization_identity_errors(plant, param)
             worst = max(errs.values())
             checks.append(VerificationCheck("parameterization_identities",

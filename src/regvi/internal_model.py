@@ -1,12 +1,10 @@
-"""Minimal p-copy internal model construction and exosystem recasting."""
+"""The known exosystem and the p-copy internal model of the config's minimal polynomial."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import companion_from_alpha
-
-ANNIHILATION_TOL = 1e-10
 
 
 @dataclass
@@ -68,43 +66,4 @@ class InternalModel:
     @property
     def n_z(self):
         return self.p * self.minpoly.size
-
-
-def minimal_polynomial(S, tol=ANNIHILATION_TOL):
-    """Smallest-degree monic polynomial annihilating S, ascending coefficients.
-
-    Found by an incremental rank test on the Krylov sequence
-    vec(I), vec(S), vec(S^2), ...
-    """
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    q = S.shape[0]
-    scale = max(1.0, float(np.linalg.norm(S, "fro")))
-    powers = [np.eye(q)]
-    for _ in range(q):
-        powers.append(powers[-1] @ S)
-    vecs_ = np.column_stack([p.reshape(-1) for p in powers])
-    for d in range(1, q + 1):
-        basis = vecs_[:, :d]
-        target = vecs_[:, d]
-        coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-        residual = np.linalg.norm(basis @ coef - target)
-        if residual <= tol * scale**d:
-            return -coef  # S^d + sum_i alpha_i S^i = 0
-    raise RuntimeError("Cayley-Hamilton violated; numerical breakdown")
-
-
-def build_p_copy(minpoly, p):
-    """Minimal p-copy internal model of the exosystem with the given minimal polynomial."""
-    return InternalModel(minpoly=np.asarray(minpoly, dtype=float), p=int(p))
-
-
-def recast_exosystem(minpoly, vhat0):
-    """Known companion-form exosystem generating the signal with the given modes.
-
-    Downstream code treats the generated vhat as the known exogenous signal;
-    the unknown output map is absorbed into the (unknown) plant matrices.
-    """
-    minpoly = np.asarray(minpoly, dtype=float)
-    S_hat = companion_from_alpha(minpoly)
-    return Exosystem(S=S_hat, v0=np.asarray(vhat0, dtype=float))
 

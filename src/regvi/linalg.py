@@ -6,15 +6,9 @@ The quadratic-monomial vector ``vecv`` and the symmetric half-vectorization
 on-disk order for every packed vector written by the rest of the package.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 SYM_TOL = 1e-10
-
-
-def _upper_indices(n):
-    return np.triu_indices(n)
 
 
 def vecv(b):
@@ -22,14 +16,14 @@ def vecv(b):
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
         raise ValueError("vecv expects a vector, got shape %s" % (b.shape,))
-    i, j = _upper_indices(b.size)
+    i, j = np.triu_indices(b.size)
     return b[i] * b[j]
 
 
 def vecv_rows(X):
     """Row-wise vecv of an (N, n) array; returns (N, n(n+1)/2)."""
     X = np.asarray(X, dtype=float)
-    i, j = _upper_indices(X.shape[1])
+    i, j = np.triu_indices(X.shape[1])
     return X[:, i] * X[:, j]
 
 
@@ -46,7 +40,7 @@ def vecs(P):
     if np.abs(P - P.T).max() > SYM_TOL * scale:
         raise ValueError("matrix is not symmetric to tolerance %g" % SYM_TOL)
     P = 0.5 * (P + P.T)
-    i, j = _upper_indices(P.shape[0])
+    i, j = np.triu_indices(P.shape[0])
     w = np.where(i == j, 1.0, 2.0)
     return w * P[i, j]
 
@@ -57,7 +51,7 @@ def unvecs(v, n):
     if v.size != n * (n + 1) // 2:
         raise ValueError("expected length %d for n=%d, got %d" % (n * (n + 1) // 2, n, v.size))
     P = np.zeros((n, n))
-    i, j = _upper_indices(n)
+    i, j = np.triu_indices(n)
     P[i, j] = np.where(i == j, v, 0.5 * v)
     P = P + np.triu(P, 1).T
     return P
@@ -98,31 +92,6 @@ def companion_from_alpha(alpha):
         A[np.arange(n - 1), np.arange(1, n)] = 1.0
     A[-1, :] = -alpha
     return A
-
-
-@dataclass
-class CompanionPair:
-    """Companion realization (A_mat, b_vec) of a monic polynomial.
-
-    alpha holds the ascending coefficients [a0, ..., a_{n-1}] of
-    s^n + a_{n-1} s^{n-1} + ... + a0.
-    """
-
-    alpha: np.ndarray
-    A_mat: np.ndarray = field(init=False)
-    b_vec: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        if self.alpha.ndim != 1 or self.alpha.size < 1:
-            raise ValueError("alpha must be a nonempty coefficient vector")
-        self.A_mat = companion_from_alpha(self.alpha)
-        self.b_vec = np.zeros(self.alpha.size)
-        self.b_vec[-1] = 1.0
-
-    @property
-    def dim(self):
-        return self.alpha.size
 
 
 def is_hurwitz(A):

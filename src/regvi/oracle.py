@@ -268,14 +268,14 @@ class ObserverParameterization:
     M: np.ndarray | None = None
 
 
-def compute_parameterization(plant, L, lambda_coeffs):
-    """Build D_0..D_{n-1} and M for the observer gain L.
+def compute_parameterization(plant, L, known: ObserverKnown):
+    """Build D_0..D_{n-1} and M for the observer gain L and the learner's filter bank.
 
-    lambda_coeffs must equal the characteristic polynomial of A - LC (this is
+    known.alpha must equal the characteristic polynomial of A - LC (this is
     what ties the user polynomial to the gain); mismatch is an error.
     """
     L = np.asarray(L, dtype=float).reshape(plant.n, plant.p)
-    alpha = np.asarray(lambda_coeffs, dtype=float)
+    alpha = known.alpha
     n, m, p = plant.n, plant.m, plant.p
     F_obs = plant.A - L @ plant.C
     actual = char_poly_alpha(F_obs)
@@ -294,7 +294,6 @@ def compute_parameterization(plant, L, lambda_coeffs):
                            % np.abs(closure).max())
     cols = [plant.B[:, [i]] for i in range(m)] + [L[:, [i]] for i in range(p)]
     M = np.hstack([np.hstack([D[k] @ f for k in range(n)]) for f in cols])
-    known = ObserverKnown.from_alpha(alpha, m, p)
     param = ObserverParameterization(known=known, L=L, M=M)
     errs = parameterization_identity_errors(plant, param)
     if max(errs.values()) > 1e-8:

@@ -236,7 +236,7 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
 
 
 def check_vi_inputs(variant, cfg: ViConfig):
-    """Raise ValueError unless cfg holds what the variant needs."""
+    """Raise ValueError unless cfg holds what the variant needs; the one such table."""
     spec = VARIANTS[variant]
     # the state-cost variants need P0 > 0, and so does an exogenous term:
     # its least-squares fit at P0 = 0 is singular

@@ -12,7 +12,7 @@ import pytest
 
 from regvi.experiment import (PRESETS, _poles, build_objects, make_vi_config,
                               run_experiment)
-from regvi.internal_model import build_p_copy, recast_exosystem
+from regvi.internal_model import Exosystem, InternalModel
 from regvi.observer import ObserverKnown
 from regvi.oracle import (LtiPlant, build_augmented_aux, compute_parameterization,
                           place_observer_gain, solve_care)
@@ -92,7 +92,7 @@ def nonzero_setup():
     objs = build_objects(cfg)
     log = _exploration_log(cfg, objs)
     L = place_observer_gain(objs.plant.A, objs.plant.C, _poles(cfg.observer_poles))
-    param = compute_parameterization(objs.plant, L, objs.known.companion.alpha)
+    param = compute_parameterization(objs.plant, L, objs.known)
     aux = build_augmented_aux(objs.plant, param, objs.im, objs.exo)
     vicfg = make_vi_config(cfg, objs)
     Q_rho = vicfg.Q
@@ -109,7 +109,7 @@ def zero_setup():
     objs = build_objects(cfg)
     log = _exploration_log(cfg, objs)
     L = place_observer_gain(objs.plant.A, objs.plant.C, _poles(cfg.observer_poles))
-    param = compute_parameterization(objs.plant, L, objs.known.companion.alpha)
+    param = compute_parameterization(objs.plant, L, objs.known)
     aux = build_augmented_aux(objs.plant, param, objs.im, objs.exo)
     vicfg = make_vi_config(cfg, objs)
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
@@ -134,9 +134,9 @@ def make_random_plant(seed=12345):
 def fullstate_setup():
     """Random stable 3-state plant, trivial exosystem, full-state exploration data."""
     plant = make_random_plant()
-    exo = recast_exosystem([0.0], [0.0])     # single integrator held at zero
+    exo = Exosystem([[0.0]], [0.0])     # single integrator held at zero
     known = ObserverKnown.from_poles([-2.0, -3.0, -4.0], plant.m, plant.p)
-    im = build_p_copy([0.0], plant.p)
+    im = InternalModel([0.0], plant.p)
     tones = [Tone(1.0, 1.0), Tone(1.0, 2.7), Tone(1.0, 5.3), Tone(1.0, 9.1)]
     K = np.zeros((1, known.n_zeta + im.n_z))
     log = simulate(plant, exo, known, im, K,

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,17 @@ def test_run_nonconvergence_exit_code(tmp_path, capsys):
     path = _patched_nonzero_file(tmp_path, max_iters=60)
     code = cli.main(["run", path, "--out-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_NOT_CONVERGED
+
+
+def test_run_overflow_exit_code(tmp_path, capsys):
+    """A diverging exploration sim exits 5 and leaves only its partial report."""
+    path = _patched_nonzero_file(tmp_path, k0=[[100.0] * 6])
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out-dir", str(out)]) == cli.EXIT_OVERFLOW
+    assert "state overflow" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["manifest.json", "report.json"]
+    with open(out / "report.json") as fh:
+        assert json.load(fh)["converged"] is False
 
 
 def test_verify_preset(capsys):

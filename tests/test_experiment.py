@@ -91,6 +91,9 @@ def test_parse_config_rejects_garbage():
     {"k0": [[1.0], [1.0, 2.0]]},           # ragged
     {"grid_s": 10**400},                   # integers beyond the float range
     {"grid_dt": 10**400},
+    {"variant": 4, "q_main": None},        # a weight the variant needs is unset
+    dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())), q_y=None),
+    {"exo_minpoly": [], "exo_v0": []},     # the internal model needs degree >= 1
 ])
 def test_validate_config_rejects(patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,25 @@ def test_perfbench_traced_names_are_called(tmp_path, monkeypatch):
         assert calls.count("export_trajectory_csv") == 1 and calls.count("simulate") == 2
         seen.update(calls)
     assert seen == set(experiment_names), sorted(set(experiment_names) - seen)
+
+
+def test_perfbench_selftest_passes(tmp_path):
+    """The benchmark harness's own self-tests pass against this src/, so a
+    change that breaks the tracer's assumptions fails here.  They run on a
+    copy, because they write and then delete a work directory beside src/."""
+    root = PACKAGE.parents[1]
+    ignore = shutil.ignore_patterns("__pycache__")
+    for name in ("perfbench", "src"):
+        shutil.copytree(root / name, tmp_path / name, ignore=ignore)
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    done = subprocess.run([sys.executable, str(tmp_path / "perfbench" / "selftest.py")],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-3000:]
+
+
+def test_package_exports_resolve():
+    missing = [name for name in regvi.__all__ if not hasattr(regvi, name)]
+    assert not missing, missing
 
 
 def test_learner_runs_on_known_matrices_only(nonzero_setup, nonzero_run):

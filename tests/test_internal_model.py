@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from regvi.internal_model import (Exosystem, build_p_copy, minimal_polynomial,
-                                  recast_exosystem)
+from regvi.experiment import PRESETS, build_objects
+from regvi.internal_model import Exosystem, InternalModel
 from regvi.linalg import char_poly_alpha
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -21,7 +21,7 @@ def test_exosystem_dims():
 
 
 def test_p_copy_structure():
-    im = build_p_copy([1.0, 0.0], 2)   # minimal polynomial s^2 + 1, two copies
+    im = InternalModel([1.0, 0.0], 2)   # minimal polynomial s^2 + 1, two copies
     assert im.n_z == 4
     assert np.array_equal(im.beta, ROTATION * 0 + [[0.0, 1.0], [-1.0, 0.0]])
     assert np.array_equal(im.G1, np.kron(np.eye(2), im.beta))
@@ -33,31 +33,21 @@ def test_p_copy_structure():
 
 def test_companion_annihilates_minpoly():
     minpoly = [2.0, 3.0, 1.0]
-    im = build_p_copy(minpoly, 1)
+    im = InternalModel(minpoly, 1)
     assert np.allclose(char_poly_alpha(im.beta), minpoly)
 
 
-def test_minimal_polynomial_rotation():
-    assert np.allclose(minimal_polynomial(ROTATION), [1.0, 0.0])
-
-
-def test_minimal_polynomial_degree_reduction():
-    # S = I2 has characteristic polynomial (s-1)^2 but minimal polynomial s-1
-    alpha = minimal_polynomial(np.eye(2))
-    assert alpha.shape == (1,)
-    assert np.allclose(alpha, [-1.0])
-
-
 def test_recast_exosystem_companion_form():
-    exo = recast_exosystem([1.0, 0.0], [1.0, 0.8])
-    assert np.array_equal(exo.S, ROTATION * 0 + [[0.0, 1.0], [-1.0, 0.0]])
+    # the config's minimal polynomial s^2 + 1 becomes the known exosystem
+    exo = build_objects(PRESETS["paper-e-nonzero"]()).exo
+    assert np.array_equal(exo.S, ROTATION)
     assert np.array_equal(exo.v0, [1.0, 0.8])
 
 
 def test_sylvester_shadow_inconsistent_for_nonzero_v():
     """Z S = G1 Z + G2 V has no solution for V != 0 (and only Z = 0 for V = 0)
     when the internal model copies the exosystem modes."""
-    im = build_p_copy([1.0, 0.0], 1)
+    im = InternalModel([1.0, 0.0], 1)
     S = ROTATION
     n_z, q = im.n_z, 2
     op = np.kron(S.T, np.eye(n_z)) - np.kron(np.eye(q), im.G1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regvi.linalg import (CompanionPair, char_poly_alpha, companion_from_alpha,
+from regvi.linalg import (char_poly_alpha, companion_from_alpha,
                           is_hurwitz, poly_from_roots, unvecs, vecs, vecv,
                           vecv_rows)
 
@@ -89,13 +89,6 @@ def test_poly_from_roots_rejects_unpaired_complex():
 def test_char_poly_roundtrip():
     alpha = np.array([6.0, 11.0, 6.0])  # (s+1)(s+2)(s+3)
     assert np.allclose(char_poly_alpha(companion_from_alpha(alpha)), alpha)
-
-
-def test_companion_pair_structure():
-    pair = CompanionPair(np.array([2.0, 3.0]))
-    assert np.array_equal(pair.A_mat, [[0.0, 1.0], [-2.0, -3.0]])
-    assert np.array_equal(pair.b_vec, [0.0, 1.0])
-    assert pair.dim == 2
 
 
 def test_is_hurwitz():

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from regvi.linalg import is_hurwitz
+from regvi.observer import ObserverKnown
 from regvi.oracle import (AssumptionError, LtiPlant, SpectraOverlapError,
                           build_augmented_plant, care_residual,
                           compute_parameterization,
@@ -195,8 +196,8 @@ def test_parameterization_identities(nonzero_setup):
 
 def test_parameterization_rejects_wrong_polynomial(nonzero_setup):
     plant = nonzero_setup["objs"].plant
-    with pytest.raises(ValueError):
-        compute_parameterization(plant, nonzero_setup["L"], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="do not match"):
+        compute_parameterization(plant, nonzero_setup["L"], ObserverKnown([1.0, 1.0, 1.0], 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from regvi.internal_model import build_p_copy, recast_exosystem
+from regvi.internal_model import Exosystem, InternalModel
 from regvi.observer import ObserverKnown
 from regvi.oracle import (LtiPlant, compute_parameterization,
                           place_observer_gain, solve_care, verify_theorem4)
@@ -243,7 +243,7 @@ def two_input_log(t_end):
     known = ObserverKnown.from_poles([-2.0, -3.0, -4.0], plant.m, plant.p)
     tones = [Tone(1.0, 1.0, channel=0), Tone(1.0, 2.7, channel=1),
              Tone(1.0, 5.3, channel=0), Tone(1.0, 9.1, channel=1)]
-    exo, im = recast_exosystem([0.0], [0.0]), build_p_copy([0.0], 1)
+    exo, im = Exosystem([[0.0]], [0.0]), InternalModel([0.0], 1)
     log = simulate(plant, exo, known, im, np.zeros((plant.m, known.n_zeta + im.n_z)),
                    stack_state(exo, known, im, [1.0, -1.0, 0.5]), (0.0, t_end), 1e-3, tones)
     return plant, known, log
@@ -396,9 +396,9 @@ def test_zero_preset_converges_on_held_out_phases(zero_setup, seed):
 def output_based_setup():
     plant = LtiPlant(A=[[0.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1.0]],
                      C=[[1.0, 0.0]], E=np.zeros((2, 2)), F=[[1.0, 0.0]])
-    exo = recast_exosystem([1.0, 0.0], [2.0, 1.0])
+    exo = Exosystem([[0.0, 1.0], [-1.0, 0.0]], [2.0, 1.0])
     known = ObserverKnown.from_poles([-3.0, -4.0], plant.m, plant.p)
-    im = build_p_copy([1.0, 0.0], 1)
+    im = InternalModel([1.0, 0.0], 1)
     B_rho = np.vstack([known.B_zeta, np.zeros((im.n_z, 1))])
     tones = [Tone(5.0, 1.3), Tone(5.0, 2.9), Tone(-5.0, 4.7),
              Tone(5.0, 7.1), Tone(-5.0, 9.3)]
@@ -414,7 +414,7 @@ def output_based_setup():
                      Q_z=np.eye(im.n_z), E_structure=S,
                      bound_scale=1000.0, bound_shift=200.0)
     L = place_observer_gain(plant.A, plant.C, np.array([-3.0, -4.0]))
-    param = compute_parameterization(plant, L, known.companion.alpha)
+    param = compute_parameterization(plant, L, known)
     t4 = verify_theorem4(plant, param, im, np.eye(1 + im.n_z), np.eye(1))
     P_lift = t4.W.T @ t4.P_xi @ t4.W
     return {"plant": plant, "im": im, "known": known, "B_rho": B_rho, "M": param.M,
