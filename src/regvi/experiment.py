@@ -235,17 +235,24 @@ def make_vi_config(cfg: ExperimentConfig, objs: ExperimentObjects) -> ViConfig:
                     **{k: _as_matrix(*w) for k, w in weights.items() if w[0] is not None})
 
 
-def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig):
+def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig,
+                   lap=lambda name: None):
     """Regression + rank check + value iteration from the logged trajectory.
 
     Touches only learner-visible channels and known matrices (known_B: None on x).
+    lap(name) is the run's clock: the regression and its rank verdict go to
+    regression_s, value iteration (raising or not) to vi_s.
     """
     data = build_regression(log, grid, variant, R=vicfg.R, known_B=known_B)
     verdict = check_rank(data)
+    lap("regression_s")
     if not verdict.satisfied:
         raise RankConditionError("rank %d < required %d" % (verdict.rank, verdict.required),
                                  verdict.rank, verdict.required, verdict.quality)
-    result = vi_run(variant, data, vicfg)
+    try:
+        result = vi_run(variant, data, vicfg)
+    finally:
+        lap("vi_s")
     return data, verdict, result
 
 
@@ -269,6 +276,7 @@ class ExperimentReport:
     resets: int | None = None
     vi_reset_iterations: list | None = None  # the iterate k of each reset
     vi_final_step_metric: float | None = None  # ||P~ - P||_2 / eps at the last iterate
+    vi_us_per_iter: float | None = None  # timings["vi_s"] per iterate, in microseconds
     converged: bool = False
     tracking_max_error: float | None = None
     gain_error: float | None = None
@@ -326,17 +334,17 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     # stops and reaps it.
     with start_trajectory_head(log_explore, out_dir) as traj_head:
         try:
-            data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B, vicfg)
+            data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B,
+                                                  vicfg, lap)
         except RankConditionError as exc:
-            lap("learn_s")
             report.rank, report.rank_required, report.data_quality = (
                 exc.rank, exc.required, exc.quality)
             raise
-        lap("learn_s")
         report.rank, report.rank_required, report.data_quality = (
             verdict.rank, verdict.required, verdict.quality)
         report.iters, report.resets, report.converged = (
             vires.iters, vires.resets, vires.converged)
+        report.vi_us_per_iter = 1e6 * report.timings["vi_s"] / vires.iters
         report.vi_reset_iterations = np.flatnonzero(np.diff(vires.history[:, 1])).tolist()
         report.vi_final_step_metric = float(vires.history[-1, 3])
         files.update(export_regression_csv(data, out_dir))

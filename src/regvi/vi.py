@@ -8,11 +8,13 @@ variant's row of `regression.VARIANTS` says which gain: on state x, K is
 fitted with H; otherwise K = -R^{-1} B^T P is known, so K^T R K = P M P with
 M = B R^{-1} B^T formed once, the update is one matrix-vector product and
 two small products, and K itself is formed only for the final gain.  A
-solved exogenous matrix E = S W stays unknown: I_aa is factored once, and
-each iterate solves only for W on the complement of range(I_aa) and
-subtracts E's term from vec(H); an identified one is that solve at P0,
-folded into L.  Every least-squares fit is numpy's, and it fails with
-RankConditionError under the one rank rule `regression.check_rank` applies.
+solved exogenous matrix E = S W stays unknown: at fit time I_aa is factored
+and the E term's columns are reduced to an (n*q)-row basis of their range,
+so each iterate solves an (n*q) x (q*r) least-squares system for W, whose
+rhs comes out of the same matrix-vector product as vec(H + Q), and
+subtracts E's term; an identified E is that solve at P0, folded into L.
+Every least-squares fit is numpy's, and it fails with RankConditionError
+under the one rank rule `regression.check_rank` applies.
 
 All six variants then share one loop: a Robbins-Monro step
 P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
@@ -20,7 +22,9 @@ P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
 falls below the convergence threshold.  The iterates are symmetric up to the
 rounding of the update, so both 2-norms are the largest |eigenvalue| of one
 eigvalsh call on the pair (P~, P~ - P), which reads one triangle; the two
-tests and the history row read those same two numbers.
+tests and the history row read those same two numbers.  The history is
+allocated in doubling blocks as the loop runs, so max_iters bounds the loop
+and not an allocation.
 """
 
 from collections.abc import Callable
@@ -143,10 +147,13 @@ def _vec_maps(n):
 class Stage:
     """The least-squares stage of one (variant, data) pair, fitted once.
 
-    vec(H + Q) = L vec(P) + c0 - exo(P, vec(P)), and vec(K) = L_K vec(P).
-    Where K = -R^{-1} B^T P is known, K^T R K = P M P with M = B R^{-1} B^T;
-    M is None where K is fitted with H (state x).  exo is the term of an
-    exogenous matrix solved at every iterate, and None without one.
+    vec(H + Q) = L vec(P) + c0, and vec(K) = L_K vec(P).  Where K =
+    -R^{-1} B^T P is known, K^T R K = P M P with M = B R^{-1} B^T; M is None
+    where K is fitted with H (state x).  exo is the term of an exogenous
+    matrix solved at every iterate, and None without one; L and c0 then
+    carry extra rows after the n^2 of vec(H + Q), the rhs of that solve, so
+    one matrix-vector product v = L vec(P) + c0 feeds both and
+    vec(H + Q) = v[:n^2] - exo(P, v[n^2:]).
     """
 
     L: np.ndarray
@@ -161,7 +168,7 @@ class Stage:
         p = P.reshape(-1, order="F")
         v = self.L @ p + self.c0
         if self.exo is not None:
-            v -= self.exo(P, p)
+            v = v[:p.size] - self.exo(P, v[p.size:])
         D = v.reshape(P.shape, order="F")
         if self.M is None:
             K = self.gain(P)
@@ -212,27 +219,37 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     if spec.exo is None:
         return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M), None
     # The E term of the rhs is 2 Gamma_av vec(E^T P) with E = S W.  Projected
-    # onto Q_c, the complement of range(I_aa), it leaves r*q unknowns vec(W):
-    # row (t, a) of Gq holds (Q_c^T Gamma_av)[t, (i, a)] over i.
+    # onto Q_c, the complement of range(I_aa), it leaves r*q unknowns vec(W),
+    # and its columns lie in range(Q_c^T Gamma_av): check_rank has accepted
+    # [I_aa, Gamma_av], so the reduced QR Q_c^T Gamma_av = Q_g R_g has full
+    # column rank n*q.  Projecting onto Q_g as well keeps the minimiser and
+    # leaves an (n*q) x (q*r) system: row (t, a) of Gq holds 2 R_g[t, (i, a)]
+    # over i.  The rhs is projected by Q_c^T, then by Q_g^T: G vec(P0) lies
+    # mostly in range(I_aa), and the product Q_c Q_g would lose ~1e-10 of E.
     S = cfg.E_structure
     r, q = S.shape[1], data.dims["q"]
     Q_c = Q[:, half:]
-    Gq = (Q_c.T @ data.Gamma_av).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
+    Q_g, R_g = np.linalg.qr(Q_c.T @ data.Gamma_av)
+    Gq = (2.0 * R_g).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
 
-    def solve_E(P, rhs_c):      # rhs_c: the rhs at P projected onto Q_c
-        C = (Gq @ (P.T @ S)).reshape(Q_c.shape[1], q * r)
-        return S @ _lstsq(2.0 * C, rhs_c).reshape((r, q), order="F")
+    def project(x):             # the reduced rhs rows of x
+        return Q_g.T @ (Q_c.T @ x)
+
+    def solve_E(T, rhs):        # W with E = S W, at T = P^T S and the reduced rhs at P
+        C = (Gq @ T).reshape(n * q, q * r)
+        return _lstsq(C, rhs).reshape((r, q), order="F")
 
     if spec.exo == "identify":
-        E = solve_E(cfg.P0, Q_c.T @ (G @ cfg.P0.reshape(-1, order="F") + c))
+        E = S @ solve_E(cfg.P0.T @ S, project(G @ cfg.P0.reshape(-1, order="F") + c))
         G = G - 2.0 * data.Gamma_av @ np.kron(np.eye(n), E.T)
         return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M), E
-    G_c, c_c, lift_av = Q_c.T @ G, Q_c.T @ c, 2.0 * lift @ data.Gamma_av
+    lift_av = 2.0 * lift @ data.Gamma_av
 
-    def exo(P, p):
-        E = solve_E(P, G_c @ p + c_c)
-        return lift_av @ (E.T @ P).reshape(-1, order="F")
-    return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M, exo), None
+    def exo(P, rhs):            # vec(E^T P) = vec((T W)^T) is (T W).ravel()
+        T = P.T @ S
+        return lift_av @ (T @ solve_E(T, rhs)).ravel()
+    return Stage(np.vstack([lift @ G, project(G)]),
+                 np.concatenate([lift @ c + vec_Q, project(c)]), L_K, cfg.R, M, exo), None
 
 
 def check_vi_inputs(variant, cfg: ViConfig):
@@ -256,6 +273,10 @@ def _spec_norms(*mats):
     return np.abs(np.linalg.eigvalsh(np.array(mats))).max(axis=-1).tolist()
 
 
+# rows of the first history block; the presets' max_iters fit in it
+HISTORY_ROWS = 1 << 15
+
+
 def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
     """Run the value-iteration loop; non-convergence is reported, not raised."""
     check_vi_inputs(variant, cfg)
@@ -263,9 +284,11 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
     norm_P0 = _spec_norms(cfg.P0)[0]
     P, norm_P = cfg.P0.copy(), norm_P0
     j = 0                               # bound-set index = resets so far
-    history = np.empty((cfg.max_iters, 4))
+    history = np.empty((min(cfg.max_iters, HISTORY_ROWS), 4))
     converged = False
     for k in range(cfg.max_iters):
+        if k == len(history):           # full: double it, up to max_iters rows
+            history = np.concatenate([history, np.empty((min(k, cfg.max_iters - k), 4))])
         eps = cfg.eps(k)
         P_tilde = P + eps * stage.residual(P)
         norm_tilde, norm_step = _spec_norms(P_tilde, P_tilde - P)

@@ -197,7 +197,8 @@ def test_run_experiment_not_converged(tmp_path, monkeypatch, fork_pids, pin_cpus
     assert payload["iters"] == len(history) == 60
     assert payload["resets"] == len(payload["vi_reset_iterations"])
     assert payload["vi_final_step_metric"] == history[-1, 3]
-    assert set(payload["timings"]) == {"setup_s", "explore_sim_s", "learn_s", "other_exports_s"}
+    assert set(payload["timings"]) == {"setup_s", "explore_sim_s", "regression_s", "vi_s",
+                                        "other_exports_s"}
     assert "trajectory.csv" not in os.listdir(tmp_path)
     assert fork_pids                    # the exploration rows went to a forked writer
     _assert_nothing_left_running(tmp_path)
@@ -221,7 +222,7 @@ def test_run_experiment_rank_failure(tmp_path, monkeypatch, fork_pids, pin_cpus)
     [(data, verdict)] = verdicts
     assert verdict.rank == np.linalg.matrix_rank(data.I_aa) == 15
     assert payload["data_quality"] == verdict.quality == info.value.quality
-    assert set(payload["timings"]) == {"setup_s", "explore_sim_s", "learn_s"}
+    assert set(payload["timings"]) == {"setup_s", "explore_sim_s", "regression_s"}
     assert fork_pids
     _assert_nothing_left_running(tmp_path)
     assert sorted(os.listdir(tmp_path)) == ["manifest.json", "report.json"]
@@ -256,10 +257,15 @@ def test_out_dir_holds_exactly_the_manifest(run, request):
 
 def test_report_carries_layer_timings(nonzero_run):
     timings = _load_json(nonzero_run["out_dir"], "report.json")["timings"]
-    assert set(timings) == {"setup_s", "explore_sim_s", "learn_s", "closed_loop_sim_s",
-                            "trajectory_export_s", "other_exports_s"}
+    assert set(timings) == {"setup_s", "explore_sim_s", "regression_s", "vi_s",
+                            "closed_loop_sim_s", "trajectory_export_s", "other_exports_s"}
     assert all(t >= 0 for t in timings.values())
     assert sum(timings.values()) <= nonzero_run["elapsed"]
+
+
+def test_report_carries_vi_time_per_iterate(nonzero_run):
+    payload = _load_json(nonzero_run["out_dir"], "report.json")
+    assert payload["vi_us_per_iter"] == 1e6 * payload["timings"]["vi_s"] / payload["iters"] > 0
 
 
 def test_trajectory_continues_exploration_log(nonzero_run, nonzero_setup):

@@ -3,15 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from regvi import vi
 from regvi.internal_model import Exosystem, InternalModel
+from regvi.linalg import vecs
 from regvi.observer import ObserverKnown
 from regvi.oracle import (LtiPlant, compute_parameterization,
                           place_observer_gain, solve_care, verify_theorem4)
-from regvi.regression import (RegressionData, SamplingGrid, build_regression,
+from regvi.regression import (VARIANTS, RegressionData, SamplingGrid, build_regression,
                               check_rank)
 from regvi.sim import Tone, simulate, stack_state
 from regvi.vi import (RankConditionError, ViConfig, ViResult, _fit_stage, _lstsq,
-                      check_vi_inputs, export_history_csv, vi_run)
+                      _vec_maps, check_vi_inputs, export_history_csv, vi_run)
 
 
 def rel(a, b):
@@ -370,6 +372,120 @@ def test_variant4_matches_oracle(nonzero_setup, nonzero_vi_runs):
 def test_variant3_variant4_agree(nonzero_vi_runs):
     res3, res4 = nonzero_vi_runs
     assert rel(res3.P_final, res4.P_final) <= 0.01
+
+
+def test_huge_max_iters_changes_nothing(nonzero_setup, nonzero_vi_runs):
+    """The history grows with the loop: max_iters = 10**12 allocates nothing up
+    front and gives the preset's run (max_iters 31806) bitwise."""
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
+                            known_B=nonzero_setup["objs"].B_rho)
+    res = vi_run(4, data, replace(nonzero_setup["vicfg"], max_iters=10**12))
+    _, res4 = nonzero_vi_runs
+    assert res.converged and res.iters == res4.iters == len(res.history)
+    assert np.array_equal(res.history, res4.history)
+    assert np.array_equal(res.K_final, res4.K_final)
+
+
+def test_history_grows_across_blocks(fullstate_setup, monkeypatch):
+    """A first history block of 7 rows doubles until it holds all 300 iterates."""
+    cfg = ViConfig(P0=0.05 * np.eye(3), eps_num=0.5, eps_shift=5.0, eps_conv=1e-12,
+                   max_iters=300, R=np.eye(1), Q=np.eye(3), bound_scale=0.2, bound_shift=1.0)
+    whole = vi_run(1, fullstate_setup["data"], cfg)
+    monkeypatch.setattr(vi, "HISTORY_ROWS", 7)
+    grown = vi_run(1, fullstate_setup["data"], cfg)
+    assert grown.history.shape == (300, 4)
+    assert np.array_equal(grown.history, whole.history)
+    assert np.array_equal(grown.K_final, whole.K_final)
+
+
+# ---------------------------------------------------------------------------
+# The exogenous solve against the full Q_c-projected system
+# ---------------------------------------------------------------------------
+
+def reference_exo_stage(variant, data, cfg):
+    """The structured-E stage as it stood before the reduced system.
+
+    W solves the Q_c-projected rhs by an lstsq over all rows of Q_c, E = S W,
+    and the E term of vec(H) is lift_av vec(E^T P).  Returns (E_at, residual):
+    E at an iterate P, and H + Q - P M P with E solved at P.
+    """
+    spec = VARIANTS[variant]
+    n, q = data.dims["n_a"], data.dims["q"]
+    half = n * (n + 1) // 2
+    S = cfg.E_structure
+    r = S.shape[1]
+    D, U = _vec_maps(n)
+    G = data.delta_a @ D - 2.0 * data.Gamma_aBu
+    c = np.zeros(G.shape[0])
+    if spec.output_cost:
+        c = c + data.I_yy @ vecs(cfg.Q_y) + data.I_zz @ vecs(cfg.Q_z)
+    vec_Q = 0.0 if spec.output_cost else cfg.Q.reshape(-1, order="F")
+    M = data.known_B @ np.linalg.solve(cfg.R, data.known_B.T)
+    Q, R_aa = np.linalg.qr(data.I_aa, mode="complete")
+    lift = U @ np.linalg.solve(R_aa[:half], Q[:, :half].T)
+    Q_c = Q[:, half:]
+    Gq = (Q_c.T @ data.Gamma_av).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
+    G_c, c_c, lift_av = Q_c.T @ G, Q_c.T @ c, 2.0 * lift @ data.Gamma_av
+
+    def solve_E(P, rhs_c):
+        C = (Gq @ (P.T @ S)).reshape(Q_c.shape[1], q * r)
+        return S @ np.linalg.lstsq(2.0 * C, rhs_c, rcond=None)[0].reshape((r, q), order="F")
+
+    def E_at(P):
+        return solve_E(P, Q_c.T @ (G @ P.reshape(-1, order="F") + c))
+
+    def residual(P):
+        p = P.reshape(-1, order="F")
+        E = solve_E(P, G_c @ p + c_c)
+        v = (lift @ G) @ p + (lift @ c + vec_Q) - lift_av @ (E.T @ P).reshape(-1, order="F")
+        return v.reshape((n, n), order="F") - P @ M @ P
+    return E_at, residual
+
+
+@pytest.fixture(scope="module")
+def exo_stage_cases(nonzero_setup):
+    """(data, cfg) per variant 3-6 on paper-e-nonzero data, and the iterates:
+    P0 and three random symmetric matrices."""
+    objs, vicfg = nonzero_setup["objs"], nonzero_setup["vicfg"]
+    output_cfg = replace(vicfg, Q=None, Q_y=np.eye(1), Q_z=np.eye(objs.im.n_z))
+    cases = {}
+    for variant, cfg in ((3, vicfg), (4, vicfg), (5, output_cfg), (6, output_cfg)):
+        data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], variant,
+                                known_B=objs.B_rho)
+        cases[variant] = data, cfg
+    return cases, [vicfg.P0] + [random_symmetric(8, seed) for seed in range(3)]
+
+
+@pytest.mark.parametrize("variant", [3, 5])
+def test_solved_exo_residual_matches_full_projection(exo_stage_cases, variant):
+    """The reduced (n*q)-row solve, fed by the stage's one matrix-vector
+    product, gives the residual of the full Q_c-projected solve."""
+    cases, iterates = exo_stage_cases
+    data, cfg = cases[variant]
+    stage, E = _fit_stage(variant, data, cfg)
+    n, q = data.dims["n_a"], data.dims["q"]
+    assert E is None and stage.L.shape == (n * n + n * q, n * n)
+    _, reference = reference_exo_stage(variant, data, cfg)
+    for P in iterates:
+        assert rel(stage.residual(P), reference(P)) <= 1e-10
+
+
+@pytest.mark.parametrize("variant", [4, 6])
+def test_identified_E_matches_full_projection(exo_stage_cases, variant):
+    cases, _ = exo_stage_cases
+    data, cfg = cases[variant]
+    stage, E = _fit_stage(variant, data, cfg)
+    assert stage.exo is None and stage.L.shape == (64, 64)
+    E_at, _ = reference_exo_stage(variant, data, cfg)
+    assert rel(E, E_at(cfg.P0)) <= 1e-12
+
+
+def test_solved_exo_at_zero_iterate_is_rank_deficient(exo_stage_cases):
+    """At P = 0 the solve matrix is zero, and the one rank rule rejects it."""
+    cases, _ = exo_stage_cases
+    stage, _ = _fit_stage(3, *cases[3])
+    with pytest.raises(RankConditionError):
+        stage.residual(np.zeros((8, 8)))
 
 
 @pytest.mark.parametrize("seed", [1, 9, 14, 28])
