@@ -376,7 +376,9 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         write_rows(fh, np.column_stack([log_closed.times, log_closed.e]))
     files["tracking_error"] = track_path
     lap("other_exports_s")
-    if not blinded and spec.state == "rho":
+    if blinded:
+        return
+    if spec.state == "rho":
         if not spec.output_cost:
             K_opt = solve_care(aux.A_rho, aux.B_rho, vicfg.Q, vicfg.R).K
         else:
@@ -389,6 +391,7 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         if vires.E_rho_identified is not None:
             report.e_rho_error = float(np.linalg.norm(vires.E_rho_identified - aux.E_rho, "fro")
                                        / np.linalg.norm(aux.E_rho, "fro"))
+    lap("oracle_s")
 
 
 def _write_report(out_dir, report):

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from regvi.experiment import (PRESETS, _poles, build_objects, make_vi_config,
                               run_experiment)
@@ -18,6 +19,11 @@ from regvi.oracle import (LtiPlant, build_augmented_aux, compute_parameterizatio
                           place_observer_gain, solve_care)
 from regvi.regression import SamplingGrid, build_regression
 from regvi.sim import Tone, simulate, stack_state
+
+# Property tests draw the same cases on every run: the seed comes from each
+# test's own code, no example database is replayed, and no case has a deadline.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regvi import csvrows
 from regvi.csvrows import MIN_VALUES_PER_WRITER, ROWS_PER_WRITE, PendingRows, write_rows
@@ -139,3 +142,128 @@ def test_write_rows_forks_its_writers_before_awaiting_the_head(table, tmp_path, 
     assert events == ([("fork", pid) for pid in fork_pids]
                       + [("wait", pid) for pid in fork_pids])
     assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+# ---------------------------------------------------------------------------
+# The block formatter: the bytes of the per-value "%.17g" join for any float64
+# ---------------------------------------------------------------------------
+
+def _per_value(rows):
+    return "".join(",".join("%.17g" % val for val in row) + "\n" for row in rows.tolist())
+
+
+def _formatted(rows):
+    rows = np.asarray(rows, dtype=np.float64)
+    return csvrows._format_block(rows, csvrows._row_format(rows)).decode("ascii")
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The values the formatter sent to its per-value fallback during the test."""
+    seen, fallback = [], csvrows._fallback
+
+    def counting_fallback(vals):
+        seen.extend(vals.tolist())
+        return fallback(vals)
+    monkeypatch.setattr(csvrows, "_fallback", counting_fallback)
+    return seen
+
+
+# float64 tables as bit patterns: any 64 bits, or the floats hypothesis favours
+BIT_TABLES = hnp.arrays(np.uint64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+                        elements=st.one_of(st.integers(0, 2**64 - 1), st.floats().map(
+                            lambda val: int(np.float64(val).view(np.uint64)))))
+
+
+@given(BIT_TABLES)
+def test_any_float64_formats_as_per_value(bits):
+    rows = bits.view(np.float64)
+    assert _formatted(rows) == _per_value(rows)
+
+
+def _neighbours(values):
+    """Each value and the doubles one ulp either side of it."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):                # past the largest double: inf
+        return np.concatenate([np.nextafter(values, -np.inf), values,
+                               np.nextafter(values, np.inf)])
+
+
+NAN = np.float64(np.nan)
+SPECIAL = {
+    "signed zeros and nans": [0.0, -0.0, NAN, -NAN,
+                              np.uint64(0x7FF0000000000001).view(np.float64),
+                              np.uint64(0xFFF8000000000123).view(np.float64)],
+    "infinities and subnormals": [np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                  -2.2250738585072014e-308, 1.5e-310, 3e-320],
+    "powers of ten": _neighbours([float("1e%d" % k) for k in range(-330, 309)]),
+    "fixed and exponent form switch": _neighbours([9.9999999999999991e-06, 1e-5, 1.5e-5,
+                                                   9.9999999999999991e-05, 1e-4, 1.5e-4,
+                                                   1e16, 1.5e16, 9.9999999999999984e16,
+                                                   1e17, 1.5e17]),
+    "ties at the 18th digit": 9e14 + np.arange(-40, 40) / 8,
+    "three-digit exponents": _neighbours([1e100, -2.5e-123, 1e-280, 1e300, 1.7976931348623157e308,
+                                          -1e-299, 4.9406564584124654e-300]),
+    "integer-valued history columns": np.concatenate([np.arange(6000.0), [2.0**53, 1e16, 1e17]]),
+}
+
+
+@pytest.mark.parametrize("values", SPECIAL.values(), ids=SPECIAL.keys())
+@pytest.mark.parametrize("cols", [1, 3])
+def test_edge_values_format_as_per_value(values, cols):
+    values = np.asarray(values, dtype=np.float64)
+    rows = np.resize(values, (-(-values.size // cols), cols))
+    assert _formatted(rows) == _per_value(rows)
+
+
+def test_a_table_without_columns_writes_empty_lines(tmp_path):
+    with open(tmp_path / "rows.csv", "w") as fh:
+        write_rows(fh, np.empty((3, 0)))
+    assert (tmp_path / "rows.csv").read_text() == "\n\n\n"
+
+
+def test_rounding_up_to_the_next_power_of_ten_carries_the_exponent(fallbacks):
+    """1e-14 and 1e98 lie just below 10**k: their 17 digits round up to 1e17."""
+    from fractions import Fraction
+    for text in ("1e-14", "1e+98"):
+        val = float(text)
+        assert Fraction(val) < Fraction(10) ** int(text.split("e")[1])
+        assert _formatted([[val, -val]]) == "%s,-%s\n" % (text, text)
+    assert fallbacks == []
+
+
+def test_exact_ties_fall_back_to_round_half_even(fallbacks):
+    rows = (9e14 + np.array([1, 3, 5, 7]) / 8)[:, None]
+    assert _formatted(rows) == "900000000000000.12\n900000000000000.38\n" \
+                               "900000000000000.62\n900000000000000.88\n"
+    assert fallbacks == rows.ravel().tolist()
+
+
+def test_preset_magnitudes_need_no_fallback(nonzero_setup, fallbacks):
+    """The exploration log of paper-e-nonzero (its ex_norm column, nan without
+    the oracle, left out) and log-uniform values over its range of magnitudes
+    all take the certified fast path."""
+    from regvi.sim import _trajectory_table
+    log_rows = _trajectory_table(nonzero_setup["log"])[1][:, :-1]
+    mags = np.abs(log_rows[log_rows != 0])
+    rng = np.random.default_rng(3)
+    spread = (rng.choice([-1.0, 1.0], (20000, 9))
+              * np.exp(rng.uniform(np.log(mags.min()), np.log(mags.max()), (20000, 9))))
+    for rows in (log_rows, spread):
+        assert _formatted(rows) == _per_value(rows)
+    assert fallbacks == []
+
+
+def test_every_artifact_is_its_own_per_value_join(nonzero_run):
+    """Each CSV of a run equals the per-value "%.17g" join of its own parsed
+    values; 17 significant digits round-trip every double through float()."""
+    names = sorted(name for name in os.listdir(nonzero_run["out_dir"]) if name.endswith(".csv"))
+    assert {"trajectory.csv", "tracking_error.csv", "vi_history.csv", "learned_gain.csv",
+            "regression_I_aa.csv"} <= set(names)
+    for name in names:
+        with open(os.path.join(nonzero_run["out_dir"], name)) as fh:
+            lines = fh.read().splitlines()
+        if not lines[0][:1].isdigit() and lines[0][:1] != "-":     # a header of names
+            lines = lines[1:]
+        for line in lines:
+            assert ",".join("%.17g" % float(tok) for tok in line.split(",")) == line, name

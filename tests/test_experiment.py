@@ -258,9 +258,15 @@ def test_out_dir_holds_exactly_the_manifest(run, request):
 def test_report_carries_layer_timings(nonzero_run):
     timings = _load_json(nonzero_run["out_dir"], "report.json")["timings"]
     assert set(timings) == {"setup_s", "explore_sim_s", "regression_s", "vi_s",
-                            "closed_loop_sim_s", "trajectory_export_s", "other_exports_s"}
+                            "closed_loop_sim_s", "trajectory_export_s", "other_exports_s",
+                            "oracle_s"}
     assert all(t >= 0 for t in timings.values())
     assert sum(timings.values()) <= nonzero_run["elapsed"]
+
+
+def test_only_unblinded_runs_book_the_oracle(zero_run, zero_run_blinded):
+    assert "oracle_s" in _load_json(zero_run["out_dir"], "report.json")["timings"]
+    assert "oracle_s" not in _load_json(zero_run_blinded["out_dir"], "report.json")["timings"]
 
 
 def test_report_carries_vi_time_per_iterate(nonzero_run):
