@@ -2,8 +2,8 @@
 
 Every CSV artifact holds exactly the bytes of ``",".join("%.17g" % val for
 val in row)`` per row; integer-valued floats below 2**53 (vi_history's k and
-j) print as under "%d".  `_write_blocks` formats a block of at most
-`ROWS_PER_WRITE` rows at a time with numpy, in `_format_block`:
+j) print as under "%d".  `_write_blocks` formats blocks of whole rows, at
+most `VALUES_PER_WRITE` values each, with numpy, in `_format_block`:
 
 - Exponent guess d = floor(log10|x|), then |x| * 10**(16 - d) with 10**k a
   double-double (`_tables`) and Dekker's exact product, split into the exact
@@ -44,7 +44,7 @@ import tempfile
 
 import numpy as np
 
-ROWS_PER_WRITE = 256
+VALUES_PER_WRITE = 4608     # 256 rows of the 18-column trajectory
 MIN_VALUES_PER_WRITER = 50_000
 TIE_TOL = 1e-9              # against the 5e-15 error bound of f
 MIN_FAST, MAX_FAST = 1e-280, 1e300
@@ -232,8 +232,9 @@ def _write_blocks(fh, rows, fmt):
         fh.write("\n" * rows.shape[0])
         return
     fh.flush()
-    for start in range(0, rows.shape[0], ROWS_PER_WRITE):
-        fh.buffer.write(_format_block(rows[start:start + ROWS_PER_WRITE], fmt))
+    block = max(1, VALUES_PER_WRITE // fmt.size)
+    for start in range(0, rows.shape[0], block):
+        fh.buffer.write(_format_block(rows[start:start + block], fmt))
 
 
 def _row_format(rows):

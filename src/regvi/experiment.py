@@ -309,19 +309,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
 def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     """run_experiment's layers; each fills its fields of report as it finishes."""
     plant, exo, im, known, files = objs.plant, objs.exo, objs.im, objs.known, report.files
-    diag = None
-    param = aux = None
-    if not blinded:
-        L = place_observer_gain(plant.A, plant.C, _poles(cfg.observer_poles))
-        param = compute_parameterization(plant, L, known)
-        aux = build_augmented_aux(plant, param, im, exo)
-        diag = (param.M, aux.X_prime)
     spec = VARIANTS[cfg.variant]
     vicfg = make_vi_config(cfg, objs)
     K0 = np.atleast_2d(np.asarray(cfg.k0, dtype=float))
     if K0.shape[1] == known.n_zeta:
         K0 = np.hstack([K0, np.zeros((plant.m, im.n_z))])
     lap("setup_s")
+    diag = None
+    if not blinded:
+        param, aux = _oracle_objects(cfg, objs)
+        diag = (param.M, aux.X_prime)
+        lap("oracle_s")
     log_explore = simulate(plant, exo, known, im, K0,
                            stack_state(exo, known, im, cfg.x0, cfg.zeta0, cfg.z0),
                            (0.0, cfg.t_switch), cfg.h,
@@ -394,6 +392,13 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     lap("oracle_s")
 
 
+def _oracle_objects(cfg, objs):
+    """The parameterization and augmented auxiliary system of the placed gain L."""
+    L = place_observer_gain(objs.plant.A, objs.plant.C, _poles(cfg.observer_poles))
+    param = compute_parameterization(objs.plant, L, objs.known)
+    return param, build_augmented_aux(objs.plant, param, objs.im, objs.exo)
+
+
 def _write_report(out_dir, report):
     """Write report.json, then manifest.json naming every file written so far."""
     path = os.path.join(out_dir, "report.json")
@@ -462,8 +467,7 @@ def verify(cfg: ExperimentConfig) -> VerificationReport:
         try:
             objs = build_objects(cfg)
             plant, im = objs.plant, objs.im
-            L = place_observer_gain(plant.A, plant.C, _poles(cfg.observer_poles))
-            param = compute_parameterization(plant, L, objs.known)
+            param, _ = _oracle_objects(cfg, objs)
             errs = parameterization_identity_errors(plant, param)
             worst = max(errs.values())
             checks.append(VerificationCheck("parameterization_identities",
@@ -476,7 +480,7 @@ def verify(cfg: ExperimentConfig) -> VerificationReport:
                                             and t4.gain_deviation <= 1e-6,
                                             "P deviation %g, K deviation %g"
                                             % (t4.deviation, t4.gain_deviation)))
-            Y, J, _ = build_augmented_plant(plant, im)
+            Y, J = build_augmented_plant(plant, im)
             hurw, cl_margin = is_hurwitz(Y + J @ t4.K_xi)
             checks.append(VerificationCheck("augmented_closed_loop_hurwitz", hurw,
                                             "margin %g" % cl_margin))

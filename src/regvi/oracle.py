@@ -314,13 +314,12 @@ def parameterization_identity_errors(plant, param):
 
 
 def build_augmented_plant(plant, im: InternalModel):
-    """Augmented system matrices Y = [[A,0],[G2 C, G1]], J = [B;0], Ebar = [E; G2 F]."""
+    """Augmented system matrices Y = [[A,0],[G2 C, G1]] and J = [B;0]."""
     n, n_z = plant.n, im.n_z
     Y = np.block([[plant.A, np.zeros((n, n_z))],
                   [im.G2 @ plant.C, im.G1]])
     J = np.vstack([plant.B, np.zeros((n_z, plant.m))])
-    Ebar = np.vstack([plant.E, im.G2 @ plant.F])
-    return Y, J, Ebar
+    return Y, J
 
 
 @dataclass
@@ -386,7 +385,7 @@ def verify_theorem4(plant, param, im, Qbar, R):
         raise ValueError("Qbar must be (p+n_z) square")
     if np.min(np.linalg.eigvalsh(0.5 * (Qbar + Qbar.T))) <= 0:
         raise ValueError("Qbar must be positive definite")
-    Y, J, _ = build_augmented_plant(plant, im)
+    Y, J = build_augmented_plant(plant, im)
     Cbar = np.block([[plant.C, np.zeros((plant.p, n_z))],
                      [np.zeros((n_z, plant.n)), np.eye(n_z)]])
     Q_xi = Cbar.T @ Qbar @ Cbar

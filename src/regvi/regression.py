@@ -125,8 +125,9 @@ def build_regression(log, grid: SamplingGrid, variant: int,
                      R=None, known_B=None) -> RegressionData:
     """Pack the data matrices for one algorithm variant.
 
-    log carries the fields of a `sim.TrajectoryLog` (times, h and the signal
-    arrays); only the learner-visible channels are read.
+    log carries the views of a `sim.TrajectoryLog` (times, h and the signal
+    arrays, rho among them); the learner state a is the view named by the
+    variant, and only the learner-visible channels are read.
     R weights the input integral of the state-x variant; known_B is the known
     input-matrix block (B_zeta or B_rho) of the others.  Both act on
     int a u^T after integration, which is linear in u.
@@ -141,10 +142,7 @@ def build_regression(log, grid: SamplingGrid, variant: int,
     lo, hi, step = _sample_window(log, grid)
     h, s = log.h, grid.s
     u = log.u[lo:hi]
-    if spec.state == "rho":
-        a = np.hstack([log.zeta[lo:hi], log.z[lo:hi]])
-    else:
-        a = getattr(log, spec.state)[lo:hi]
+    a = getattr(log, spec.state)[lo:hi]
     dims = {"n_a": a.shape[1], "m": u.shape[1]}
     data = RegressionData(variant=variant, grid=grid, dims=dims,
                           delta_a=np.diff(vecv_rows(a[::step]), axis=0),

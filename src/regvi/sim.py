@@ -57,29 +57,41 @@ def exploration_signal(tones, t, m):
     return out
 
 
-@dataclass
-class TrajectoryLog:
-    """Uniform-grid trajectory of every loop signal.
+def _view(name):
+    return property(lambda log: log.table[:, log.columns[name]])
 
-    ex_diag holds ||M zeta + X' v - x|| when the oracle diagnostic matrices
-    were supplied, NaN otherwise (the learner never reads it).
+
+class TrajectoryLog:
+    """Uniform-grid trajectory of every loop signal, held as its CSV table,
+    which `simulate` allocates once and steps the state in.
+
+    table's columns are, in CSV order, t, v, x, zeta, z, u, y, e and ex_norm;
+    widths gives the column count of each of v .. e.  times, the signals,
+    rho = col(zeta, z) and ex_diag are views of table.  ex_diag holds
+    ||M zeta + X' v - x|| when the oracle diagnostic matrices were supplied,
+    NaN otherwise (the learner never reads it).
     """
 
-    times: np.ndarray
-    v: np.ndarray
-    x: np.ndarray
-    zeta: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
-    y: np.ndarray
-    e: np.ndarray
-    ex_diag: np.ndarray
-    h: float
+    def __init__(self, table, widths, h):
+        self.table, self.widths, self.h = table, widths, h
+        ends = np.cumsum([1, *widths.values()]).tolist()
+        self.columns = {"times": 0, "ex_diag": -1,
+                        **{k: slice(*ab) for k, ab in zip(widths, zip(ends, ends[1:]))}}
+        self.columns["rho"] = slice(self.columns["zeta"].start, self.columns["z"].stop)
+
+    times, v, x, zeta, z, rho, u, y, e, ex_diag = map(
+        _view, ("times", "v", "x", "zeta", "z", "rho", "u", "y", "e", "ex_diag"))
+
+    @property
+    def names(self):
+        """The CSV header: t, name_i for every column of each signal, ex_norm."""
+        return ["t", *("%s_%d" % (k, i + 1) for k, w in self.widths.items()
+                       for i in range(w)), "ex_norm"]
 
     @property
     def final_state(self):
-        """Stacked state col(v, x, zeta, z) at the last sample."""
-        return np.concatenate([self.v[-1], self.x[-1], self.zeta[-1], self.z[-1]])
+        """A copy of the stacked state col(v, x, zeta, z) at the last sample."""
+        return self.table[-1, 1:self.columns["z"].stop].copy()
 
 
 def stack_state(exo: Exosystem, known: ObserverKnown, im: InternalModel,
@@ -137,17 +149,20 @@ def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
     j0, j1 = (int(round(t / h)) for t in tspan)
     if j1 < j0 or not (on_grid(tspan[0], h) and on_grid(tspan[1], h)):
         raise ValueError("tspan must run forward between points of the grid k*h")
-    n, m, q, n_zeta = plant.n, plant.m, exo.q, known.n_zeta
+    m = plant.m
     A_tot, B_tot, K_row = _loop_matrices(plant, exo, known, im,
                                          np.atleast_2d(np.asarray(K_rho, dtype=float)))
     s = np.asarray(s0, dtype=float)
     if s.shape != (A_tot.shape[0],):
         raise ValueError("initial state must have length %d" % A_tot.shape[0])
-    times = h * np.arange(j0, j1 + 1)
     n_steps = j1 - j0
+    widths = {"v": exo.q, "x": plant.n, "zeta": known.n_zeta, "z": im.n_z,
+              "u": m, "y": plant.p, "e": plant.p}
+    log = TrajectoryLog(np.zeros((n_steps + 1, 2 + sum(widths.values()))), widths, h)
+    times, s_all, u, y, e = log.times, log.table[:, 1:1 + s.size], log.u, log.y, log.e
+    times[:] = h * np.arange(j0, j1 + 1)
     Phi, G = _rk4_map(A_tot, B_tot, h)
     # row i+1 starts as the forcing of step i; the loop adds Phi @ (row i)
-    s_all = np.zeros((n_steps + 1, s.size))
     s_all[0] = s
     if tones:
         d_nodes = exploration_signal(tones, times, m)
@@ -164,38 +179,19 @@ def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
             if bad.any():
                 raise OverflowError("state overflow at t = %g during integration"
                                     % ((j0 + b0 + 1 + int(np.argmax(bad))) * h))
-    u = s_all @ K_row.T
+    np.matmul(s_all, K_row.T, out=u)
     if tones:
         u += d_nodes
-
-    v = s_all[:, :q]
-    x = s_all[:, q:q + n]
-    zeta = s_all[:, q + n:q + n + n_zeta]
-    z = s_all[:, q + n + n_zeta:]
-    y = x @ plant.C.T
-    e = y + v @ plant.F.T
+    np.matmul(log.x, plant.C.T, out=y)
+    np.matmul(log.v, plant.F.T, out=e)
+    e += y
     if diag is not None:
         M, X_prime = diag
-        ex = zeta @ M.T + v @ X_prime.T - x
-        ex_diag = np.linalg.norm(ex, axis=1)
+        ex = log.zeta @ M.T + log.v @ X_prime.T - log.x
+        log.table[:, -1] = np.linalg.norm(ex, axis=1)
     else:
-        ex_diag = np.full(times.size, np.nan)
-    return TrajectoryLog(times=times, v=v, x=x, zeta=zeta, z=z, u=u,
-                         y=y, e=e, ex_diag=ex_diag, h=h)
-
-
-def _trajectory_table(log: TrajectoryLog):
-    """Column names and rows of the log's CSV."""
-    cols = [("t", log.times[:, None]), ("v", log.v), ("x", log.x),
-            ("zeta", log.zeta), ("z", log.z), ("u", log.u),
-            ("y", log.y), ("e", log.e), ("ex_norm", log.ex_diag[:, None])]
-    names = []
-    for name, arr in cols:
-        if arr.shape[1] == 1 and name in ("t", "ex_norm"):
-            names.append(name)
-        else:
-            names.extend("%s_%d" % (name, i + 1) for i in range(arr.shape[1]))
-    return names, np.hstack([arr for _, arr in cols])
+        log.table[:, -1] = np.nan
+    return log
 
 
 def start_trajectory_head(log: TrajectoryLog, directory) -> PendingRows:
@@ -203,7 +199,7 @@ def start_trajectory_head(log: TrajectoryLog, directory) -> PendingRows:
     a run continued from log's final state: in one forked writer with a file
     in directory on more than one usable CPU and at least
     `MIN_VALUES_PER_WRITER` values, otherwise later in-process."""
-    rows = _trajectory_table(log)[1][:-1]
+    rows = log.table[:-1]
     early = usable_cpus() > 1 and rows.size >= MIN_VALUES_PER_WRITER
     return PendingRows(rows, int(early), directory)
 
@@ -214,7 +210,6 @@ def export_trajectory_csv(log: TrajectoryLog, path, head: PendingRows | None = N
     head, from `start_trajectory_head` on the log this one continues, is
     written between the header and log's rows.
     """
-    names, rows = _trajectory_table(log)
     with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        write_rows(fh, rows, head)
+        fh.write(",".join(log.names) + "\n")
+        write_rows(fh, log.table, head)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from regvi import csvrows
-from regvi.csvrows import MIN_VALUES_PER_WRITER, ROWS_PER_WRITE, PendingRows, write_rows
+from regvi.csvrows import MIN_VALUES_PER_WRITER, VALUES_PER_WRITE, PendingRows, write_rows
 
 COLS = 5
 SPLIT_ROWS = 2 * MIN_VALUES_PER_WRITER // COLS   # fewest rows that two writers share
@@ -22,7 +22,8 @@ HOST_CPUS = len(os.sched_getaffinity(0))
 @pytest.fixture(scope="module")
 def table():
     """Random rows holding nan, +-inf, -0 and 1e+-300, with their per-value lines."""
-    assert all(count % ROWS_PER_WRITE for count in ROW_COUNTS[2:])   # ranges end mid-block
+    block = VALUES_PER_WRITE // COLS
+    assert all(count % block for count in ROW_COUNTS[2:])   # ranges end mid-block
     rng = np.random.default_rng(7)
     rows = rng.standard_normal((max(ROW_COUNTS), COLS))
     rows[:, 1] *= 1e-300
@@ -243,8 +244,7 @@ def test_preset_magnitudes_need_no_fallback(nonzero_setup, fallbacks):
     """The exploration log of paper-e-nonzero (its ex_norm column, nan without
     the oracle, left out) and log-uniform values over its range of magnitudes
     all take the certified fast path."""
-    from regvi.sim import _trajectory_table
-    log_rows = _trajectory_table(nonzero_setup["log"])[1][:, :-1]
+    log_rows = nonzero_setup["log"].table[:, :-1]
     mags = np.abs(log_rows[log_rows != 0])
     rng = np.random.default_rng(3)
     spread = (rng.choice([-1.0, 1.0], (20000, 9))

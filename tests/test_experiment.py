@@ -197,8 +197,8 @@ def test_run_experiment_not_converged(tmp_path, monkeypatch, fork_pids, pin_cpus
     assert payload["iters"] == len(history) == 60
     assert payload["resets"] == len(payload["vi_reset_iterations"])
     assert payload["vi_final_step_metric"] == history[-1, 3]
-    assert set(payload["timings"]) == {"setup_s", "explore_sim_s", "regression_s", "vi_s",
-                                        "other_exports_s"}
+    assert set(payload["timings"]) == {"setup_s", "oracle_s", "explore_sim_s", "regression_s",
+                                        "vi_s", "other_exports_s"}
     assert "trajectory.csv" not in os.listdir(tmp_path)
     assert fork_pids                    # the exploration rows went to a forked writer
     _assert_nothing_left_running(tmp_path)
@@ -222,7 +222,7 @@ def test_run_experiment_rank_failure(tmp_path, monkeypatch, fork_pids, pin_cpus)
     [(data, verdict)] = verdicts
     assert verdict.rank == np.linalg.matrix_rank(data.I_aa) == 15
     assert payload["data_quality"] == verdict.quality == info.value.quality
-    assert set(payload["timings"]) == {"setup_s", "explore_sim_s", "regression_s"}
+    assert set(payload["timings"]) == {"setup_s", "oracle_s", "explore_sim_s", "regression_s"}
     assert fork_pids
     _assert_nothing_left_running(tmp_path)
     assert sorted(os.listdir(tmp_path)) == ["manifest.json", "report.json"]
@@ -264,9 +264,31 @@ def test_report_carries_layer_timings(nonzero_run):
     assert sum(timings.values()) <= nonzero_run["elapsed"]
 
 
+class OracleCalled(Exception):
+    pass
+
+
+def test_blinded_runs_compute_no_oracle_reference(tmp_path, monkeypatch):
+    """With every oracle name regvi.experiment calls made to raise, a blinded
+    run completes and an unblinded one fails."""
+    def refuse(*args, **kwargs):
+        raise OracleCalled
+    for name in ("place_observer_gain", "compute_parameterization", "build_augmented_aux",
+                 "solve_care", "verify_theorem4"):
+        monkeypatch.setattr(experiment, name, refuse)
+    payload = json.loads(serialize_config(PRESETS["paper-e-zero"]()))
+    payload.update(t_end=30.0, settle_time=29.0)
+    cfg = parse_config(json.dumps(payload))
+    assert run_experiment(cfg, str(tmp_path / "blinded"), blinded=True).converged
+    with pytest.raises(OracleCalled):
+        run_experiment(cfg, str(tmp_path / "unblinded"))
+
+
 def test_only_unblinded_runs_book_the_oracle(zero_run, zero_run_blinded):
-    assert "oracle_s" in _load_json(zero_run["out_dir"], "report.json")["timings"]
-    assert "oracle_s" not in _load_json(zero_run_blinded["out_dir"], "report.json")["timings"]
+    """The timing keys of a blinded and an unblinded run differ by oracle_s alone."""
+    timings = _load_json(zero_run["out_dir"], "report.json")["timings"]
+    blinded = _load_json(zero_run_blinded["out_dir"], "report.json")["timings"]
+    assert set(timings) - set(blinded) == {"oracle_s"} and set(blinded) < set(timings)
 
 
 def test_report_carries_vi_time_per_iterate(nonzero_run):

@@ -206,10 +206,11 @@ def test_parameterization_rejects_wrong_polynomial(nonzero_setup):
 
 def test_build_augmented_plant_shapes(nonzero_setup):
     plant, im = nonzero_setup["objs"].plant, nonzero_setup["objs"].im
-    Y, J, Ebar = build_augmented_plant(plant, im)
-    assert Y.shape == (5, 5) and J.shape == (5, 1) and Ebar.shape == (5, 2)
+    Y, J = build_augmented_plant(plant, im)
+    assert Y.shape == (5, 5) and J.shape == (5, 1)
     assert np.array_equal(Y[:3, :3], plant.A)
-    assert np.array_equal(Ebar[3:], im.G2 @ plant.F)
+    assert np.array_equal(Y[3:, :3], im.G2 @ plant.C)
+    assert np.array_equal(J[:3], plant.B) and not J[3:].any()
 
 
 def test_optimal_gain_stabilizes_auxiliary_system(nonzero_setup):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regvi.experiment import ExperimentConfig, build_objects, verify
 from regvi.sim import (Tone, TrajectoryLog, _loop_matrices, export_trajectory_csv,
                        exploration_signal, simulate, stack_state)
 
@@ -189,12 +190,68 @@ def test_trajectory_csv_matches_per_value_format(tmp_path):
     cols["x"][5, 1] = np.nan
     cols["u"][7, 0] = -0.0
     cols["e"][299, 0] = np.inf
-    log = TrajectoryLog(times=1e-3 * np.arange(rows), ex_diag=np.full(rows, np.nan),
-                        h=1e-3, **cols)
+    data = np.hstack([1e-3 * np.arange(rows)[:, None], *cols.values(),
+                      np.full((rows, 1), np.nan)])
+    log = TrajectoryLog(data, {k: c.shape[1] for k, c in cols.items()}, 1e-3)
     path = tmp_path / "traj.csv"
     export_trajectory_csv(log, path)
     lines = path.read_text().split("\n")
-    data = np.hstack([log.times[:, None], log.v, log.x, log.zeta, log.z, log.u,
-                      log.y, log.e, log.ex_diag[:, None]])
+    assert lines[0] == "t,v_1,v_2,x_1,x_2,x_3,zeta_1,zeta_2,z_1,u_1,y_1,e_1,ex_norm"
     assert lines[1:] == [",".join("%.17g" % val for val in row) for row in data] + [""]
     assert ",-0," in lines[8] and "nan" in lines[6]
+
+
+def _two_channel_config():
+    """A stable 2 x 2 plant with B = C = I (m = p = 2), a harmonic exosystem
+    and tones on both input channels."""
+    return ExperimentConfig(
+        name="two-channel", plant_a=[[-1.0, 0.5], [0.0, -2.0]],
+        plant_b=[[1.0, 0.0], [0.0, 1.0]], plant_c=[[1.0, 0.0], [0.0, 1.0]],
+        plant_e=[[1.0, 0.0], [0.0, 0.5]], plant_f=[[0.5, -0.8], [0.2, 0.3]],
+        exo_minpoly=[1.0, 0.0], exo_v0=[1.0, 0.8], x0=[1.0, -0.5],
+        observer_poles=[-5.0, -6.0],
+        tones=[{"amplitude": 2.0, "frequency": 3.0, "channel": 0},
+               {"amplitude": -1.0, "frequency": 7.0, "phase": 0.3, "channel": 1}],
+        k0=[[0.0] * 8] * 2, grid_t0=0.1, grid_dt=0.1, grid_s=10, h=1e-3,
+        variant=4, t_switch=2.0, t_end=3.0, settle_time=2.5, p0_scale=0.1,
+        eps_num=1.0, eps_shift=1.0, eps_conv=0.01, max_iters=10, r=1.0, q_main=1.0)
+
+
+def test_two_channel_log_is_its_table(tmp_path):
+    """For m = p = 2 every signal, rho among them, is a view of the log's
+    table holding the old per-signal values, and the CSV is that table."""
+    cfg = _two_channel_config()
+    objs = build_objects(cfg)
+    plant, exo, known, im = objs.plant, objs.exo, objs.known, objs.im
+    K = 0.01 * np.random.default_rng(5).standard_normal((2, known.n_zeta + im.n_z))
+    tones = [Tone(**t) for t in cfg.tones]
+    args = (plant, exo, known, im, K, stack_state(exo, known, im, cfg.x0), (0.0, 0.5),
+            cfg.h, tones)
+    log = simulate(*args)
+    names = ("times", "v", "x", "zeta", "z", "rho", "u", "y", "e", "ex_diag")
+    assert all(np.shares_memory(getattr(log, name), log.table) for name in names)
+    state = np.hstack([log.v, log.x, log.zeta, log.z])
+    ref = _classic_rk4(*args)
+    assert np.abs(state - ref).max() <= 1e-12 * np.abs(ref).max()
+    _, _, K_row = _loop_matrices(plant, exo, known, im, K)
+    assert np.array_equal(log.times, cfg.h * np.arange(501))
+    assert np.array_equal(log.rho, np.hstack([log.zeta, log.z]))
+    assert np.array_equal(log.u, state @ K_row.T + exploration_signal(tones, log.times, 2))
+    assert np.array_equal(log.y, log.x @ plant.C.T)
+    assert np.array_equal(log.e, log.y + log.v @ plant.F.T)
+    assert np.isnan(log.ex_diag).all()
+    assert np.array_equal(log.final_state, state[-1])
+    assert not np.shares_memory(log.final_state, log.table)
+    path = tmp_path / "traj.csv"
+    export_trajectory_csv(log, path)
+    header = path.read_text().splitlines()[0]
+    assert header.startswith("t,v_1,v_2,x_1,x_2,zeta_1,")
+    assert header.endswith(",z_4,u_1,u_2,y_1,y_2,e_1,e_2,ex_norm")
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), log.table,
+                          equal_nan=True)
+
+
+def test_two_channel_plant_verifies():
+    """verify places L by pole placement for p = 2 and passes every check."""
+    report = verify(_two_channel_config())
+    assert report.all_ok, [(c.name, c.detail) for c in report.checks if not c.ok]
