@@ -1,7 +1,8 @@
 """Command-line entry point; `run` and `verify` take a config path or a preset name.
 
 Exit codes: 0 success, 2 rank condition failed, 3 value iteration did not
-converge, 4 configuration or usage error, 5 a simulated state overflowed.
+converge, 4 configuration or usage error, 5 a simulated state overflowed,
+6 an artifact could not be written.
 A run that fails after its config is accepted leaves a partial report.json
 and manifest.json in its output directory.
 """
@@ -18,6 +19,7 @@ EXIT_RANK = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_CONFIG = 4
 EXIT_OVERFLOW = 5
+EXIT_IO = 6
 
 
 def _load_config(source):
@@ -118,6 +120,9 @@ def main(argv=None):
     except OverflowError as exc:
         print("simulation diverged: %s" % exc, file=sys.stderr)
         return EXIT_OVERFLOW
+    except OSError as exc:
+        print("cannot write artifacts: %s" % exc, file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

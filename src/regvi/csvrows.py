@@ -31,9 +31,10 @@ output's directory; `write_to` appends the files in order, in 64 KB chunks,
 once each child exits with status 0.  `write_rows` cuts a large table into
 one range per usable CPU, each of at least `MIN_VALUES_PER_WRITER` values:
 it starts a `PendingRows` over all ranges but the first, then writes an
-already-pending head, then formats the first range itself.  Rows are
-formatted independently, so the bytes do not depend on the split or on when
-a row is formatted.
+already-pending head (`start_rows` forks one writer for it where two CPUs
+and `MIN_VALUES_PER_WRITER` values allow), then formats the first range
+itself.  Rows are formatted independently, so the bytes do not depend on the
+split or on when a row is formatted.  `write_csv` writes every CSV artifact.
 """
 
 import functools
@@ -303,6 +304,13 @@ class PendingRows:
             file.close()
 
 
+def start_rows(rows, directory) -> PendingRows:
+    """Start formatting rows, a head of a file in directory: in one forked writer
+    given two usable CPUs and `MIN_VALUES_PER_WRITER` values, else in-process later."""
+    early = usable_cpus() > 1 and rows.size >= MIN_VALUES_PER_WRITER
+    return PendingRows(rows, int(early), directory)
+
+
 def write_rows(fh, rows, head: PendingRows | None = None):
     """Write each row of a 2-D array as one comma-separated "%.17g" line.
 
@@ -318,3 +326,13 @@ def write_rows(fh, rows, head: PendingRows | None = None):
             head.write_to(fh)
         _write_blocks(fh, rows[:first], _row_format(rows))
         rest.write_to(fh)
+
+
+def write_csv(path, rows, header=(), head: PendingRows | None = None):
+    """Write a CSV file: the header names as one line unless empty, then head's
+    rows, then rows, by `write_rows`; returns path."""
+    with open(path, "w") as fh:
+        if header:
+            fh.write(",".join(header) + "\n")
+        write_rows(fh, rows, head)
+    return path

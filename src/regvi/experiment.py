@@ -1,5 +1,6 @@
 """Experiment orchestration: config parsing, the simulate -> collect -> learn ->
-switch -> evaluate pipeline, verification reports and the built-in presets.
+switch -> evaluate pipeline, its artifact files, verification reports and the
+built-in presets.  No other module writes a file.
 
 The learning path (`learn_from_log`) only sees the trajectory log, the
 user-known observer/internal-model matrices and the loop parameters; the
@@ -18,7 +19,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .csvrows import write_rows
+from .csvrows import start_rows, write_csv
 from .internal_model import Exosystem, InternalModel
 from .linalg import companion_from_alpha, is_hurwitz
 from .observer import ObserverKnown
@@ -27,11 +28,10 @@ from .oracle import (AssumptionError, LtiPlant, build_augmented_aux,
                      parameterization_identity_errors, pbh_check,
                      place_observer_gain, solve_care, transmission_zero_check,
                      verify_theorem4)
-from .regression import (VARIANTS, SamplingGrid, build_regression, check_rank,
-                         export_regression_csv, on_grid, unknown_count)
-from .sim import (Tone, export_trajectory_csv, simulate, stack_state,
-                  start_trajectory_head)
-from .vi import RankConditionError, ViConfig, check_vi_inputs, export_history_csv, vi_run
+from .regression import (VARIANTS, SamplingGrid, build_regression, check_rank, on_grid,
+                         unknown_count)
+from .sim import Tone, simulate, stack_state
+from .vi import RankConditionError, ViConfig, check_vi_inputs, vi_run
 
 
 class ConfigError(ValueError):
@@ -309,6 +309,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, blinded=False) -> ExperimentR
 def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     """run_experiment's layers; each fills its fields of report as it finishes."""
     plant, exo, im, known, files = objs.plant, objs.exo, objs.im, objs.known, report.files
+    path = lambda name: os.path.join(out_dir, name)
     spec = VARIANTS[cfg.variant]
     vicfg = make_vi_config(cfg, objs)
     K0 = np.atleast_2d(np.asarray(cfg.k0, dtype=float))
@@ -327,10 +328,11 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     lap("explore_sim_s")
     known_B = {"x": None, "zeta": known.B_zeta, "rho": objs.B_rho}[spec.state]
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
-    # The exploration rows are final: a forked writer formats them while the
-    # run learns (its start counts as learning); leaving the block by any path
-    # stops and reaps it.
-    with start_trajectory_head(log_explore, out_dir) as traj_head:
+    # The trajectory CSV holds the exploration rows but the last (the closed
+    # loop repeats that state), then the closed loop's.  The exploration rows
+    # are final: a writer may format them while the run learns (its start
+    # counts as learning); leaving the block by any path stops and reaps it.
+    with start_rows(log_explore.table[:-1], out_dir) as traj_head:
         try:
             data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B,
                                                   vicfg, lap)
@@ -346,13 +348,8 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         report.vi_reset_iterations = np.flatnonzero(np.diff(vires.history[:, 1])).tolist()
         report.vi_final_step_metric = float(vires.history[-1, 3])
         files.update(export_regression_csv(data, out_dir))
-        history_path = os.path.join(out_dir, "vi_history.csv")
-        export_history_csv(vires, history_path)
-        files["vi_history"] = history_path
-        gain_path = os.path.join(out_dir, "learned_gain.csv")
-        with open(gain_path, "w") as fh:
-            write_rows(fh, np.atleast_2d(vires.K_final))
-        files["learned_gain"] = gain_path
+        files["vi_history"] = export_history_csv(vires, path("vi_history.csv"))
+        files["learned_gain"] = write_csv(path("learned_gain.csv"), np.atleast_2d(vires.K_final))
         lap("other_exports_s")
         if not vires.converged:
             raise NotConvergedError("VI did not converge in %d iterations" % cfg.max_iters)
@@ -360,19 +357,16 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         log_closed = simulate(plant, exo, known, im, vires.K_final, log_explore.final_state,
                               (cfg.t_switch, cfg.t_end), cfg.h, diag=diag)
         lap("closed_loop_sim_s")
-        traj_path = os.path.join(out_dir, "trajectory.csv")
-        export_trajectory_csv(log_closed, traj_path, head=traj_head)
-        files["trajectory"] = traj_path
+        files["trajectory"] = export_trajectory_csv(log_closed, path("trajectory.csv"),
+                                                    head=traj_head)
         lap("trajectory_export_s")
     # the trajectory's rows: the exploration log's but its last, then the closed loop's
     settled = np.concatenate([e[t >= cfg.settle_time] for t, e in (
         (log_explore.times[:-1], log_explore.e[:-1]), (log_closed.times, log_closed.e))])
     report.tracking_max_error = float(np.abs(settled).max())
-    track_path = os.path.join(out_dir, "tracking_error.csv")
-    with open(track_path, "w") as fh:
-        fh.write("t," + ",".join("e_%d" % (i + 1) for i in range(log_closed.e.shape[1])) + "\n")
-        write_rows(fh, np.column_stack([log_closed.times, log_closed.e]))
-    files["tracking_error"] = track_path
+    files["tracking_error"] = write_csv(
+        path("tracking_error.csv"), np.column_stack([log_closed.times, log_closed.e]),
+        ["t", *("e_%d" % (i + 1) for i in range(log_closed.e.shape[1]))])
     lap("other_exports_s")
     if blinded:
         return
@@ -399,17 +393,45 @@ def _oracle_objects(cfg, objs):
     return param, build_augmented_aux(objs.plant, param, objs.im, objs.exo)
 
 
+def export_regression_csv(data, out_dir):
+    """One CSV per block plus a manifest of dims and the grid; returns file map."""
+    blocks = {"delta_a": data.delta_a, "I_aa": data.I_aa, "I_au": data.I_au,
+              "Gamma_av": data.Gamma_av, "Gamma_aBu": data.Gamma_aBu,
+              "I_yy": data.I_yy, "I_zz": data.I_zz}
+    blocks = {name: arr for name, arr in blocks.items() if arr is not None}
+    files = {name: write_csv(os.path.join(out_dir, "regression_%s.csv" % name), arr)
+             for name, arr in blocks.items()}
+    manifest = {"variant": data.variant, "dims": data.dims,
+                "grid": {"t0": data.grid.t0, "dt": data.grid.dt, "s": data.grid.s},
+                "blocks": {k: list(v.shape) for k, v in blocks.items()}}
+    files["manifest"] = _write_json(os.path.join(out_dir, "regression_manifest.json"), manifest)
+    return files
+
+
+def export_history_csv(result, path):
+    """Convergence history: k, j, ||P_k||, ||P~_{k+1}-P_k||/eps_k; returns path."""
+    return write_csv(path, result.history, ("k", "j", "normP", "step_metric"))
+
+
+def export_trajectory_csv(log, path, head=None):
+    """Write the log's table as CSV after head, the pending rows of the log it
+    continues, under the header t, name_i per column of each signal, ex_norm."""
+    names = ("%s_%d" % (k, i + 1) for k, w in log.widths.items() for i in range(w))
+    return write_csv(path, log.table, ["t", *names, "ex_norm"], head)
+
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+    return path
+
+
 def _write_report(out_dir, report):
     """Write report.json, then manifest.json naming every file written so far."""
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True, default=str)
-    report.files["report"] = path
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump({k: os.path.basename(v) for k, v in report.files.items()},
-                  fh, indent=2, sort_keys=True)
-    report.files["manifest"] = path
+    files = report.files
+    files["report"] = _write_json(os.path.join(out_dir, "report.json"), asdict(report))
+    files["manifest"] = _write_json(os.path.join(out_dir, "manifest.json"),
+                                    {k: os.path.basename(v) for k, v in files.items()})
 
 
 def _paper_reference(cfg):

@@ -52,19 +52,19 @@ def pbh_check(A, B_or_C, mode):
     """Eigenvalue-wise PBH rank test.
 
     mode is one of 'stabilizable', 'controllable' (B on the right) or
-    'detectable', 'observable' (C below).  The stabilizable/detectable
-    variants only test eigenvalues with Re >= -1e-9.
+    'observable' (C below).  'stabilizable' only tests eigenvalues with
+    Re >= -1e-9.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     M = np.atleast_2d(np.asarray(B_or_C, dtype=float))
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError("A must be square")
-    if mode not in ("stabilizable", "controllable", "detectable", "observable"):
+    if mode not in ("stabilizable", "controllable", "observable"):
         raise ValueError("unknown mode %r" % mode)
-    stack = np.vstack if mode in ("detectable", "observable") else np.hstack
+    stack = np.vstack if mode == "observable" else np.hstack
     eigs = np.linalg.eigvals(A)
-    if mode in ("stabilizable", "detectable"):
+    if mode == "stabilizable":
         eigs = eigs[eigs.real >= -STABLE_EIG_TOL]
     return _worst_rank_gap(lambda lam: stack([A - lam * np.eye(n), M]), n, eigs)
 
@@ -265,7 +265,7 @@ class ObserverParameterization:
 
     known: ObserverKnown
     L: np.ndarray
-    M: np.ndarray | None = None
+    M: np.ndarray
 
 
 def compute_parameterization(plant, L, known: ObserverKnown):

@@ -14,8 +14,8 @@ modes (the filter states become asymptotically dependent), so the quadrature
 must stay orders of magnitude below the smallest data singular value;
 Simpson on the h-grid achieves that where trapezoid does not.  Each variant,
 a row of `VARIANTS`, packs the blocks its choices read: I_au on state x and
-Gamma_aBu otherwise (variant 2 writes regression_Gamma_aBu.csv), Gamma_av
-with an exogenous term, I_yy with the output cost and I_zz with it on rho.
+Gamma_aBu otherwise, Gamma_av with an exogenous term, I_yy with the output
+cost and I_zz with it on rho.
 """
 
 import warnings
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .csvrows import write_rows
 from .linalg import vecv_rows
 
 GRID_TOL = 1e-9
@@ -248,26 +247,3 @@ def unknown_count(dims, method):
         return n_rho * (n_rho + 1) // 2
     raise ValueError("unknown method %r" % method)
 
-
-def export_regression_csv(data: RegressionData, out_dir):
-    """One CSV per block plus a manifest of dims and the grid; returns file map."""
-    import json
-    import os
-    blocks = {"delta_a": data.delta_a, "I_aa": data.I_aa, "I_au": data.I_au,
-              "Gamma_av": data.Gamma_av, "Gamma_aBu": data.Gamma_aBu,
-              "I_yy": data.I_yy, "I_zz": data.I_zz}
-    blocks = {name: arr for name, arr in blocks.items() if arr is not None}
-    files = {}
-    for name, arr in blocks.items():
-        path = os.path.join(out_dir, "regression_%s.csv" % name)
-        with open(path, "w") as fh:
-            write_rows(fh, arr)
-        files[name] = path
-    manifest = {"variant": data.variant, "dims": data.dims,
-                "grid": {"t0": data.grid.t0, "dt": data.grid.dt, "s": data.grid.s},
-                "blocks": {k: list(v.shape) for k, v in blocks.items()}}
-    mpath = os.path.join(out_dir, "regression_manifest.json")
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    files["manifest"] = mpath
-    return files

@@ -16,22 +16,12 @@ product of [G0, G_half, G1] with the tone values at the nodes and
 half-steps; the stepping loop is then one matvec and one vector add per
 step, and the overflow guard runs once per block of steps, reporting the
 first offending sample.
-
-A trajectory CSV holds the exploration rows but the last, then the closed
-loop's rows: the closed loop repeats that last state, and the input logged
-there is the one in force before the learned gain took over.  The exploration
-rows are final when the exploration phase ends, so `start_trajectory_head`
-has a forked writer format them while the run learns and simulates the
-closed loop.  `export_trajectory_csv` passes them to `write_rows` as the
-head of the closed loop's rows, so the closed loop's writers are forked
-before the head is awaited, and the two logs are never joined.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvrows import MIN_VALUES_PER_WRITER, PendingRows, usable_cpus, write_rows
 from .internal_model import Exosystem, InternalModel
 from .observer import ObserverKnown
 from .regression import on_grid
@@ -81,12 +71,6 @@ class TrajectoryLog:
 
     times, v, x, zeta, z, rho, u, y, e, ex_diag = map(
         _view, ("times", "v", "x", "zeta", "z", "rho", "u", "y", "e", "ex_diag"))
-
-    @property
-    def names(self):
-        """The CSV header: t, name_i for every column of each signal, ex_norm."""
-        return ["t", *("%s_%d" % (k, i + 1) for k, w in self.widths.items()
-                       for i in range(w)), "ex_norm"]
 
     @property
     def final_state(self):
@@ -193,23 +177,3 @@ def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
         log.table[:, -1] = np.nan
     return log
 
-
-def start_trajectory_head(log: TrajectoryLog, directory) -> PendingRows:
-    """Start formatting every row of log but the last, the head of the CSV of
-    a run continued from log's final state: in one forked writer with a file
-    in directory on more than one usable CPU and at least
-    `MIN_VALUES_PER_WRITER` values, otherwise later in-process."""
-    rows = log.table[:-1]
-    early = usable_cpus() > 1 and rows.size >= MIN_VALUES_PER_WRITER
-    return PendingRows(rows, int(early), directory)
-
-
-def export_trajectory_csv(log: TrajectoryLog, path, head: PendingRows | None = None):
-    """Write the log as CSV with 17-significant-digit floats.
-
-    head, from `start_trajectory_head` on the log this one continues, is
-    written between the header and log's rows.
-    """
-    with open(path, "w") as fh:
-        fh.write(",".join(log.names) + "\n")
-        write_rows(fh, log.table, head)

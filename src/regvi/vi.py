@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvrows import write_rows
 from .linalg import unvecs, vecs
 from .regression import VARIANTS, RegressionData, check_rank
 
@@ -307,9 +306,3 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
                     converged=converged, history=history[:iters],
                     E_rho_identified=E_identified)
 
-
-def export_history_csv(result: ViResult, path):
-    """Convergence history: k, j, ||P_k||, ||P~_{k+1}-P_k||/eps_k."""
-    with open(path, "w") as fh:
-        fh.write("k,j,normP,step_metric\n")
-        write_rows(fh, result.history)

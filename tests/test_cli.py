@@ -99,6 +99,16 @@ def test_run_overflow_exit_code(tmp_path, capsys):
         assert json.load(fh)["converged"] is False
 
 
+def test_run_into_an_uncreatable_directory_exit_code(tmp_path, capsys):
+    """An output directory below a regular file cannot be made: exit 6 with
+    one line on stderr, not a traceback."""
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert cli.main(["run", "paper-e-zero", "--out-dir", str(out)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write artifacts: ") and err.count("\n") == 1
+
+
 def test_verify_preset(capsys):
     assert cli.main(["verify", "paper-e-nonzero"]) == cli.EXIT_OK
     out = capsys.readouterr().out

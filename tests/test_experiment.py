@@ -255,6 +255,29 @@ def test_out_dir_holds_exactly_the_manifest(run, request):
     assert sorted(os.listdir(out_dir)) == sorted([*listed, "manifest.json"])
 
 
+@pytest.mark.parametrize("run", ["zero_run", "nonzero_run"])
+def test_every_csv_starts_with_its_header_or_a_number(run, request):
+    """The three signal tables start with their exact headers; the learned gain
+    and every regression block start with a row of numbers, with no header and
+    no blank line."""
+    out_dir = request.getfixturevalue(run)["out_dir"]
+    headers = {"trajectory.csv": "t,v_1,v_2,x_1,x_2,x_3," + ",".join(
+                   ["zeta_%d" % i for i in range(1, 7)]) + ",z_1,z_2,u_1,y_1,e_1,ex_norm",
+               "tracking_error.csv": "t,e_1", "vi_history.csv": "k,j,normP,step_metric"}
+    names = [name for name in os.listdir(out_dir) if name.endswith(".csv")]
+    headless = [name for name in names if name not in headers]
+    assert set(headers) <= set(names) and "learned_gain.csv" in headless
+    assert {"regression_I_aa.csv", "regression_delta_a.csv"} <= set(headless)
+    for name in names:
+        with open(os.path.join(out_dir, name)) as fh:
+            first = fh.readline().rstrip("\n")
+        if name in headers:
+            assert first == headers[name], name
+        else:
+            assert first[:1] in set("-0123456789"), (name, first[:40])
+            assert all(np.isfinite(float(tok)) for tok in first.split(",")), name
+
+
 def test_report_carries_layer_timings(nonzero_run):
     timings = _load_json(nonzero_run["out_dir"], "report.json")["timings"]
     assert set(timings) == {"setup_s", "explore_sim_s", "regression_s", "vi_s",

@@ -15,6 +15,7 @@ from regvi.oracle import LtiPlant
 
 PACKAGE = Path(regvi.__file__).parent
 LEARNER = ("linalg", "observer", "internal_model", "regression", "vi")
+FILE_IO = {"csvrows", "os", "json", "tempfile", "shutil"}
 
 
 def _relative_imports(module):
@@ -42,6 +43,31 @@ def test_learner_never_reaches_oracle_or_plant_simulation():
             reached.add(module)
             todo.extend(_relative_imports(module))
     assert not reached & {"oracle", "sim"}, sorted(reached)
+
+
+def _imports(module):
+    """Every module that module imports: siblings by name, others by top-level package."""
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return _relative_imports(module) | {
+        name.split(".")[1] if name.startswith("regvi.") else name.split(".")[0]
+        for name in names}
+
+
+def test_only_experiment_writes_files():
+    """Only experiment imports the CSV writer.  The learner and the simulator
+    import no file-I/O module and call no open, so they do no file I/O."""
+    modules = [path.stem for path in PACKAGE.glob("*.py")]
+    assert [m for m in modules if "csvrows" in _imports(m)] == ["experiment"]
+    for module in (*LEARNER, "sim"):
+        assert not _imports(module) & FILE_IO, module
+        tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+        opens = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        assert not opens, (module, opens)
 
 
 def test_learner_imports_no_scipy():

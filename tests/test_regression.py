@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import simpson
 
 from regvi.linalg import vecs, vecv_rows
+from regvi.experiment import export_regression_csv
 from regvi.regression import (GridAlignmentError, RegressionData, SamplingGrid,
-                              build_regression, check_rank, export_regression_csv,
-                              required_rank, unknown_count)
+                              build_regression, check_rank, required_rank, unknown_count)
 from regvi.sim import Tone, simulate, stack_state
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from regvi.experiment import ExperimentConfig, build_objects, verify
-from regvi.sim import (Tone, TrajectoryLog, _loop_matrices, export_trajectory_csv,
-                       exploration_signal, simulate, stack_state)
+from regvi.experiment import ExperimentConfig, build_objects, export_trajectory_csv, verify
+from regvi.sim import (Tone, TrajectoryLog, _loop_matrices, exploration_signal, simulate,
+                       stack_state)
 
 
 def _explore(setup, tspan, h, x0=None, diag=None):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from regvi import vi
+from regvi.experiment import export_history_csv
 from regvi.internal_model import Exosystem, InternalModel
 from regvi.linalg import vecs
 from regvi.observer import ObserverKnown
@@ -13,7 +14,7 @@ from regvi.regression import (VARIANTS, RegressionData, SamplingGrid, build_regr
                               check_rank)
 from regvi.sim import Tone, simulate, stack_state
 from regvi.vi import (RankConditionError, ViConfig, ViResult, _fit_stage, _lstsq,
-                      _vec_maps, check_vi_inputs, export_history_csv, vi_run)
+                      _vec_maps, check_vi_inputs, vi_run)
 
 
 def rel(a, b):
