@@ -345,7 +345,9 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         report.iters, report.resets, report.converged = (
             vires.iters, vires.resets, vires.converged)
         report.vi_us_per_iter = 1e6 * report.timings["vi_s"] / vires.iters
-        report.vi_reset_iterations = np.flatnonzero(np.diff(vires.history[:, 1])).tolist()
+        # j rises after each escape; appending the final j counts a last-iterate escape
+        report.vi_reset_iterations = np.flatnonzero(
+            np.diff(vires.history[:, 1], append=vires.resets)).tolist()
         report.vi_final_step_metric = float(vires.history[-1, 3])
         files.update(export_regression_csv(data, out_dir))
         files["vi_history"] = export_history_csv(vires, path("vi_history.csv"))
@@ -404,7 +406,8 @@ def export_regression_csv(data, out_dir):
     manifest = {"variant": data.variant, "dims": data.dims,
                 "grid": {"t0": data.grid.t0, "dt": data.grid.dt, "s": data.grid.s},
                 "blocks": {k: list(v.shape) for k, v in blocks.items()}}
-    files["manifest"] = _write_json(os.path.join(out_dir, "regression_manifest.json"), manifest)
+    files["regression_manifest"] = _write_json(os.path.join(out_dir, "regression_manifest.json"),
+                                               manifest)
     return files
 
 
@@ -427,11 +430,11 @@ def _write_json(path, payload):
 
 
 def _write_report(out_dir, report):
-    """Write report.json, then manifest.json naming every file written so far."""
+    """Write report.json, then manifest.json naming every file written, itself too."""
     files = report.files
     files["report"] = _write_json(os.path.join(out_dir, "report.json"), asdict(report))
-    files["manifest"] = _write_json(os.path.join(out_dir, "manifest.json"),
-                                    {k: os.path.basename(v) for k, v in files.items()})
+    files["manifest"] = os.path.join(out_dir, "manifest.json")
+    _write_json(files["manifest"], {k: os.path.basename(v) for k, v in files.items()})
 
 
 def _paper_reference(cfg):

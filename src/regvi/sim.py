@@ -11,11 +11,15 @@ as physics.
 
 Within a phase s' = A s + B delta(t) is LTI, so one classic RK4 step is
 exactly the affine map s+ = Phi s + G0 delta_i + G_half delta_{i+1/2} +
-G1 delta_{i+1} (`_rk4_map`).  The forcing of every step is one matrix
-product of [G0, G_half, G1] with the tone values at the nodes and
-half-steps; the stepping loop is then one matvec and one vector add per
-step, and the overflow guard runs once per block of steps, reporting the
-first offending sample.
+G1 delta_{i+1} (`_rk4_map`).  A phase with tones is that affine recurrence:
+the forcing of every step is one matrix product of [G0, G_half, G1] with the
+tone values at the nodes and half-steps, then one matvec and one vector add
+per step.  A phase without tones is autonomous, s_{b+i} = Phi^i s_b: each
+block of steps is one product of the power table [Phi; Phi^2; ...; Phi^B]
+with the block's first state.  The overflow guard runs once per block,
+reporting the first offending sample.  A continued run takes bitwise the
+steps of one long run only for phases with tones; without, the block
+boundaries move and the samples agree to rounding.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,8 @@ from .observer import ObserverKnown
 from .regression import on_grid
 
 OVERFLOW_LIMIT = 1e9
-STEPS_PER_CHECK = 1024
+# steps per overflow check, and powers of Phi in an autonomous phase's table
+STEPS_PER_CHECK = 128
 
 
 @dataclass
@@ -152,13 +157,22 @@ def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
         d_nodes = exploration_signal(tones, times, m)
         d_half = exploration_signal(tones, times[:-1] + 0.5 * h, m)
         np.matmul(np.hstack([d_nodes[:-1], d_half, d_nodes[1:]]), G.T, out=s_all[1:])
-    step = Phi.dot
+    step, n = Phi.dot, s.size
     with np.errstate(over="ignore", invalid="ignore"):
+        if not tones:                   # the table [Phi; Phi^2; ...; Phi^B], n rows a power
+            powers = np.empty((min(STEPS_PER_CHECK, n_steps), n, n))
+            powers[:1] = Phi
+            for i in range(1, len(powers)):
+                np.matmul(powers[i - 1], Phi, out=powers[i])
+            powers = powers.reshape(-1, n)
         for b0 in range(0, n_steps, STEPS_PER_CHECK):
             block = s_all[b0:min(b0 + STEPS_PER_CHECK, n_steps) + 1]
-            rows = list(block)
-            for i in range(len(rows) - 1):
-                rows[i + 1] += step(rows[i])
+            if tones:
+                rows = list(block)
+                for i in range(len(rows) - 1):
+                    rows[i + 1] += step(rows[i])
+            else:
+                block[1:] = (powers[:(len(block) - 1) * n] @ block[0]).reshape(-1, n)
             bad = ~(np.abs(block[1:]) <= OVERFLOW_LIMIT).all(axis=1)
             if bad.any():
                 raise OverflowError("state overflow at t = %g during integration"

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,15 @@ def test_preset_list(capsys):
     assert cli.main(["preset", "list"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "paper-e-zero" in out and "paper-e-nonzero" in out
+
+
+def test_package_runs_as_a_module():
+    """`python -m regvi` is the command line, without an install."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(regvi.__file__))}
+    done = subprocess.run([sys.executable, "-m", "regvi", "preset", "list"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert done.stdout.split() == ["paper-e-nonzero", "paper-e-zero"]
 
 
 def test_preset_show(capsys):

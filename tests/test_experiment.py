@@ -169,7 +169,7 @@ def _assert_nothing_left_running(out_dir):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     listed = _load_json(out_dir, "manifest.json").values()
-    assert sorted(os.listdir(out_dir)) == sorted([*listed, "manifest.json"])
+    assert sorted(os.listdir(out_dir)) == sorted(listed)
 
 
 def test_run_experiment_not_converged(tmp_path, monkeypatch, fork_pids, pin_cpus):
@@ -247,12 +247,30 @@ def test_report_carries_vi_resets_and_final_step(zero_run):
     assert payload["vi_final_step_metric"] == history[-1, 3] < cfg.eps_conv
 
 
+def test_a_final_escape_is_a_listed_reset(tmp_path):
+    """A run whose every iterate escapes, the last included, lists each reset."""
+    cfg = dataclasses.replace(PRESETS["paper-e-zero"](), max_iters=40, bound_scale=1e-6,
+                              bound_shift=1e-6)
+    with pytest.raises(NotConvergedError):
+        run_experiment(cfg, str(tmp_path), blinded=True)
+    payload = _load_json(tmp_path, "report.json")
+    assert payload["resets"] == 40
+    assert payload["vi_reset_iterations"] == list(range(40))
+
+
+def test_manifest_names_itself_and_the_regression_manifest(zero_run):
+    listed = _load_json(zero_run["out_dir"], "manifest.json")
+    assert listed["manifest"] == "manifest.json"
+    assert listed["regression_manifest"] == "regression_manifest.json"
+    assert len(set(listed.values())) == len(listed)
+
+
 @pytest.mark.parametrize("run", ["zero_run", "nonzero_run"])
 def test_out_dir_holds_exactly_the_manifest(run, request):
     """No part file of the row writers leaks into a run's artifacts."""
     out_dir = request.getfixturevalue(run)["out_dir"]
     listed = _load_json(out_dir, "manifest.json").values()
-    assert sorted(os.listdir(out_dir)) == sorted([*listed, "manifest.json"])
+    assert sorted(os.listdir(out_dir)) == sorted(listed)
 
 
 @pytest.mark.parametrize("run", ["zero_run", "nonzero_run"])

@@ -189,11 +189,11 @@ def test_unknown_count_table():
 def test_export_regression_csv(fullstate_setup, tmp_path):
     data = fullstate_setup["data"]
     files = export_regression_csv(data, tmp_path)
-    assert "manifest" in files and "I_aa" in files and "delta_a" in files
+    assert "regression_manifest" in files and "I_aa" in files and "delta_a" in files
     loaded = np.loadtxt(files["I_aa"], delimiter=",")
     assert np.array_equal(loaded, data.I_aa)
     import json
-    with open(files["manifest"]) as fh:
+    with open(files["regression_manifest"]) as fh:
         manifest = json.load(fh)
     assert manifest["variant"] == 1
     assert manifest["grid"] == {"t0": 1.0, "dt": 0.1, "s": 40}

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from regvi.experiment import ExperimentConfig, build_objects, export_trajectory_csv, verify
-from regvi.sim import (Tone, TrajectoryLog, _loop_matrices, exploration_signal, simulate,
-                       stack_state)
+from regvi.sim import (STEPS_PER_CHECK, Tone, TrajectoryLog, _loop_matrices, _rk4_map,
+                       exploration_signal, simulate, stack_state)
 
 
 def _explore(setup, tspan, h, x0=None, diag=None):
@@ -105,6 +105,52 @@ def test_affine_step_matches_classic_rk4(nonzero_setup, with_tones):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _per_step(objs, K_rho, s0, n_steps, h):
+    """Reference for a phase without tones: the recurrence s+ = Phi s, one
+    matvec per step."""
+    A_tot, B_tot, _ = _loop_matrices(objs.plant, objs.exo, objs.known, objs.im, K_rho)
+    Phi, _ = _rk4_map(A_tot, B_tot, h)
+    states = np.empty((n_steps + 1, len(s0)))
+    states[0] = s0
+    for i in range(n_steps):
+        states[i + 1] = Phi.dot(states[i])
+    return states
+
+
+def _assert_close_per_column(got, ref, rel=1e-12):
+    assert got.shape == ref.shape
+    assert (np.abs(got - ref).max(axis=0) <= rel * np.abs(ref).max(axis=0)).all()
+
+
+def _state(log):
+    return np.hstack([log.v, log.x, log.zeta, log.z])
+
+
+def test_closed_loop_phase_matches_per_step_recurrence(nonzero_setup):
+    """The preset's whole closed-loop phase (52 000 steps) under the optimal
+    gain, which the learned one approximates, stepped by the power table, is
+    the per-step recurrence to 1e-12 of each column's largest value."""
+    cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
+    K = nonzero_setup["sol"].K
+    s0 = _explore(nonzero_setup, (0.0, cfg.t_switch), cfg.h).final_state
+    log = simulate(objs.plant, objs.exo, objs.known, objs.im, K, s0,
+                   (cfg.t_switch, cfg.t_end), cfg.h)
+    n_steps = round((cfg.t_end - cfg.t_switch) / cfg.h)
+    assert n_steps == 52000 and n_steps % STEPS_PER_CHECK
+    _assert_close_per_column(_state(log), _per_step(objs, K, s0, n_steps, cfg.h))
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 5])
+def test_phase_shorter_than_a_block(nonzero_setup, n_steps):
+    cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
+    K = nonzero_setup["sol"].K
+    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
+    log = simulate(objs.plant, objs.exo, objs.known, objs.im, K, s0,
+                   (1.0, 1.0 + n_steps * cfg.h), cfg.h)
+    assert np.array_equal(log.times, cfg.h * np.arange(1000, 1001 + n_steps))
+    _assert_close_per_column(_state(log), _per_step(objs, K, s0, n_steps, cfg.h))
+
+
 def test_overflow_guard(nonzero_setup):
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
     # strong feedback from the output-filter states destabilizes the loop
@@ -143,6 +189,19 @@ def test_continuation_matches_one_run(nonzero_setup):
     for name in ("times", "v", "x", "zeta", "z", "y", "e"):
         assert np.array_equal(joined[name], getattr(whole, name)), name
     assert np.allclose(joined["u"], whole.u, rtol=1e-14, atol=0.0)
+
+
+def test_continuation_without_tones_matches_one_run(nonzero_setup):
+    """Without tones the block boundaries of a continuation move, so [0, 1]
+    then [1, 2] agrees with one [0, 2] run to rounding, not bitwise."""
+    cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
+    args = (objs.plant, objs.exo, objs.known, objs.im, nonzero_setup["sol"].K)
+    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
+    whole = simulate(*args, s0, (0.0, 2.0), cfg.h)
+    head = simulate(*args, s0, (0.0, 1.0), cfg.h)
+    tail = simulate(*args, head.final_state, (1.0, 2.0), cfg.h)
+    assert np.array_equal(tail.times, whole.times[len(head.times) - 1:])
+    _assert_close_per_column(np.vstack([_state(head)[:-1], _state(tail)]), _state(whole))
 
 
 def test_exploration_signal_values():
