@@ -425,7 +425,7 @@ def export_trajectory_csv(log, path, head=None):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        json.dump(payload, fh, indent=2, sort_keys=True)
     return path
 
 

@@ -20,13 +20,20 @@ All six variants then share one loop: a Robbins-Monro step
 P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
 ||P~||_2 escapes the current bound set, and a stop when ||P~ - P||_2 / eps_k
 falls below the convergence threshold.  The iterates are symmetric up to the
-rounding of the update, so both 2-norms are the largest |eigenvalue| of one
-eigvalsh call on the pair (P~, P~ - P), which reads one triangle; the two
-tests and the history row read those same two numbers.  The history is
+rounding of the update, so both 2-norms are the largest |eigenvalue| of the
+pair (P~, P~ - P) under eigvalsh, which reads one triangle; the two tests and
+the history row read those same two numbers.  The loop runs in speculative
+blocks of SPEC_ROWS iterates: it steps as if every iterate is accepted, until
+||P||_2 at the block start plus the steps' Frobenius norms may exceed the
+bound radius, so no iterate that may have escaped is stepped from; one
+eigvalsh call on the block's pairs gives every norm, eigenvalue for
+eigenvalue those of a call on one pair; the first escape or stop in loop
+order is applied, and the rows after it are discarded.  The history is
 allocated in doubling blocks as the loop runs, so max_iters bounds the loop
 and not an allocation.
 """
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -267,42 +274,73 @@ def check_vi_inputs(variant, cfg: ViConfig):
             raise ValueError("variant %d needs %s" % (variant, name))
 
 
-def _spec_norms(*mats):
-    """The 2-norms of symmetric matrices: the largest |eigenvalue| of each."""
-    return np.abs(np.linalg.eigvalsh(np.array(mats))).max(axis=-1).tolist()
+def _spec_norms(mats):
+    """The 2-norms of symmetric matrices stacked on the leading axes: the
+    largest |eigenvalue| of each."""
+    return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
 
 
 # rows of the first history block; the presets' max_iters fit in it
 HISTORY_ROWS = 1 << 15
+# iterates stepped ahead of the loop's decisions, whose norms one eigvalsh takes
+SPEC_ROWS = 64
 
 
 def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
     """Run the value-iteration loop; non-convergence is reported, not raised."""
     check_vi_inputs(variant, cfg)
     stage, E_identified = _fit_stage(variant, data, cfg)
-    norm_P0 = _spec_norms(cfg.P0)[0]
+    norm_P0 = _spec_norms(cfg.P0)
     P, norm_P = cfg.P0.copy(), norm_P0
     j = 0                               # bound-set index = resets so far
     history = np.empty((min(cfg.max_iters, HISTORY_ROWS), 4))
-    converged = False
-    for k in range(cfg.max_iters):
-        if k == len(history):           # full: double it, up to max_iters rows
-            history = np.concatenate([history, np.empty((min(k, cfg.max_iters - k), 4))])
-        eps = cfg.eps(k)
-        P_tilde = P + eps * stage.residual(P)
-        norm_tilde, norm_step = _spec_norms(P_tilde, P_tilde - P)
-        step = norm_step / eps
-        history[k] = k, j, norm_P, step
-        if norm_tilde > cfg.bound_radius(j):      # escape from the bound set
+    pairs = np.empty((SPEC_ROWS, 2) + P.shape)     # rows (P~, P~ - P)
+    k, converged = 0, False
+    while k < cfg.max_iters and not converged:
+        radius = cfg.bound_radius(j)
+        eps = cfg.eps(np.arange(k, min(k + SPEC_ROWS, cfg.max_iters)))
+        # Step as if every iterate is accepted, while ||P||_2 at the block start
+        # plus the steps' Frobenius norms bounds ||P~||_2 by the radius: no
+        # iterate that may have escaped is stepped from.  Only the exact norms
+        # below decide, so the bound's rounding moves no result.
+        b, reach, base = 0, float(norm_P), P
+        while b < len(eps) and (b == 0 or reach <= radius):
+            try:
+                step = eps[b] * stage.residual(base)
+            except RankConditionError:
+                if b == 0:              # only an iterate the loop reaches raises
+                    raise
+                break
+            base = np.add(base, step, out=pairs[b, 0])
+            # np.vdot checks no floating-point flag: an overflow is a silent
+            # inf, which ends the block as an escape would
+            reach += math.sqrt(np.vdot(step, step))
+            b += 1
+        P_tilde = pairs[:b, 0]
+        np.subtract(P_tilde[0], P, out=pairs[0, 1])
+        np.subtract(P_tilde[1:], P_tilde[:-1], out=pairs[1:b, 1])
+        norm_tilde, norm_step = _spec_norms(pairs[:b]).T
+        steps = norm_step / eps[:b]
+        # the first escape or stop in loop order; every row before it is accepted
+        escape, stop = norm_tilde > radius, steps < cfg.eps_conv
+        events = np.flatnonzero(escape | stop)
+        rows = int(events[0]) + 1 if events.size else b
+        while len(history) < k + rows:  # full: double it, up to max_iters rows
+            history = np.concatenate(
+                [history, np.empty((min(len(history), cfg.max_iters - len(history)), 4))])
+        history[k:k + rows] = np.column_stack(
+            [np.arange(k, k + rows), np.full(rows, j),
+             np.concatenate([[norm_P], norm_tilde[:rows - 1]]), steps[:rows]])
+        k += rows
+        if not events.size:
+            P, norm_P = pairs[b - 1, 0].copy(), norm_tilde[b - 1]
+        elif escape[rows - 1]:          # escape from the bound set
             P, norm_P = cfg.P0.copy(), norm_P0
             j += 1
-        elif step < cfg.eps_conv:
-            converged = True
-            break
         else:
-            P, norm_P = P_tilde, norm_tilde
-    iters = k + 1 if converged else cfg.max_iters
-    return ViResult(P_final=P, K_final=stage.gain(P), iters=iters, resets=j,
-                    converged=converged, history=history[:iters],
+            converged = True
+            if rows > 1:                # the iterate the stopping step left
+                P = pairs[rows - 2, 0].copy()
+    return ViResult(P_final=P, K_final=stage.gain(P), iters=k, resets=j,
+                    converged=converged, history=history[:k],
                     E_rho_identified=E_identified)
-

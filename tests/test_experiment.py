@@ -228,6 +228,42 @@ def test_run_experiment_rank_failure(tmp_path, monkeypatch, fork_pids, pin_cpus)
     assert sorted(os.listdir(tmp_path)) == ["manifest.json", "report.json"]
 
 
+PARTIAL_RUNS = {
+    "not_converged": (NotConvergedError, dict(max_iters=60)),
+    "rank_failure": (RankConditionError,
+                     dict(tones=[], k0=[[0.0] * 6], t_switch=6.0, t_end=8.0, settle_time=7.0,
+                          grid_t0=1.0, grid_dt=0.1, grid_s=40)),
+}
+
+
+@pytest.mark.parametrize("run", ["zero_run", *PARTIAL_RUNS])
+def test_report_counts_are_json_integers(run, request, tmp_path):
+    """The JSON files of a finished run and of two partial ones load, and
+    every count in them is a JSON integer: a numpy scalar is no JSON value,
+    so the writer raises on one instead of quoting it as a string."""
+    if run in PARTIAL_RUNS:
+        error, patch = PARTIAL_RUNS[run]
+        with pytest.raises(error):
+            run_experiment(_quick_nonzero(**patch), str(tmp_path))
+        out_dir = str(tmp_path)
+    else:
+        out_dir = request.getfixturevalue(run)["out_dir"]
+    listed = _load_json(out_dir, "manifest.json")
+    payload = _load_json(out_dir, "report.json")
+    present = {"rank", "rank_required"} | (set() if run == "rank_failure" else {"iters", "resets"})
+    for key in ("iters", "resets", "rank", "rank_required"):
+        assert type(payload[key]) is int if key in present else payload[key] is None, key
+    resets = payload["vi_reset_iterations"] or []
+    assert all(type(k) is int for k in resets)
+    assert len(resets) == (payload["resets"] or 0) and (run != "zero_run" or resets)
+    if "regression_manifest" in listed:
+        regression = _load_json(out_dir, listed["regression_manifest"])
+        counts = [*regression["dims"].values(), regression["variant"], regression["grid"]["s"],
+                  *(n for shape in regression["blocks"].values() for n in shape)]
+        assert all(type(n) is int for n in counts)
+    assert ("regression_manifest" in listed) == (run != "rank_failure")
+
+
 def test_report_carries_published_reference(nonzero_run):
     ref = nonzero_run["report"].paper_reference
     assert ref["reported_iterations"] == 10602

@@ -400,6 +400,196 @@ def test_history_grows_across_blocks(fullstate_setup, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Speculative blocks against the per-iterate loop
+# ---------------------------------------------------------------------------
+
+def _pair_norms(*mats):
+    return np.abs(np.linalg.eigvalsh(np.array(mats))).max(axis=-1).tolist()
+
+
+def per_iterate_vi(variant, data, cfg):
+    """Reference: the loop one iterate at a time, as it stood before the
+    speculative blocks; per iterate the update, one eigvalsh call on the pair
+    (P~, P~ - P), the history row, then a reset, a stop or the next iterate."""
+    stage, E_identified = vi._fit_stage(variant, data, cfg)
+    norm_P0 = _pair_norms(cfg.P0)[0]
+    P, norm_P = cfg.P0.copy(), norm_P0
+    j = 0
+    history = []
+    converged = False
+    for k in range(cfg.max_iters):
+        eps = cfg.eps(k)
+        P_tilde = P + eps * stage.residual(P)
+        norm_tilde, norm_step = _pair_norms(P_tilde, P_tilde - P)
+        step = norm_step / eps
+        history.append((k, j, norm_P, step))
+        if norm_tilde > cfg.bound_radius(j):
+            P, norm_P = cfg.P0.copy(), norm_P0
+            j += 1
+        elif step < cfg.eps_conv:
+            converged = True
+            break
+        else:
+            P, norm_P = P_tilde, norm_tilde
+    return ViResult(P_final=P, K_final=stage.gain(P), iters=len(history), resets=j,
+                    converged=converged, history=np.array(history).reshape(-1, 4),
+                    E_rho_identified=E_identified)
+
+
+def assert_same_run(res, ref):
+    assert (res.iters, res.resets, res.converged) == (ref.iters, ref.resets, ref.converged)
+    for name in ("history", "P_final", "K_final"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    if ref.E_rho_identified is not None:
+        assert np.array_equal(res.E_rho_identified, ref.E_rho_identified)
+
+
+def _run_case(request, fixture, variant):
+    """(data, cfg) of each variant on the file's fixtures, run to its end."""
+    s = request.getfixturevalue(fixture)
+    if fixture == "fullstate_setup":        # resets, then 5000 iterates
+        return s["data"], ViConfig(P0=0.05 * np.eye(3), eps_num=0.5, eps_shift=5.0,
+                                   eps_conv=1e-12, max_iters=5000, R=np.eye(1), Q=np.eye(3),
+                                   bound_scale=0.2, bound_shift=1.0)
+    if fixture == "output_based_setup":
+        if variant == 2:
+            return (build_regression(s["log"], s["grid"], 2, R=np.eye(1),
+                                     known_B=s["known"].B_zeta),
+                    replace(s["vicfg"], P0=np.eye(s["known"].n_zeta), Q_z=None,
+                            E_structure=None))
+        return build_regression(s["log"], s["grid"], variant, known_B=s["B_rho"]), s["vicfg"]
+    if fixture == "exo_stage_cases":
+        return s[0][variant]
+    data = build_regression(s["log"], s["grid"], variant, known_B=s["objs"].B_rho)
+    return data, s["vicfg"]
+
+
+@pytest.mark.parametrize("fixture, variant", [
+    ("fullstate_setup", 1), ("output_based_setup", 2), ("output_based_setup", 5),
+    ("output_based_setup", 6), ("nonzero_setup", 3), ("nonzero_setup", 4),
+    ("exo_stage_cases", 5), ("exo_stage_cases", 6), ("zero_setup", 6)])
+def test_blocks_match_per_iterate_loop(request, fixture, variant):
+    """Every variant fixture run to its end: the blocks give the per-iterate
+    loop's history, final iterate, gain, counts and verdict bitwise."""
+    data, cfg = _run_case(request, fixture, variant)
+    ref = per_iterate_vi(variant, data, cfg)
+    assert_same_run(vi_run(variant, data, cfg), ref)
+    if fixture == "zero_setup":
+        assert ref.converged and ref.resets == 7
+
+
+def _free_run(data, **over):
+    """The full-state loop without an escape or a stop, and its config."""
+    cfg = ViConfig(P0=0.05 * np.eye(3), eps_num=0.5, eps_shift=5.0, eps_conv=1e-300,
+                   max_iters=200, R=np.eye(1), Q=np.eye(3), bound_scale=1e6, bound_shift=1.0)
+    cfg = replace(cfg, **over)
+    return per_iterate_vi(1, data, cfg), cfg
+
+
+@pytest.mark.parametrize("k_escape", [vi.SPEC_ROWS - 1, vi.SPEC_ROWS // 2 - 1])
+def test_escape_at_a_chosen_iterate(fullstate_setup, k_escape):
+    """The first bound radius between ||P~|| of iterates k_escape - 1 and
+    k_escape: the first escape is at the last row of the first 64-row block,
+    or in its middle, and the run is the per-iterate loop's."""
+    data = fullstate_setup["data"]
+    free, cfg = _free_run(data)
+    norms = free.history[1:, 2]             # ||P~_k|| is row k + 1's normP
+    assert np.all(np.diff(norms[:k_escape + 1]) > 0)
+    radius = 0.5 * (norms[k_escape - 1] + norms[k_escape])
+    cfg = replace(cfg, bound_scale=radius, bound_shift=1.0)
+    ref = per_iterate_vi(1, data, cfg)
+    assert ref.history[k_escape + 1, 1] == 1 and ref.history[k_escape, 1] == 0
+    assert_same_run(vi_run(1, data, cfg), ref)
+
+
+@pytest.mark.parametrize("k_stop", [0, vi.SPEC_ROWS, 2 * vi.SPEC_ROWS + 5])
+def test_stop_at_a_chosen_iterate(fullstate_setup, k_stop):
+    """eps_conv just above iterate k_stop's step metric and below every
+    earlier one: a stop at the first row of a block (0, 64) or inside one."""
+    data = fullstate_setup["data"]
+    free, cfg = _free_run(data)
+    metrics = free.history[:, 3]
+    assert np.all(metrics[:k_stop] > metrics[k_stop])
+    eps_conv = np.nextafter(metrics[k_stop], np.inf)
+    cfg = replace(cfg, eps_conv=eps_conv)
+    ref = per_iterate_vi(1, data, cfg)
+    assert ref.converged and ref.iters == k_stop + 1
+    assert_same_run(vi_run(1, data, cfg), ref)
+
+
+@pytest.mark.parametrize("max_iters", [1, vi.SPEC_ROWS - 1, vi.SPEC_ROWS + 1, 150])
+def test_max_iters_cuts_a_block(fullstate_setup, max_iters):
+    data = fullstate_setup["data"]
+    cfg = ViConfig(P0=0.05 * np.eye(3), eps_num=0.5, eps_shift=5.0, eps_conv=1e-12,
+                   max_iters=max_iters, R=np.eye(1), Q=np.eye(3), bound_scale=0.2,
+                   bound_shift=1.0)
+    ref = per_iterate_vi(1, data, cfg)
+    assert ref.iters == max_iters and not ref.converged
+    assert_same_run(vi_run(1, data, cfg), ref)
+
+
+def test_history_block_below_spec_block(fullstate_setup, monkeypatch):
+    """A first history block of 7 rows grows several times inside one block."""
+    data = fullstate_setup["data"]
+    cfg = ViConfig(P0=0.05 * np.eye(3), eps_num=0.5, eps_shift=5.0, eps_conv=1e-12,
+                   max_iters=300, R=np.eye(1), Q=np.eye(3), bound_scale=0.2, bound_shift=1.0)
+    monkeypatch.setattr(vi, "HISTORY_ROWS", 7)
+    assert vi.HISTORY_ROWS < vi.SPEC_ROWS
+    ref = per_iterate_vi(1, data, cfg)
+    assert ref.resets >= 1
+    assert_same_run(vi_run(1, data, cfg), ref)
+
+
+@pytest.mark.parametrize("eps_num", [50.0, 1e160])
+def test_speculation_past_an_escape_is_warning_free(fullstate_setup, eps_num):
+    """Steps so large that every early iterate escapes a small bound set, from
+    which the quadratic update would overflow in a few steps (eps_num 50), or
+    whose step overflows the Frobenius bound's sum of squares itself (1e160).
+    No iterate beyond the bound set is stepped from, so no RuntimeWarning (an
+    error under this suite's filters), and the resets are the loop's."""
+    data = fullstate_setup["data"]
+    cfg = ViConfig(P0=0.05 * np.eye(3), eps_num=eps_num, eps_shift=5.0, eps_conv=1e-12,
+                   max_iters=300, R=np.eye(1), Q=np.eye(3), bound_scale=0.2, bound_shift=1.0)
+    ref = per_iterate_vi(1, data, cfg)
+    assert ref.resets >= 10
+    assert_same_run(vi_run(1, data, cfg), ref)
+
+
+class _FailingStage:
+    """A fitted stage whose residual raises RankConditionError from call `after` + 1 on."""
+
+    def __init__(self, stage, after):
+        self.stage, self.after, self.calls = stage, after, 0
+
+    def residual(self, P):
+        self.calls += 1
+        if self.calls > self.after:
+            raise RankConditionError("rank deficient", 0, 1)
+        return self.stage.residual(P)
+
+    def gain(self, P):
+        return self.stage.gain(P)
+
+
+@pytest.mark.parametrize("after, raises", [(11, False), (5, True)])
+def test_only_a_reached_iterate_raises(fullstate_setup, monkeypatch, after, raises):
+    """A stop at iterate 10 (the 11th residual): a rank failure at a later,
+    speculative iterate is not raised; one at iterate 5 is, as in the loop."""
+    data = fullstate_setup["data"]
+    free, cfg = _free_run(data)
+    cfg = replace(cfg, eps_conv=np.nextafter(free.history[10, 3], np.inf))
+    fit = vi._fit_stage
+    monkeypatch.setattr(vi, "_fit_stage",
+                        lambda *a: (_FailingStage(fit(*a)[0], after), None))
+    if raises:
+        for run in (per_iterate_vi, vi_run):
+            with pytest.raises(RankConditionError):
+                run(1, data, cfg)
+    else:
+        assert_same_run(vi_run(1, data, cfg), per_iterate_vi(1, data, cfg))
+
+
+# ---------------------------------------------------------------------------
 # The exogenous solve against the full Q_c-projected system
 # ---------------------------------------------------------------------------
 
