@@ -25,18 +25,20 @@ splits or 10**k leave double range), near and exact ties (round-half-even),
 and values whose scaled F still misses [1e16, 1e17) all fall back.  The
 tables are built on first use, so importing the module costs nothing.
 
-`PendingRows` is the one fork path: it cuts rows into contiguous ranges and
-forks one child per range, which formats it into an anonymous file in the
-output's directory; `write_to` appends the files in order, in 64 KB chunks,
-once each child exits with status 0.  `write_rows` cuts a large table into
-one range per usable CPU, each of at least `MIN_VALUES_PER_WRITER` values:
-it starts a `PendingRows` over all ranges but the first, then writes an
-already-pending head (`start_rows` forks one writer for it where two CPUs
-and `MIN_VALUES_PER_WRITER` values allow), then formats the first range
-itself.  Rows are formatted independently, so the bytes do not depend on the
-split or on when a row is formatted.  `write_csv` writes every CSV artifact.
+`PendingRows` is the one fork path: it holds one row range, which it
+either forks one child to format into an anonymous file in the output's
+directory, or formats in-process in `write_to`; `write_to` appends a child's
+file in 64 KB chunks once the child exits with status 0.  `write_csv`, the
+writer of every CSV artifact, cuts a large table into one range per usable
+CPU, each of at least `MIN_VALUES_PER_WRITER` values: it forks a
+`PendingRows` for every range but the first, then writes the header, an
+already-pending head (`start_rows` forks one writer for it where two CPUs and
+`MIN_VALUES_PER_WRITER` values allow), the first range itself and the rest.
+Rows are formatted independently, so the bytes do not depend on the split or
+on when a row is formatted.
 """
 
+import contextlib
 import functools
 import os
 import shutil
@@ -228,10 +230,6 @@ def _fallback(vals):
 
 
 def _write_blocks(fh, rows, fmt):
-    rows = np.asarray(rows, dtype=np.float64)
-    if not fmt.size:                    # no columns: empty lines
-        fh.write("\n" * rows.shape[0])
-        return
     fh.flush()
     block = max(1, VALUES_PER_WRITE // fmt.size)
     for start in range(0, rows.shape[0], block):
@@ -249,90 +247,74 @@ def usable_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-class PendingRows:
-    """Rows formatted now by `writers` forked children, written to a file later.
+class PendingRows(contextlib.AbstractContextManager):
+    """One row range of a file, formatted now by a forked child into an anonymous
+    file in directory, or later in-process by `write_to`.  Leaving it as a context
+    manager kills and reaps a child still running and closes its file."""
 
-    Each child formats one of `writers` contiguous row ranges into an
-    anonymous file in directory; with no writer, `write_to` formats the rows
-    in-process.  Use it as a context manager: leaving it kills and reaps
-    every child still running and closes its file.
-    """
-
-    def __init__(self, rows, writers, directory):
-        rows = np.asarray(rows)
-        self.fmt = _row_format(rows)
-        self.rows = None if writers else rows   # with children, only they hold the rows
-        self.children = []              # [pid, file] per range, in row order
-        cuts = [rows.shape[0] * k // max(writers, 1) for k in range(writers + 1)]
+    def __init__(self, rows, directory, fork):
+        self.rows, self.fmt = rows, _row_format(rows)
+        self.pid = self.file = None     # a child's, while it runs, and its file
+        if not fork:
+            return
+        self.file = tempfile.TemporaryFile("w+", dir=directory)
         try:
-            for lo, hi in zip(cuts, cuts[1:]):
-                child = [None, tempfile.TemporaryFile("w+", dir=directory)]
-                self.children.append(child)
-                child[0] = os.fork()
-                if child[0] == 0:       # takes no lock a thread may hold; never returns
-                    try:
-                        _write_blocks(child[1], rows[lo:hi], self.fmt)
-                        child[1].flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
+            self.pid = os.fork()
         except BaseException:
-            self.__exit__()
+            self.file.close()
             raise
+        if self.pid == 0:               # takes no lock a thread may hold; never returns
+            try:
+                _write_blocks(self.file, rows, self.fmt)
+                self.file.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
 
     def write_to(self, fh):
-        """Write the rows to fh, waiting for each child and checking its exit status."""
-        if self.rows is not None:
+        """Write the rows to fh, waiting for a child and checking its exit status."""
+        if self.file is None:
             _write_blocks(fh, self.rows, self.fmt)
-        for child in self.children:
-            status = os.waitpid(child[0], 0)[1]
-            child[0] = None
-            if status:
-                raise OSError("row writer for %s failed (wait status %d)" % (fh.name, status))
-            child[1].seek(0)
-            fh.flush()
-            shutil.copyfileobj(child[1].buffer, fh.buffer, 1 << 16)
-
-    def __enter__(self):
-        return self
+            return
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        if status:
+            raise OSError("row writer for %s failed (wait status %d)" % (fh.name, status))
+        self.file.seek(0)
+        fh.flush()
+        shutil.copyfileobj(self.file.buffer, fh.buffer, 1 << 16)
 
     def __exit__(self, *exc):
-        for pid, file in self.children:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            file.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        if self.file is not None:
+            self.file.close()
 
 
 def start_rows(rows, directory) -> PendingRows:
     """Start formatting rows, a head of a file in directory: in one forked writer
     given two usable CPUs and `MIN_VALUES_PER_WRITER` values, else in-process later."""
-    early = usable_cpus() > 1 and rows.size >= MIN_VALUES_PER_WRITER
-    return PendingRows(rows, int(early), directory)
-
-
-def write_rows(fh, rows, head: PendingRows | None = None):
-    """Write each row of a 2-D array as one comma-separated "%.17g" line.
-
-    head, rows already pending for the same file, is written first; the
-    children for this table's other ranges are forked before it is awaited.
-    """
-    rows = np.asarray(rows)
-    writers = max(1, min(usable_cpus(), rows.size // MIN_VALUES_PER_WRITER))
-    first = rows.shape[0] // writers
-    with PendingRows(rows[first:], writers - 1,
-                     os.path.dirname(os.path.abspath(fh.name))) as rest:
-        if head is not None:
-            head.write_to(fh)
-        _write_blocks(fh, rows[:first], _row_format(rows))
-        rest.write_to(fh)
+    return PendingRows(rows, directory,
+                       fork=usable_cpus() > 1 and rows.size >= MIN_VALUES_PER_WRITER)
 
 
 def write_csv(path, rows, header=(), head: PendingRows | None = None):
-    """Write a CSV file: the header names as one line unless empty, then head's
-    rows, then rows, by `write_rows`; returns path."""
-    with open(path, "w") as fh:
-        if header:
-            fh.write(",".join(header) + "\n")
-        write_rows(fh, rows, head)
+    """Write a CSV file: the header names as one line unless empty, head's rows
+    (pending for this file), then rows as comma-separated "%.17g" lines; returns
+    path.  rows are cut into one range per usable CPU, each of at least
+    `MIN_VALUES_PER_WRITER` values, and every range but the first is forked
+    before the file is opened or head is awaited."""
+    rows = np.asarray(rows, dtype=np.float64)
+    writers = max(1, min(usable_cpus(), rows.size // MIN_VALUES_PER_WRITER))
+    cuts = [rows.shape[0] * k // writers for k in range(writers + 1)]
+    directory = os.path.dirname(os.path.abspath(path))
+    with contextlib.ExitStack() as stack:
+        ranges = [stack.enter_context(PendingRows(rows[lo:hi], directory, fork=lo > 0))
+                  for lo, hi in zip(cuts, cuts[1:])]
+        with open(path, "w") as fh:
+            if header:
+                fh.write(",".join(header) + "\n")
+            for pending in ([head] if head else []) + ranges:
+                pending.write_to(fh)
     return path

@@ -31,7 +31,7 @@ from .oracle import (AssumptionError, LtiPlant, build_augmented_aux,
 from .regression import (VARIANTS, SamplingGrid, build_regression, check_rank, on_grid,
                          unknown_count)
 from .sim import Tone, simulate, stack_state
-from .vi import RankConditionError, ViConfig, check_vi_inputs, vi_run
+from .vi import RankConditionError, ViConfig, check_vi_inputs, require_rank, vi_run
 
 
 class ConfigError(ValueError):
@@ -246,9 +246,7 @@ def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig,
     data = build_regression(log, grid, variant, R=vicfg.R, known_B=known_B)
     verdict = check_rank(data)
     lap("regression_s")
-    if not verdict.satisfied:
-        raise RankConditionError("rank %d < required %d" % (verdict.rank, verdict.required),
-                                 verdict.rank, verdict.required, verdict.quality)
+    require_rank(verdict)
     try:
         result = vi_run(variant, data, vicfg)
     finally:
@@ -430,11 +428,12 @@ def _write_json(path, payload):
 
 
 def _write_report(out_dir, report):
-    """Write report.json, then manifest.json naming every file written, itself too."""
-    files = report.files
-    files["report"] = _write_json(os.path.join(out_dir, "report.json"), asdict(report))
-    files["manifest"] = os.path.join(out_dir, "manifest.json")
-    _write_json(files["manifest"], {k: os.path.basename(v) for k, v in files.items()})
+    """Name the files written relative to out_dir in report.files, write
+    report.json, then manifest.json naming those files, report.json and itself."""
+    report.files = {k: os.path.relpath(v, out_dir) for k, v in report.files.items()}
+    _write_json(os.path.join(out_dir, "report.json"), asdict(report))
+    _write_json(os.path.join(out_dir, "manifest.json"),
+                {**report.files, "report": "report.json", "manifest": "manifest.json"})
 
 
 def _paper_reference(cfg):

@@ -1,9 +1,10 @@
 """Half-vectorizations, companion forms and spectral tests.
 
-The quadratic-monomial vector ``vecv`` and the symmetric half-vectorization
-``vecs`` use the row-major upper-triangular ordering
-(0,0), (0,1), ..., (0,n-1), (1,1), ..., (n-1,n-1).  This ordering is also the
-on-disk order for every packed vector written by the rest of the package.
+The quadratic-monomial vector vecv(x), which ``vecv_rows`` takes of each
+row, and the symmetric half-vectorization ``vecs`` use the row-major
+upper-triangular ordering (0,0), (0,1), ..., (0,n-1), (1,1), ...,
+(n-1,n-1).  This ordering is also the on-disk order for every packed vector
+written by the rest of the package.
 """
 
 import numpy as np
@@ -11,17 +12,9 @@ import numpy as np
 SYM_TOL = 1e-10
 
 
-def vecv(b):
-    """Quadratic monomials [b1^2, b1*b2, ..., b1*bn, b2^2, ..., bn^2] of a vector."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
-        raise ValueError("vecv expects a vector, got shape %s" % (b.shape,))
-    i, j = np.triu_indices(b.size)
-    return b[i] * b[j]
-
-
 def vecv_rows(X):
-    """Row-wise vecv of an (N, n) array; returns (N, n(n+1)/2)."""
+    """vecv(x) = [x1^2, x1*x2, ..., x1*xn, x2^2, ..., xn^2] of each row x of
+    an (N, n) array; returns (N, n(n+1)/2)."""
     X = np.asarray(X, dtype=float)
     i, j = np.triu_indices(X.shape[1])
     return X[:, i] * X[:, j]

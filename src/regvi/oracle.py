@@ -51,16 +51,15 @@ def _worst_rank_gap(pencil, size, eigs):
 def pbh_check(A, B_or_C, mode):
     """Eigenvalue-wise PBH rank test.
 
-    mode is one of 'stabilizable', 'controllable' (B on the right) or
-    'observable' (C below).  'stabilizable' only tests eigenvalues with
-    Re >= -1e-9.
+    mode is 'stabilizable' (B on the right) or 'observable' (C below).
+    'stabilizable' only tests eigenvalues with Re >= -1e-9.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     M = np.atleast_2d(np.asarray(B_or_C, dtype=float))
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError("A must be square")
-    if mode not in ("stabilizable", "controllable", "observable"):
+    if mode not in ("stabilizable", "observable"):
         raise ValueError("unknown mode %r" % mode)
     stack = np.vstack if mode == "observable" else np.hstack
     eigs = np.linalg.eigvals(A)

@@ -25,12 +25,13 @@ pair (P~, P~ - P) under eigvalsh, which reads one triangle; the two tests and
 the history row read those same two numbers.  The loop runs in speculative
 blocks of SPEC_ROWS iterates: it steps as if every iterate is accepted, until
 ||P||_2 at the block start plus the steps' Frobenius norms may exceed the
-bound radius, so no iterate that may have escaped is stepped from; one
-eigvalsh call on the block's pairs gives every norm, eigenvalue for
-eigenvalue those of a call on one pair; the first escape or stop in loop
-order is applied, and the rows after it are discarded.  The history is
-allocated in doubling blocks as the loop runs, so max_iters bounds the loop
-and not an allocation.
+bound radius, so no iterate that may have escaped is stepped from, or
+until a step's Frobenius norm, which bounds its 2-norm, makes a stop
+certain; one eigvalsh call on the block's pairs gives every norm, eigenvalue
+for eigenvalue those of a call on one pair; the first escape or stop in loop
+order is applied, and the rows after it are discarded.  The history is the
+list of each block's accepted rows, joined once at the end, so max_iters
+bounds the loop and not an allocation.
 """
 
 import math
@@ -52,6 +53,13 @@ class RankConditionError(RuntimeError):
     def __init__(self, message, rank, required, quality=None):
         super().__init__(message)
         self.rank, self.required, self.quality = rank, required, quality
+
+
+def require_rank(verdict):
+    """Raise RankConditionError unless the `RankVerdict` is satisfied."""
+    if not verdict.satisfied:
+        raise RankConditionError("rank %d < required %d" % (verdict.rank, verdict.required),
+                                 verdict.rank, verdict.required, verdict.quality)
 
 
 @dataclass
@@ -194,12 +202,7 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     """
     spec = VARIANTS[variant]
     # identifying E needs the rank condition of the variant that solves for it
-    verdict = check_rank(data, 3 if spec.exo == "identify" else variant)
-    if not verdict.satisfied:
-        raise RankConditionError(
-            "rank %d < required %d for variant %d"
-            % (verdict.rank, verdict.required, variant), verdict.rank, verdict.required,
-            verdict.quality)
+    require_rank(check_rank(data, 3 if spec.exo == "identify" else variant))
     n = data.dims["n_a"]
     half = n * (n + 1) // 2
     D, U = _vec_maps(n)
@@ -280,8 +283,6 @@ def _spec_norms(mats):
     return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
 
 
-# rows of the first history block; the presets' max_iters fit in it
-HISTORY_ROWS = 1 << 15
 # iterates stepped ahead of the loop's decisions, whose norms one eigvalsh takes
 SPEC_ROWS = 64
 
@@ -293,7 +294,7 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
     norm_P0 = _spec_norms(cfg.P0)
     P, norm_P = cfg.P0.copy(), norm_P0
     j = 0                               # bound-set index = resets so far
-    history = np.empty((min(cfg.max_iters, HISTORY_ROWS), 4))
+    history = []                        # each block's accepted rows
     pairs = np.empty((SPEC_ROWS, 2) + P.shape)     # rows (P~, P~ - P)
     k, converged = 0, False
     while k < cfg.max_iters and not converged:
@@ -302,7 +303,7 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
         # Step as if every iterate is accepted, while ||P||_2 at the block start
         # plus the steps' Frobenius norms bounds ||P~||_2 by the radius: no
         # iterate that may have escaped is stepped from.  Only the exact norms
-        # below decide, so the bound's rounding moves no result.
+        # below decide, so the bounds' rounding moves no result.
         b, reach, base = 0, float(norm_P), P
         while b < len(eps) and (b == 0 or reach <= radius):
             try:
@@ -313,8 +314,10 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
                 break
             base = np.add(base, step, out=pairs[b, 0])
             # np.vdot checks no floating-point flag: an overflow is a silent
-            # inf, which ends the block as an escape would
-            reach += math.sqrt(np.vdot(step, step))
+            # inf, which ends the block as an escape would; so does a certain
+            # stop, a Frobenius norm (>= the 2-norm) below eps_conv * eps_k
+            fro = math.sqrt(np.vdot(step, step))
+            reach += math.inf if fro < cfg.eps_conv * eps[b] else fro
             b += 1
         P_tilde = pairs[:b, 0]
         np.subtract(P_tilde[0], P, out=pairs[0, 1])
@@ -325,12 +328,9 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
         escape, stop = norm_tilde > radius, steps < cfg.eps_conv
         events = np.flatnonzero(escape | stop)
         rows = int(events[0]) + 1 if events.size else b
-        while len(history) < k + rows:  # full: double it, up to max_iters rows
-            history = np.concatenate(
-                [history, np.empty((min(len(history), cfg.max_iters - len(history)), 4))])
-        history[k:k + rows] = np.column_stack(
+        history.append(np.column_stack(
             [np.arange(k, k + rows), np.full(rows, j),
-             np.concatenate([[norm_P], norm_tilde[:rows - 1]]), steps[:rows]])
+             np.concatenate([[norm_P], norm_tilde[:rows - 1]]), steps[:rows]]))
         k += rows
         if not events.size:
             P, norm_P = pairs[b - 1, 0].copy(), norm_tilde[b - 1]
@@ -342,5 +342,5 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
             if rows > 1:                # the iterate the stopping step left
                 P = pairs[rows - 2, 0].copy()
     return ViResult(P_final=P, K_final=stage.gain(P), iters=k, resets=j,
-                    converged=converged, history=history[:k],
+                    converged=converged, history=np.concatenate(history),
                     E_rho_identified=E_identified)

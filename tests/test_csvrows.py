@@ -1,6 +1,7 @@
 """The shared CSV row writer: per-value "%.17g" bytes for every split of a table
 and for rows formatted early by `PendingRows`."""
 
+import gc
 import os
 import time
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from regvi import csvrows
-from regvi.csvrows import MIN_VALUES_PER_WRITER, VALUES_PER_WRITE, PendingRows, write_rows
+from regvi.csvrows import (MIN_VALUES_PER_WRITER, VALUES_PER_WRITE, PendingRows, start_rows,
+                           write_csv)
 
 COLS = 5
 SPLIT_ROWS = 2 * MIN_VALUES_PER_WRITER // COLS   # fewest rows that two writers share
@@ -39,15 +41,14 @@ def table():
 @pytest.mark.parametrize("cpus", [1, None, 4 * HOST_CPUS + 5], ids=["one", "host", "more"])
 @pytest.mark.parametrize("count", ROW_COUNTS)
 def test_write_rows_matches_per_value_format(table, tmp_path, fork_pids, pin_cpus, count, cpus):
+    """write_csv writes the header, then the per-value lines of rows cut into
+    one range per usable CPU, each of at least MIN_VALUES_PER_WRITER values."""
     rows, lines = table
     if cpus is not None:
         pin_cpus(cpus)
     path = tmp_path / "rows.csv"
-    with open(path, "w") as fh:
-        fh.write("head\n")
-        write_rows(fh, rows[:count])
-        fh.write("tail\n")
-    assert path.read_text() == "head\n" + "".join(lines[:count]) + "tail\n"
+    assert write_csv(path, rows[:count], ("head", "names")) == path
+    assert path.read_text() == "head,names\n" + "".join(lines[:count])
     writers = min(cpus or HOST_CPUS, max(1, count * COLS // MIN_VALUES_PER_WRITER))
     assert len(fork_pids) == writers - 1       # one per CPU, never one per value
     assert os.listdir(tmp_path) == ["rows.csv"]
@@ -67,9 +68,8 @@ def test_failing_writer_raises_and_leaves_no_file(table, tmp_path, monkeypatch, 
             raise ValueError("formatter failed")
         write_blocks(fh, block_rows, fmt)
     monkeypatch.setattr(csvrows, "_write_blocks", failing_write_blocks)
-    with open(tmp_path / "rows.csv", "w") as fh:
-        with pytest.raises(OSError if where == "child" else ValueError):
-            write_rows(fh, rows)
+    with pytest.raises(OSError if where == "child" else ValueError):
+        write_csv(tmp_path / "rows.csv", rows)
     assert len(fork_pids) == 2
     for pid in fork_pids:                      # already reaped
         with pytest.raises(ChildProcessError):
@@ -77,30 +77,49 @@ def test_failing_writer_raises_and_leaves_no_file(table, tmp_path, monkeypatch, 
     assert os.listdir(tmp_path) == ["rows.csv"]
 
 
+def test_a_failing_fork_closes_the_files(table, tmp_path, monkeypatch, fork_pids, pin_cpus):
+    """A fork that fails after the first range's raises, reaps the first writer
+    and closes every anonymous file (an unclosed one is an error in this suite)."""
+    rows, _ = table
+    pin_cpus(3)
+    fork = os.fork
+
+    def second_fork_fails():
+        if fork_pids:
+            raise OSError("no process")
+        return fork()
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(OSError, match="no process"):
+        write_csv(tmp_path / "rows.csv", rows)
+    gc.collect()
+    assert len(fork_pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(fork_pids[0], os.WNOHANG)
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("cpus", [1, None, 4 * HOST_CPUS + 5], ids=["one", "host", "more"])
 @pytest.mark.parametrize("count", [0, 300, SPLIT_ROWS // 2 - 1, SPLIT_ROWS // 2])
 def test_pending_rows_match_per_value_format(table, tmp_path, fork_pids, pin_cpus, count, cpus):
-    """Rows formatted early land where write_to puts them, byte for byte; one
-    child is forked for at least MIN_VALUES_PER_WRITER values on more than one CPU."""
+    """Rows started early by start_rows land where write_csv puts them, byte for
+    byte; one child is forked for at least MIN_VALUES_PER_WRITER values on more
+    than one CPU."""
     rows, lines = table
     if cpus is not None:
         pin_cpus(cpus)
     path = tmp_path / "rows.csv"
     early = (cpus or HOST_CPUS) > 1 and count * COLS >= MIN_VALUES_PER_WRITER
-    with PendingRows(rows[:count], int(early), tmp_path) as pending, open(path, "w") as fh:
-        fh.write("head\n")
-        pending.write_to(fh)
-        write_rows(fh, rows[count:2 * count])
+    with start_rows(rows[:count], tmp_path) as pending:
+        write_csv(path, rows[count:2 * count], ("head",), pending)
     assert path.read_text() == "head\n" + "".join(lines[:2 * count])
     assert len(fork_pids) == early
     assert os.listdir(tmp_path) == ["rows.csv"]
 
 
-def test_leaving_pending_rows_kills_the_writer(table, tmp_path, monkeypatch, fork_pids, pin_cpus):
-    """A writer still formatting when its block is left is killed and reaped,
+def test_leaving_pending_rows_kills_the_writer(table, tmp_path, monkeypatch, fork_pids):
+    """A writer still formatting when its range is left is killed and reaped,
     not waited for, and its file is closed."""
     rows, _ = table
-    pin_cpus(2)
     test_pid, write_blocks = os.getpid(), csvrows._write_blocks
 
     def stuck_write_blocks(fh, block_rows, fmt):
@@ -110,7 +129,7 @@ def test_leaving_pending_rows_kills_the_writer(table, tmp_path, monkeypatch, for
     monkeypatch.setattr(csvrows, "_write_blocks", stuck_write_blocks)
     start = time.monotonic()
     with pytest.raises(KeyError):
-        with PendingRows(rows, 1, tmp_path):
+        with PendingRows(rows, tmp_path, fork=True):
             raise KeyError("the run failed")
     assert time.monotonic() - start < 60.0
     assert len(fork_pids) == 1
@@ -121,8 +140,8 @@ def test_leaving_pending_rows_kills_the_writer(table, tmp_path, monkeypatch, for
 
 def test_write_rows_forks_its_writers_before_awaiting_the_head(table, tmp_path, monkeypatch,
                                                                fork_pids, pin_cpus):
-    """write_rows(fh, rows, head) writes head first, but forks the writers of
-    its own ranges before it waits for head's child, so they run meanwhile."""
+    """write_csv(path, rows, head=head) writes head first, but forks the writers
+    of its own ranges before it waits for head's child, so they run meanwhile."""
     rows, lines = table
     pin_cpus(3)
     events, fork, waitpid = [], os.fork, os.waitpid
@@ -136,8 +155,8 @@ def test_write_rows_forks_its_writers_before_awaiting_the_head(table, tmp_path, 
     monkeypatch.setattr(os, "waitpid", lambda pid, options: events.append(("wait", pid))
                         or waitpid(pid, options))
     path = tmp_path / "rows.csv"
-    with PendingRows(rows[:SPLIT_ROWS], 1, tmp_path) as head, open(path, "w") as fh:
-        write_rows(fh, rows[SPLIT_ROWS:], head)
+    with PendingRows(rows[:SPLIT_ROWS], tmp_path, fork=True) as head:
+        write_csv(path, rows[SPLIT_ROWS:], head=head)
     assert path.read_text() == "".join(lines)
     assert len(fork_pids) == 3                 # the head's, then one per range but the first
     assert events == ([("fork", pid) for pid in fork_pids]
@@ -215,12 +234,6 @@ def test_edge_values_format_as_per_value(values, cols):
     values = np.asarray(values, dtype=np.float64)
     rows = np.resize(values, (-(-values.size // cols), cols))
     assert _formatted(rows) == _per_value(rows)
-
-
-def test_a_table_without_columns_writes_empty_lines(tmp_path):
-    with open(tmp_path / "rows.csv", "w") as fh:
-        write_rows(fh, np.empty((3, 0)))
-    assert (tmp_path / "rows.csv").read_text() == "\n\n\n"
 
 
 def test_rounding_up_to_the_next_power_of_ten_carries_the_exponent(fallbacks):

@@ -301,6 +301,23 @@ def test_manifest_names_itself_and_the_regression_manifest(zero_run):
     assert len(set(listed.values())) == len(listed)
 
 
+def test_report_depends_only_on_the_run(tmp_path):
+    """The same run into two output directories whose paths differ in length
+    writes the same report.json but for its timings: its files are names."""
+    cfg = _quick_nonzero(t_end=30.0, settle_time=29.0)
+    payloads = []
+    for out_dir in (tmp_path / "a", tmp_path / "a-much-longer-directory" / "b"):
+        run_experiment(cfg, str(out_dir), blinded=True)
+        payloads.append(_load_json(out_dir, "report.json"))
+        for key in ("timings", "vi_us_per_iter"):
+            del payloads[-1][key]
+    assert payloads[0] == payloads[1]
+    listed = _load_json(out_dir, "manifest.json")
+    assert payloads[0]["files"] == {k: v for k, v in listed.items()
+                                    if k not in ("report", "manifest")}
+    assert payloads[0]["files"]["trajectory"] == "trajectory.csv"
+
+
 @pytest.mark.parametrize("run", ["zero_run", "nonzero_run"])
 def test_out_dir_holds_exactly_the_manifest(run, request):
     """No part file of the row writers leaks into a run's artifacts."""

@@ -57,17 +57,23 @@ def _imports(module):
         for name in names}
 
 
+def _calls(module, names):
+    """The line of each call in module of a function or method named in names."""
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & names]
+
+
 def test_only_experiment_writes_files():
-    """Only experiment imports the CSV writer.  The learner and the simulator
-    import no file-I/O module and call no open, so they do no file I/O."""
-    modules = [path.stem for path in PACKAGE.glob("*.py")]
+    """Only experiment imports the CSV writer, and only the CSV writer forks,
+    kills or reaps a process.  The learner and the simulator import no file-I/O
+    module and call no open, so they do no file I/O."""
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
     assert [m for m in modules if "csvrows" in _imports(m)] == ["experiment"]
+    assert [m for m in modules if _calls(m, {"fork", "kill", "waitpid"})] == ["csvrows"]
     for module in (*LEARNER, "sim"):
         assert not _imports(module) & FILE_IO, module
-        tree = ast.parse((PACKAGE / (module + ".py")).read_text())
-        opens = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-                 and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-        assert not opens, (module, opens)
+        assert not _calls(module, {"open"}), module
 
 
 def test_learner_imports_no_scipy():

@@ -23,7 +23,6 @@ C_PAPER = np.array([[1.0, 2.0, 3.0]])
 
 def test_pbh_paper_plant():
     assert pbh_check(A_PAPER, B_PAPER, "stabilizable").ok
-    assert not pbh_check(A_PAPER, B_PAPER, "controllable").ok   # x3 unreachable
     assert pbh_check(A_PAPER, C_PAPER, "observable").ok
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -387,18 +388,6 @@ def test_huge_max_iters_changes_nothing(nonzero_setup, nonzero_vi_runs):
     assert np.array_equal(res.K_final, res4.K_final)
 
 
-def test_history_grows_across_blocks(fullstate_setup, monkeypatch):
-    """A first history block of 7 rows doubles until it holds all 300 iterates."""
-    cfg = ViConfig(P0=0.05 * np.eye(3), eps_num=0.5, eps_shift=5.0, eps_conv=1e-12,
-                   max_iters=300, R=np.eye(1), Q=np.eye(3), bound_scale=0.2, bound_shift=1.0)
-    whole = vi_run(1, fullstate_setup["data"], cfg)
-    monkeypatch.setattr(vi, "HISTORY_ROWS", 7)
-    grown = vi_run(1, fullstate_setup["data"], cfg)
-    assert grown.history.shape == (300, 4)
-    assert np.array_equal(grown.history, whole.history)
-    assert np.array_equal(grown.K_final, whole.K_final)
-
-
 # ---------------------------------------------------------------------------
 # Speculative blocks against the per-iterate loop
 # ---------------------------------------------------------------------------
@@ -528,18 +517,6 @@ def test_max_iters_cuts_a_block(fullstate_setup, max_iters):
     assert_same_run(vi_run(1, data, cfg), ref)
 
 
-def test_history_block_below_spec_block(fullstate_setup, monkeypatch):
-    """A first history block of 7 rows grows several times inside one block."""
-    data = fullstate_setup["data"]
-    cfg = ViConfig(P0=0.05 * np.eye(3), eps_num=0.5, eps_shift=5.0, eps_conv=1e-12,
-                   max_iters=300, R=np.eye(1), Q=np.eye(3), bound_scale=0.2, bound_shift=1.0)
-    monkeypatch.setattr(vi, "HISTORY_ROWS", 7)
-    assert vi.HISTORY_ROWS < vi.SPEC_ROWS
-    ref = per_iterate_vi(1, data, cfg)
-    assert ref.resets >= 1
-    assert_same_run(vi_run(1, data, cfg), ref)
-
-
 @pytest.mark.parametrize("eps_num", [50.0, 1e160])
 def test_speculation_past_an_escape_is_warning_free(fullstate_setup, eps_num):
     """Steps so large that every early iterate escapes a small bound set, from
@@ -587,6 +564,30 @@ def test_only_a_reached_iterate_raises(fullstate_setup, monkeypatch, after, rais
                 run(1, data, cfg)
     else:
         assert_same_run(vi_run(1, data, cfg), per_iterate_vi(1, data, cfg))
+
+
+@pytest.mark.parametrize("k_stop", [vi.SPEC_ROWS // 2, 2 * vi.SPEC_ROWS + 5])
+def test_a_certain_stop_ends_the_block(fullstate_setup, monkeypatch, k_stop):
+    """eps_conv a little above iterate k_stop's step metric in the Frobenius norm,
+    which bounds the 2-norm: the loop stops mid-block, at k_stop or before, as
+    the per-iterate loop does, and the block steps no iterate past the stop."""
+    data = fullstate_setup["data"]
+    free, cfg = _free_run(data)
+    stage, _ = vi._fit_stage(1, data, cfg)
+    P = cfg.P0
+    for k in range(k_stop + 1):
+        step = cfg.eps(k) * stage.residual(P)
+        P = P + step
+    cfg = replace(cfg, eps_conv=1.01 * np.linalg.norm(step) / cfg.eps(k_stop))
+    ref = per_iterate_vi(1, data, cfg)
+    assert ref.converged and ref.iters <= k_stop + 1 and ref.iters % vi.SPEC_ROWS
+    stages = []
+    fit = vi._fit_stage
+    monkeypatch.setattr(vi, "_fit_stage", lambda *a: (stages.append(
+        _FailingStage(fit(*a)[0], math.inf)) or stages[0], None))
+    assert_same_run(vi_run(1, data, cfg), ref)
+    assert ref.iters <= stages[0].calls <= k_stop + 1
+    assert stages[0].calls < -(-ref.iters // vi.SPEC_ROWS) * vi.SPEC_ROWS
 
 
 # ---------------------------------------------------------------------------
