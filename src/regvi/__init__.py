@@ -10,7 +10,6 @@ from .experiment import (ExperimentConfig, NotConvergedError, PRESETS,
                          verify)
 from .internal_model import Exosystem, InternalModel
 from .observer import ObserverKnown
-from .oracle import LtiPlant, solve_care, solve_sylvester_regulator
 from .regression import SamplingGrid, build_regression, check_rank
 from .sim import Tone, simulate
 from .vi import RankConditionError, ViConfig, vi_run
@@ -18,9 +17,8 @@ from .vi import RankConditionError, ViConfig, vi_run
 __all__ = [
     "ExperimentConfig", "NotConvergedError", "PRESETS", "parse_config",
     "run_experiment", "serialize_config", "verify",
-    "Exosystem", "InternalModel", "ObserverKnown", "LtiPlant", "solve_care",
-    "solve_sylvester_regulator", "SamplingGrid", "build_regression",
-    "check_rank", "Tone", "simulate",
+    "Exosystem", "InternalModel", "ObserverKnown", "SamplingGrid",
+    "build_regression", "check_rank", "Tone", "simulate",
     "RankConditionError", "ViConfig", "vi_run",
 ]
 

@@ -29,7 +29,7 @@ def _load_config(source):
     try:
         with open(source) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %r: %s" % (source, exc)) from exc
     return parse_config(text)
 

@@ -25,15 +25,15 @@ splits or 10**k leave double range), near and exact ties (round-half-even),
 and values whose scaled F still misses [1e16, 1e17) all fall back.  The
 tables are built on first use, so importing the module costs nothing.
 
-`PendingRows` is the one fork path: it holds one row range, which it
-either forks one child to format into an anonymous file in the output's
-directory, or formats in-process in `write_to`; `write_to` appends a child's
-file in 64 KB chunks once the child exits with status 0.  `write_csv`, the
-writer of every CSV artifact, cuts a large table into one range per usable
-CPU, each of at least `MIN_VALUES_PER_WRITER` values: it forks a
-`PendingRows` for every range but the first, then writes the header, an
-already-pending head (`start_rows` forks one writer for it where two CPUs and
-`MIN_VALUES_PER_WRITER` values allow), the first range itself and the rest.
+`PendingRows` is the one fork path, and it alone decides whether to fork: it
+holds one row range, which on more than one usable CPU one forked child
+formats into an anonymous file in the output's directory, appended by
+`write_to` in 64 KB chunks once the child exits with status 0; on one CPU
+`write_to` formats the range in-process.  `write_csv`, the writer of every
+CSV artifact, cuts a large table into one range per usable CPU, each of at
+least `MIN_VALUES_PER_WRITER` values: it enters a `PendingRows` for every
+range but the first, then writes the header, an already-pending head, the
+first range itself and the rest.  Every file is written in binary mode.
 Rows are formatted independently, so the bytes do not depend on the split or
 on when a row is formatted.
 """
@@ -177,7 +177,7 @@ def _decimal(v):
 
 def _format_block(rows, seps):
     """The bytes of rows, a 2-D float array, in the "%.17g" CSV layout;
-    seps[j] is the separator word of column j (see `_row_format`)."""
+    seps[j] is the separator word of column j (see `_write_blocks`)."""
     v = rows.ravel()
     x, top, low, certified = _decimal(v)
     # the 17 digits: a lead digit, then four "%04d" groups
@@ -229,18 +229,13 @@ def _fallback(vals):
     return np.array([("%.17g" % val).encode("ascii") for val in vals.tolist()], "S24")
 
 
-def _write_blocks(fh, rows, fmt):
-    fh.flush()
-    block = max(1, VALUES_PER_WRITE // fmt.size)
-    for start in range(0, rows.shape[0], block):
-        fh.buffer.write(_format_block(rows[start:start + block], fmt))
-
-
-def _row_format(rows):
-    """The separator word of each column: "," after a value, "\\n" after the last."""
-    seps = np.full(rows.shape[1], U64(ord(",") << 56))
+def _write_blocks(fh, rows):
+    """Write rows to fh, a binary file, in blocks of at most `VALUES_PER_WRITE` values."""
+    seps = np.full(rows.shape[1], U64(ord(",") << 56))  # "," after a value, "\n" after the last
     seps[-1:] = U64(ord("\n") << 56)
-    return seps
+    block = max(1, VALUES_PER_WRITE // seps.size)
+    for start in range(0, rows.shape[0], block):
+        fh.write(_format_block(rows[start:start + block], seps))
 
 
 def usable_cpus():
@@ -248,16 +243,17 @@ def usable_cpus():
 
 
 class PendingRows(contextlib.AbstractContextManager):
-    """One row range of a file, formatted now by a forked child into an anonymous
-    file in directory, or later in-process by `write_to`.  Leaving it as a context
-    manager kills and reaps a child still running and closes its file."""
+    """One row range of a file: on more than one usable CPU a forked child formats
+    it now into an anonymous file in directory, else `write_to` formats it
+    in-process.  Leaving it as a context manager kills and reaps a child still
+    running and closes its file."""
 
-    def __init__(self, rows, directory, fork):
-        self.rows, self.fmt = rows, _row_format(rows)
+    def __init__(self, rows, directory):
+        self.rows = rows
         self.pid = self.file = None     # a child's, while it runs, and its file
-        if not fork:
+        if usable_cpus() < 2:
             return
-        self.file = tempfile.TemporaryFile("w+", dir=directory)
+        self.file = tempfile.TemporaryFile(dir=directory)
         try:
             self.pid = os.fork()
         except BaseException:
@@ -265,7 +261,7 @@ class PendingRows(contextlib.AbstractContextManager):
             raise
         if self.pid == 0:               # takes no lock a thread may hold; never returns
             try:
-                _write_blocks(self.file, rows, self.fmt)
+                _write_blocks(self.file, rows)
                 self.file.flush()
                 os._exit(0)
             finally:
@@ -274,15 +270,14 @@ class PendingRows(contextlib.AbstractContextManager):
     def write_to(self, fh):
         """Write the rows to fh, waiting for a child and checking its exit status."""
         if self.file is None:
-            _write_blocks(fh, self.rows, self.fmt)
+            _write_blocks(fh, self.rows)
             return
         status = os.waitpid(self.pid, 0)[1]
         self.pid = None
         if status:
             raise OSError("row writer for %s failed (wait status %d)" % (fh.name, status))
         self.file.seek(0)
-        fh.flush()
-        shutil.copyfileobj(self.file.buffer, fh.buffer, 1 << 16)
+        shutil.copyfileobj(self.file, fh, 1 << 16)
 
     def __exit__(self, *exc):
         if self.pid is not None:
@@ -292,29 +287,25 @@ class PendingRows(contextlib.AbstractContextManager):
             self.file.close()
 
 
-def start_rows(rows, directory) -> PendingRows:
-    """Start formatting rows, a head of a file in directory: in one forked writer
-    given two usable CPUs and `MIN_VALUES_PER_WRITER` values, else in-process later."""
-    return PendingRows(rows, directory,
-                       fork=usable_cpus() > 1 and rows.size >= MIN_VALUES_PER_WRITER)
-
-
 def write_csv(path, rows, header=(), head: PendingRows | None = None):
     """Write a CSV file: the header names as one line unless empty, head's rows
     (pending for this file), then rows as comma-separated "%.17g" lines; returns
     path.  rows are cut into one range per usable CPU, each of at least
-    `MIN_VALUES_PER_WRITER` values, and every range but the first is forked
-    before the file is opened or head is awaited."""
+    `MIN_VALUES_PER_WRITER` values; every range but the first is pending before
+    the file is opened or head is awaited, and the first is formatted here."""
     rows = np.asarray(rows, dtype=np.float64)
     writers = max(1, min(usable_cpus(), rows.size // MIN_VALUES_PER_WRITER))
     cuts = [rows.shape[0] * k // writers for k in range(writers + 1)]
     directory = os.path.dirname(os.path.abspath(path))
     with contextlib.ExitStack() as stack:
-        ranges = [stack.enter_context(PendingRows(rows[lo:hi], directory, fork=lo > 0))
-                  for lo, hi in zip(cuts, cuts[1:])]
-        with open(path, "w") as fh:
+        ranges = [stack.enter_context(PendingRows(rows[lo:hi], directory))
+                  for lo, hi in zip(cuts[1:], cuts[2:])]
+        with open(path, "wb") as fh:
             if header:
-                fh.write(",".join(header) + "\n")
-            for pending in ([head] if head else []) + ranges:
+                fh.write((",".join(header) + "\n").encode())
+            if head:
+                head.write_to(fh)
+            _write_blocks(fh, rows[:cuts[1]])
+            for pending in ranges:
                 pending.write_to(fh)
     return path

@@ -19,7 +19,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .csvrows import start_rows, write_csv
+from .csvrows import PendingRows, write_csv
 from .internal_model import Exosystem, InternalModel
 from .linalg import companion_from_alpha, is_hurwitz
 from .observer import ObserverKnown
@@ -145,6 +145,8 @@ def build_objects(cfg: ExperimentConfig) -> ExperimentObjects:
         raise ConfigError(str(exc)) from exc
     if not (poles.real < 0).all():     # the filter bank must be Hurwitz
         raise ConfigError("observer poles must lie in the open left half-plane")
+    if plant.q != exo.q:
+        raise ConfigError("E and F have %d columns for %d exosystem states" % (plant.q, exo.q))
     B_rho = np.vstack([known.B_zeta, np.zeros((im.n_z, plant.m))])
     return ExperimentObjects(plant=plant, exo=exo, im=im, known=known, B_rho=B_rho)
 
@@ -330,7 +332,7 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     # loop repeats that state), then the closed loop's.  The exploration rows
     # are final: a writer may format them while the run learns (its start
     # counts as learning); leaving the block by any path stops and reaps it.
-    with start_rows(log_explore.table[:-1], out_dir) as traj_head:
+    with PendingRows(log_explore.table[:-1], out_dir) as traj_head:
         try:
             data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B,
                                                   vicfg, lap)

@@ -4,7 +4,9 @@ The quadratic-monomial vector vecv(x), which ``vecv_rows`` takes of each
 row, and the symmetric half-vectorization ``vecs`` use the row-major
 upper-triangular ordering (0,0), (0,1), ..., (0,n-1), (1,1), ...,
 (n-1,n-1).  This ordering is also the on-disk order for every packed vector
-written by the rest of the package.
+written by the rest of the package.  ``poly_from_roots`` expands its roots
+with ``np.poly``, whose coefficients are real exactly when the complex roots
+pair up as exact conjugates, and certifies that they annihilate the roots.
 """
 
 import numpy as np
@@ -53,21 +55,16 @@ def unvecs(v, n):
 def poly_from_roots(roots):
     """Monic polynomial coefficients [a0, ..., a_{n-1}] from its roots.
 
-    Complex roots must appear in conjugate pairs so the coefficients are real.
+    Complex roots must appear in exact conjugate pairs, the condition under
+    which `np.poly` returns real coefficients.
     """
     roots = np.atleast_1d(np.asarray(roots, dtype=complex))
-    scale = 1.0 + np.abs(roots).max()
-    complex_roots = roots[np.abs(roots.imag) > 1e-12 * scale]
-    if complex_roots.size:
-        # every complex root must have a conjugate partner in the multiset
-        remaining = list(complex_roots)
-        while remaining:
-            r = remaining.pop()
-            gaps = [abs(c - np.conj(r)) for c in remaining]
-            if not gaps or min(gaps) > 1e-9 * scale:
-                raise ValueError("complex root %s has no conjugate partner" % r)
-            remaining.pop(int(np.argmin(gaps)))
-    coeffs = np.real(np.poly(roots))  # descending, monic
+    if not roots.size:
+        raise ValueError("a polynomial needs at least one root")
+    coeffs = np.poly(roots)  # descending, monic
+    if np.iscomplexobj(coeffs):
+        raise ValueError("complex roots %s do not pair up as exact conjugates"
+                         % roots[roots.imag != 0])
     alpha = coeffs[1:][::-1].copy()   # ascending [a0, ..., a_{n-1}]
     value = np.polyval(np.concatenate(([1.0], alpha[::-1])), roots)
     bound = 1e-9 * (1.0 + np.abs(roots) ** roots.size)

@@ -15,7 +15,9 @@ must stay orders of magnitude below the smallest data singular value;
 Simpson on the h-grid achieves that where trapezoid does not.  Each variant,
 a row of `VARIANTS`, packs the blocks its choices read: I_au on state x and
 Gamma_aBu otherwise, Gamma_av with an exogenous term, I_yy with the output
-cost and I_zz with it on rho.
+cost and I_zz with it on rho.  The columns of the matrix `check_rank` tests
+are the stage's unknowns: I_aa's are vecs(H), and I_au's (K) on state x or
+Gamma_av's (vec(E^T P)) where E is solved join them (`_rank_blocks`).
 """
 
 import warnings
@@ -163,23 +165,20 @@ def build_regression(log, grid: SamplingGrid, variant: int,
     if spec.output_cost and spec.state == "rho":
         data.I_zz = _quadratic(log.z[lo:hi], step, h)
         dims["n_z"] = log.z.shape[1]
-    required = required_rank(variant, dims)
+    required = sum(block.shape[1] for block in _rank_blocks(data, variant))
     if grid.s < required:
         warnings.warn("only s = %d rows for %d unknowns; rank condition will fail"
                       % (grid.s, required))
     return data
 
 
-def required_rank(variant, dims):
-    """Unknowns of the stage: vecs(H), plus K or vec(E^T P) where they are fitted."""
+def _rank_blocks(data, variant):
+    """The blocks whose columns are the stage's unknowns: vecs(H), plus K or
+    vec(E^T P) where they are fitted (identifying variants: after identification)."""
     spec = VARIANTS[variant]
-    n_a, m = dims["n_a"], dims["m"]
-    half = n_a * (n_a + 1) // 2
     if spec.state == "x":
-        return half + m * n_a
-    if spec.exo == "solve":
-        return half + dims["q"] * n_a
-    return half  # identifying variants: post-identification condition
+        return [data.I_aa, data.I_au]
+    return [data.I_aa, data.Gamma_av] if spec.exo == "solve" else [data.I_aa]
 
 
 @dataclass
@@ -211,14 +210,11 @@ def check_rank(data: RegressionData, variant=None) -> RankVerdict:
     tiny but nonzero; a coarser relative threshold would misreport such
     exactly-solvable data sets as rank deficient.
     """
-    variant = data.variant if variant is None else variant
-    spec = VARIANTS[variant]
-    extra = data.I_au if spec.state == "x" else data.Gamma_av if spec.exo == "solve" else None
-    M = data.I_aa if extra is None else np.hstack([data.I_aa, extra])
+    M = np.hstack(_rank_blocks(data, data.variant if variant is None else variant))
     sv = np.linalg.svd(M, compute_uv=False)
     cutoff = sv[0] * (max(M.shape) * np.finfo(sv.dtype).eps)
     rank = int(np.count_nonzero(sv > cutoff))
-    required = required_rank(variant, data.dims)
+    required = M.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         margin, cond = sv[-1] / cutoff, sv[0] / sv[-1]
     return RankVerdict(rank=rank, required=required, satisfied=rank >= required,

@@ -64,6 +64,15 @@ def test_run_malformed_config(tmp_path, capsys):
         == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", [["run"], ["verify"]])
+def test_config_that_is_not_utf8(tmp_path, capsys, command):
+    """A config file that does not decode is a configuration error, not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    assert cli.main([*command, str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def _patched_nonzero_file(tmp_path, **patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))
     payload.update(patch)
@@ -76,12 +85,16 @@ def _patched_nonzero_file(tmp_path, **patch):
                                    {"grid_t0": 3.9995},
                                    {"tones": [{"amplitude": "1", "frequency": 2.0}]},
                                    {"k0": [[1.0], [1.0, 2.0]]}, {"max_iters": 0},
-                                   {"observer_poles": [1.0, -6.0, -7.0]}])
+                                   {"observer_poles": [1.0, -6.0, -7.0]},
+                                   {"plant_e": [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [3.0, 6.0, 0.0]],
+                                    "plant_f": [[0.5, -0.8, 0.0]]}])   # q = 3, exosystem 2
 def test_run_inconsistent_config(tmp_path, capsys, patch):
     path = _patched_nonzero_file(tmp_path, **patch)
-    code = cli.main(["run", path, "--out-dir", str(tmp_path / "out")])
-    assert code == cli.EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    for blinded in ([], ["--blinded"]):
+        code = cli.main(["run", path, "--out-dir", str(tmp_path / "out"), *blinded])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (tmp_path / "out").exists()
     assert cli.main(["verify", path]) == cli.EXIT_CONFIG
 
 

@@ -2,6 +2,7 @@
 and for rows formatted early by `PendingRows`."""
 
 import gc
+import io
 import os
 import time
 
@@ -12,8 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from regvi import csvrows
-from regvi.csvrows import (MIN_VALUES_PER_WRITER, VALUES_PER_WRITE, PendingRows, start_rows,
-                           write_csv)
+from regvi.csvrows import MIN_VALUES_PER_WRITER, VALUES_PER_WRITE, PendingRows, write_csv
 
 COLS = 5
 SPLIT_ROWS = 2 * MIN_VALUES_PER_WRITER // COLS   # fewest rows that two writers share
@@ -63,10 +63,10 @@ def test_failing_writer_raises_and_leaves_no_file(table, tmp_path, monkeypatch, 
     pin_cpus(3)
     test_pid, write_blocks = os.getpid(), csvrows._write_blocks
 
-    def failing_write_blocks(fh, block_rows, fmt):
+    def failing_write_blocks(fh, block_rows):
         if (os.getpid() != test_pid) == (where == "child"):
             raise ValueError("formatter failed")
-        write_blocks(fh, block_rows, fmt)
+        write_blocks(fh, block_rows)
     monkeypatch.setattr(csvrows, "_write_blocks", failing_write_blocks)
     with pytest.raises(OSError if where == "child" else ValueError):
         write_csv(tmp_path / "rows.csv", rows)
@@ -101,35 +101,36 @@ def test_a_failing_fork_closes_the_files(table, tmp_path, monkeypatch, fork_pids
 @pytest.mark.parametrize("cpus", [1, None, 4 * HOST_CPUS + 5], ids=["one", "host", "more"])
 @pytest.mark.parametrize("count", [0, 300, SPLIT_ROWS // 2 - 1, SPLIT_ROWS // 2])
 def test_pending_rows_match_per_value_format(table, tmp_path, fork_pids, pin_cpus, count, cpus):
-    """Rows started early by start_rows land where write_csv puts them, byte for
-    byte; one child is forked for at least MIN_VALUES_PER_WRITER values on more
-    than one CPU."""
+    """Rows started early by PendingRows land where write_csv puts them, byte for
+    byte; one child is forked for them on more than one CPU, whatever their size."""
     rows, lines = table
     if cpus is not None:
         pin_cpus(cpus)
     path = tmp_path / "rows.csv"
-    early = (cpus or HOST_CPUS) > 1 and count * COLS >= MIN_VALUES_PER_WRITER
-    with start_rows(rows[:count], tmp_path) as pending:
+    early = (cpus or HOST_CPUS) > 1
+    with PendingRows(rows[:count], tmp_path) as pending:
         write_csv(path, rows[count:2 * count], ("head",), pending)
     assert path.read_text() == "head\n" + "".join(lines[:2 * count])
     assert len(fork_pids) == early
     assert os.listdir(tmp_path) == ["rows.csv"]
 
 
-def test_leaving_pending_rows_kills_the_writer(table, tmp_path, monkeypatch, fork_pids):
+def test_leaving_pending_rows_kills_the_writer(table, tmp_path, monkeypatch, fork_pids,
+                                               pin_cpus):
     """A writer still formatting when its range is left is killed and reaped,
     not waited for, and its file is closed."""
     rows, _ = table
+    pin_cpus(2)
     test_pid, write_blocks = os.getpid(), csvrows._write_blocks
 
-    def stuck_write_blocks(fh, block_rows, fmt):
+    def stuck_write_blocks(fh, block_rows):
         if os.getpid() != test_pid:
             time.sleep(600)
-        write_blocks(fh, block_rows, fmt)
+        write_blocks(fh, block_rows)
     monkeypatch.setattr(csvrows, "_write_blocks", stuck_write_blocks)
     start = time.monotonic()
     with pytest.raises(KeyError):
-        with PendingRows(rows, tmp_path, fork=True):
+        with PendingRows(rows, tmp_path):
             raise KeyError("the run failed")
     assert time.monotonic() - start < 60.0
     assert len(fork_pids) == 1
@@ -155,7 +156,7 @@ def test_write_rows_forks_its_writers_before_awaiting_the_head(table, tmp_path, 
     monkeypatch.setattr(os, "waitpid", lambda pid, options: events.append(("wait", pid))
                         or waitpid(pid, options))
     path = tmp_path / "rows.csv"
-    with PendingRows(rows[:SPLIT_ROWS], tmp_path, fork=True) as head:
+    with PendingRows(rows[:SPLIT_ROWS], tmp_path) as head:
         write_csv(path, rows[SPLIT_ROWS:], head=head)
     assert path.read_text() == "".join(lines)
     assert len(fork_pids) == 3                 # the head's, then one per range but the first
@@ -173,8 +174,9 @@ def _per_value(rows):
 
 
 def _formatted(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    return csvrows._format_block(rows, csvrows._row_format(rows)).decode("ascii")
+    out = io.BytesIO()
+    csvrows._write_blocks(out, np.asarray(rows, dtype=np.float64))
+    return out.getvalue().decode("ascii")
 
 
 @pytest.fixture

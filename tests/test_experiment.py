@@ -94,6 +94,8 @@ def test_parse_config_rejects_garbage():
     {"variant": 4, "q_main": None},        # a weight the variant needs is unset
     dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())), q_y=None),
     {"exo_minpoly": [], "exo_v0": []},     # the internal model needs degree >= 1
+    {"plant_e": [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [3.0, 6.0, 0.0]],   # q = 3, exosystem 2
+     "plant_f": [[0.5, -0.8, 0.0]]},
 ])
 def test_validate_config_rejects(patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))
@@ -178,10 +180,10 @@ def test_run_experiment_not_converged(tmp_path, monkeypatch, fork_pids, pin_cpus
     pin_cpus(2)
     test_pid, write_blocks = os.getpid(), csvrows._write_blocks
 
-    def stuck_write_blocks(fh, rows, fmt):
+    def stuck_write_blocks(fh, rows):
         if os.getpid() != test_pid:
             time.sleep(600)
-        write_blocks(fh, rows, fmt)
+        write_blocks(fh, rows)
     monkeypatch.setattr(csvrows, "_write_blocks", stuck_write_blocks)
     cfg = _quick_nonzero(max_iters=60)
     start = time.monotonic()

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,28 @@ def test_only_experiment_writes_files():
     for module in (*LEARNER, "sim"):
         assert not _imports(module) & FILE_IO, module
         assert not _calls(module, {"open"}), module
+
+
+def _names(tree):
+    """Every name tree reads, sets or imports, and every attribute it takes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_helper_has_a_caller():
+    """Every module-level function and class of the package is named somewhere in
+    it besides its own definition, so no helper outlives its last caller."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = [(module, node.name) for module, tree in trees.items() if module != "__init__"
+              for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and named[node.name] == Counter(_names(node))[node.name]]
+    assert not unused, sorted(unused)
 
 
 def test_learner_imports_no_scipy():

@@ -82,6 +82,18 @@ def test_poly_from_roots_rejects_unpaired_complex():
         poly_from_roots([-1.0 + 2.0j, -3.0])
 
 
+def test_poly_from_roots_wants_exact_conjugate_pairs():
+    """An exact pair, as a config's [re, im] and [re, -im] give it, is accepted;
+    a pair off by 1e-10 in either part is rejected, not rounded to real."""
+    assert np.array_equal(poly_from_roots([complex(-1.0, 2.0), complex(-1.0, -2.0)]),
+                          [5.0, 2.0])
+    for off in (1e-10, 1e-10j):
+        with pytest.raises(ValueError, match="exact conjugates"):
+            poly_from_roots([-1.0 + 2.0j, -1.0 - 2.0j + off])
+    with pytest.raises(ValueError):
+        poly_from_roots([])
+
+
 def test_char_poly_roundtrip():
     alpha = np.array([6.0, 11.0, 6.0])  # (s+1)(s+2)(s+3)
     assert np.allclose(char_poly_alpha(companion_from_alpha(alpha)), alpha)

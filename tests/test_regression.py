@@ -7,7 +7,7 @@ from scipy.integrate import simpson
 from regvi.linalg import vecs, vecv_rows
 from regvi.experiment import export_regression_csv
 from regvi.regression import (GridAlignmentError, RegressionData, SamplingGrid,
-                              build_regression, check_rank, required_rank, unknown_count)
+                              build_regression, check_rank, unknown_count)
 from regvi.sim import Tone, simulate, stack_state
 
 
@@ -166,14 +166,24 @@ def test_missing_weights_rejected(fullstate_setup):
         build_regression(log, grid, 7, R=np.eye(1))
 
 
-def test_required_rank_counts():
-    dims = {"n_a": 8, "m": 1, "q": 2}
-    assert required_rank(3, dims) == 52
-    assert required_rank(5, dims) == 52
-    assert required_rank(4, dims) == 36
-    assert required_rank(6, dims) == 36
-    assert required_rank(1, dims) == 44
-    assert required_rank(2, dims) == 36
+@pytest.mark.parametrize("variant, unknowns",
+                         [(1, 9), (2, 21), (3, 52), (4, 36), (5, 52), (6, 36)])
+def test_rank_matrix_columns_are_the_unknowns(nonzero_setup, variant, unknowns):
+    """check_rank requires the column count of the matrix it tests: I_aa (vecs(H)),
+    joined by I_au (K) on state x or by Gamma_av (vec(E^T P)) where E is solved;
+    build_regression warns with the same count when there are fewer rows."""
+    log, grid, objs = nonzero_setup["log"], nonzero_setup["grid"], nonzero_setup["objs"]
+    kwargs = ({"R": np.eye(1)} if variant == 1
+              else {"known_B": objs.known.B_zeta if variant == 2 else objs.B_rho})
+    data = build_regression(log, grid, variant, **kwargs)
+    extra = data.I_au if variant == 1 else data.Gamma_av if variant in (3, 5) else None
+    columns = data.I_aa.shape[1] + (0 if extra is None else extra.shape[1])
+    assert check_rank(data).required == columns == unknowns
+    with pytest.warns(UserWarning, match="for %d unknowns" % unknowns):
+        build_regression(log, SamplingGrid(grid.t0, grid.dt, unknowns - 1), variant, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_regression(log, SamplingGrid(grid.t0, grid.dt, unknowns), variant, **kwargs)
 
 
 def test_unknown_count_table():
