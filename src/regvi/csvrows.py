@@ -293,7 +293,6 @@ def write_csv(path, rows, header=(), head: PendingRows | None = None):
     path.  rows are cut into one range per usable CPU, each of at least
     `MIN_VALUES_PER_WRITER` values; every range but the first is pending before
     the file is opened or head is awaited, and the first is formatted here."""
-    rows = np.asarray(rows, dtype=np.float64)
     writers = max(1, min(usable_cpus(), rows.size // MIN_VALUES_PER_WRITER))
     cuts = [rows.shape[0] * k // writers for k in range(writers + 1)]
     directory = os.path.dirname(os.path.abspath(path))

@@ -135,10 +135,10 @@ def build_objects(cfg: ExperimentConfig) -> ExperimentObjects:
         plant = LtiPlant(A=cfg.plant_a, B=cfg.plant_b, C=cfg.plant_c,
                          E=cfg.plant_e, F=cfg.plant_f)
         im = InternalModel(cfg.exo_minpoly, plant.p)    # rejects an empty polynomial
-        # The known exosystem is the companion form of the minimal polynomial;
+        # The known exosystem is the companion form of the minimal polynomial (beta);
         # the learner treats the signal it generates as the exogenous input,
         # and the unknown output map is absorbed into the plant's E and F.
-        exo = Exosystem(companion_from_alpha(cfg.exo_minpoly), cfg.exo_v0)
+        exo = Exosystem(im.beta, cfg.exo_v0)
         poles = _poles(cfg.observer_poles)
         known = ObserverKnown.from_poles(poles, plant.m, plant.p)
     except (TypeError, ValueError, AssumptionError) as exc:
@@ -191,10 +191,13 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("grid_t0 >= 0 and grid_dt >= h must lie on the grid k*h")
     objs = build_objects(cfg)
     plant, im = objs.plant, objs.im
+    zeros = transmission_zero_check(plant.A, plant.B, plant.C, objs.exo.S)
+    if not zeros.ok:            # no regulator can track or reject that mode
+        raise ConfigError("the plant has a transmission zero at the exosystem mode %s"
+                          % zeros.worst_eigenvalue)
     n_zeta, n_rho = objs.known.n_zeta, objs.known.n_zeta + im.n_z
     for name, given, want in (("x0", cfg.x0, plant.n),
                               ("observer_poles", cfg.observer_poles, plant.n),
-                              ("exo_v0", cfg.exo_v0, len(cfg.exo_minpoly)),
                               ("zeta0", cfg.zeta0, n_zeta), ("z0", cfg.z0, im.n_z)):
         if given is not None and len(given) != want:
             raise ConfigError("%s length %d does not match %d" % (name, len(given), want))
@@ -351,7 +354,7 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         report.vi_final_step_metric = float(vires.history[-1, 3])
         files.update(export_regression_csv(data, out_dir))
         files["vi_history"] = export_history_csv(vires, path("vi_history.csv"))
-        files["learned_gain"] = write_csv(path("learned_gain.csv"), np.atleast_2d(vires.K_final))
+        files["learned_gain"] = write_csv(path("learned_gain.csv"), vires.K_final)
         lap("other_exports_s")
         if not vires.converged:
             raise NotConvergedError("VI did not converge in %d iterations" % cfg.max_iters)

@@ -7,6 +7,7 @@ upper-triangular ordering (0,0), (0,1), ..., (0,n-1), (1,1), ...,
 written by the rest of the package.  ``poly_from_roots`` expands its roots
 with ``np.poly``, whose coefficients are real exactly when the complex roots
 pair up as exact conjugates, and certifies that they annihilate the roots.
+Every function takes ndarrays and converts none.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ SYM_TOL = 1e-10
 def vecv_rows(X):
     """vecv(x) = [x1^2, x1*x2, ..., x1*xn, x2^2, ..., xn^2] of each row x of
     an (N, n) array; returns (N, n(n+1)/2)."""
-    X = np.asarray(X, dtype=float)
     i, j = np.triu_indices(X.shape[1])
     return X[:, i] * X[:, j]
 
@@ -28,7 +28,6 @@ def vecs(P):
     Satisfies vecs(P)^T vecv(x) == x^T P x.  P is symmetrized by averaging;
     asymmetry beyond SYM_TOL (relative) is an error.
     """
-    P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("vecs expects a square matrix, got shape %s" % (P.shape,))
     scale = max(1.0, np.abs(P).max())
@@ -42,7 +41,6 @@ def vecs(P):
 
 def unvecs(v, n):
     """Inverse of vecs: rebuild the symmetric n-by-n matrix."""
-    v = np.asarray(v, dtype=float)
     if v.size != n * (n + 1) // 2:
         raise ValueError("expected length %d for n=%d, got %d" % (n * (n + 1) // 2, n, v.size))
     P = np.zeros((n, n))
@@ -58,7 +56,6 @@ def poly_from_roots(roots):
     Complex roots must appear in exact conjugate pairs, the condition under
     which `np.poly` returns real coefficients.
     """
-    roots = np.atleast_1d(np.asarray(roots, dtype=complex))
     if not roots.size:
         raise ValueError("a polynomial needs at least one root")
     coeffs = np.poly(roots)  # descending, monic
@@ -75,7 +72,6 @@ def poly_from_roots(roots):
 
 def companion_from_alpha(alpha):
     """Companion matrix with last row [-a0, ..., -a_{n-1}] and superdiagonal ones."""
-    alpha = np.asarray(alpha, dtype=float)
     n = alpha.size
     A = np.zeros((n, n))
     if n > 1:
@@ -86,7 +82,6 @@ def companion_from_alpha(alpha):
 
 def is_hurwitz(A):
     """Return (verdict, margin) where margin is the largest eigenvalue real part."""
-    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("is_hurwitz expects a square matrix, got shape %s" % (A.shape,))
     margin = float(np.max(np.linalg.eigvals(A).real))
@@ -95,6 +90,5 @@ def is_hurwitz(A):
 
 def char_poly_alpha(A):
     """Ascending coefficients [a0, ..., a_{n-1}] of det(sI - A)."""
-    A = np.asarray(A, dtype=float)
     coeffs = np.real(np.poly(A))
     return coeffs[1:][::-1].copy()

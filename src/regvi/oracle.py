@@ -4,6 +4,8 @@ Exact Riccati and Sylvester solvers, observer pole placement, the state
 parameterization matrix M, assembly of the augmented auxiliary system, PBH
 tests and the state/output LQR equivalence check.  Tests certify every
 learned quantity against this layer; the learning pipeline never imports it.
+Every function takes float ndarrays (observer poles as a complex array);
+only `LtiPlant` converts what it is given.
 """
 
 from dataclasses import dataclass
@@ -54,8 +56,6 @@ def pbh_check(A, B_or_C, mode):
     mode is 'stabilizable' (B on the right) or 'observable' (C below).
     'stabilizable' only tests eigenvalues with Re >= -1e-9.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    M = np.atleast_2d(np.asarray(B_or_C, dtype=float))
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError("A must be square")
@@ -65,7 +65,7 @@ def pbh_check(A, B_or_C, mode):
     eigs = np.linalg.eigvals(A)
     if mode == "stabilizable":
         eigs = eigs[eigs.real >= -STABLE_EIG_TOL]
-    return _worst_rank_gap(lambda lam: stack([A - lam * np.eye(n), M]), n, eigs)
+    return _worst_rank_gap(lambda lam: stack([A - lam * np.eye(n), B_or_C]), n, eigs)
 
 
 def _require_pbh(A, B_or_C, mode, pair):
@@ -78,12 +78,9 @@ def _require_pbh(A, B_or_C, mode, pair):
 
 def transmission_zero_check(A, B, C, S):
     """Rosenbrock rank test at the exosystem modes: rank [A-lam I, B; C, 0] = n+p."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
     n, m = B.shape
     p = C.shape[0]
-    eigs = np.linalg.eigvals(np.atleast_2d(np.asarray(S, dtype=float)))
+    eigs = np.linalg.eigvals(S)
     return _worst_rank_gap(lambda lam: np.block([[A - lam * np.eye(n), B],
                                                  [C, np.zeros((p, m))]]), n + p, eigs)
 
@@ -148,9 +145,6 @@ def solve_sylvester_regulator(S, A, E):
     Requires the spectra of S and A to be disjoint (pairwise eigenvalue gap
     above 1e-8); the residual is certified by back substitution.
     """
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    E = np.atleast_2d(np.asarray(E, dtype=float))
     n, q = A.shape[0], S.shape[0]
     if E.shape != (n, q):
         raise ValueError("E must be n x q")
@@ -191,10 +185,6 @@ def solve_care(A, B, Q, R):
     generic LinAlgError.  The solution is certified by the residual bound
     1e-8 * (1 + ||P||) and a Hurwitz closed loop.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
     if np.abs(R - R.T).max() > 1e-12 * max(1.0, np.abs(R).max()) or \
             np.min(np.linalg.eigvalsh(R)) <= 0:
         raise ValueError("R must be symmetric positive definite")
@@ -210,16 +200,13 @@ def solve_care(A, B, Q, R):
     return RiccatiSolution(P=P, K=K, residual=res, closed_loop_margin=margin)
 
 
-def place_observer_gain(A, C, desired_poles):
+def place_observer_gain(A, C, desired):
     """Observer gain L with eigenvalues of A - LC at the desired locations.
 
     Placed on the dual pair (A^T, C^T); single-output plants use Ackermann's
     formula so repeated poles are allowed.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
     n, p = A.shape[0], C.shape[0]
-    desired = np.atleast_1d(np.asarray(desired_poles, dtype=complex))
     if desired.size != n:
         raise ValueError("need exactly n = %d poles" % n)
     _require_pbh(A, C, "observable", "(A, C)")
@@ -273,7 +260,6 @@ def compute_parameterization(plant, L, known: ObserverKnown):
     known.alpha must equal the characteristic polynomial of A - LC (this is
     what ties the user polynomial to the gain); mismatch is an error.
     """
-    L = np.asarray(L, dtype=float).reshape(plant.n, plant.p)
     alpha = known.alpha
     n, m, p = plant.n, plant.m, plant.p
     F_obs = plant.A - L @ plant.C
@@ -377,8 +363,6 @@ def verify_theorem4(plant, param, im, Qbar, R):
     Qbar = blockdiag(Q_y, Q_z) weights the regulated output and the internal
     model state; the augmented weight is Q_xi = Cbar^T Qbar Cbar.
     """
-    Qbar = np.atleast_2d(np.asarray(Qbar, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
     n_z = im.n_z
     if Qbar.shape != (plant.p + n_z, plant.p + n_z):
         raise ValueError("Qbar must be (p+n_z) square")

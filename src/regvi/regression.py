@@ -150,11 +150,10 @@ def build_regression(log, grid: SamplingGrid, variant: int,
                           I_aa=_quadratic(a, step, h))
     int_au = _interval_integrals(a, u, step, h)
     if spec.state == "x":
-        R = np.atleast_2d(np.asarray(R, dtype=float))
         data.I_au = (int_au @ R.T).reshape(s, -1)
     else:
-        data.known_B = np.atleast_2d(np.asarray(known_B, dtype=float))
-        data.Gamma_aBu = (int_au @ data.known_B.T).reshape(s, -1)
+        data.known_B = known_B
+        data.Gamma_aBu = (int_au @ known_B.T).reshape(s, -1)
     if spec.exo:
         v = log.v[lo:hi]
         dims["q"] = v.shape[1]

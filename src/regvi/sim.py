@@ -45,7 +45,6 @@ class Tone:
 
 def exploration_signal(tones, t, m):
     """Evaluate the sum of tones at times t; returns (m,) or (len(t), m)."""
-    t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape + (m,))
     for tone in tones:
         out[..., tone.channel] += tone.amplitude * np.sin(tone.frequency * t + tone.phase)
@@ -91,7 +90,7 @@ def stack_state(exo: Exosystem, known: ObserverKnown, im: InternalModel,
     """Initial stacked state col(v0, x0, zeta0, z0); zeta0 and z0 default to 0."""
     zeta0 = np.zeros(known.n_zeta) if zeta0 is None else zeta0
     z0 = np.zeros(im.n_z) if z0 is None else z0
-    return np.concatenate([exo.v0, x0, zeta0, z0]).astype(float)
+    return np.concatenate([exo.v0, x0, zeta0, z0])
 
 
 def _loop_matrices(plant, exo, known, im, K_rho):
@@ -142,25 +141,23 @@ def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
     if j1 < j0 or not (on_grid(tspan[0], h) and on_grid(tspan[1], h)):
         raise ValueError("tspan must run forward between points of the grid k*h")
     m = plant.m
-    A_tot, B_tot, K_row = _loop_matrices(plant, exo, known, im,
-                                         np.atleast_2d(np.asarray(K_rho, dtype=float)))
-    s = np.asarray(s0, dtype=float)
-    if s.shape != (A_tot.shape[0],):
+    A_tot, B_tot, K_row = _loop_matrices(plant, exo, known, im, K_rho)
+    if s0.shape != (A_tot.shape[0],):
         raise ValueError("initial state must have length %d" % A_tot.shape[0])
     n_steps = j1 - j0
     widths = {"v": exo.q, "x": plant.n, "zeta": known.n_zeta, "z": im.n_z,
               "u": m, "y": plant.p, "e": plant.p}
     log = TrajectoryLog(np.zeros((n_steps + 1, 2 + sum(widths.values()))), widths, h)
-    times, s_all, u, y, e = log.times, log.table[:, 1:1 + s.size], log.u, log.y, log.e
+    times, s_all, u, y, e = log.times, log.table[:, 1:1 + s0.size], log.u, log.y, log.e
     times[:] = h * np.arange(j0, j1 + 1)
     Phi, G = _rk4_map(A_tot, B_tot, h)
     # row i+1 starts as the forcing of step i; the loop adds Phi @ (row i)
-    s_all[0] = s
+    s_all[0] = s0
     if tones:
         d_nodes = exploration_signal(tones, times, m)
         d_half = exploration_signal(tones, times[:-1] + 0.5 * h, m)
         np.matmul(np.hstack([d_nodes[:-1], d_half, d_nodes[1:]]), G.T, out=s_all[1:])
-    step, n = Phi.dot, s.size
+    step, n = Phi.dot, s0.size
     with np.errstate(over="ignore", invalid="ignore"):
         if not tones:                   # the table [Phi; Phi^2; ...; Phi^B], n rows a power
             powers = np.empty((min(STEPS_PER_CHECK, n_steps), n, n))

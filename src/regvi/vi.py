@@ -91,9 +91,7 @@ class ViConfig:
     E_structure: np.ndarray | None = None
 
     def __post_init__(self):
-        self.P0 = np.atleast_2d(np.asarray(self.P0, dtype=float))
-        self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        for name in ("Q", "Q_y", "Q_z", "E_structure"):
+        for name in ("P0", "R", "Q", "Q_y", "Q_z", "E_structure"):
             val = getattr(self, name)
             if val is not None:
                 setattr(self, name, np.atleast_2d(np.asarray(val, dtype=float)))
@@ -108,9 +106,15 @@ class ViConfig:
             raise ValueError("bound-set radii must be positive and increasing")
         if np.abs(self.P0 - self.P0.T).max() > 1e-12 * max(1.0, np.abs(self.P0).max()):
             raise ValueError("P0 must be symmetric")
-        if not (np.abs(self.R - self.R.T).max() <= 1e-12 * max(1.0, np.abs(self.R).max())
-                and np.linalg.eigvalsh(self.R).min() > 0):
-            raise ValueError("R must be symmetric positive definite")
+        for name in ("R", "Q", "Q_y", "Q_z"):   # R definite, the costs semidefinite
+            W, semi = getattr(self, name), name != "R"
+            if W is None:
+                continue
+            tol = 1e-12 * max(1.0, np.abs(W).max())     # rounding of both tests
+            if not (np.abs(W - W.T).max() <= tol
+                    and np.linalg.eigvalsh(W).min() > (-tol if semi else 0.0)):
+                raise ValueError("%s must be symmetric positive %sdefinite"
+                                 % (name, "semi" if semi else ""))
 
     def eps(self, k):
         return self.eps_num / (k + self.eps_shift)

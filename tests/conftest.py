@@ -141,7 +141,7 @@ def fullstate_setup():
     """Random stable 3-state plant, trivial exosystem, full-state exploration data."""
     plant = make_random_plant()
     exo = Exosystem([[0.0]], [0.0])     # single integrator held at zero
-    known = ObserverKnown.from_poles([-2.0, -3.0, -4.0], plant.m, plant.p)
+    known = ObserverKnown.from_poles(np.array([-2.0, -3.0, -4.0]), plant.m, plant.p)
     im = InternalModel([0.0], plant.p)
     tones = [Tone(1.0, 1.0), Tone(1.0, 2.7), Tone(1.0, 5.3), Tone(1.0, 9.1)]
     K = np.zeros((1, known.n_zeta + im.n_z))

@@ -10,6 +10,12 @@ import regvi
 from regvi import cli
 from regvi.experiment import PRESETS, serialize_config
 
+# a plant with transmission zeros at +-j, the modes of exo_minpoly [1, 0]
+ZEROS_AT_THE_EXO_MODES = {"plant_a": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.0, -2.0]],
+                          "plant_b": [[0.0], [0.0], [1.0]], "plant_c": [[1.0, 0.0, 1.0]]}
+ASYMMETRIC_Q_MAIN = [[1.0 if i == j else 0.5 if (i, j) == (0, 1) else 0.0 for j in range(8)]
+                     for i in range(8)]
+
 
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
@@ -87,7 +93,11 @@ def _patched_nonzero_file(tmp_path, **patch):
                                    {"k0": [[1.0], [1.0, 2.0]]}, {"max_iters": 0},
                                    {"observer_poles": [1.0, -6.0, -7.0]},
                                    {"plant_e": [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [3.0, 6.0, 0.0]],
-                                    "plant_f": [[0.5, -0.8, 0.0]]}])   # q = 3, exosystem 2
+                                    "plant_f": [[0.5, -0.8, 0.0]]},    # q = 3, exosystem 2
+                                   ZEROS_AT_THE_EXO_MODES, {"q_main": ASYMMETRIC_Q_MAIN},
+                                   {"q_main": -1.0},
+                                   dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())),
+                                        q_z=[[1.0, 2.0], [0.0, 1.0]])])
 def test_run_inconsistent_config(tmp_path, capsys, patch):
     path = _patched_nonzero_file(tmp_path, **patch)
     for blinded in ([], ["--blinded"]):

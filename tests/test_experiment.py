@@ -14,6 +14,11 @@ from regvi.experiment import (PRESETS, ConfigError, ExperimentConfig,
 from regvi.vi import RankConditionError
 
 HOST_CPUS = len(os.sched_getaffinity(0))
+# a stable, observable plant with transmission zeros at +-j, the modes of exo_minpoly [1, 0]
+ZEROS_AT_THE_EXO_MODES = {"plant_a": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.0, -2.0]],
+                          "plant_b": [[0.0], [0.0], [1.0]], "plant_c": [[1.0, 0.0, 1.0]]}
+ASYMMETRIC_Q_MAIN = [[1.0 if i == j else 0.5 if (i, j) == (0, 1) else 0.0 for j in range(8)]
+                     for i in range(8)]
 
 
 def test_presets_listed_and_valid():
@@ -96,6 +101,10 @@ def test_parse_config_rejects_garbage():
     {"exo_minpoly": [], "exo_v0": []},     # the internal model needs degree >= 1
     {"plant_e": [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [3.0, 6.0, 0.0]],   # q = 3, exosystem 2
      "plant_f": [[0.5, -0.8, 0.0]]},
+    ZEROS_AT_THE_EXO_MODES,                # G(s) = (s^2 + 1)/(s^3 + 2s^2 + 2s + 1)
+    {"q_main": ASYMMETRIC_Q_MAIN},         # cost weights are symmetric ...
+    {"q_main": -1.0},                      # ... and positive semidefinite
+    dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())), q_z=[[1.0, 2.0], [0.0, 1.0]]),
 ])
 def test_validate_config_rejects(patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))

@@ -77,6 +77,22 @@ def test_only_experiment_writes_files():
         assert not _calls(module, {"open"}), module
 
 
+def test_arrays_are_made_where_the_config_enters():
+    """Outside experiment, which reads the config, only a dataclass's
+    __post_init__ converts values to arrays: every other function takes float
+    ndarrays and calls no np.asarray, np.asanyarray or np.atleast_*d."""
+    coercions = {"asarray", "asanyarray", "atleast_1d", "atleast_2d", "atleast_3d"}
+    stray = []
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "experiment":
+            inits = [range(node.lineno, node.end_lineno + 1)
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+            stray += [(path.stem, line) for line in _calls(path.stem, coercions)
+                      if not any(line in init for init in inits)]
+    assert not stray, sorted(stray)
+
+
 def _names(tree):
     """Every name tree reads, sets or imports, and every attribute it takes."""
     for node in ast.walk(tree):

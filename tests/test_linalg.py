@@ -72,26 +72,26 @@ def test_companion_reproduces_root_multiset(int_roots):
 
 
 def test_poly_from_roots_conjugate_pairs():
-    alpha = poly_from_roots([-1.0 + 2.0j, -1.0 - 2.0j, -3.0])
+    alpha = poly_from_roots(np.array([-1.0 + 2.0j, -1.0 - 2.0j, -3.0]))
     # (s^2 + 2s + 5)(s + 3) = s^3 + 5 s^2 + 11 s + 15
     assert np.allclose(alpha, [15.0, 11.0, 5.0])
 
 
 def test_poly_from_roots_rejects_unpaired_complex():
     with pytest.raises(ValueError):
-        poly_from_roots([-1.0 + 2.0j, -3.0])
+        poly_from_roots(np.array([-1.0 + 2.0j, -3.0]))
 
 
 def test_poly_from_roots_wants_exact_conjugate_pairs():
     """An exact pair, as a config's [re, im] and [re, -im] give it, is accepted;
     a pair off by 1e-10 in either part is rejected, not rounded to real."""
-    assert np.array_equal(poly_from_roots([complex(-1.0, 2.0), complex(-1.0, -2.0)]),
+    assert np.array_equal(poly_from_roots(np.array([complex(-1.0, 2.0), complex(-1.0, -2.0)])),
                           [5.0, 2.0])
     for off in (1e-10, 1e-10j):
         with pytest.raises(ValueError, match="exact conjugates"):
-            poly_from_roots([-1.0 + 2.0j, -1.0 - 2.0j + off])
+            poly_from_roots(np.array([-1.0 + 2.0j, -1.0 - 2.0j + off]))
     with pytest.raises(ValueError):
-        poly_from_roots([])
+        poly_from_roots(np.array([]))
 
 
 def test_char_poly_roundtrip():

@@ -6,7 +6,7 @@ from regvi.observer import ObserverKnown
 
 
 def test_filter_bank_structure():
-    known = ObserverKnown.from_poles([-5.0, -6.0, -7.0], m=1, p=1)
+    known = ObserverKnown.from_poles(np.array([-5.0, -6.0, -7.0]), m=1, p=1)
     n = 3
     assert known.alpha.size == n
     assert known.n_zeta == n * 2
@@ -34,14 +34,14 @@ def test_multichannel_shapes():
 
 
 def test_complex_pole_pairs_allowed():
-    known = ObserverKnown.from_poles([-1.0 + 2.0j, -1.0 - 2.0j], m=1, p=1)
+    known = ObserverKnown.from_poles(np.array([-1.0 + 2.0j, -1.0 - 2.0j]), m=1, p=1)
     eigs = np.linalg.eigvals(known.A_full[:2, :2])
     assert np.allclose(np.sort_complex(eigs), np.sort_complex([-1 - 2j, -1 + 2j]))
 
 
 def test_unpaired_complex_pole_rejected():
     with pytest.raises(ValueError):
-        ObserverKnown.from_poles([-1.0 + 2.0j, -3.0], m=1, p=1)
+        ObserverKnown.from_poles(np.array([-1.0 + 2.0j, -3.0]), m=1, p=1)
 
 
 @pytest.mark.parametrize("alpha", [[], [[2.0, 3.0]]])

@@ -157,14 +157,14 @@ def test_solve_care_stabilizes():
 # ---------------------------------------------------------------------------
 
 def test_place_observer_gain_paper_values():
-    L = place_observer_gain(A_PAPER, C_PAPER, [-5.0, -6.0, -7.0])
+    L = place_observer_gain(A_PAPER, C_PAPER, np.array([-5.0, -6.0, -7.0]))
     assert np.allclose(L.ravel(), [-523.0, 210.0, 40.0], atol=1e-8)
     eigs = np.linalg.eigvals(A_PAPER - L @ C_PAPER)
     assert np.allclose(np.sort(eigs.real), [-7.0, -6.0, -5.0], atol=1e-8)
 
 
 def test_place_observer_gain_repeated_poles():
-    L = place_observer_gain(A_PAPER, C_PAPER, [-2.0, -2.0, -3.0])
+    L = place_observer_gain(A_PAPER, C_PAPER, np.array([-2.0, -2.0, -3.0]))
     eigs = np.sort(np.linalg.eigvals(A_PAPER - L @ C_PAPER).real)
     assert np.allclose(eigs, [-3.0, -2.0, -2.0], atol=1e-6)
 
@@ -172,7 +172,7 @@ def test_place_observer_gain_repeated_poles():
 def test_place_observer_gain_two_outputs():
     A = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [0.3, 0.0, -1.5]])
     C = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    L = place_observer_gain(A, C, [-4.0, -5.0, -6.0])
+    L = place_observer_gain(A, C, np.array([-4.0, -5.0, -6.0]))
     assert L.shape == (3, 2)
     eigs = np.sort_complex(np.linalg.eigvals(A - L @ C))
     assert np.max(np.abs(eigs - [-6.0, -5.0, -4.0])) <= 1e-6
@@ -180,10 +180,10 @@ def test_place_observer_gain_two_outputs():
 
 def test_place_observer_gain_validates():
     with pytest.raises(ValueError):
-        place_observer_gain(A_PAPER, C_PAPER, [-5.0, -6.0])
+        place_observer_gain(A_PAPER, C_PAPER, np.array([-5.0, -6.0]))
     with pytest.raises(AssumptionError) as exc:
         place_observer_gain(np.diag([-1.0, -2.0]), np.array([[1.0, 0.0]]),
-                            [-3.0, -4.0])
+                            np.array([-3.0, -4.0]))
     assert str(exc.value) == "(A, C) not observable; PBH fails at eigenvalue (-2+0j)"
 
 

@@ -41,9 +41,15 @@ def test_config_validation():
                 dict(bound_scale=nan), dict(bound_shift=nan),
                 dict(R=-np.eye(1)), dict(R=np.zeros((1, 1))), dict(R=[[nan]]),
                 dict(R=np.array([[1.0, 0.5], [0.0, 1.0]])),
-                dict(max_iters=0), dict(max_iters=-1)):
+                dict(max_iters=0), dict(max_iters=-1),
+                dict(Q=np.array([[1.0, 0.5], [0.0, 1.0]])), dict(Q=-np.eye(2)),
+                dict(Q_y=-np.eye(1)), dict(Q_z=np.array([[1.0, 2.0], [0.0, 1.0]])),
+                dict(Q_z=[[nan]])):
         with pytest.raises(ValueError):
             ViConfig(**{**good, **bad})
+    # the costs may be singular: Q = 0, or ones((3, 3)), whose zero eigenvalues
+    # eigvalsh may round below 0 (to -6e-16 with OpenBLAS)
+    ViConfig(**good, Q=np.zeros((2, 2)), Q_y=np.ones((3, 3)))
 
 
 def test_vi_run_requires_weights(fullstate_setup):
@@ -244,7 +250,7 @@ def two_input_log(t_end):
     plant = LtiPlant(A=[[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [0.3, 0.0, -1.5]],
                      B=[[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]], C=[[1.0, 0.0, 0.0]],
                      E=np.zeros((3, 1)), F=np.zeros((1, 1)))
-    known = ObserverKnown.from_poles([-2.0, -3.0, -4.0], plant.m, plant.p)
+    known = ObserverKnown.from_poles(np.array([-2.0, -3.0, -4.0]), plant.m, plant.p)
     tones = [Tone(1.0, 1.0, channel=0), Tone(1.0, 2.7, channel=1),
              Tone(1.0, 5.3, channel=0), Tone(1.0, 9.1, channel=1)]
     exo, im = Exosystem([[0.0]], [0.0]), InternalModel([0.0], 1)
@@ -705,7 +711,7 @@ def output_based_setup():
     plant = LtiPlant(A=[[0.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1.0]],
                      C=[[1.0, 0.0]], E=np.zeros((2, 2)), F=[[1.0, 0.0]])
     exo = Exosystem([[0.0, 1.0], [-1.0, 0.0]], [2.0, 1.0])
-    known = ObserverKnown.from_poles([-3.0, -4.0], plant.m, plant.p)
+    known = ObserverKnown.from_poles(np.array([-3.0, -4.0]), plant.m, plant.p)
     im = InternalModel([1.0, 0.0], 1)
     B_rho = np.vstack([known.B_zeta, np.zeros((im.n_z, 1))])
     tones = [Tone(5.0, 1.3), Tone(5.0, 2.9), Tone(-5.0, 4.7),
