@@ -21,7 +21,7 @@ import numpy as np
 
 from .csvrows import PendingRows, write_csv
 from .internal_model import Exosystem, InternalModel
-from .linalg import companion_from_alpha, is_hurwitz
+from .linalg import companion_from_alpha, is_hurwitz, require_sym_psd
 from .observer import ObserverKnown
 from .oracle import (AssumptionError, LtiPlant, build_augmented_aux,
                      build_augmented_plant, compute_parameterization,
@@ -97,12 +97,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _as_matrix(spec, dim, what):
-    """Scalar -> scale * identity of the given size; nested list -> matrix."""
-    if np.isscalar(spec):
-        return float(spec) * np.eye(dim)
-    M = np.atleast_2d(np.asarray(spec, dtype=float))
+    """Weight `what`: scalar -> scale * identity; nested list -> matrix; r is PD, the rest PSD."""
+    M = (float(spec) * np.eye(dim) if np.isscalar(spec)
+         else np.atleast_2d(np.asarray(spec, dtype=float)))
     if M.shape != (dim, dim):
         raise ConfigError("%s must be %d x %d, got %s" % (what, dim, dim, M.shape))
+    require_sym_psd(M, what, definite=what == "r")
     return M
 
 

@@ -88,6 +88,15 @@ def is_hurwitz(A):
     return margin < 0.0, margin
 
 
+def require_sym_psd(W, name, definite=False):
+    """Raise ValueError unless W is symmetric PSD (PD if definite) to 1e-12 relative."""
+    tol = 1e-12 * max(1.0, np.abs(W).max())
+    if not (np.abs(W - W.T).max() <= tol
+            and np.linalg.eigvalsh(W).min() > (0.0 if definite else -tol)):
+        raise ValueError("%s must be symmetric positive %sdefinite"
+                         % (name, "" if definite else "semi"))
+
+
 def char_poly_alpha(A):
     """Ascending coefficients [a0, ..., a_{n-1}] of det(sI - A)."""
     coeffs = np.real(np.poly(A))

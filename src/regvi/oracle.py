@@ -11,10 +11,9 @@ only `LtiPlant` converts what it is given.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .internal_model import InternalModel
-from .linalg import char_poly_alpha, is_hurwitz, poly_from_roots
+from .linalg import char_poly_alpha, is_hurwitz, poly_from_roots, require_sym_psd
 from .observer import ObserverKnown
 
 RANK_RTOL = 1e-8       # relative rank cutoff of the PBH and Rosenbrock tests
@@ -139,8 +138,15 @@ class LtiPlant:
 # Linear matrix equations
 # ---------------------------------------------------------------------------
 
+def _kron_sylvester(S, A, E):
+    """X with X S = A X + E: (S^T kron I_n - I_q kron A) vec X = vec E, one solve."""
+    n, q = E.shape
+    op = np.kron(S.T, np.eye(n)) - np.kron(np.eye(q), A)
+    return np.linalg.solve(op, E.reshape(-1, order="F")).reshape((n, q), order="F")
+
+
 def solve_sylvester_regulator(S, A, E):
-    """Solve X S = A X + E, i.e. (-A) X + X S = E, by Bartels-Stewart.
+    """Solve X S = A X + E as one Kronecker linear system on column-stacked X.
 
     Requires the spectra of S and A to be disjoint (pairwise eigenvalue gap
     above 1e-8); the residual is certified by back substitution.
@@ -154,7 +160,7 @@ def solve_sylvester_regulator(S, A, E):
     if gaps.min() <= 1e-8:
         raise SpectraOverlapError("spectra of A and S overlap at eigenvalue %s"
                                   % eig_s[np.argmin(gaps.min(axis=0))])
-    X = scipy.linalg.solve_sylvester(-A, S, E)
+    X = _kron_sylvester(S, A, E)
     residual = np.linalg.norm(X @ S - A @ X - E, "fro")
     if residual > 1e-9 * (1.0 + np.linalg.norm(X, "fro")):
         raise RuntimeError("Sylvester back-substitution residual %g too large" % residual)
@@ -180,18 +186,35 @@ def care_residual(A, B, Q, R, P):
 def solve_care(A, B, Q, R):
     """Stabilizing solution of A^T P + P A + Q - P B R^-1 B^T P = 0.
 
-    (A, B) must pass the PBH stabilizability test, which is checked first
-    because scipy's Schur solver reports an unstabilizable pair only as a
-    generic LinAlgError.  The solution is certified by the residual bound
-    1e-8 * (1 + ||P||) and a Hurwitz closed loop.
+    (A, B) must pass the PBH stabilizability test, checked first so that the
+    failing eigenvalue is named.  P = sym(Re U2 U1^-1) from the n stable
+    eigenvectors [U1; U2] of the Hamiltonian H = [[A, -B R^-1 B^T], [-Q, -A^T]]
+    (none within sqrt(eps) (1 + ||H||_1) of the imaginary axis, or AssumptionError);
+    then at most two Kleinman steps, each kept only if it lowers the residual.
+    Certified by the residual bound 1e-8 * (1 + ||P||) and a Hurwitz closed loop.
     """
-    if np.abs(R - R.T).max() > 1e-12 * max(1.0, np.abs(R).max()) or \
-            np.min(np.linalg.eigvalsh(R)) <= 0:
-        raise ValueError("R must be symmetric positive definite")
+    require_sym_psd(R, "R", definite=True)
     _require_pbh(A, B, "stabilizable", "(A, B)")
-    P = scipy.linalg.solve_continuous_are(A, B, Q, R)
+    n = A.shape[0]
+    H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+    lam, V = np.linalg.eig(H)
+    stable = lam.real < -np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(H, 1))
+    if np.count_nonzero(stable) != n:
+        raise AssumptionError("no stabilizing CARE solution: the Hamiltonian has eigenvalue "
+                              "%s on the imaginary axis" % lam[np.argmin(np.abs(lam.real))])
+    X = np.linalg.solve(V[:n, stable].T, V[n:, stable].T).real     # (U2 U1^-1)^T
+    P = 0.5 * (X + X.T)
+    D = care_residual(A, B, Q, R, P)
+    for _ in range(2):      # Newton in correction form: P + N is Kleinman's next iterate
+        A_cl = A - B @ np.linalg.solve(R, B.T @ P)
+        N = _kron_sylvester(A_cl, -A_cl.T, -D)          # A_cl^T N + N A_cl = -D
+        P_new = P + 0.5 * (N + N.T)
+        D_new = care_residual(A, B, Q, R, P_new)
+        if not np.linalg.norm(D_new, "fro") < np.linalg.norm(D, "fro"):
+            break
+        P, D = P_new, D_new
     K = -np.linalg.solve(R, B.T @ P)
-    res = float(np.linalg.norm(care_residual(A, B, Q, R, P), "fro"))
+    res = float(np.linalg.norm(D, "fro"))
     if res > 1e-8 * (1.0 + np.linalg.norm(P, "fro")):
         raise RuntimeError("CARE residual %g exceeds the certificate" % res)
     ok, margin = is_hurwitz(A + B @ K)
@@ -366,8 +389,7 @@ def verify_theorem4(plant, param, im, Qbar, R):
     n_z = im.n_z
     if Qbar.shape != (plant.p + n_z, plant.p + n_z):
         raise ValueError("Qbar must be (p+n_z) square")
-    if np.min(np.linalg.eigvalsh(0.5 * (Qbar + Qbar.T))) <= 0:
-        raise ValueError("Qbar must be positive definite")
+    require_sym_psd(Qbar, "Qbar")
     Y, J = build_augmented_plant(plant, im)
     Cbar = np.block([[plant.C, np.zeros((plant.p, n_z))],
                      [np.zeros((n_z, plant.n)), np.eye(n_z)]])

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import unvecs, vecs
+from .linalg import require_sym_psd, unvecs, vecs
 from .regression import VARIANTS, RegressionData, check_rank
 
 
@@ -107,14 +107,8 @@ class ViConfig:
         if np.abs(self.P0 - self.P0.T).max() > 1e-12 * max(1.0, np.abs(self.P0).max()):
             raise ValueError("P0 must be symmetric")
         for name in ("R", "Q", "Q_y", "Q_z"):   # R definite, the costs semidefinite
-            W, semi = getattr(self, name), name != "R"
-            if W is None:
-                continue
-            tol = 1e-12 * max(1.0, np.abs(W).max())     # rounding of both tests
-            if not (np.abs(W - W.T).max() <= tol
-                    and np.linalg.eigvalsh(W).min() > (-tol if semi else 0.0)):
-                raise ValueError("%s must be symmetric positive %sdefinite"
-                                 % (name, "semi" if semi else ""))
+            if getattr(self, name) is not None:
+                require_sym_psd(getattr(self, name), name, definite=name == "R")
 
     def eps(self, k):
         return self.eps_num / (k + self.eps_shift)

@@ -108,6 +108,22 @@ def test_run_inconsistent_config(tmp_path, capsys, patch):
     assert cli.main(["verify", path]) == cli.EXIT_CONFIG
 
 
+def test_run_with_a_semidefinite_output_weight(tmp_path, capsys):
+    """paper-e-zero with q_y = 0: the learner handles the singular weight, and
+    the unblinded run's theorem-4 comparison accepts it too, so both runs exit 0
+    and learn the same gain."""
+    payload = dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())), q_y=0.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    for out, blinded in (("open", []), ("blind", ["--blinded"])):
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path / out), *blinded]) \
+            == cli.EXIT_OK
+    with open(tmp_path / "open" / "report.json") as fh:
+        assert json.load(fh)["theorem4_deviation"] <= 1e-10
+    for name in ("learned_gain.csv", "vi_history.csv"):
+        assert (tmp_path / "open" / name).read_bytes() == (tmp_path / "blind" / name).read_bytes()
+
+
 def test_run_rank_failure_exit_code(tmp_path, capsys):
     path = _patched_nonzero_file(tmp_path, tones=[], k0=[[0.0] * 6],
                                  t_switch=6.0, t_end=8.0, settle_time=7.0,

@@ -42,7 +42,8 @@ def test_parse_config_rejects_garbage():
         parse_config(json.dumps({"name": "x", "unexpected_field": 1}))
 
 
-@pytest.mark.parametrize("patch", [
+# A patch, or (patch, the message it must raise): a bad weight names its config key.
+REJECTED = [
     {"variant": 7},
     {"h": -1e-3},
     {"t_switch": 90.0},                    # must precede t_end
@@ -68,7 +69,7 @@ def test_parse_config_rejects_garbage():
     {"p0_scale": -1.0},                    # variant 4 needs a positive definite P0
     {"tones": [{"amplitude": 1.0, "frequency": 2.0, "channel": 3}]},   # m = 1
     {"settle_time": 90.0},                 # after t_end
-    {"r": -1.0},                           # R must be positive definite
+    ({"r": -1.0}, "r must be symmetric positive definite"),
     {"tones": [[1.0, 2.0]]},               # a tone is an object
     {"tones": [{"amplitude": 1.0, "frequency": 2.0, "gain": 1.0}]},    # unknown key
     {"tones": [{"amplitude": 1.0}]},       # no frequency
@@ -102,15 +103,25 @@ def test_parse_config_rejects_garbage():
     {"plant_e": [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [3.0, 6.0, 0.0]],   # q = 3, exosystem 2
      "plant_f": [[0.5, -0.8, 0.0]]},
     ZEROS_AT_THE_EXO_MODES,                # G(s) = (s^2 + 1)/(s^3 + 2s^2 + 2s + 1)
-    {"q_main": ASYMMETRIC_Q_MAIN},         # cost weights are symmetric ...
-    {"q_main": -1.0},                      # ... and positive semidefinite
-    dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())), q_z=[[1.0, 2.0], [0.0, 1.0]]),
-])
-def test_validate_config_rejects(patch):
+    ({"q_main": ASYMMETRIC_Q_MAIN},        # cost weights are symmetric ...
+     "q_main must be symmetric positive semidefinite"),
+    ({"q_main": -1.0}, "q_main must be symmetric positive semidefinite"),   # ... and PSD
+    (dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())), q_z=[[1.0, 2.0], [0.0, 1.0]]),
+     "q_z must be symmetric positive semidefinite"),
+    (dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())), q_y=-1.0),
+     "q_y must be symmetric positive semidefinite"),
+]
+
+
+@pytest.mark.parametrize("patch, message",
+                         [case if isinstance(case, tuple) else (case, None) for case in REJECTED],
+                         ids=["patch%d" % i for i in range(len(REJECTED))])
+def test_validate_config_rejects(patch, message):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))
     payload.update(patch)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(payload))
+    assert message is None or str(exc.value) == message
 
 
 def test_k0_on_rho_is_accepted():

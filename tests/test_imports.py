@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -115,23 +116,62 @@ def test_every_helper_has_a_caller():
     assert not unused, sorted(unused)
 
 
+def _imports_scipy(node):
+    """Whether node is an import statement that imports scipy or a submodule."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return False
+    return any(name.split(".")[0] == "scipy" for name in names)
+
+
 def test_learner_imports_no_scipy():
     """The learner is numpy only: no learner module imports scipy, at any depth."""
     for module in LEARNER:
         tree = ast.parse((PACKAGE / (module + ".py")).read_text())
-        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                 for alias in node.names]
-        names += [node.module for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) and node.level == 0]
-        assert not [name for name in names if name.split(".")[0] == "scipy"], module
+        assert not any(_imports_scipy(node) for node in ast.walk(tree)), module
+
+
+def test_scipy_is_imported_only_inside_a_function():
+    """No module imports scipy at module level, so `import regvi` never pays for
+    it; the one function that does is pole placement for p > 1."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if _imports_scipy(node):
+                owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.stem, max(owners, key=lambda f: f.lineno).name
+                              if owners else None))
+    assert found == [("oracle", "place_observer_gain")]
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    """scipy.signal (pole placement for p > 1 only) is imported where it is used,
-    and no quadrature needs scipy.integrate."""
+    """Importing regvi, parsing both presets and running every oracle solver on
+    them (the parameterization, the regulator Sylvester equation, the CAREs and
+    the theorem-4 check) loads no scipy module at all: the solvers are numpy's,
+    and scipy.signal is imported only to place poles with p > 1."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    code = ("import sys, regvi; "
-            "assert not {'scipy.signal', 'scipy.integrate'} & set(sys.modules)")
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import regvi
+        from regvi.experiment import (PRESETS, _oracle_objects, _qbar, build_objects,
+                                      make_vi_config, parse_config, serialize_config)
+        from regvi.oracle import solve_care, verify_theorem4
+        for name in PRESETS:
+            cfg = parse_config(serialize_config(PRESETS[name]()))
+            objs = build_objects(cfg)
+            param, aux = _oracle_objects(cfg, objs)
+            R = make_vi_config(cfg, objs).R
+            solve_care(aux.A_rho, aux.B_rho, np.eye(aux.n_rho), R)
+            verify_theorem4(objs.plant, param, objs.im, _qbar(cfg, objs.plant.p, objs.im.n_z), R)
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    """)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

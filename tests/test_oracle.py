@@ -68,25 +68,25 @@ def test_lti_plant_enforces_assumptions():
 # Linear matrix equations
 # ---------------------------------------------------------------------------
 
-def _kronecker_sylvester(S, A, E):
-    """Reference solve of X S = A X + E: (S^T kron I - I kron A) vec(X) = vec(E)."""
-    n, q = E.shape
-    op = np.kron(S.T, np.eye(n)) - np.kron(np.eye(q), A)
-    return np.linalg.solve(op, E.reshape(-1, order="F")).reshape((n, q), order="F")
+def _random_regulator_sylvester(rng):
+    """An exosystem-like S with modes on the imaginary axis, a Hurwitz A and an E."""
+    n, q = rng.integers(2, 11), 2 * rng.integers(1, 3)
+    S = np.kron(np.diag(rng.uniform(0.5, 3.0, q // 2)), [[0.0, 1.0], [-1.0, 0.0]])
+    A = rng.standard_normal((n, n))
+    A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.1, 2.0)) * np.eye(n)
+    return S, A, rng.standard_normal((n, q))
 
 
 def test_sylvester_regulator_random_instance(nonzero_setup):
+    """The paper's instance and random ones agree with scipy's Bartels-Stewart."""
     rng = np.random.default_rng(1)
-    A = -np.eye(4) + 0.3 * rng.standard_normal((4, 4))
-    S = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    E = rng.standard_normal((4, 2))
     plant, L = nonzero_setup["objs"].plant, nonzero_setup["L"]
     paper = (nonzero_setup["objs"].exo.S, plant.A - L @ plant.C, plant.E)
-    for S, A, E in ((S, A, E), paper):
+    for S, A, E in [paper] + [_random_regulator_sylvester(rng) for _ in range(20)]:
         X = solve_sylvester_regulator(S, A, E)
         res = np.linalg.norm(X @ S - A @ X - E, "fro")
         assert res <= 1e-9 * (1.0 + np.linalg.norm(X, "fro"))
-        X_ref = _kronecker_sylvester(S, A, E)
+        X_ref = scipy.linalg.solve_sylvester(-A, S, E)
         assert np.linalg.norm(X - X_ref, "fro") <= 1e-10 * np.linalg.norm(X_ref, "fro")
 
 
@@ -117,6 +117,78 @@ def test_solve_care_matches_scipy():
     assert np.linalg.norm(sol.P - P_ref, "fro") <= 1e-8 * (1 + np.linalg.norm(P_ref, "fro"))
     assert sol.residual <= 1e-8 * (1 + np.linalg.norm(sol.P, "fro"))
     assert sol.closed_loop_margin < 0.0
+
+
+def _theorem4_cares(setup):
+    """The (Y, J, Q_xi) and (A_rho, B_rho, Q_rho) pairs verify_theorem4 solves, Qbar = I."""
+    objs, param = setup["objs"], setup["param"]
+    plant, im = objs.plant, objs.im
+    Y, J = build_augmented_plant(plant, im)
+    Cbar = np.block([[plant.C, np.zeros((plant.p, im.n_z))],
+                     [np.zeros((im.n_z, plant.n)), np.eye(im.n_z)]])
+    Q_xi = Cbar.T @ Cbar
+    t4 = verify_theorem4(plant, param, im, np.eye(plant.p + im.n_z), setup["vicfg"].R)
+    return [(Y, J, Q_xi), (setup["aux"].A_rho, setup["aux"].B_rho, t4.W.T @ Q_xi @ t4.W)]
+
+
+def test_solve_care_matches_scipy_on_the_presets(zero_setup, nonzero_setup):
+    """Every CARE the oracle solves for the presets -- the state-cost A_rho pair
+    of paper-e-nonzero and both theorem-4 pairs of each preset -- agrees with
+    scipy's to 1e-10 relative."""
+    aux, vicfg = nonzero_setup["aux"], nonzero_setup["vicfg"]
+    cares = [(aux.A_rho, aux.B_rho, vicfg.Q)]
+    cares += _theorem4_cares(zero_setup) + _theorem4_cares(nonzero_setup)
+    for A, B, Q in cares:
+        R = vicfg.R
+        P = solve_care(A, B, Q, R).P
+        P_ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
+        assert np.linalg.norm(P - P_ref, "fro") <= 1e-10 * np.linalg.norm(P_ref, "fro")
+
+
+def _ill_conditioned_care(rng):
+    """A random CARE whose Q spans twelve decades and whose R may be small,
+    so that cond P passes 1e9."""
+    n, m = rng.integers(3, 11), rng.integers(1, 3)
+    T = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = T @ np.diag(rng.uniform(-1.0, 1.0, n)) @ T.T + 0.3 * rng.standard_normal((n, n))
+    Q = T @ np.diag(10.0 ** rng.uniform(-8.0, 4.0, n)) @ T.T
+    return A, rng.standard_normal((n, m)), 0.5 * (Q + Q.T), 10.0 ** rng.uniform(-4.0, 0.0) * np.eye(m)
+
+
+def test_solve_care_residual_against_scipy_when_ill_conditioned():
+    """Wherever scipy's solution passes the certificate, solve_care's passes it
+    too.  Its residual is lower than scipy's on most instances and at most 4x
+    higher on any: where both reach the attainable accuracy of a badly
+    conditioned P, the two land on different rounding."""
+    rng = np.random.default_rng(5)
+    ratios, conds = [], []
+    for _ in range(60):
+        A, B, Q, R = _ill_conditioned_care(rng)
+        P_ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
+        res_ref = np.linalg.norm(care_residual(A, B, Q, R, P_ref), "fro")
+        if res_ref > 1e-8 * (1.0 + np.linalg.norm(P_ref, "fro")):
+            continue                    # scipy's solution fails the certificate
+        sol = solve_care(A, B, Q, R)
+        ratios.append(sol.residual / res_ref)
+        conds.append(np.linalg.cond(sol.P))
+    assert len(ratios) >= 55 and max(conds) >= 1e9
+    assert max(ratios) <= 4.0 and np.median(ratios) <= 0.5
+
+
+def test_solve_care_rejects_a_pair_with_no_stabilizing_solution():
+    """With Q = 0 the undamped modes +-j of A cost nothing, so the Hamiltonian
+    keeps them on the imaginary axis and no stabilizing solution exists.  So
+    does a rotated double integrator's double zero, which rounding splits
+    into eigenvalues about 1e-9 off the axis, on both sides."""
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(AssumptionError, match="imaginary axis"):
+        solve_care(A, np.array([[0.0], [1.0]]), np.zeros((2, 2)), np.eye(1))
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        T = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        with pytest.raises(AssumptionError, match="imaginary axis"):
+            solve_care(T @ np.array([[0.0, 1.0], [0.0, 0.0]]) @ T.T, T @ np.array([[0.0], [1.0]]),
+                       np.zeros((2, 2)), np.eye(1))
 
 
 def test_solve_care_second_order_optimality():
@@ -236,3 +308,14 @@ def test_verify_theorem4_validates_qbar(nonzero_setup):
         verify_theorem4(objs.plant, param, objs.im, np.zeros((3, 3)), np.eye(1))
     with pytest.raises(ValueError):
         verify_theorem4(objs.plant, param, objs.im, np.eye(4), np.eye(1))
+    with pytest.raises(ValueError, match="Qbar must be symmetric positive semidefinite"):
+        verify_theorem4(objs.plant, param, objs.im, -np.eye(3), np.eye(1))
+
+
+def test_verify_theorem4_accepts_a_semidefinite_qbar(zero_setup):
+    """q_y = 0 leaves Qbar singular; the z weight alone still detects every
+    mode, so both CAREs have stabilizing solutions and the identity holds."""
+    objs, param = zero_setup["objs"], zero_setup["param"]
+    Qbar = np.diag([0.0] + [1.0] * objs.im.n_z)
+    t4 = verify_theorem4(objs.plant, param, objs.im, Qbar, np.eye(1))
+    assert t4.deviation <= 1e-10 and t4.gain_deviation <= 1e-10
