@@ -68,9 +68,6 @@ def _cmd_preset(args):
     if args.name is None:
         print("preset name required", file=sys.stderr)
         return EXIT_CONFIG
-    if args.name not in PRESETS:
-        print("unknown preset %r" % args.name, file=sys.stderr)
-        return EXIT_CONFIG
     print(serialize_config(PRESETS[args.name]()))
     return EXIT_OK
 
@@ -95,7 +92,7 @@ def build_parser():
     p_preset = sub.add_parser(
         "preset", help="list or show built-in scenarios (run one with 'regvi run NAME')")
     p_preset.add_argument("action", choices=("list", "show"))
-    p_preset.add_argument("name", nargs="?", default=None)
+    p_preset.add_argument("name", nargs="?", default=None, choices=sorted(PRESETS))
     p_preset.set_defaults(func=_cmd_preset)
     return parser
 

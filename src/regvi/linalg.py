@@ -95,9 +95,3 @@ def require_sym_psd(W, name, definite=False):
             and np.linalg.eigvalsh(W).min() > (0.0 if definite else -tol)):
         raise ValueError("%s must be symmetric positive %sdefinite"
                          % (name, "" if definite else "semi"))
-
-
-def char_poly_alpha(A):
-    """Ascending coefficients [a0, ..., a_{n-1}] of det(sI - A)."""
-    coeffs = np.real(np.poly(A))
-    return coeffs[1:][::-1].copy()

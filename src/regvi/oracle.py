@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .internal_model import InternalModel
-from .linalg import char_poly_alpha, is_hurwitz, poly_from_roots, require_sym_psd
+from .linalg import is_hurwitz, poly_from_roots, require_sym_psd
 from .observer import ObserverKnown
 
 RANK_RTOL = 1e-8       # relative rank cutoff of the PBH and Rosenbrock tests
@@ -189,7 +189,9 @@ def solve_care(A, B, Q, R):
     (A, B) must pass the PBH stabilizability test, checked first so that the
     failing eigenvalue is named.  P = sym(Re U2 U1^-1) from the n stable
     eigenvectors [U1; U2] of the Hamiltonian H = [[A, -B R^-1 B^T], [-Q, -A^T]]
-    (none within sqrt(eps) (1 + ||H||_1) of the imaginary axis, or AssumptionError);
+    (none within sqrt(eps) (1 + ||H||_1) of the imaginary axis, or AssumptionError),
+    and (Q, A) must pass the PBH detectability test, run on (A^T, Q), since a
+    defective axis eigenvalue of H can split past that tolerance;
     then at most two Kleinman steps, each kept only if it lowers the residual.
     Certified by the residual bound 1e-8 * (1 + ||P||) and a Hurwitz closed loop.
     """
@@ -202,6 +204,7 @@ def solve_care(A, B, Q, R):
     if np.count_nonzero(stable) != n:
         raise AssumptionError("no stabilizing CARE solution: the Hamiltonian has eigenvalue "
                               "%s on the imaginary axis" % lam[np.argmin(np.abs(lam.real))])
+    _require_pbh(A.T, Q, "stabilizable", "(A^T, Q)")
     X = np.linalg.solve(V[:n, stable].T, V[n:, stable].T).real     # (U2 U1^-1)^T
     P = 0.5 * (X + X.T)
     D = care_residual(A, B, Q, R, P)
@@ -286,7 +289,7 @@ def compute_parameterization(plant, L, known: ObserverKnown):
     alpha = known.alpha
     n, m, p = plant.n, plant.m, plant.p
     F_obs = plant.A - L @ plant.C
-    actual = char_poly_alpha(F_obs)
+    actual = poly_from_roots(np.linalg.eigvals(F_obs))
     if np.max(np.abs(actual - alpha)) > 1e-6 * (1.0 + np.abs(alpha).max()):
         raise ValueError("lambda coefficients do not match det(sI - A + LC): %s vs %s"
                          % (alpha, actual))
@@ -372,12 +375,11 @@ def build_augmented_aux(plant, param, im, exo):
 @dataclass
 class Theorem4Report:
     P_xi: np.ndarray
-    K_xi: np.ndarray
-    P_rho: np.ndarray
     K_rho: np.ndarray
     W: np.ndarray
     deviation: float
     gain_deviation: float
+    closed_loop_margin: float   # certified Hurwitz margin of Y + J K_xi
 
 
 def verify_theorem4(plant, param, im, Qbar, R):
@@ -404,6 +406,6 @@ def verify_theorem4(plant, param, im, Qbar, R):
                       / np.linalg.norm(sol_rho.P, "fro"))
     gain_deviation = float(np.linalg.norm(sol_rho.K - K_lift, "fro")
                            / np.linalg.norm(K_lift, "fro"))
-    return Theorem4Report(P_xi=sol_xi.P, K_xi=sol_xi.K, P_rho=sol_rho.P,
-                          K_rho=sol_rho.K, W=W, deviation=deviation,
-                          gain_deviation=gain_deviation)
+    return Theorem4Report(P_xi=sol_xi.P, K_rho=sol_rho.K, W=W, deviation=deviation,
+                          gain_deviation=gain_deviation,
+                          closed_loop_margin=sol_xi.closed_loop_margin)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import time
@@ -11,12 +12,17 @@ from regvi.experiment import (PRESETS, ConfigError, ExperimentConfig,
                               NotConvergedError, build_objects, parse_config,
                               run_experiment, serialize_config, validate_config,
                               verify)
+from regvi.linalg import is_hurwitz
+from regvi.oracle import build_augmented_plant, verify_theorem4
 from regvi.vi import RankConditionError
 
 HOST_CPUS = len(os.sched_getaffinity(0))
 # a stable, observable plant with transmission zeros at +-j, the modes of exo_minpoly [1, 0]
 ZEROS_AT_THE_EXO_MODES = {"plant_a": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.0, -2.0]],
                           "plant_b": [[0.0], [0.0], [1.0]], "plant_c": [[1.0, 0.0, 1.0]]}
+# sha256 of serialize_config of each published preset
+PRESET_SHA256 = {"paper-e-zero": "5c80b5ceed1f3a44c5f46e23b467bc5dfe9cb7c7236c8348a30bfaa45025af5e",
+                 "paper-e-nonzero": "2c99ff6a5edc9c660e4eb51d89047d8a806cc222c4a6c5ef528b87c24a249bdd"}
 ASYMMETRIC_Q_MAIN = [[1.0 if i == j else 0.5 if (i, j) == (0, 1) else 0.0 for j in range(8)]
                      for i in range(8)]
 
@@ -33,6 +39,19 @@ def test_config_roundtrip():
     for factory in PRESETS.values():
         cfg = factory()
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_presets_are_fresh_and_unchanged():
+    """Every call builds its own lists: mutating one preset's tones, k0 or
+    plant_a leaves the next call of either name at its published text."""
+    for name in PRESETS:
+        cfg = PRESETS[name]()
+        cfg.tones[0]["phase"] = 1.0
+        cfg.k0[0][0] = 0.0
+        cfg.plant_a[0][1] = 5.0
+        for other in PRESETS:
+            text = serialize_config(PRESETS[other]())
+            assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[other]
 
 
 def test_parse_config_rejects_garbage():
@@ -144,6 +163,19 @@ def test_verify_presets_all_ok():
         assert report.all_ok, [(c.name, c.detail) for c in report.checks if not c.ok]
         names = [c.name for c in report.checks]
         assert "theorem4_identity" in names and "unknown_counts" in names
+
+
+def test_verify_reads_the_augmented_closed_loop_margin(zero_setup, nonzero_setup):
+    """Theorem4Report.closed_loop_margin is is_hurwitz(Y + J K_xi)[1] with
+    K_xi = -R^-1 J^T P_xi, the margin verify prints for the augmented closed loop."""
+    for setup in (zero_setup, nonzero_setup):
+        plant, im, R = setup["objs"].plant, setup["objs"].im, setup["vicfg"].R
+        t4 = verify_theorem4(plant, setup["param"], im, np.eye(plant.p + im.n_z), R)
+        Y, J = build_augmented_plant(plant, im)
+        margin = is_hurwitz(Y + J @ -np.linalg.solve(R, J.T @ t4.P_xi))[1]
+        assert t4.closed_loop_margin == margin < 0.0
+        checks = {c.name: c for c in verify(setup["cfg"]).checks}
+        assert checks["augmented_closed_loop_hurwitz"].detail == "margin %g" % margin
 
 
 @pytest.mark.parametrize("poles", [[1.0, -6.0, -7.0], [0.0, -6.0, -7.0],

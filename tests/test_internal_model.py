@@ -3,7 +3,7 @@ import pytest
 
 from regvi.experiment import PRESETS, build_objects
 from regvi.internal_model import Exosystem, InternalModel
-from regvi.linalg import char_poly_alpha
+from regvi.linalg import poly_from_roots
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -34,7 +34,7 @@ def test_p_copy_structure():
 def test_companion_annihilates_minpoly():
     minpoly = [2.0, 3.0, 1.0]
     im = InternalModel(minpoly, 1)
-    assert np.allclose(char_poly_alpha(im.beta), minpoly)
+    assert np.allclose(poly_from_roots(np.linalg.eigvals(im.beta)), minpoly)
 
 
 def test_recast_exosystem_companion_form():

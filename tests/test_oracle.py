@@ -191,6 +191,22 @@ def test_solve_care_rejects_a_pair_with_no_stabilizing_solution():
                        np.zeros((2, 2)), np.eye(1))
 
 
+def test_solve_care_requires_a_detectable_pair():
+    """A rotated triple integrator weighted by Q = e3 e3^T leaves its zero mode
+    unobserved, so no stabilizing solution exists; rounding can split the
+    Hamiltonian's defective zero eigenvalue past the axis tolerance, where only
+    the detectability test rejects the pair.  Weighting e1 detects every mode,
+    and each of those CAREs solves."""
+    A0, e1, e3 = np.diag([1.0, 1.0], 1), np.eye(3)[:, [0]], np.eye(3)[:, [2]]
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        T = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        A, B = T.T @ A0 @ T, T.T @ e3
+        with pytest.raises(AssumptionError):
+            solve_care(A, B, T.T @ e3 @ e3.T @ T, np.eye(1))
+        assert solve_care(A, B, T.T @ e1 @ e1.T @ T, np.eye(1)).closed_loop_margin < 0.0
+
+
 def test_solve_care_second_order_optimality():
     rng = np.random.default_rng(3)
     A = np.array([[0.0, 1.0], [-1.0, 1.0]])  # unstable, controllable
