@@ -13,17 +13,22 @@ most `VALUES_PER_WRITE` values each, with numpy, in `_format_block`:
   exponent.  The digits come from a table of "%04d" of 0..9999.
 - The "%g" layout (fixed for -4 <= exponent < 17, else d.ddde+XX; trailing
   zeros and a bare point stripped) is a table of byte masks (`_layout`),
-  applied to 8-byte words.  Each value fills a 32-byte slot whose unused
-  bytes are 0; dropping every 0 byte leaves the row text.
+  applied to 8-byte words.  The digits, the masks and the point are held
+  word-major, one contiguous (3, N) plane per value word, so every word
+  stage runs at unit stride; the planes are transposed once, into the
+  value's 32-byte slot after its prefix word.  A slot's unused bytes are 0;
+  dropping every 0 byte leaves the row text.
 
 Only certified values take that path.  The computed f is within 5e-15 of the
 exact fraction (two roundings of terms below 32 plus the 2**-106 relative
 error of 10**k), so the rounding is certain when |f - 1/2| > `TIE_TOL`.
-Every other value is formatted by ``"%.17g" % val``: zeros are exact in the
-fast path, but nan, infinities, |x| outside [1e-280, 1e300) (where the
-splits or 10**k leave double range), near and exact ties (round-half-even),
-and values whose scaled F still misses [1e16, 1e17) all fall back.  The
-tables are built on first use, so importing the module costs nothing.
+Every other value's slot is rewritten: nan (whatever its sign or payload),
+inf and -inf with their constant text, and every finite one by
+``"%.17g" % val`` (`_fallback`).  Zeros are exact in the fast path, but |x|
+outside [1e-280, 1e300) (where the splits or 10**k leave double range), near
+and exact ties (round-half-even), and values whose scaled F still misses
+[1e16, 1e17) fall back.  The tables are built on first use, so importing the
+module costs nothing.
 
 `PendingRows` is the one fork path, and it alone decides whether to fork: it
 holds one row range, which on more than one usable CPU one forked child
@@ -93,9 +98,10 @@ def _layout():
 
     The 17 digit characters G sit in bytes 0-16 of three words, and G1 is G
     shifted up by one byte.  For i = (x + 5) * 18 + nd, with x clipped to
-    [-5, 17] (both ends stand for the exponent form), keep[i], shifted[i] and
-    point[i] are 3-word masks: (G & keep) | (G1 & shifted) | point is the
-    text of the digits, with the point after digit x (fixed form) or 0.
+    [-5, 17] (both ends stand for the exponent form), keep[:, i], shifted[:, i]
+    and point[:, i] are 3-word masks, each table a contiguous word-major
+    (3, 414) array: (G & keep) | (G1 & shifted) | point is the text of the
+    digits, with the point after digit x (fixed form) or 0.
     prefix[(x + 5) * 2 + negative] is the sign and the "0.000" of a fixed-form
     x < 0; exp[x - D_LO] is the "e+XX" of an exponent form, in bytes 2-6 of
     the last word.
@@ -117,7 +123,7 @@ def _layout():
                 m[0, :kept] = 0xFF
     exp = np.array([0 if -4 <= x <= 16 else _pack("e%+03d" % x) << 16
                     for x in range(D_LO, D_HI + 2)], U64)
-    keep, shifted, point = masks.view(U64).reshape(-1, 3, 3).transpose(1, 0, 2)
+    keep, shifted, point = masks.view(U64).reshape(-1, 3, 3).transpose(1, 2, 0).copy()
     return keep, shifted, point, prefix.ravel(), exp
 
 
@@ -194,8 +200,7 @@ def _format_block(rows, seps):
     nd = np.take(last, groups).max(axis=0)
     np.maximum(nd, 1, out=nd)
     del groups, top, low                # the block's peak memory is the process's
-    out = np.empty((v.size, 4), U64)     # one 32-byte slot per value
-    g = out[:, 1:].T
+    g = np.empty((3, v.size), U64)      # word w of every value's digits, contiguous
     g[0] = lead.astype(U64) + U64(48)
     g[0] |= words[0] << U64(8)
     g[0] |= words[1] << U64(40)
@@ -209,23 +214,30 @@ def _format_block(rows, seps):
     keep, shifted, point, prefix, exp = _layout()
     xc = np.minimum(np.maximum(x, -5), 17) + 5
     key = xc * 18 + nd
-    g &= np.take(keep, key, axis=0).T
-    g1 &= np.take(shifted, key, axis=0).T
+    g &= np.take(keep, key, axis=1)
+    g1 &= np.take(shifted, key, axis=1)
     g |= g1
-    g |= np.take(point, key, axis=0).T
-    out[:, 0] = np.take(prefix, 2 * xc + np.signbit(v))
+    del g1
+    g |= np.take(point, key, axis=1)
     g[2] |= np.take(exp, x - D_LO)
+    out = np.empty((v.size, 4), U64)     # one 32-byte slot per value
+    out[:, 0] = np.take(prefix, 2 * xc + np.signbit(v))
+    out[:, 1:] = g.T
     out.reshape(-1, seps.size, 4)[:, :, 3] |= seps
     out = out.view(np.uint8)
     slow = np.flatnonzero(~certified)
     if slow.size:
-        out[slow, :24] = _fallback(v[slow]).view(np.uint8).reshape(-1, 24)
+        vals = v[slow]
+        text = np.array(["nan", "inf", "-inf"], "S24").take(np.isinf(vals) * (1 + (vals < 0)))
+        finite = np.isfinite(vals)
+        text[finite] = _fallback(vals[finite])
+        out[slow, :24] = text.view(np.uint8).reshape(-1, 24)
         out[slow, 24:31] = 0
     return out[out != 0].tobytes()
 
 
 def _fallback(vals):
-    """The "%.17g" text of each of vals, zero-padded to 24 bytes (the longest)."""
+    """The "%.17g" text of each of vals, all finite, zero-padded to 24 bytes (the longest)."""
     return np.array([("%.17g" % val).encode("ascii") for val in vals.tolist()], "S24")
 
 

@@ -255,12 +255,57 @@ def test_exact_ties_fall_back_to_round_half_even(fallbacks):
     assert fallbacks == rows.ravel().tolist()
 
 
+def _layout_of(val):
+    """The decimal exponent and the count of significant digits, trailing zeros
+    stripped, of val's 17 significant digits."""
+    mantissa, exponent = ("%.16e" % val).split("e")
+    return int(exponent), len(mantissa.replace(".", "").rstrip("0"))
+
+
+def _with_layout(x, nd, rng):
+    """A double of layout (x, nd), not a rounding tie, or, if 100 draws find
+    none, of (x one further from 0, nd): no double has 2e+99's 17 digits."""
+    from fractions import Fraction
+    for _ in range(100):
+        digits = rng.integers(0, 10, nd)
+        digits[[0, -1]] = rng.integers(1, 10, 2)        # the first and last nonzero
+        digits = "".join(map(str, digits))
+        val = float("%s.%se%d" % (digits[0], digits[1:], x))
+        tie = (Fraction(val) * Fraction(10) ** (16 - x)).denominator == 2
+        if _layout_of(val) == (x, nd) and not tie:
+            return val
+    return _with_layout(x + 1 if x > 0 else x - 1, nd, rng)
+
+
+def test_every_layout_key_formats_as_per_value(fallbacks):
+    """One value of each sign for every key (exponent clipped to [-5, 17], digit
+    count) of the layout tables, with exponent forms of two- and three-digit
+    exponents, then nan payloads and infinities: all formatted as per value,
+    none by the per-value fallback."""
+    rng = np.random.default_rng(11)
+    values = np.array([_with_layout(x, nd, rng) for nd in range(1, 18)
+                       for x in list(range(-5, 18)) + [-99, -100, -279, 99, 100, 199]])
+    layouts = [_layout_of(val) for val in values]
+    assert {(min(max(x, -5), 17), nd) for x, nd in layouts} == \
+        {(x, nd) for x in range(-5, 18) for nd in range(1, 18)}
+    assert {len(str(abs(x))) for x, _ in layouts if abs(x) > 17} == {2, 3}
+    special = np.uint64([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFF0000000000123, 0x7FFFFFFFFFFFFFFF, 0x7FF0000000000000,
+                         0xFFF0000000000000]).view(np.float64)
+    rows = np.concatenate([values, -values, special])[:, None]
+    for cols in (1, 3):
+        assert _formatted(rows.reshape(-1, cols)) == _per_value(rows.reshape(-1, cols))
+    assert fallbacks == []
+
+
 def test_preset_magnitudes_need_no_fallback(nonzero_setup, fallbacks):
-    """The exploration log of paper-e-nonzero (its ex_norm column, nan without
-    the oracle, left out) and log-uniform values over its range of magnitudes
-    all take the certified fast path."""
-    log_rows = nonzero_setup["log"].table[:, :-1]
-    mags = np.abs(log_rows[log_rows != 0])
+    """The exploration log of paper-e-nonzero, with its ex_norm column of nans
+    (no oracle), and log-uniform values over its range of magnitudes take the
+    certified fast path or the constant non-finite slots, never the fallback."""
+    log_rows = nonzero_setup["log"].table
+    assert np.isnan(log_rows[:, -1]).all()
+    finite = log_rows[:, :-1]
+    mags = np.abs(finite[finite != 0])
     rng = np.random.default_rng(3)
     spread = (rng.choice([-1.0, 1.0], (20000, 9))
               * np.exp(rng.uniform(np.log(mags.min()), np.log(mags.max()), (20000, 9))))
