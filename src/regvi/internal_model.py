@@ -11,8 +11,7 @@ from .linalg import companion_from_alpha
 class Exosystem:
     """Autonomous generator v' = S v with initial condition v0.
 
-    S may not have eigenvalues with negative real part (modes that decay on
-    their own need no regulation and break uniqueness of the steady state).
+    That no mode of S decays is a standing assumption, the oracle's to check.
     """
 
     S: np.ndarray
@@ -26,9 +25,6 @@ class Exosystem:
         if self.v0.size != self.S.shape[0]:
             raise ValueError("v0 length %d does not match S dimension %d"
                              % (self.v0.size, self.S.shape[0]))
-        margin = float(np.min(np.linalg.eigvals(self.S).real))
-        if margin < -1e-9:
-            raise ValueError("exosystem has a decaying mode (min Re eig = %g)" % margin)
 
     @property
     def q(self):

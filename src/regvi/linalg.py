@@ -39,17 +39,6 @@ def vecs(P):
     return w * P[i, j]
 
 
-def unvecs(v, n):
-    """Inverse of vecs: rebuild the symmetric n-by-n matrix."""
-    if v.size != n * (n + 1) // 2:
-        raise ValueError("expected length %d for n=%d, got %d" % (n * (n + 1) // 2, n, v.size))
-    P = np.zeros((n, n))
-    i, j = np.triu_indices(n)
-    P[i, j] = np.where(i == j, v, 0.5 * v)
-    P = P + np.triu(P, 1).T
-    return P
-
-
 def poly_from_roots(roots):
     """Monic polynomial coefficients [a0, ..., a_{n-1}] from its roots.
 

@@ -1,11 +1,11 @@
 """Ground-truth computations the learner is forbidden to use.
 
-Exact Riccati and Sylvester solvers, observer pole placement, the state
-parameterization matrix M, assembly of the augmented auxiliary system, PBH
-tests and the state/output LQR equivalence check.  Tests certify every
-learned quantity against this layer; the learning pipeline never imports it.
-Every function takes float ndarrays (observer poles as a complex array);
-only `LtiPlant` converts what it is given.
+The paper's four standing assumptions, exact Riccati and Sylvester solvers,
+observer pole placement, the state parameterization matrix M, assembly of
+the augmented auxiliary system and the state/output LQR equivalence check.
+Tests certify every learned quantity against this layer; of the package
+only `experiment` imports it.  Every function takes float ndarrays
+(observer poles as a complex array) or the objects `experiment` builds.
 """
 
 from dataclasses import dataclass
@@ -29,7 +29,7 @@ class SpectraOverlapError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# PBH machinery
+# PBH machinery and the standing assumptions
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -49,11 +49,11 @@ def _worst_rank_gap(pencil, size, eigs):
     return PbhReport(ok=worst_gap == 0, worst_eigenvalue=worst_eig, worst_rank_gap=worst_gap)
 
 
-def pbh_check(A, B_or_C, mode):
+def pbh_check(A, B_or_C, mode, upper=np.inf):
     """Eigenvalue-wise PBH rank test.
 
     mode is 'stabilizable' (B on the right) or 'observable' (C below).
-    'stabilizable' only tests eigenvalues with Re >= -1e-9.
+    'stabilizable' only tests eigenvalues with -1e-9 <= Re <= upper.
     """
     n = A.shape[0]
     if A.shape[1] != n:
@@ -63,13 +63,13 @@ def pbh_check(A, B_or_C, mode):
     stack = np.vstack if mode == "observable" else np.hstack
     eigs = np.linalg.eigvals(A)
     if mode == "stabilizable":
-        eigs = eigs[eigs.real >= -STABLE_EIG_TOL]
+        eigs = eigs[(eigs.real >= -STABLE_EIG_TOL) & (eigs.real <= upper)]
     return _worst_rank_gap(lambda lam: stack([A - lam * np.eye(n), B_or_C]), n, eigs)
 
 
-def _require_pbh(A, B_or_C, mode, pair):
+def _require_pbh(A, B_or_C, mode, pair, upper=np.inf):
     """Raise AssumptionError unless the pair passes pbh_check in mode."""
-    rep = pbh_check(A, B_or_C, mode)
+    rep = pbh_check(A, B_or_C, mode, upper)
     if not rep.ok:
         raise AssumptionError("%s not %s; PBH fails at eigenvalue %s"
                               % (pair, mode, rep.worst_eigenvalue))
@@ -84,54 +84,20 @@ def transmission_zero_check(A, B, C, S):
                                                  [C, np.zeros((p, m))]]), n + p, eigs)
 
 
-# ---------------------------------------------------------------------------
-# Plant
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LtiPlant:
-    """Ground-truth system x' = Ax + Bu + Ev, y = Cx, e = Cx + Fv.
-
-    Unknown to the learner; used only by the simulator and the oracle layer.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        self.E = np.atleast_2d(np.asarray(self.E, dtype=float))
-        self.F = np.atleast_2d(np.asarray(self.F, dtype=float))
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise ValueError("A must be square")
-        if self.B.shape[0] != n or self.C.shape[1] != n or self.E.shape[0] != n:
-            raise ValueError("B, C, E dimensions inconsistent with A")
-        if self.F.shape != (self.C.shape[0], self.E.shape[1]):
-            raise ValueError("F must be p x q")
-        _require_pbh(self.A, self.B, "stabilizable", "(A, B)")
-        _require_pbh(self.A, self.C, "observable", "(A, C)")
-
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def m(self):
-        return self.B.shape[1]
-
-    @property
-    def p(self):
-        return self.C.shape[0]
-
-    @property
-    def q(self):
-        return self.E.shape[1]
+def standing_assumptions(plant, S):
+    """Assumptions 1-4 of the plant and the exosystem matrix S, one row
+    (name, ok, detail) each: (A, B) stabilizable, (A, C) observable, no
+    decaying exosystem mode, no transmission zero at an exosystem mode."""
+    stab = pbh_check(plant.A, plant.B, "stabilizable")
+    obs = pbh_check(plant.A, plant.C, "observable")
+    margin = float(np.min(np.linalg.eigvals(S).real))
+    zeros = transmission_zero_check(plant.A, plant.B, plant.C, S)
+    return [("assumption1_stabilizable", stab.ok, "worst eigenvalue %s" % stab.worst_eigenvalue),
+            ("assumption2_observable", obs.ok, "worst eigenvalue %s" % obs.worst_eigenvalue),
+            ("assumption3_no_decaying_modes", margin >= -STABLE_EIG_TOL,
+             "min Re eigenvalue %g" % margin),
+            ("assumption4_transmission_zeros", zeros.ok,
+             "rank gap %d at %s" % (zeros.worst_rank_gap, zeros.worst_eigenvalue))]
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +156,11 @@ def solve_care(A, B, Q, R):
     failing eigenvalue is named.  P = sym(Re U2 U1^-1) from the n stable
     eigenvectors [U1; U2] of the Hamiltonian H = [[A, -B R^-1 B^T], [-Q, -A^T]]
     (none within sqrt(eps) (1 + ||H||_1) of the imaginary axis, or AssumptionError),
-    and (Q, A) must pass the PBH detectability test, run on (A^T, Q), since a
-    defective axis eigenvalue of H can split past that tolerance;
-    then at most two Kleinman steps, each kept only if it lowers the residual.
+    and (Q, A) must pass the PBH detectability test, run on (A^T, Q), at the
+    eigenvalues with -1e-9 <= Re <= eps^(1/n) (1 + ||A||_2): a defective axis
+    eigenvalue of H can split past the axis tolerance, and one of A that
+    rounding splits lands in that window; modes further right need no weight.
+    Then at most two Kleinman steps, each kept only if it lowers the residual.
     Certified by the residual bound 1e-8 * (1 + ||P||) and a Hurwitz closed loop.
     """
     require_sym_psd(R, "R", definite=True)
@@ -204,7 +172,8 @@ def solve_care(A, B, Q, R):
     if np.count_nonzero(stable) != n:
         raise AssumptionError("no stabilizing CARE solution: the Hamiltonian has eigenvalue "
                               "%s on the imaginary axis" % lam[np.argmin(np.abs(lam.real))])
-    _require_pbh(A.T, Q, "stabilizable", "(A^T, Q)")
+    _require_pbh(A.T, Q, "stabilizable", "(A^T, Q)",
+                 np.finfo(float).eps ** (1.0 / n) * (1.0 + np.linalg.norm(A, 2)))
     X = np.linalg.solve(V[:n, stable].T, V[n:, stable].T).real     # (U2 U1^-1)^T
     P = 0.5 * (X + X.T)
     D = care_residual(A, B, Q, R, P)

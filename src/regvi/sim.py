@@ -1,4 +1,5 @@
-"""Fixed-step RK4 simulation of the exosystem / plant / observer / internal-model loop.
+"""The plant and fixed-step RK4 simulation of the exosystem / plant /
+observer / internal-model loop: physics only, with no oracle object or check.
 
 The stacked state is col(v, x, zeta, z).  `simulate` integrates one linear
 time-invariant phase, u = K_rho rho + delta(t) with delta an optional sum of
@@ -36,6 +37,51 @@ STEPS_PER_CHECK = 128
 
 
 @dataclass
+class LtiPlant:
+    """The system x' = Ax + Bu + Ev, y = Cx, e = Cx + Fv the simulator integrates.
+
+    Unknown to the learner.  Only its shapes are checked here; the standing
+    assumptions on it are the oracle's (`oracle.standing_assumptions`).
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    E: np.ndarray
+    F: np.ndarray
+
+    def __post_init__(self):
+        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
+        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
+        self.E = np.atleast_2d(np.asarray(self.E, dtype=float))
+        self.F = np.atleast_2d(np.asarray(self.F, dtype=float))
+        n = self.A.shape[0]
+        if self.A.shape != (n, n):
+            raise ValueError("A must be square")
+        if self.B.shape[0] != n or self.C.shape[1] != n or self.E.shape[0] != n:
+            raise ValueError("B, C, E dimensions inconsistent with A")
+        if self.F.shape != (self.C.shape[0], self.E.shape[1]):
+            raise ValueError("F must be p x q")
+
+    @property
+    def n(self):
+        return self.A.shape[0]
+
+    @property
+    def m(self):
+        return self.B.shape[1]
+
+    @property
+    def p(self):
+        return self.C.shape[0]
+
+    @property
+    def q(self):
+        return self.E.shape[1]
+
+
+@dataclass
 class Tone:
     amplitude: float
     frequency: float  # rad/s
@@ -61,12 +107,9 @@ class TrajectoryLog:
 
     table's columns are, in CSV order, t, v, x, zeta, z, u, y, e and ex_norm;
     widths gives the column count of each of v .. e.  times, the signals,
-    rho = col(zeta, z) and ex_diag are views of table.  ex_diag holds
-    ||M zeta + X' v - x|| when the oracle diagnostic matrices were supplied,
-    NaN otherwise (the learner never reads it).  That norm cancels terms of
-    order 1e4 (|M| up to 1167 on paper-e-nonzero), so once the observer error
-    has decayed it is rounding noise, 4e-12 to 1.6e-10 over paper-e-nonzero's
-    closed loop, not 0.
+    rho = col(zeta, z) and ex_diag are views of table.  `simulate` leaves
+    ex_diag NaN; an unblinded run writes the oracle's reconstruction error
+    into it (`experiment.write_ex_norm`), and the learner never reads it.
     """
 
     def __init__(self, table, widths, h):
@@ -126,14 +169,12 @@ def _rk4_map(A_tot, B_tot, h):
     return Phi, (h / 6.0) * np.hstack([G0, G_half, B_tot])
 
 
-def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
-             K_rho, s0, tspan, h, tones=(), diag=None) -> TrajectoryLog:
+def simulate(plant: LtiPlant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
+             K_rho, s0, tspan, h, tones=()) -> TrajectoryLog:
     """RK4 of u = K_rho rho + delta(t) from the stacked state s0 over tspan.
 
     Both ends of tspan must lie on the grid k*h.  delta is the sum of tones
-    (none: pure feedback).  diag, when given, is the oracle pair
-    (M, X_prime) used only to log the reconstruction-error norm
-    ||M zeta + X' v - x||.
+    (none: pure feedback).  The ex_norm column is left NaN.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -183,11 +224,6 @@ def simulate(plant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
     np.matmul(log.x, plant.C.T, out=y)
     np.matmul(log.v, plant.F.T, out=e)
     e += y
-    if diag is not None:
-        M, X_prime = diag
-        ex = log.zeta @ M.T + log.v @ X_prime.T - log.x
-        log.table[:, -1] = np.linalg.norm(ex, axis=1)
-    else:
-        log.table[:, -1] = np.nan
+    log.ex_diag[:] = np.nan
     return log
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_sym_psd, unvecs, vecs
+from .linalg import require_sym_psd, vecs
 from .regression import VARIANTS, RegressionData, check_rank
 
 
@@ -143,16 +143,18 @@ def _lstsq(M, rhs):
 
 
 def _vec_maps(n):
-    """D, U with vecs(P) = D vec(P) and vec(unvecs(v, n)) = U v.
+    """D, U with vecs(P) = D vec(P) and vec(P) = U vecs(P) for symmetric P.
 
     vec stacks the columns of a matrix; like vecs, D reads only the
-    symmetric part of its argument.
+    symmetric part of its argument.  Row k of D is 1 at the vec positions of
+    (i, j) and (j, i), the k-th pair in vecs order, and U = D^T with the
+    off-diagonal columns halved.
     """
-    basis = np.eye(n * n).reshape(n * n, n, n)
-    D = np.column_stack([vecs(0.5 * (B + B.T)) for B in basis])
-    U = np.column_stack([unvecs(e, n).reshape(-1, order="F")
-                         for e in np.eye(n * (n + 1) // 2)])
-    return D, U
+    i, j = np.triu_indices(n)
+    k = np.arange(i.size)
+    D = np.zeros((i.size, n * n))
+    D[k, i + j * n] = D[k, j + i * n] = 1.0
+    return D, D.T * np.where(i == j, 1.0, 0.5)
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from regvi.experiment import (PRESETS, _poles, build_objects, make_vi_config,
+from regvi.experiment import (PRESETS, _oracle_objects, build_objects, make_vi_config,
                               run_experiment)
 from regvi.internal_model import Exosystem, InternalModel
 from regvi.observer import ObserverKnown
-from regvi.oracle import (LtiPlant, build_augmented_aux, compute_parameterization,
-                          place_observer_gain, solve_care)
+from regvi.oracle import solve_care
 from regvi.regression import SamplingGrid, build_regression
-from regvi.sim import Tone, simulate, stack_state
+from regvi.sim import LtiPlant, Tone, simulate, stack_state
 
 # Property tests draw the same cases on every run: the seed comes from each
 # test's own code, no example database is replayed, and no case has a deadline.
@@ -97,14 +96,12 @@ def nonzero_setup():
     cfg = PRESETS["paper-e-nonzero"]()
     objs = build_objects(cfg)
     log = _exploration_log(cfg, objs)
-    L = place_observer_gain(objs.plant.A, objs.plant.C, _poles(cfg.observer_poles))
-    param = compute_parameterization(objs.plant, L, objs.known)
-    aux = build_augmented_aux(objs.plant, param, objs.im, objs.exo)
+    param, aux = _oracle_objects(objs)
     vicfg = make_vi_config(cfg, objs)
     Q_rho = vicfg.Q
     sol = solve_care(aux.A_rho, aux.B_rho, Q_rho, vicfg.R)
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
-    return {"cfg": cfg, "objs": objs, "log": log, "L": L, "param": param,
+    return {"cfg": cfg, "objs": objs, "log": log, "L": param.L, "param": param,
             "aux": aux, "vicfg": vicfg, "Q_rho": Q_rho, "sol": sol, "grid": grid}
 
 
@@ -114,12 +111,10 @@ def zero_setup():
     cfg = PRESETS["paper-e-zero"]()
     objs = build_objects(cfg)
     log = _exploration_log(cfg, objs)
-    L = place_observer_gain(objs.plant.A, objs.plant.C, _poles(cfg.observer_poles))
-    param = compute_parameterization(objs.plant, L, objs.known)
-    aux = build_augmented_aux(objs.plant, param, objs.im, objs.exo)
+    param, aux = _oracle_objects(objs)
     vicfg = make_vi_config(cfg, objs)
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
-    return {"cfg": cfg, "objs": objs, "log": log, "L": L, "param": param,
+    return {"cfg": cfg, "objs": objs, "log": log, "L": param.L, "param": param,
             "aux": aux, "vicfg": vicfg, "grid": grid}
 
 

@@ -100,16 +100,17 @@ def test_08_reconstruction_error_decay(zero_setup):
     -4.9 because the non-orthogonal faster modes partially cancel the norm at
     t = 1; the decay-rate contract is checked on the slow mode itself.)
     """
+    from regvi.experiment import write_ex_norm
     from regvi.sim import Tone, simulate, stack_state
     cfg, objs = zero_setup["cfg"], zero_setup["objs"]
     F = objs.plant.A - zero_setup["L"] @ objs.plant.C
     w, V = np.linalg.eig(F)
     x0 = 5.0 * np.real(V[:, np.argmax(w.real)])
-    diag = (zero_setup["param"].M, zero_setup["aux"].X_prime)
     K0 = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
     log = simulate(objs.plant, objs.exo, objs.known, objs.im, K0,
                    stack_state(objs.exo, objs.known, objs.im, x0), (0.0, 3.0), cfg.h,
-                   [Tone(**t) for t in cfg.tones], diag=diag)
+                   [Tone(**t) for t in cfg.tones])
+    write_ex_norm(log, zero_setup["param"], zero_setup["aux"])
     mask = (log.times >= 1.0) & (log.times <= 3.0)
     slope, intercept = np.polyfit(log.times[mask], np.log(log.ex_diag[mask]), 1)
     assert slope <= -4.9

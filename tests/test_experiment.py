@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from regvi import csvrows, experiment
+from regvi import cli, csvrows, experiment
 from regvi.experiment import (PRESETS, ConfigError, ExperimentConfig,
                               NotConvergedError, build_objects, parse_config,
                               run_experiment, serialize_config, validate_config,
@@ -141,6 +141,38 @@ def test_validate_config_rejects(patch, message):
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(payload))
     assert message is None or str(exc.value) == message
+
+
+# a patch of paper-e-nonzero that fails one standing assumption, and its check's name
+ASSUMPTION_FAILURES = {
+    "unstabilizable": ({"plant_a": [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]},
+                       "assumption1_stabilizable"),          # u does not reach the mode +1
+    "unobservable": ({"plant_c": [[1.0, 0.0, 0.0]]},         # y does not see the mode -1
+                     "assumption2_observable"),
+    "decaying-exosystem": ({"exo_minpoly": [2.0, 3.0]},      # s^2 + 3s + 2: modes -1, -2
+                           "assumption3_no_decaying_modes"),
+    "zeros-at-the-exo-modes": (ZEROS_AT_THE_EXO_MODES, "assumption4_transmission_zeros"),
+}
+
+
+@pytest.mark.parametrize("case", ASSUMPTION_FAILURES)
+def test_a_failed_standing_assumption_is_a_config_error(case, tmp_path):
+    """parse_config raises a ConfigError that names the failed assumption,
+    verify of the same config reports that check as its first failure, and
+    `regvi run` exits 4, blinded or not, before it makes its output directory."""
+    patch, check = ASSUMPTION_FAILURES[case]
+    payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))
+    payload.update(patch)
+    with pytest.raises(ConfigError, match="^%s fails: " % check):
+        parse_config(json.dumps(payload))
+    report = verify(ExperimentConfig(**payload))
+    assert next(c.name for c in report.checks if not c.ok) == check
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    for flags in ([], ["--blinded"]):
+        out = tmp_path / ("out%d" % len(flags))
+        assert cli.main(["run", str(path), "--out-dir", str(out), *flags]) == cli.EXIT_CONFIG
+        assert not out.exists()
 
 
 def test_k0_on_rho_is_accepted():

@@ -13,7 +13,7 @@ import numpy as np
 
 import regvi
 from regvi.experiment import learn_from_log
-from regvi.oracle import LtiPlant
+from regvi.sim import LtiPlant
 
 PACKAGE = Path(regvi.__file__).parent
 LEARNER = ("linalg", "observer", "internal_model", "regression", "vi")
@@ -64,6 +64,36 @@ def _calls(module, names):
     tree = ast.parse((PACKAGE / (module + ".py")).read_text())
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
             and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & names]
+
+
+def _defined(module):
+    """The module-level functions and classes of module, and the members (fields,
+    methods, properties) of its classes."""
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    members = {getattr(node, "name", None) or getattr(node.target, "id", None)
+               for cls in classes for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AnnAssign))}
+    names = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return names, members
+
+
+def test_oracle_is_reached_from_experiment_alone():
+    """Only experiment imports the oracle.  The simulator is physics: sim
+    defines LtiPlant and imports nothing from the oracle, and no function of
+    sim takes an oracle object -- sim names no class or function of the oracle
+    and reads no attribute of an oracle class that the classes of sim and of
+    the modules it imports lack."""
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    assert [m for m in modules if "oracle" in _imports(m)] == ["experiment"]
+    assert "LtiPlant" in _defined("sim")[0] and "oracle" not in _imports("sim")
+    oracle_names, oracle_members = _defined("oracle")
+    oracle_only = oracle_members - set().union(
+        *(_defined(m)[1] for m in modules if m == "sim" or m in _imports("sim")))
+    tree = ast.parse((PACKAGE / "sim.py").read_text())
+    assert not {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} & oracle_names
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert oracle_only >= {"M", "X_prime", "A_rho", "E_rho"} and not read & oracle_only
 
 
 def test_only_experiment_writes_files():
@@ -165,7 +195,7 @@ def test_import_leaves_scipy_signal_unloaded():
         for name in PRESETS:
             cfg = parse_config(serialize_config(PRESETS[name]()))
             objs = build_objects(cfg)
-            param, aux = _oracle_objects(cfg, objs)
+            param, aux = _oracle_objects(objs)
             R = make_vi_config(cfg, objs).R
             solve_care(aux.A_rho, aux.B_rho, np.eye(aux.n_rho), R)
             verify_theorem4(objs.plant, param, objs.im, _qbar(cfg, objs.plant.p, objs.im.n_z), R)

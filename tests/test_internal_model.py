@@ -8,11 +8,6 @@ from regvi.linalg import poly_from_roots
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def test_exosystem_rejects_decaying_mode():
-    with pytest.raises(ValueError):
-        Exosystem(S=[[-1.0]], v0=[1.0])
-
-
 def test_exosystem_dims():
     exo = Exosystem(S=ROTATION, v0=[1.0, 0.8])
     assert exo.q == 2

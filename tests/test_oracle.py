@@ -4,7 +4,7 @@ import scipy.linalg
 
 from regvi.linalg import is_hurwitz
 from regvi.observer import ObserverKnown
-from regvi.oracle import (AssumptionError, LtiPlant, SpectraOverlapError,
+from regvi.oracle import (AssumptionError, SpectraOverlapError,
                           build_augmented_plant, care_residual,
                           compute_parameterization,
                           parameterization_identity_errors, pbh_check,
@@ -51,17 +51,6 @@ def test_transmission_zero_check():
     B = np.array([[0.0], [1.0]])
     C = np.array([[0.0, 1.0]])
     assert not transmission_zero_check(A, B, C, np.zeros((1, 1))).ok
-
-
-def test_lti_plant_enforces_assumptions():
-    with pytest.raises(AssumptionError) as exc:
-        LtiPlant(A=np.diag([1.0, -1.0]), B=[[0.0], [1.0]], C=[[1.0, 1.0]],
-                 E=np.zeros((2, 1)), F=np.zeros((1, 1)))
-    assert str(exc.value) == "(A, B) not stabilizable; PBH fails at eigenvalue (1+0j)"
-    with pytest.raises(AssumptionError) as exc:
-        LtiPlant(A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]], C=[[1.0, 0.0]],
-                 E=np.zeros((2, 1)), F=np.zeros((1, 1)))
-    assert str(exc.value) == "(A, C) not observable; PBH fails at eigenvalue (-2+0j)"
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +194,21 @@ def test_solve_care_requires_a_detectable_pair():
         with pytest.raises(AssumptionError):
             solve_care(A, B, T.T @ e3 @ e3.T @ T, np.eye(1))
         assert solve_care(A, B, T.T @ e1 @ e1.T @ T, np.eye(1)).closed_loop_margin < 0.0
+
+
+def test_solve_care_accepts_an_unweighted_mode_off_the_axis():
+    """Detectability is sufficient, not necessary: a mode Q does not weigh
+    needs only to lie off the imaginary axis.  A = B = 1, Q = 0 has the
+    stabilizing solution P = 2 with closed loop -1, and an unweighted unstable
+    mode beside a weighted stable one solves as scipy's does."""
+    sol = solve_care(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1))
+    assert sol.P[0, 0] == pytest.approx(2.0, rel=1e-12)
+    assert sol.closed_loop_margin == pytest.approx(-1.0, rel=1e-12)
+    A, B, Q = np.diag([1.0, -2.0]), np.ones((2, 1)), np.diag([0.0, 1.0])
+    sol = solve_care(A, B, Q, np.eye(1))
+    P_ref = scipy.linalg.solve_continuous_are(A, B, Q, np.eye(1))
+    assert np.linalg.norm(sol.P - P_ref, "fro") <= 1e-10 * np.linalg.norm(P_ref, "fro")
+    assert sol.closed_loop_margin < 0.0
 
 
 def test_solve_care_second_order_optimality():

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
-from regvi.experiment import ExperimentConfig, build_objects, export_trajectory_csv, verify
+from regvi.experiment import (ExperimentConfig, build_objects, export_trajectory_csv, verify,
+                              write_ex_norm)
 from regvi.sim import (STEPS_PER_CHECK, Tone, TrajectoryLog, _loop_matrices, _rk4_map,
                        exploration_signal, simulate, stack_state)
 
 
-def _explore(setup, tspan, h, x0=None, diag=None):
-    """The preset's exploration input (K0 on zeta, its tones) from x0."""
+def _explore(setup, tspan, h, x0=None, ex_norm=False):
+    """The preset's exploration input (K0 on zeta, its tones) from x0; with
+    ex_norm, the oracle's reconstruction error written as an unblinded run does."""
     cfg, objs = setup["cfg"], setup["objs"]
     K0 = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
     s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0 if x0 is None else x0)
-    return simulate(objs.plant, objs.exo, objs.known, objs.im, K0, s0, tspan, h,
-                    [Tone(**t) for t in cfg.tones], diag=diag)
+    log = simulate(objs.plant, objs.exo, objs.known, objs.im, K0, s0, tspan, h,
+                   [Tone(**t) for t in cfg.tones])
+    if ex_norm:
+        write_ex_norm(log, setup["param"], setup["aux"])
+    return log
 
 
 def test_rk4_order(nonzero_setup):
@@ -36,8 +41,7 @@ def test_reconstruction_error_follows_observer_dynamics(nonzero_setup):
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
     plant = objs.plant
     F = plant.A - nonzero_setup["L"] @ plant.C
-    diag = (nonzero_setup["param"].M, nonzero_setup["aux"].X_prime)
-    log = _explore(nonzero_setup, (0.0, 3.0), cfg.h, diag=diag)
+    log = _explore(nonzero_setup, (0.0, 3.0), cfg.h, ex_norm=True)
     ex0 = nonzero_setup["aux"].X_prime @ objs.exo.v0 - np.asarray(cfg.x0)
     for t in (0.5, 1.0, 2.0, 3.0):
         i = int(round(t / cfg.h))
@@ -53,8 +57,7 @@ def test_reconstruction_error_decay_rate(nonzero_setup):
     w, V = np.linalg.eig(F)
     v_slow = np.real(V[:, np.argmax(w.real)])         # eigenvector at -5
     x0 = nonzero_setup["aux"].X_prime @ objs.exo.v0 + 5.0 * v_slow
-    diag = (nonzero_setup["param"].M, nonzero_setup["aux"].X_prime)
-    log = _explore(nonzero_setup, (0.0, 3.0), cfg.h, x0=x0, diag=diag)
+    log = _explore(nonzero_setup, (0.0, 3.0), cfg.h, x0=x0, ex_norm=True)
     mask = (log.times >= 1.0) & (log.times <= 3.0)
     slope = np.polyfit(log.times[mask], np.log(log.ex_diag[mask]), 1)[0]
     assert slope <= -4.9

@@ -9,11 +9,11 @@ from regvi.experiment import export_history_csv
 from regvi.internal_model import Exosystem, InternalModel
 from regvi.linalg import vecs
 from regvi.observer import ObserverKnown
-from regvi.oracle import (LtiPlant, compute_parameterization,
-                          place_observer_gain, solve_care, verify_theorem4)
+from regvi.oracle import (compute_parameterization, place_observer_gain, solve_care,
+                          verify_theorem4)
 from regvi.regression import (VARIANTS, RegressionData, SamplingGrid, build_regression,
                               check_rank)
-from regvi.sim import Tone, simulate, stack_state
+from regvi.sim import LtiPlant, Tone, simulate, stack_state
 from regvi.vi import (RankConditionError, ViConfig, ViResult, _fit_stage, _lstsq,
                       _vec_maps, check_vi_inputs, vi_run)
 
@@ -594,6 +594,27 @@ def test_a_certain_stop_ends_the_block(fullstate_setup, monkeypatch, k_stop):
     assert_same_run(vi_run(1, data, cfg), ref)
     assert ref.iters <= stages[0].calls <= k_stop + 1
     assert stages[0].calls < -(-ref.iters // vi.SPEC_ROWS) * vi.SPEC_ROWS
+
+
+def _unvecs(v, n):
+    """The symmetric n x n matrix whose vecs is v (the package's former unvecs)."""
+    P = np.zeros((n, n))
+    i, j = np.triu_indices(n)
+    P[i, j] = np.where(i == j, v, 0.5 * v)
+    return P + np.triu(P, 1).T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 12])
+def test_vec_maps_match_the_basis_loop(n):
+    """D and U, built by index arithmetic, equal bitwise the maps taken column
+    by column: vecs of the symmetric part of each vec basis matrix, and vec of
+    the symmetric matrix whose vecs is each unit vector."""
+    basis = np.eye(n * n).reshape(n * n, n, n)
+    D_ref = np.column_stack([vecs(0.5 * (B + B.T)) for B in basis])
+    U_ref = np.column_stack([_unvecs(e, n).reshape(-1, order="F")
+                             for e in np.eye(n * (n + 1) // 2)])
+    D, U = _vec_maps(n)
+    assert np.array_equal(D, D_ref) and np.array_equal(U, U_ref)
 
 
 # ---------------------------------------------------------------------------
