@@ -1,8 +1,8 @@
 """Command-line entry point; `run` and `verify` take a config path or a preset name.
 
 Exit codes: 0 success, 2 rank condition failed, 3 value iteration did not
-converge, 4 configuration or usage error, 5 a simulated state overflowed,
-6 an artifact could not be written.
+converge, 4 configuration or usage error, or an oracle step of an unblinded
+run failed, 5 a simulated state overflowed, 6 an artifact could not be written.
 A run that fails after its config is accepted leaves a partial report.json
 and manifest.json in its output directory.
 """
@@ -50,10 +50,10 @@ def _cmd_run(args):
 
 def _cmd_verify(args):
     cfg = _load_config(args.config)
-    report = verify(cfg)
-    for check in report.checks:
-        print("[%s] %s: %s" % ("PASS" if check.ok else "FAIL", check.name, check.detail))
-    if not report.all_ok:
+    rows = verify(cfg)
+    for name, ok, detail in rows:
+        print("[%s] %s: %s" % ("PASS" if ok else "FAIL", name, detail))
+    if not all(ok for _, ok, _ in rows):
         print("verification failed")
         return EXIT_CONFIG
     print("all checks passed")

@@ -1,5 +1,5 @@
 """Experiment orchestration: config parsing, the simulate -> collect -> learn ->
-switch -> evaluate pipeline, its artifact files, verification reports and the
+switch -> evaluate pipeline, its artifact files, the `verify` rows and the
 built-in presets.  No other module writes a file.
 
 The learning path (`learn_from_log`) only sees the trajectory log, the
@@ -319,13 +319,15 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     if K0.shape[1] == known.n_zeta:
         K0 = np.hstack([K0, np.zeros((plant.m, im.n_z))])
     lap("setup_s")
+    if not blinded:                     # an oracle that cannot be built stops the run here
+        aux = _oracle_objects(objs)
+        lap("oracle_s")
     log_explore = simulate(plant, exo, known, im, K0,
                            stack_state(exo, known, im, cfg.x0, cfg.zeta0, cfg.z0),
                            (0.0, cfg.t_switch), cfg.h, [Tone(**t) for t in cfg.tones])
     lap("explore_sim_s")
     if not blinded:                     # before the exploration rows' writer starts
-        param, aux = _oracle_objects(objs)
-        write_ex_norm(log_explore, param, aux)
+        write_ex_norm(log_explore, aux)
         lap("oracle_s")
     known_B = {"x": None, "zeta": known.B_zeta, "rho": objs.B_rho}[spec.state]
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
@@ -360,7 +362,7 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         log_closed = simulate(plant, exo, known, im, vires.K_final, log_explore.final_state,
                               (cfg.t_switch, cfg.t_end), cfg.h)
         if not blinded:
-            write_ex_norm(log_closed, param, aux)
+            write_ex_norm(log_closed, aux)
         lap("closed_loop_sim_s")
         files["trajectory"] = export_trajectory_csv(log_closed, path("trajectory.csv"),
                                                     head=traj_head)
@@ -377,9 +379,10 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         return
     if spec.state == "rho":
         if not spec.output_cost:
-            K_opt = solve_care(aux.A_rho, aux.B_rho, vicfg.Q, vicfg.R).K
+            K_opt = _oracle_call(solve_care, aux.A_rho, aux.B_rho, vicfg.Q, vicfg.R).K
         else:
-            t4 = verify_theorem4(plant, param, im, _qbar(cfg, plant.p, im.n_z), vicfg.R)
+            t4 = _oracle_call(verify_theorem4, plant, aux, im, _qbar(cfg, plant.p, im.n_z),
+                              vicfg.R)
             K_opt = t4.K_rho
             report.theorem4_deviation = t4.deviation
             report.theorem4_gain_deviation = t4.gain_deviation
@@ -391,19 +394,29 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     lap("oracle_s")
 
 
+def _oracle_call(fn, *args):
+    """fn(*args), an oracle step; a ValueError or RuntimeError it raises
+    becomes a ConfigError that names the step."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        raise ConfigError("oracle step %s failed: %s" % (fn.__name__, exc)) from exc
+
+
 def _oracle_objects(objs):
-    """The parameterization and augmented auxiliary system of the placed gain L."""
-    L = place_observer_gain(objs.plant.A, objs.plant.C, objs.poles)
-    param = compute_parameterization(objs.plant, L, objs.known)
-    return param, build_augmented_aux(objs.plant, param, objs.im, objs.exo)
+    """The augmented auxiliary system of the placed observer gain L."""
+    plant = objs.plant
+    L = _oracle_call(place_observer_gain, plant.A, plant.C, objs.poles)
+    M = _oracle_call(compute_parameterization, plant, L, objs.known)
+    return _oracle_call(build_augmented_aux, plant, L, M, objs.known, objs.im, objs.exo)
 
 
-def write_ex_norm(log, param, aux):
+def write_ex_norm(log, aux):
     """Write ||M zeta + X' v - x||, the oracle's observer reconstruction error,
     into log's ex_norm column.  The norm cancels terms of order 1e4 (|M| up
     to 1167 on paper-e-nonzero), so once the observer error has decayed it is
     rounding noise, 4e-12 to 1.6e-10 over paper-e-nonzero's closed loop, not 0."""
-    ex = log.zeta @ param.M.T + log.v @ aux.X_prime.T - log.x
+    ex = log.zeta @ aux.M.T + log.v @ aux.X_prime.T - log.x
     log.ex_diag[:] = np.linalg.norm(ex, axis=1)
 
 
@@ -454,52 +467,33 @@ def _write_report(out_dir, report):
 # verify
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerificationCheck:
-    name: str
-    ok: bool
-    detail: str
-
-
-@dataclass
-class VerificationReport:
-    checks: list
-
-    @property
-    def all_ok(self):
-        return all(c.ok for c in self.checks)
-
-
-def verify(cfg: ExperimentConfig) -> VerificationReport:
-    """Report the standing assumptions and, where (A, B) is stabilizable and
-    (A, C) observable, every oracle identity check; report, never raise."""
-    checks = []
+def verify(cfg: ExperimentConfig) -> list:
+    """Rows (name, ok, detail) of the standing assumptions and, where (A, B)
+    is stabilizable and (A, C) observable, of every oracle identity check;
+    report, never raise."""
+    rows = []
     try:
         objs = build_objects(cfg)
         plant, im = objs.plant, objs.im
-        checks += [VerificationCheck(*row) for row in standing_assumptions(plant, objs.exo.S)]
-        if not (checks[0].ok and checks[1].ok):     # the oracle's solvers need both
-            return VerificationReport(checks=checks)
-        param, _ = _oracle_objects(objs)
-        errs = parameterization_identity_errors(plant, param)
-        worst = max(errs.values())
-        checks.append(VerificationCheck("parameterization_identities", worst <= 1e-8,
-                                        "max relative error %g" % worst))
-        t4 = verify_theorem4(plant, param, im, _qbar(cfg, plant.p, im.n_z),
+        rows += standing_assumptions(plant, objs.exo.S)
+        if not (rows[0][1] and rows[1][1]):     # the oracle's solvers need both
+            return rows
+        aux = _oracle_objects(objs)
+        worst = max(parameterization_identity_errors(plant, objs.known, aux.L, aux.M).values())
+        rows.append(("parameterization_identities", worst <= 1e-8,
+                     "max relative error %g" % worst))
+        t4 = verify_theorem4(plant, aux, im, _qbar(cfg, plant.p, im.n_z),
                              _as_matrix(cfg.r, plant.m, "r"))
-        checks.append(VerificationCheck("theorem4_identity",
-                                        t4.deviation <= 1e-6 and t4.gain_deviation <= 1e-6,
-                                        "P deviation %g, K deviation %g"
-                                        % (t4.deviation, t4.gain_deviation)))
-        checks.append(VerificationCheck("augmented_closed_loop_hurwitz",
-                                        t4.closed_loop_margin < 0.0,
-                                        "margin %g" % t4.closed_loop_margin))
+        rows += [("theorem4_identity", t4.deviation <= 1e-6 and t4.gain_deviation <= 1e-6,
+                  "P deviation %g, K deviation %g" % (t4.deviation, t4.gain_deviation)),
+                 ("augmented_closed_loop_hurwitz", t4.closed_loop_margin < 0.0,
+                  "margin %g" % t4.closed_loop_margin)]
         dims = (plant.n, plant.m, plant.p, objs.exo.q, im.n_z)
         counts = {meth: unknown_count(dims, meth) for meth in ("chen", "xie", "alg3", "alg4")}
-        checks.append(VerificationCheck("unknown_counts", True, json.dumps(counts)))
+        rows.append(("unknown_counts", True, json.dumps(counts)))
     except (ValueError, RuntimeError) as exc:   # ConfigError and AssumptionError too
-        checks.append(VerificationCheck("oracle_construction", False, str(exc)))
-    return VerificationReport(checks=checks)
+        rows.append(("oracle_construction", False, str(exc)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .internal_model import InternalModel
 from .linalg import is_hurwitz, poly_from_roots, require_sym_psd
-from .observer import ObserverKnown
 
 RANK_RTOL = 1e-8       # relative rank cutoff of the PBH and Rosenbrock tests
 STABLE_EIG_TOL = 1e-9  # eigenvalues with Re >= -this count as unstable
@@ -235,22 +233,9 @@ def place_observer_gain(A, C, desired):
 # Parameterization and augmented auxiliary system
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ObserverParameterization:
-    """Oracle-side observer data: gain L and the parameterization map M.
-
-    M reconstructs the Luenberger estimate from the filter-bank state; the
-    identities M A_full = (A-LC) M, M B_zeta = B, M E_zeta = L are verified
-    at construction.
-    """
-
-    known: ObserverKnown
-    L: np.ndarray
-    M: np.ndarray
-
-
-def compute_parameterization(plant, L, known: ObserverKnown):
-    """Build D_0..D_{n-1} and M for the observer gain L and the learner's filter bank.
+def compute_parameterization(plant, L, known):
+    """M, built from D_0..D_{n-1}, maps the learner's filter-bank state to the
+    Luenberger estimate of the observer gain L; its identities are verified.
 
     known.alpha must equal the characteristic polynomial of A - LC (this is
     what ties the user polynomial to the gain); mismatch is an error.
@@ -274,16 +259,14 @@ def compute_parameterization(plant, L, known: ObserverKnown):
                            % np.abs(closure).max())
     cols = [plant.B[:, [i]] for i in range(m)] + [L[:, [i]] for i in range(p)]
     M = np.hstack([np.hstack([D[k] @ f for k in range(n)]) for f in cols])
-    param = ObserverParameterization(known=known, L=L, M=M)
-    errs = parameterization_identity_errors(plant, param)
+    errs = parameterization_identity_errors(plant, known, L, M)
     if max(errs.values()) > 1e-8:
         raise RuntimeError("parameterization identities violated: %s" % errs)
-    return param
+    return M
 
 
-def parameterization_identity_errors(plant, param):
+def parameterization_identity_errors(plant, known, L, M):
     """Relative errors of M A_full = (A-LC) M, M B_zeta = B, M E_zeta = L."""
-    M, known, L = param.M, param.known, param.L
     F_obs = plant.A - L @ plant.C
     scale = 1.0 + np.abs(M).max()
     return {
@@ -293,31 +276,23 @@ def parameterization_identity_errors(plant, param):
     }
 
 
-def build_augmented_plant(plant, im: InternalModel):
-    """Augmented system matrices Y = [[A,0],[G2 C, G1]] and J = [B;0]."""
-    n, n_z = plant.n, im.n_z
-    Y = np.block([[plant.A, np.zeros((n, n_z))],
-                  [im.G2 @ plant.C, im.G1]])
-    J = np.vstack([plant.B, np.zeros((n_z, plant.m))])
-    return Y, J
-
-
 @dataclass
 class AugmentedAux:
-    """Oracle-side matrices of the augmented auxiliary system in rho = col(zeta, z)."""
+    """Oracle-side objects of the observer gain L: the parameterization map M,
+    the augmented auxiliary system in rho = col(zeta, z), the regulator
+    solution X' and W = blockdiag(M, I), which maps rho to col(x_hat, z)."""
 
+    L: np.ndarray
+    M: np.ndarray
     A_rho: np.ndarray
     B_rho: np.ndarray
+    W: np.ndarray
     E_rho: np.ndarray
     X_prime: np.ndarray
 
-    @property
-    def n_rho(self):
-        return self.A_rho.shape[0]
 
-
-def _aux_core(plant, param, im):
-    known, M = param.known, param.M
+def build_augmented_aux(plant, L, M, known, im, exo):
+    """Assemble (A_rho, B_rho, W, E_rho, X') and check stabilizability."""
     n_zeta, n_z = known.n_zeta, im.n_z
     CM = plant.C @ M
     A_zeta = known.A_full + known.E_zeta @ CM
@@ -326,55 +301,50 @@ def _aux_core(plant, param, im):
     B_rho = np.vstack([known.B_zeta, np.zeros((n_z, plant.m))])
     W = np.block([[M, np.zeros((plant.n, n_z))],
                   [np.zeros((n_z, n_zeta)), np.eye(n_z)]])
-    return A_rho, B_rho, W
-
-
-def build_augmented_aux(plant, param, im, exo):
-    """Assemble (A_rho, B_rho, E_rho, X') and check stabilizability."""
-    A_rho, B_rho, _ = _aux_core(plant, param, im)
-    F_obs = plant.A - param.L @ plant.C
-    X_prime = solve_sylvester_regulator(exo.S, F_obs, plant.E)
+    X_prime = solve_sylvester_regulator(exo.S, plant.A - L @ plant.C, plant.E)
     CXp = plant.C @ X_prime
-    E_rho = np.vstack([param.known.E_zeta @ CXp,
+    E_rho = np.vstack([known.E_zeta @ CXp,
                        im.G2 @ (CXp + plant.F)])
     _require_pbh(A_rho, B_rho, "stabilizable", "(A_rho, B_rho)")
-    return AugmentedAux(A_rho=A_rho, B_rho=B_rho, E_rho=E_rho, X_prime=X_prime)
+    return AugmentedAux(L=L, M=M, A_rho=A_rho, B_rho=B_rho, W=W, E_rho=E_rho,
+                        X_prime=X_prime)
 
 
 @dataclass
 class Theorem4Report:
     P_xi: np.ndarray
     K_rho: np.ndarray
-    W: np.ndarray
     deviation: float
     gain_deviation: float
     closed_loop_margin: float   # certified Hurwitz margin of Y + J K_xi
 
 
-def verify_theorem4(plant, param, im, Qbar, R):
-    """Check P_rho = W^T P_xi W and K_rho = K_xi W between the two LQR problems.
+def verify_theorem4(plant, aux, im, Qbar, R):
+    """Check P_rho = W^T P_xi W and K_rho = K_xi W between the LQR problems on
+    rho (aux's A_rho, B_rho and W) and on xi = col(x, z), whose system is
+    Y = [[A, 0], [G2 C, G1]], J = [B; 0].
 
     Qbar = blockdiag(Q_y, Q_z) weights the regulated output and the internal
     model state; the augmented weight is Q_xi = Cbar^T Qbar Cbar.
     """
-    n_z = im.n_z
+    n, n_z = plant.n, im.n_z
     if Qbar.shape != (plant.p + n_z, plant.p + n_z):
         raise ValueError("Qbar must be (p+n_z) square")
     require_sym_psd(Qbar, "Qbar")
-    Y, J = build_augmented_plant(plant, im)
+    Y = np.block([[plant.A, np.zeros((n, n_z))],
+                  [im.G2 @ plant.C, im.G1]])
+    J = np.vstack([plant.B, np.zeros((n_z, plant.m))])
     Cbar = np.block([[plant.C, np.zeros((plant.p, n_z))],
-                     [np.zeros((n_z, plant.n)), np.eye(n_z)]])
+                     [np.zeros((n_z, n)), np.eye(n_z)]])
     Q_xi = Cbar.T @ Qbar @ Cbar
     sol_xi = solve_care(Y, J, Q_xi, R)
-    A_rho, B_rho, W = _aux_core(plant, param, im)
-    Q_rho = W.T @ Q_xi @ W
-    sol_rho = solve_care(A_rho, B_rho, Q_rho, R)
-    P_lift = W.T @ sol_xi.P @ W
-    K_lift = sol_xi.K @ W
+    sol_rho = solve_care(aux.A_rho, aux.B_rho, aux.W.T @ Q_xi @ aux.W, R)
+    P_lift = aux.W.T @ sol_xi.P @ aux.W
+    K_lift = sol_xi.K @ aux.W
     deviation = float(np.linalg.norm(sol_rho.P - P_lift, "fro")
                       / np.linalg.norm(sol_rho.P, "fro"))
     gain_deviation = float(np.linalg.norm(sol_rho.K - K_lift, "fro")
                            / np.linalg.norm(K_lift, "fro"))
-    return Theorem4Report(P_xi=sol_xi.P, K_rho=sol_rho.K, W=W, deviation=deviation,
+    return Theorem4Report(P_xi=sol_xi.P, K_rho=sol_rho.K, deviation=deviation,
                           gain_deviation=gain_deviation,
                           closed_loop_margin=sol_xi.closed_loop_margin)

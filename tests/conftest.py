@@ -96,13 +96,13 @@ def nonzero_setup():
     cfg = PRESETS["paper-e-nonzero"]()
     objs = build_objects(cfg)
     log = _exploration_log(cfg, objs)
-    param, aux = _oracle_objects(objs)
+    aux = _oracle_objects(objs)
     vicfg = make_vi_config(cfg, objs)
     Q_rho = vicfg.Q
     sol = solve_care(aux.A_rho, aux.B_rho, Q_rho, vicfg.R)
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
-    return {"cfg": cfg, "objs": objs, "log": log, "L": param.L, "param": param,
-            "aux": aux, "vicfg": vicfg, "Q_rho": Q_rho, "sol": sol, "grid": grid}
+    return {"cfg": cfg, "objs": objs, "log": log, "L": aux.L, "aux": aux,
+            "vicfg": vicfg, "Q_rho": Q_rho, "sol": sol, "grid": grid}
 
 
 @pytest.fixture(scope="session")
@@ -111,11 +111,11 @@ def zero_setup():
     cfg = PRESETS["paper-e-zero"]()
     objs = build_objects(cfg)
     log = _exploration_log(cfg, objs)
-    param, aux = _oracle_objects(objs)
+    aux = _oracle_objects(objs)
     vicfg = make_vi_config(cfg, objs)
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
-    return {"cfg": cfg, "objs": objs, "log": log, "L": param.L, "param": param,
-            "aux": aux, "vicfg": vicfg, "grid": grid}
+    return {"cfg": cfg, "objs": objs, "log": log, "L": aux.L, "aux": aux,
+            "vicfg": vicfg, "grid": grid}
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,11 @@ M_PRINTED = 1e3 * np.array([
 
 def test_01_state_output_lqr_equivalence(nonzero_setup):
     """The output-feedback LQR lifts the state-feedback solution exactly."""
-    objs, param = nonzero_setup["objs"], nonzero_setup["param"]
+    objs, aux = nonzero_setup["objs"], nonzero_setup["aux"]
     Qbar = np.block([[np.eye(1), np.zeros((1, 2))],
                      [np.zeros((2, 1)), np.eye(2)]])
     start = time.monotonic()
-    t4 = verify_theorem4(objs.plant, param, objs.im, Qbar, np.eye(1))
+    t4 = verify_theorem4(objs.plant, aux, objs.im, Qbar, np.eye(1))
     elapsed = time.monotonic() - start
     assert t4.deviation <= 1e-6
     assert t4.gain_deviation <= 1e-6
@@ -38,11 +38,11 @@ def test_01_state_output_lqr_equivalence(nonzero_setup):
 
 
 def test_02_parameterization_identities_and_printed_m(nonzero_setup):
-    objs, param = nonzero_setup["objs"], nonzero_setup["param"]
-    errs = parameterization_identity_errors(objs.plant, param)
+    objs, aux = nonzero_setup["objs"], nonzero_setup["aux"]
+    errs = parameterization_identity_errors(objs.plant, objs.known, aux.L, aux.M)
     assert max(errs.values()) <= 1e-8
     # four significant figures at the published 1e3 scaling = 0.05 absolute
-    assert np.max(np.abs(param.M - M_PRINTED)) <= 0.05
+    assert np.max(np.abs(aux.M - M_PRINTED)) <= 0.05
 
 
 def test_03_unknown_count_comparison():
@@ -110,7 +110,7 @@ def test_08_reconstruction_error_decay(zero_setup):
     log = simulate(objs.plant, objs.exo, objs.known, objs.im, K0,
                    stack_state(objs.exo, objs.known, objs.im, x0), (0.0, 3.0), cfg.h,
                    [Tone(**t) for t in cfg.tones])
-    write_ex_norm(log, zero_setup["param"], zero_setup["aux"])
+    write_ex_norm(log, zero_setup["aux"])
     mask = (log.times >= 1.0) & (log.times <= 3.0)
     slope, intercept = np.polyfit(log.times[mask], np.log(log.ex_diag[mask]), 1)
     assert slope <= -4.9

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,39 @@ def test_run_inconsistent_config(tmp_path, capsys, patch):
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (tmp_path / "out").exists()
     assert cli.main(["verify", path]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("poles, step", [
+    ([-100.0, -200.0, -300.0], "place_observer_gain"),
+    ([[-0.001, 50.0], [-0.001, -50.0], -7.0], "compute_parameterization")])
+def test_an_oracle_that_cannot_be_built_exits_4(tmp_path, capsys, poles, step):
+    """paper-e-nonzero passes the config checks with these poles, but the
+    oracle cannot place them (Ackermann misses the spectrum) or close the
+    adjugate recursion: an unblinded run exits 4 with one stderr line naming
+    the oracle step, before any simulation, leaving its partial report, and
+    verify reports the same failure."""
+    path = _patched_nonzero_file(tmp_path, observer_poles=poles)
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: oracle step %s failed: " % step)
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(out)) == ["manifest.json", "report.json"]
+    with open(out / "report.json") as fh:
+        assert set(json.load(fh)["timings"]) == {"setup_s"}
+    assert cli.main(["verify", path]) == cli.EXIT_CONFIG
+    assert "[FAIL] oracle_construction: oracle step %s failed: " % step in capsys.readouterr().out
+
+
+def test_exit_codes_are_documented():
+    """README's "Exit codes" paragraph and cli's module docstring each list
+    every cli.EXIT_* value and no other code."""
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^Exit codes: (.*?)\n\n", readme, re.S | re.M).group(1)
+    assert {int(c) for c in re.findall(r"`(\d+)`", paragraph)} == codes
+    sentence = re.search(r"Exit codes: (.*?)\.\n", cli.__doc__, re.S).group(1)
+    assert {int(c) for c in re.findall(r"(?:^|,\s+)(\d+)\s", sentence)} == codes
 
 
 def test_run_with_a_semidefinite_output_weight(tmp_path, capsys):

@@ -13,7 +13,7 @@ from regvi.experiment import (PRESETS, ConfigError, ExperimentConfig,
                               run_experiment, serialize_config, validate_config,
                               verify)
 from regvi.linalg import is_hurwitz
-from regvi.oracle import build_augmented_plant, verify_theorem4
+from regvi.oracle import verify_theorem4
 from regvi.vi import RankConditionError
 
 HOST_CPUS = len(os.sched_getaffinity(0))
@@ -165,8 +165,7 @@ def test_a_failed_standing_assumption_is_a_config_error(case, tmp_path):
     payload.update(patch)
     with pytest.raises(ConfigError, match="^%s fails: " % check):
         parse_config(json.dumps(payload))
-    report = verify(ExperimentConfig(**payload))
-    assert next(c.name for c in report.checks if not c.ok) == check
+    assert next(name for name, ok, _ in verify(ExperimentConfig(**payload)) if not ok) == check
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     for flags in ([], ["--blinded"]):
@@ -191,23 +190,25 @@ def test_build_objects_shapes():
 
 def test_verify_presets_all_ok():
     for factory in PRESETS.values():
-        report = verify(factory())
-        assert report.all_ok, [(c.name, c.detail) for c in report.checks if not c.ok]
-        names = [c.name for c in report.checks]
+        rows = verify(factory())
+        assert all(ok for _, ok, _ in rows), [row for row in rows if not row[1]]
+        names = [name for name, _, _ in rows]
         assert "theorem4_identity" in names and "unknown_counts" in names
 
 
 def test_verify_reads_the_augmented_closed_loop_margin(zero_setup, nonzero_setup):
     """Theorem4Report.closed_loop_margin is is_hurwitz(Y + J K_xi)[1] with
-    K_xi = -R^-1 J^T P_xi, the margin verify prints for the augmented closed loop."""
+    Y = [[A, 0], [G2 C, G1]], J = [B; 0] and K_xi = -R^-1 J^T P_xi, the margin
+    verify prints for the augmented closed loop."""
     for setup in (zero_setup, nonzero_setup):
         plant, im, R = setup["objs"].plant, setup["objs"].im, setup["vicfg"].R
-        t4 = verify_theorem4(plant, setup["param"], im, np.eye(plant.p + im.n_z), R)
-        Y, J = build_augmented_plant(plant, im)
+        t4 = verify_theorem4(plant, setup["aux"], im, np.eye(plant.p + im.n_z), R)
+        Y = np.block([[plant.A, np.zeros((plant.n, im.n_z))], [im.G2 @ plant.C, im.G1]])
+        J = np.vstack([plant.B, np.zeros((im.n_z, plant.m))])
         margin = is_hurwitz(Y + J @ -np.linalg.solve(R, J.T @ t4.P_xi))[1]
         assert t4.closed_loop_margin == margin < 0.0
-        checks = {c.name: c for c in verify(setup["cfg"]).checks}
-        assert checks["augmented_closed_loop_hurwitz"].detail == "margin %g" % margin
+        details = {name: detail for name, _, detail in verify(setup["cfg"])}
+        assert details["augmented_closed_loop_hurwitz"] == "margin %g" % margin
 
 
 @pytest.mark.parametrize("poles", [[1.0, -6.0, -7.0], [0.0, -6.0, -7.0],
@@ -219,8 +220,7 @@ def test_observer_poles_outside_the_left_half_plane_are_config_errors(poles):
     cfg.observer_poles = poles
     with pytest.raises(ConfigError):
         build_objects(cfg)
-    report = verify(cfg)
-    assert [c.name for c in report.checks if not c.ok] == ["oracle_construction"]
+    assert [name for name, ok, _ in verify(cfg) if not ok] == ["oracle_construction"]
 
 
 def test_verify_flags_unstabilizable_plant():
@@ -233,9 +233,8 @@ def test_verify_flags_unstabilizable_plant():
         grid_s=10, h=1e-3, variant=4, t_switch=4.0, t_end=8.0, settle_time=6.0,
         p0_scale=0.1, eps_num=1.0, eps_shift=1.0, eps_conv=0.01, max_iters=10,
         r=1.0, q_main=1.0)
-    report = verify(cfg)
-    assert not report.all_ok
-    assert not report.checks[0].ok          # stabilizability fails first
+    rows = verify(cfg)
+    assert rows[0][:2] == ("assumption1_stabilizable", False)   # stabilizability fails first
 
 
 def _quick_nonzero(**patch):
@@ -462,6 +461,20 @@ def test_blinded_runs_compute_no_oracle_reference(tmp_path, monkeypatch):
     assert run_experiment(cfg, str(tmp_path / "blinded"), blinded=True).converged
     with pytest.raises(OracleCalled):
         run_experiment(cfg, str(tmp_path / "unblinded"))
+
+
+def test_an_oracle_step_that_fails_after_vi_is_a_config_error(tmp_path, monkeypatch):
+    """A theorem-4 reference that raises after value iteration ends the run in
+    a ConfigError naming the step; the partial report keeps what the learner found."""
+    def verify_theorem4(*args):
+        raise RuntimeError("CARE residual 1 exceeds the certificate")
+    monkeypatch.setattr(experiment, "verify_theorem4", verify_theorem4)
+    payload = json.loads(serialize_config(PRESETS["paper-e-zero"]()))
+    payload.update(t_end=30.0, settle_time=29.0)
+    with pytest.raises(ConfigError, match="^oracle step verify_theorem4 failed: CARE residual"):
+        run_experiment(parse_config(json.dumps(payload)), str(tmp_path))
+    report = _load_json(str(tmp_path), "report.json")
+    assert report["converged"] and report["gain_error"] is None
 
 
 def test_only_unblinded_runs_book_the_oracle(zero_run, zero_run_blinded):

@@ -195,10 +195,10 @@ def test_import_leaves_scipy_signal_unloaded():
         for name in PRESETS:
             cfg = parse_config(serialize_config(PRESETS[name]()))
             objs = build_objects(cfg)
-            param, aux = _oracle_objects(objs)
+            aux = _oracle_objects(objs)
             R = make_vi_config(cfg, objs).R
-            solve_care(aux.A_rho, aux.B_rho, np.eye(aux.n_rho), R)
-            verify_theorem4(objs.plant, param, objs.im, _qbar(cfg, objs.plant.p, objs.im.n_z), R)
+            solve_care(aux.A_rho, aux.B_rho, np.eye(aux.A_rho.shape[0]), R)
+            verify_theorem4(objs.plant, aux, objs.im, _qbar(cfg, objs.plant.p, objs.im.n_z), R)
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
     """)
@@ -234,11 +234,15 @@ def test_perfbench_traced_names_exist():
         assert not missing, (module.__name__, missing)
 
 
+ORACLE_OBJECTS = ("place_observer_gain", "compute_parameterization", "build_augmented_aux")
+
+
 def test_perfbench_traced_names_are_called(tmp_path, monkeypatch):
     """Every name the tracer rebinds in regvi.experiment is also called through
     that namespace by an unblinded run: variant 4 compares its gain with
     solve_care, variant 6 with verify_theorem4.  Each run simulates twice
-    and exports the trajectory once, as the per-layer metrics assume."""
+    and exports the trajectory once, as the per-layer metrics assume, and
+    builds each oracle object once; so does verify of each preset."""
     import json
 
     import regvi.experiment as experiment
@@ -257,7 +261,11 @@ def test_perfbench_traced_names_are_called(tmp_path, monkeypatch):
         calls.clear()
         experiment.run_experiment(cfg, str(tmp_path / preset))
         assert calls.count("export_trajectory_csv") == 1 and calls.count("simulate") == 2
+        assert [calls.count(name) for name in ORACLE_OBJECTS] == [1, 1, 1], calls
         seen.update(calls)
+        calls.clear()
+        assert all(ok for _, ok, _ in experiment.verify(cfg))
+        assert [calls.count(name) for name in ORACLE_OBJECTS] == [1, 1, 1], calls
     assert seen == set(experiment_names), sorted(set(experiment_names) - seen)
 
 

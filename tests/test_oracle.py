@@ -4,8 +4,8 @@ import scipy.linalg
 
 from regvi.linalg import is_hurwitz
 from regvi.observer import ObserverKnown
-from regvi.oracle import (AssumptionError, SpectraOverlapError,
-                          build_augmented_plant, care_residual,
+from regvi.oracle import (RANK_RTOL, AssumptionError, SpectraOverlapError,
+                          care_residual,
                           compute_parameterization,
                           parameterization_identity_errors, pbh_check,
                           place_observer_gain, solve_care,
@@ -110,14 +110,13 @@ def test_solve_care_matches_scipy():
 
 def _theorem4_cares(setup):
     """The (Y, J, Q_xi) and (A_rho, B_rho, Q_rho) pairs verify_theorem4 solves, Qbar = I."""
-    objs, param = setup["objs"], setup["param"]
-    plant, im = objs.plant, objs.im
-    Y, J = build_augmented_plant(plant, im)
+    plant, im, aux = setup["objs"].plant, setup["objs"].im, setup["aux"]
+    Y = np.block([[plant.A, np.zeros((plant.n, im.n_z))], [im.G2 @ plant.C, im.G1]])
+    J = np.vstack([plant.B, np.zeros((im.n_z, plant.m))])
     Cbar = np.block([[plant.C, np.zeros((plant.p, im.n_z))],
                      [np.zeros((im.n_z, plant.n)), np.eye(im.n_z)]])
     Q_xi = Cbar.T @ Cbar
-    t4 = verify_theorem4(plant, param, im, np.eye(plant.p + im.n_z), setup["vicfg"].R)
-    return [(Y, J, Q_xi), (setup["aux"].A_rho, setup["aux"].B_rho, t4.W.T @ Q_xi @ t4.W)]
+    return [(Y, J, Q_xi), (aux.A_rho, aux.B_rho, aux.W.T @ Q_xi @ aux.W)]
 
 
 def test_solve_care_matches_scipy_on_the_presets(zero_setup, nonzero_setup):
@@ -280,8 +279,8 @@ def test_place_observer_gain_validates():
 
 
 def test_parameterization_identities(nonzero_setup):
-    errs = parameterization_identity_errors(nonzero_setup["objs"].plant,
-                                            nonzero_setup["param"])
+    objs, aux = nonzero_setup["objs"], nonzero_setup["aux"]
+    errs = parameterization_identity_errors(objs.plant, objs.known, aux.L, aux.M)
     assert max(errs.values()) <= 1e-8
 
 
@@ -295,13 +294,32 @@ def test_parameterization_rejects_wrong_polynomial(nonzero_setup):
 # Augmented systems and the state/output LQR equivalence
 # ---------------------------------------------------------------------------
 
-def test_build_augmented_plant_shapes(nonzero_setup):
-    plant, im = nonzero_setup["objs"].plant, nonzero_setup["objs"].im
-    Y, J = build_augmented_plant(plant, im)
-    assert Y.shape == (5, 5) and J.shape == (5, 1)
-    assert np.array_equal(Y[:3, :3], plant.A)
-    assert np.array_equal(Y[3:, :3], im.G2 @ plant.C)
-    assert np.array_equal(J[:3], plant.B) and not J[3:].any()
+def test_augmented_aux_shapes_and_lift(nonzero_setup):
+    """A_rho and B_rho act on rho = col(zeta, z); W = blockdiag(M, I) maps rho
+    to col(x_hat, z) and carries the M that A_rho's output injection uses."""
+    aux, objs = nonzero_setup["aux"], nonzero_setup["objs"]
+    plant, im = objs.plant, objs.im
+    assert aux.A_rho.shape == (8, 8) and aux.B_rho.shape == (8, 1) and aux.W.shape == (5, 8)
+    assert np.array_equal(aux.W[:3, :6], aux.M) and np.array_equal(aux.W[3:, 6:], np.eye(2))
+    assert not aux.W[:3, 6:].any() and not aux.W[3:, :6].any()
+    assert np.array_equal(aux.A_rho[6:, :6], im.G2 @ plant.C @ aux.M)
+    assert np.array_equal(aux.A_rho[6:, 6:], im.G1) and not aux.A_rho[:6, 6:].any()
+
+
+@pytest.mark.parametrize("setup", ["zero_setup", "nonzero_setup"])
+def test_one_mode_of_the_augmented_system_is_unreachable(setup, request):
+    """d = n_rho - rank ctrb(A_rho, B_rho) = 1 on both presets, and the PBH
+    test puts that mode at the plant's uncontrollable eigenvalue -1 (x_3): the
+    learner's data reach it only through its decaying transient."""
+    aux = request.getfixturevalue(setup)["aux"]
+    A, B = aux.A_rho, aux.B_rho
+    n = A.shape[0]
+    ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
+    assert n - np.linalg.matrix_rank(ctrb) == 1
+    eigs = np.linalg.eigvals(A)
+    gaps = np.array([n - np.linalg.matrix_rank(np.hstack([A - lam * np.eye(n), B]),
+                                               rtol=RANK_RTOL) for lam in eigs])
+    assert gaps.sum() == 1 and eigs[gaps == 1] == pytest.approx([-1.0])
 
 
 def test_optimal_gain_stabilizes_auxiliary_system(nonzero_setup):
@@ -315,7 +333,7 @@ def test_augmented_aux_exogenous_structure(nonzero_setup):
     aux = nonzero_setup["aux"]
     objs = nonzero_setup["objs"]
     n_zeta = objs.known.n_zeta
-    S = np.zeros((aux.n_rho, 2 * objs.plant.p))
+    S = np.zeros((aux.A_rho.shape[0], 2 * objs.plant.p))
     S[:n_zeta, :objs.plant.p] = objs.known.E_zeta
     S[n_zeta:, objs.plant.p:] = objs.im.G2
     W, *_ = np.linalg.lstsq(S, aux.E_rho, rcond=None)
@@ -323,19 +341,19 @@ def test_augmented_aux_exogenous_structure(nonzero_setup):
 
 
 def test_verify_theorem4_validates_qbar(nonzero_setup):
-    objs, param = nonzero_setup["objs"], nonzero_setup["param"]
+    objs, aux = nonzero_setup["objs"], nonzero_setup["aux"]
     with pytest.raises(ValueError):
-        verify_theorem4(objs.plant, param, objs.im, np.zeros((3, 3)), np.eye(1))
+        verify_theorem4(objs.plant, aux, objs.im, np.zeros((3, 3)), np.eye(1))
     with pytest.raises(ValueError):
-        verify_theorem4(objs.plant, param, objs.im, np.eye(4), np.eye(1))
+        verify_theorem4(objs.plant, aux, objs.im, np.eye(4), np.eye(1))
     with pytest.raises(ValueError, match="Qbar must be symmetric positive semidefinite"):
-        verify_theorem4(objs.plant, param, objs.im, -np.eye(3), np.eye(1))
+        verify_theorem4(objs.plant, aux, objs.im, -np.eye(3), np.eye(1))
 
 
 def test_verify_theorem4_accepts_a_semidefinite_qbar(zero_setup):
     """q_y = 0 leaves Qbar singular; the z weight alone still detects every
     mode, so both CAREs have stabilizing solutions and the identity holds."""
-    objs, param = zero_setup["objs"], zero_setup["param"]
+    objs, aux = zero_setup["objs"], zero_setup["aux"]
     Qbar = np.diag([0.0] + [1.0] * objs.im.n_z)
-    t4 = verify_theorem4(objs.plant, param, objs.im, Qbar, np.eye(1))
+    t4 = verify_theorem4(objs.plant, aux, objs.im, Qbar, np.eye(1))
     assert t4.deviation <= 1e-10 and t4.gain_deviation <= 1e-10

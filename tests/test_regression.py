@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -120,6 +121,60 @@ def test_rank_conditions_on_preset_data(nonzero_setup):
     assert v3.satisfied and v3.required == 52
     # the reduced condition is implied by the full one
     assert v4.satisfied and v4.required == 36
+
+
+def _transient_verdicts(setup, **patch):
+    """The rank verdicts on I_aa alone (variant 4's) and on the stacked
+    [I_aa, Gamma_av] (variant 3's) of the preset's exploration data, with the
+    config fields in patch changed (presets: K0 acts on zeta)."""
+    cfg, objs = dataclasses.replace(setup["cfg"], **patch), setup["objs"]
+    K0 = np.hstack([cfg.k0, np.zeros((objs.plant.m, objs.im.n_z))])
+    log = simulate(objs.plant, objs.exo, objs.known, objs.im, K0,
+                   stack_state(objs.exo, objs.known, objs.im, cfg.x0), (0.0, cfg.t_switch),
+                   cfg.h, [Tone(**t) for t in cfg.tones])
+    grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
+    data = build_regression(log, grid, 3, known_B=objs.B_rho)
+    return check_rank(data, 4), check_rank(data, 3)
+
+
+# preset fixture, config fields changed, then the ranks of I_aa (of 36) and
+# of the stacked matrix (of 52) that numpy's cutoff gives on seed-0 tones
+TRANSIENT_CASES = {
+    "zero-published": ("zero_setup", {}, 36, 52),
+    "nonzero-published": ("nonzero_setup", {}, 36, 52),
+    "zero-window-at-8": ("zero_setup", {"grid_t0": 8.0, "t_switch": 32.0}, 35, 51),
+    "nonzero-window-at-8": ("nonzero_setup", {"grid_t0": 8.0, "t_switch": 32.0}, 36, 50),
+    "zero-x3-at-0": ("zero_setup", {"x0": [1.0, 2.0, 0.0]}, 32, 46),
+    "zero-x3-at-minus-8": ("zero_setup", {"x0": [1.0, 2.0, -8.0]}, 36, 52),
+}
+
+
+@pytest.mark.parametrize("case", TRANSIENT_CASES)
+def test_the_stacked_rank_rests_on_the_x3_transient(case, request):
+    """(A_rho, B_rho) leaves one mode unreachable, the plant's x_3 at pole -1
+    (test_oracle), and exciting inputs determine only the reachable part of
+    the state (Willems et al. 2005).  So [I_aa, Gamma_av] reaches its 52
+    columns only through x_3's e^(-t) transient inside the window [4, 28]:
+    starting the window at 8 loses one or two ranks, and with E = 0 and
+    x_3(0) = 0 (paper-e-zero), x_3 stays 0 and six are lost.  Some of these
+    counts sit within 1.5x of numpy's cutoff, so a change in the data's
+    rounding may move them; the published windows pass with margin."""
+    fixture, patch, rank_aa, rank_stacked = TRANSIENT_CASES[case]
+    aa, stacked = _transient_verdicts(request.getfixturevalue(fixture), **patch)
+    assert (aa.required, stacked.required) == (36, 52)
+    assert (aa.rank, stacked.rank) == (rank_aa, rank_stacked)
+
+
+def test_a_larger_x3_transient_widens_the_stacked_margin(zero_setup, nonzero_setup):
+    """The stacked margin grows with the x_3 transient and shrinks below 1 (a
+    failed verdict) once the window starts after most of it has decayed:
+    paper-e-zero's 7.1 becomes 54.6 with x_3(0) = -8 instead of -0.8."""
+    published = _transient_verdicts(zero_setup)[1].rank_margin
+    assert 7.0 < published < 7.2
+    assert _transient_verdicts(zero_setup, x0=[1.0, 2.0, -8.0])[1].rank_margin > published
+    for setup in (zero_setup, nonzero_setup):
+        moved = _transient_verdicts(setup, grid_t0=8.0, t_switch=32.0)[1]
+        assert moved.rank_margin < 1.0 < _transient_verdicts(setup)[1].rank_margin
 
 
 def test_rank_fails_without_excitation(nonzero_setup):

@@ -16,7 +16,7 @@ def _explore(setup, tspan, h, x0=None, ex_norm=False):
     log = simulate(objs.plant, objs.exo, objs.known, objs.im, K0, s0, tspan, h,
                    [Tone(**t) for t in cfg.tones])
     if ex_norm:
-        write_ex_norm(log, setup["param"], setup["aux"])
+        write_ex_norm(log, setup["aux"])
     return log
 
 
@@ -315,5 +315,5 @@ def test_two_channel_log_is_its_table(tmp_path):
 
 def test_two_channel_plant_verifies():
     """verify places L by pole placement for p = 2 and passes every check."""
-    report = verify(_two_channel_config())
-    assert report.all_ok, [(c.name, c.detail) for c in report.checks if not c.ok]
+    failed = [row for row in verify(_two_channel_config()) if not row[1]]
+    assert not failed, failed

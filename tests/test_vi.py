@@ -9,8 +9,8 @@ from regvi.experiment import export_history_csv
 from regvi.internal_model import Exosystem, InternalModel
 from regvi.linalg import vecs
 from regvi.observer import ObserverKnown
-from regvi.oracle import (compute_parameterization, place_observer_gain, solve_care,
-                          verify_theorem4)
+from regvi.oracle import (build_augmented_aux, compute_parameterization, place_observer_gain,
+                          solve_care, verify_theorem4)
 from regvi.regression import (VARIANTS, RegressionData, SamplingGrid, build_regression,
                               check_rank)
 from regvi.sim import LtiPlant, Tone, simulate, stack_state
@@ -749,10 +749,11 @@ def output_based_setup():
                      Q_z=np.eye(im.n_z), E_structure=S,
                      bound_scale=1000.0, bound_shift=200.0)
     L = place_observer_gain(plant.A, plant.C, np.array([-3.0, -4.0]))
-    param = compute_parameterization(plant, L, known)
-    t4 = verify_theorem4(plant, param, im, np.eye(1 + im.n_z), np.eye(1))
-    P_lift = t4.W.T @ t4.P_xi @ t4.W
-    return {"plant": plant, "im": im, "known": known, "B_rho": B_rho, "M": param.M,
+    M = compute_parameterization(plant, L, known)
+    aux = build_augmented_aux(plant, L, M, known, im, exo)
+    t4 = verify_theorem4(plant, aux, im, np.eye(1 + im.n_z), np.eye(1))
+    P_lift = aux.W.T @ t4.P_xi @ aux.W
+    return {"plant": plant, "im": im, "known": known, "B_rho": B_rho, "M": M,
             "log": log, "grid": grid, "vicfg": vicfg, "P_lift": P_lift}
 
 
