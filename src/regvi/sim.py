@@ -5,22 +5,24 @@ The stacked state is col(v, x, zeta, z).  `simulate` integrates one linear
 time-invariant phase, u = K_rho rho + delta(t) with delta an optional sum of
 probing tones, from a given state between two points of the grid k*h; its
 sample times are h*k, so a run continued from another's final state takes
-the same steps as one long run.  An experiment is two such runs, exploration
+the sample times of one long run.  An experiment is two such runs, exploration
 then closed loop continued from its final state.  The observer block is
 propagated through the known matrices only; the plant matrices enter solely
 as physics.
 
 Within a phase s' = A s + B delta(t) is LTI, so one classic RK4 step is
-exactly the affine map s+ = Phi s + G0 delta_i + G_half delta_{i+1/2} +
-G1 delta_{i+1} (`_rk4_map`).  A phase with tones is that affine recurrence:
-the forcing of every step is one matrix product of [G0, G_half, G1] with the
-tone values at the nodes and half-steps, then one matvec and one vector add
-per step.  A phase without tones is autonomous, s_{b+i} = Phi^i s_b: each
-block of steps is one product of the power table [Phi; Phi^2; ...; Phi^B]
-with the block's first state.  The overflow guard runs once per block,
-reporting the first offending sample.  A continued run takes bitwise the
-steps of one long run only for phases with tones; without, the block
-boundaries move and the samples agree to rounding.
+exactly the affine map s+ = Phi s + f_i, f_i = G0 delta_i + G_half
+delta_{i+1/2} + G1 delta_{i+1} (`_rk4_map`).  Both kinds of phase are stepped
+in blocks of B steps: s_{b+i} = Phi^i s_b + r_i, where r is the block's
+response to its own forcing from a zero start (r_1 = f_b, r_{i+1} = Phi r_i +
+f_{b+i}).  The forcing of every step is one matrix product of [G0, G_half,
+G1] with the tone values at the nodes and half-steps; the r of all blocks at
+once is B - 1 products of one row per block with Phi^T; then each block adds
+one product of the power table [Phi; Phi^2; ...; Phi^B] with its first
+state.  A phase without tones has r = 0.  The overflow guard runs once per
+block, reporting the first offending sample.  A continued run's block
+boundaries move, so its samples agree with one long run's to rounding, not
+bitwise, with tones or without.
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ from .observer import ObserverKnown
 from .regression import on_grid
 
 OVERFLOW_LIMIT = 1e9
-# steps per overflow check, and powers of Phi in an autonomous phase's table
+# steps per block: per overflow check, and powers of Phi in the table
 STEPS_PER_CHECK = 128
 
 
@@ -192,28 +194,27 @@ def simulate(plant: LtiPlant, exo: Exosystem, known: ObserverKnown, im: Internal
     times, s_all, u, y, e = log.times, log.table[:, 1:1 + s0.size], log.u, log.y, log.e
     times[:] = h * np.arange(j0, j1 + 1)
     Phi, G = _rk4_map(A_tot, B_tot, h)
-    # row i+1 starts as the forcing of step i; the loop adds Phi @ (row i)
     s_all[0] = s0
-    if tones:
-        d_nodes = exploration_signal(tones, times, m)
-        d_half = exploration_signal(tones, times[:-1] + 0.5 * h, m)
-        np.matmul(np.hstack([d_nodes[:-1], d_half, d_nodes[1:]]), G.T, out=s_all[1:])
-    step, n = Phi.dot, s0.size
+    n, B = s0.size, STEPS_PER_CHECK
     with np.errstate(over="ignore", invalid="ignore"):
-        if not tones:                   # the table [Phi; Phi^2; ...; Phi^B], n rows a power
-            powers = np.empty((min(STEPS_PER_CHECK, n_steps), n, n))
-            powers[:1] = Phi
-            for i in range(1, len(powers)):
-                np.matmul(powers[i - 1], Phi, out=powers[i])
-            powers = powers.reshape(-1, n)
-        for b0 in range(0, n_steps, STEPS_PER_CHECK):
-            block = s_all[b0:min(b0 + STEPS_PER_CHECK, n_steps) + 1]
-            if tones:
-                rows = list(block)
-                for i in range(len(rows) - 1):
-                    rows[i + 1] += step(rows[i])
-            else:
-                block[1:] = (powers[:(len(block) - 1) * n] @ block[0]).reshape(-1, n)
+        if tones:
+            # row i+1 starts as the forcing of step i, then every block's
+            # response from a zero start: row j of each block adds Phi @ (row j-1)
+            d_nodes = exploration_signal(tones, times, m)
+            d_half = exploration_signal(tones, times[:-1] + 0.5 * h, m)
+            np.matmul(np.hstack([d_nodes[:-1], d_half, d_nodes[1:]]), G.T, out=s_all[1:])
+            for j in range(1, B):
+                rows = s_all[j + 1::B]
+                rows += s_all[j::B][:len(rows)] @ Phi.T
+        # the table [Phi; Phi^2; ...; Phi^B], n rows a power
+        powers = np.empty((min(B, n_steps), n, n))
+        powers[:1] = Phi
+        for i in range(1, len(powers)):
+            np.matmul(powers[i - 1], Phi, out=powers[i])
+        powers = powers.reshape(-1, n)
+        for b0 in range(0, n_steps, B):
+            block = s_all[b0:min(b0 + B, n_steps) + 1]
+            block[1:] += (powers[:(len(block) - 1) * n] @ block[0]).reshape(-1, n)
             bad = ~(np.abs(block[1:]) <= OVERFLOW_LIMIT).all(axis=1)
             if bad.any():
                 raise OverflowError("state overflow at t = %g during integration"

@@ -72,6 +72,13 @@ def test_05_end_to_end_with_disturbance(nonzero_run):
     assert nonzero_run["elapsed"] <= 300.0
 
 
+def test_learner_iteration_counts_hold(zero_run, nonzero_run):
+    """The session runs keep the learner's (iterations, resets); a change that
+    moves them changes the learner, not only its speed."""
+    assert (zero_run["report"].iters, zero_run["report"].resets) == (990, 7)
+    assert (nonzero_run["report"].iters, nonzero_run["report"].resets) == (5575, 0)
+
+
 def test_06_tracking_error_settles(zero_run, nonzero_run):
     for run in (zero_run, nonzero_run):
         assert run["cfg"].settle_time == 60.0

@@ -108,15 +108,19 @@ def test_affine_step_matches_classic_rk4(nonzero_setup, with_tones):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _per_step(objs, K_rho, s0, n_steps, h):
-    """Reference for a phase without tones: the recurrence s+ = Phi s, one
-    matvec per step."""
+def _per_step(objs, K_rho, s0, n_steps, h, tones=(), t0=0.0):
+    """Reference: the recurrence s+ = Phi s + f, one matvec per step, with f
+    the forcing of the step's tones (none: f = 0)."""
     A_tot, B_tot, _ = _loop_matrices(objs.plant, objs.exo, objs.known, objs.im, K_rho)
-    Phi, _ = _rk4_map(A_tot, B_tot, h)
+    Phi, G = _rk4_map(A_tot, B_tot, h)
+    t = h * (round(t0 / h) + np.arange(n_steps + 1))
+    d = exploration_signal(tones, t, objs.plant.m)
+    d_half = exploration_signal(tones, t[:-1] + 0.5 * h, objs.plant.m)
+    f = np.hstack([d[:-1], d_half, d[1:]]) @ G.T
     states = np.empty((n_steps + 1, len(s0)))
     states[0] = s0
     for i in range(n_steps):
-        states[i + 1] = Phi.dot(states[i])
+        states[i + 1] = Phi.dot(states[i]) + f[i]
     return states
 
 
@@ -143,28 +147,52 @@ def test_closed_loop_phase_matches_per_step_recurrence(nonzero_setup):
     _assert_close_per_column(_state(log), _per_step(objs, K, s0, n_steps, cfg.h))
 
 
-@pytest.mark.parametrize("n_steps", [0, 1, 5])
-def test_phase_shorter_than_a_block(nonzero_setup, n_steps):
+def test_toned_phase_matches_per_step_recurrence(nonzero_setup):
+    """The preset's whole exploration (28 000 steps under K0 and its tones),
+    stepped in blocks of the power table plus each block's forced response,
+    is the per-step recurrence to 1e-12 of each column's largest value."""
+    cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
+    K0 = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
+    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
+    log = _explore(nonzero_setup, (0.0, cfg.t_switch), cfg.h)
+    n_steps = round(cfg.t_switch / cfg.h)
+    assert n_steps == 28000 and n_steps % STEPS_PER_CHECK
+    ref = _per_step(objs, K0, s0, n_steps, cfg.h, [Tone(**t) for t in cfg.tones])
+    _assert_close_per_column(_state(log), ref)
+
+
+_SHORT_PHASES = (0, 1, 5, STEPS_PER_CHECK, STEPS_PER_CHECK + 1)
+
+
+@pytest.mark.parametrize("n_steps, with_tones",
+                         [pytest.param(n, False, id=str(n)) for n in _SHORT_PHASES]
+                         + [pytest.param(n, True, id="tones-%d" % n) for n in _SHORT_PHASES])
+def test_phase_shorter_than_a_block(nonzero_setup, n_steps, with_tones):
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
     K = nonzero_setup["sol"].K
+    tones = [Tone(**t) for t in cfg.tones] if with_tones else []
     s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
     log = simulate(objs.plant, objs.exo, objs.known, objs.im, K, s0,
-                   (1.0, 1.0 + n_steps * cfg.h), cfg.h)
+                   (1.0, 1.0 + n_steps * cfg.h), cfg.h, tones)
     assert np.array_equal(log.times, cfg.h * np.arange(1000, 1001 + n_steps))
-    _assert_close_per_column(_state(log), _per_step(objs, K, s0, n_steps, cfg.h))
+    _assert_close_per_column(_state(log),
+                             _per_step(objs, K, s0, n_steps, cfg.h, tones, t0=1.0))
 
 
 def test_overflow_guard(nonzero_setup):
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
     # strong feedback from the output-filter states destabilizes the loop
     s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
+    preset_tones = [Tone(**t) for t in cfg.tones]
     # the first sample beyond the limit is reported; with 1e6 the state also
     # overflows float64 before the guard looks, which must raise no warning
-    for gain, t_bad in ((1e3, "0.579"), (1e6, "0.016")):
+    for gain, tones, t_bad in ((1e3, [], "0.579"), (1e6, [], "0.016"),
+                               (1e3, preset_tones, "0.578"), (1e6, preset_tones, "0.016")):
         K = np.zeros((1, objs.known.n_zeta + objs.im.n_z))
         K[0, 5] = gain
         with pytest.raises(OverflowError, match=r"state overflow at t = %s during" % t_bad):
-            simulate(objs.plant, objs.exo, objs.known, objs.im, K, s0, (0.0, 20.0), 1e-3)
+            simulate(objs.plant, objs.exo, objs.known, objs.im, K, s0, (0.0, 20.0), 1e-3,
+                     tones)
 
 
 def test_grid_validation(nonzero_setup):
@@ -176,35 +204,27 @@ def test_grid_validation(nonzero_setup):
         _explore(nonzero_setup, (0.0, 1.0), -1e-3)
 
 
-def test_continuation_matches_one_run(nonzero_setup):
-    """[0, 2] in one run equals [0, 1] but its last row, then its continuation over [1, 2]."""
+@pytest.mark.parametrize("with_tones", [pytest.param(True, id="tones"),
+                                        pytest.param(False, id="no-tones")])
+def test_continuation_matches_one_run(nonzero_setup, with_tones):
+    """[0, 1] then its continuation over [1, 2], under the gain and input of
+    the pipeline's exploration (K0, tones) or closed loop (the optimal gain),
+    takes the sample times of one [0, 2] run bitwise; the block boundaries
+    move, so every signal agrees with that run's to rounding, not bitwise."""
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
-    K = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
-    tones = [Tone(**t) for t in cfg.tones]
-    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
+    if with_tones:
+        K, tones = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))]), [Tone(**t) for t in cfg.tones]
+    else:
+        K, tones = nonzero_setup["sol"].K, []
     args = (objs.plant, objs.exo, objs.known, objs.im, K)
+    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
     whole = simulate(*args, s0, (0.0, 2.0), cfg.h, tones)
     head = simulate(*args, s0, (0.0, 1.0), cfg.h, tones)
     tail = simulate(*args, head.final_state, (1.0, 2.0), cfg.h, tones)
-    assert tail.times[0] == head.times[-1]
-    joined = {name: np.concatenate([getattr(head, name)[:-1], getattr(tail, name)])
-              for name in ("times", "v", "x", "zeta", "z", "u", "y", "e")}
-    for name in ("times", "v", "x", "zeta", "z", "y", "e"):
-        assert np.array_equal(joined[name], getattr(whole, name)), name
-    assert np.allclose(joined["u"], whole.u, rtol=1e-14, atol=0.0)
-
-
-def test_continuation_without_tones_matches_one_run(nonzero_setup):
-    """Without tones the block boundaries of a continuation move, so [0, 1]
-    then [1, 2] agrees with one [0, 2] run to rounding, not bitwise."""
-    cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
-    args = (objs.plant, objs.exo, objs.known, objs.im, nonzero_setup["sol"].K)
-    s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
-    whole = simulate(*args, s0, (0.0, 2.0), cfg.h)
-    head = simulate(*args, s0, (0.0, 1.0), cfg.h)
-    tail = simulate(*args, head.final_state, (1.0, 2.0), cfg.h)
     assert np.array_equal(tail.times, whole.times[len(head.times) - 1:])
-    _assert_close_per_column(np.vstack([_state(head)[:-1], _state(tail)]), _state(whole))
+    # every signal: the columns v .. e of the table, between t and ex_norm
+    _assert_close_per_column(np.vstack([head.table[:-1, 1:-1], tail.table[:, 1:-1]]),
+                             whole.table[:, 1:-1])
 
 
 def test_exploration_signal_values():
