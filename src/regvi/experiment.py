@@ -43,7 +43,7 @@ class NotConvergedError(RuntimeError):
 @dataclass
 class ExperimentConfig:
     """Declarative experiment description; validate_config checks each field's
-    JSON type against its annotation.  k0 acts on zeta or rho, by its width."""
+    JSON type against its annotation.  k0 acts on x, zeta or rho, by its width."""
 
     name: str
     plant_a: list[list[float]]
@@ -200,8 +200,8 @@ def validate_config(cfg: ExperimentConfig):
                               ("zeta0", cfg.zeta0, n_zeta), ("z0", cfg.z0, im.n_z)):
         if given is not None and len(given) != want:
             raise ConfigError("%s length %d does not match %d" % (name, len(given), want))
-    if len(cfg.k0) != plant.m or {len(row) for row in cfg.k0} not in ({n_zeta}, {n_rho}):
-        raise ConfigError("k0 must be m x %d (on zeta) or m x %d (on rho)" % (n_zeta, n_rho))
+    if len(cfg.k0) != plant.m or {len(r) for r in cfg.k0} not in ({plant.n}, {n_zeta}, {n_rho}):
+        raise ConfigError("k0 must be m x %d, %d or %d (x, zeta or rho)" % (plant.n, n_zeta, n_rho))
     if cfg.grid_t0 + cfg.grid_s * cfg.grid_dt > cfg.t_switch + 1e-9:
         raise ConfigError("sampling grid must fit inside the exploration phase")
     for tone in cfg.tones:
@@ -315,14 +315,11 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     path = lambda name: os.path.join(out_dir, name)
     spec = VARIANTS[cfg.variant]
     vicfg = make_vi_config(cfg, objs)
-    K0 = np.atleast_2d(np.asarray(cfg.k0, dtype=float))
-    if K0.shape[1] == known.n_zeta:
-        K0 = np.hstack([K0, np.zeros((plant.m, im.n_z))])
     lap("setup_s")
     if not blinded:                     # an oracle that cannot be built stops the run here
         aux = _oracle_objects(objs)
         lap("oracle_s")
-    log_explore = simulate(plant, exo, known, im, K0,
+    log_explore = simulate(plant, exo, known, im, np.asarray(cfg.k0, dtype=float),
                            stack_state(exo, known, im, cfg.x0, cfg.zeta0, cfg.z0),
                            (0.0, cfg.t_switch), cfg.h, [Tone(**t) for t in cfg.tones])
     lap("explore_sim_s")

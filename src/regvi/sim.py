@@ -2,10 +2,11 @@
 observer / internal-model loop: physics only, with no oracle object or check.
 
 The stacked state is col(v, x, zeta, z).  `simulate` integrates one linear
-time-invariant phase, u = K_rho rho + delta(t) with delta an optional sum of
-probing tones, from a given state between two points of the grid k*h; its
-sample times are h*k, so a run continued from another's final state takes
-the sample times of one long run.  An experiment is two such runs, exploration
+time-invariant phase, u = K a + delta(t) with a the state x, zeta or rho =
+col(zeta, z) that K's width names and delta an optional sum of probing
+tones, from a given state between two points of the grid k*h; its sample
+times are h*k, so a run continued from another's final state takes the
+sample times of one long run.  An experiment is two such runs, exploration
 then closed loop continued from its final state.  The observer block is
 propagated through the known matrices only; the plant matrices enter solely
 as physics.
@@ -138,22 +139,25 @@ def stack_state(exo: Exosystem, known: ObserverKnown, im: InternalModel,
     return np.concatenate([exo.v0, x0, zeta0, z0])
 
 
-def _loop_matrices(plant, exo, known, im, K_rho):
-    """Closed-loop matrix for s = col(v, x, zeta, z) under u = K_rho rho + delta."""
+def _loop_matrices(plant, exo, known, im, K):
+    """(A, B_tot, K_row) of s = col(v, x, zeta, z) under u = K_row s + delta:
+    K_row holds K at the slice of s its width names (n: x, n_zeta = n*(m+p) >= 2n:
+    zeta, n_zeta + n_z: rho) and A = A_open + B_tot K_row, A_open at u = 0."""
     n, m, q = plant.n, plant.m, exo.q
     n_zeta, n_z = known.n_zeta, im.n_z
-    Ku_zeta, Ku_z = K_rho[:, :n_zeta], K_rho[:, n_zeta:]
     Z = np.zeros
-    A_tot = np.block([
+    A_open = np.block([
         [exo.S, Z((q, n)), Z((q, n_zeta)), Z((q, n_z))],
-        [plant.E, plant.A, plant.B @ Ku_zeta, plant.B @ Ku_z],
-        [Z((n_zeta, q)), known.E_zeta @ plant.C,
-         known.A_full + known.B_zeta @ Ku_zeta, known.B_zeta @ Ku_z],
+        [plant.E, plant.A, Z((n, n_zeta)), Z((n, n_z))],
+        [Z((n_zeta, q)), known.E_zeta @ plant.C, known.A_full, Z((n_zeta, n_z))],
         [im.G2 @ plant.F, im.G2 @ plant.C, Z((n_z, n_zeta)), im.G1],
     ])
     B_tot = np.vstack([Z((q, m)), plant.B, known.B_zeta, Z((n_z, m))])
-    K_row = np.hstack([Z((m, q)), Z((m, n)), Ku_zeta, Ku_z])
-    return A_tot, B_tot, K_row
+    start = {n: q, n_zeta: q + n, n_zeta + n_z: q + n}.get(K.shape[1])
+    if K.shape[0] != m or start is None:
+        raise ValueError("gain is %d x %d, not m x n, n_zeta or n_rho" % K.shape)
+    K_row = np.hstack([Z((m, start)), K, Z((m, A_open.shape[0] - start - K.shape[1]))])
+    return A_open + B_tot @ K_row, B_tot, K_row
 
 
 def _rk4_map(A_tot, B_tot, h):
@@ -172,19 +176,18 @@ def _rk4_map(A_tot, B_tot, h):
 
 
 def simulate(plant: LtiPlant, exo: Exosystem, known: ObserverKnown, im: InternalModel,
-             K_rho, s0, tspan, h, tones=()) -> TrajectoryLog:
-    """RK4 of u = K_rho rho + delta(t) from the stacked state s0 over tspan.
-
-    Both ends of tspan must lie on the grid k*h.  delta is the sum of tones
-    (none: pure feedback).  The ex_norm column is left NaN.
-    """
+             K, s0, tspan, h, tones=()) -> TrajectoryLog:
+    """RK4 of u = K a + delta(t) from the stacked state s0 over tspan, K on x,
+    zeta or rho by its width.  Both ends of tspan must lie on the grid k*h.
+    delta is the sum of tones (none: pure feedback).  The ex_norm column is
+    left NaN."""
     if h <= 0:
         raise ValueError("step size must be positive")
     j0, j1 = (int(round(t / h)) for t in tspan)
     if j1 < j0 or not (on_grid(tspan[0], h) and on_grid(tspan[1], h)):
         raise ValueError("tspan must run forward between points of the grid k*h")
     m = plant.m
-    A_tot, B_tot, K_row = _loop_matrices(plant, exo, known, im, K_rho)
+    A_tot, B_tot, K_row = _loop_matrices(plant, exo, known, im, K)
     if s0.shape != (A_tot.shape[0],):
         raise ValueError("initial state must have length %d" % A_tot.shape[0])
     n_steps = j1 - j0

@@ -10,11 +10,11 @@ M = B R^{-1} B^T formed once, the update is one matrix-vector product and
 two small products, and K itself is formed only for the final gain.  A
 solved exogenous matrix E = S W stays unknown: at fit time I_aa is factored
 and the E term's columns are reduced to an (n*q)-row basis of their range,
-so each iterate solves an (n*q) x (q*r) least-squares system for W, whose
-rhs comes out of the same matrix-vector product as vec(H + Q), and
-subtracts E's term; an identified E is that solve at P0, folded into L.
-Every least-squares fit is numpy's, and it fails with RankConditionError
-under the one rank rule `regression.check_rank` applies.
+so each iterate solves an (n*q) x (q*r) least-squares system for W, whose rhs
+comes out of the same matrix-vector product as vec(H + Q), and subtracts E's
+term; an identified E is that solve at P0, with the output cost (no E in it)
+left out of the rhs, and is folded into L.  Every least-squares fit is
+numpy's, failing with RankConditionError under `regression.check_rank`'s rule.
 
 All six variants then share one loop: a Robbins-Monro step
 P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
@@ -249,7 +249,7 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
         return _lstsq(C, rhs).reshape((r, q), order="F")
 
     if spec.exo == "identify":
-        E = S @ solve_E(cfg.P0.T @ S, project(G @ cfg.P0.reshape(-1, order="F") + c))
+        E = S @ solve_E(cfg.P0.T @ S, project(G @ cfg.P0.reshape(-1, order="F")))
         G = G - 2.0 * data.Gamma_av @ np.kron(np.eye(n), E.T)
         return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M), E
     lift_av = 2.0 * lift @ data.Gamma_av

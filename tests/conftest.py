@@ -83,10 +83,9 @@ def nonzero_run(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 def _exploration_log(cfg, objs):
-    """The exploration phase as run_experiment runs it (presets: K0 on zeta)."""
-    K0 = np.hstack([cfg.k0, np.zeros((objs.plant.m, objs.im.n_z))])
+    """The exploration phase as run_experiment runs it."""
     s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0, cfg.zeta0, cfg.z0)
-    return simulate(objs.plant, objs.exo, objs.known, objs.im, K0, s0,
+    return simulate(objs.plant, objs.exo, objs.known, objs.im, np.array(cfg.k0), s0,
                     (0.0, cfg.t_switch), cfg.h, [Tone(**t) for t in cfg.tones])
 
 

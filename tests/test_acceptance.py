@@ -75,7 +75,7 @@ def test_05_end_to_end_with_disturbance(nonzero_run):
 def test_learner_iteration_counts_hold(zero_run, nonzero_run):
     """The session runs keep the learner's (iterations, resets); a change that
     moves them changes the learner, not only its speed."""
-    assert (zero_run["report"].iters, zero_run["report"].resets) == (990, 7)
+    assert (zero_run["report"].iters, zero_run["report"].resets) == (346, 7)
     assert (nonzero_run["report"].iters, nonzero_run["report"].resets) == (5575, 0)
 
 
@@ -113,8 +113,7 @@ def test_08_reconstruction_error_decay(zero_setup):
     F = objs.plant.A - zero_setup["L"] @ objs.plant.C
     w, V = np.linalg.eig(F)
     x0 = 5.0 * np.real(V[:, np.argmax(w.real)])
-    K0 = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
-    log = simulate(objs.plant, objs.exo, objs.known, objs.im, K0,
+    log = simulate(objs.plant, objs.exo, objs.known, objs.im, np.array(cfg.k0),
                    stack_state(objs.exo, objs.known, objs.im, x0), (0.0, 3.0), cfg.h,
                    [Tone(**t) for t in cfg.tones])
     write_ex_norm(log, zero_setup["aux"])

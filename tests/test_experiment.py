@@ -67,7 +67,7 @@ REJECTED = [
     {"h": -1e-3},
     {"t_switch": 90.0},                    # must precede t_end
     {"x0": [1.0, 2.0]},                    # wrong plant dimension
-    {"k0": [[0.0] * 7]},                   # neither n_zeta = 6 nor n_rho = 8 wide
+    {"k0": [[0.0] * 7]},                   # none of n = 3, n_zeta = 6, n_rho = 8 wide
     {"k0": [[1.0, 2.0]]},                  # wrong gain shape
     {"grid_s": 10000},                     # grid escapes the exploration phase
     {"exo_v0": [1.0]},                     # length must match minimal polynomial
@@ -179,6 +179,13 @@ def test_k0_on_rho_is_accepted():
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))
     payload["k0"] = [payload["k0"][0] + [0.5, -0.5]]
     assert parse_config(json.dumps(payload)).k0 == [[10.0, 8.0, 0.0, 0.0, -4.0, -4.0, 0.5, -0.5]]
+
+
+def test_k0_on_x_is_accepted():
+    """A k0 as wide as the plant state acts on x."""
+    payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))
+    payload["k0"] = [[-1.0, -2.0, 0.0]]
+    assert parse_config(json.dumps(payload)).k0 == [[-1.0, -2.0, 0.0]]
 
 
 def test_build_objects_shapes():

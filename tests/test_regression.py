@@ -126,10 +126,9 @@ def test_rank_conditions_on_preset_data(nonzero_setup):
 def _transient_verdicts(setup, **patch):
     """The rank verdicts on I_aa alone (variant 4's) and on the stacked
     [I_aa, Gamma_av] (variant 3's) of the preset's exploration data, with the
-    config fields in patch changed (presets: K0 acts on zeta)."""
+    config fields in patch changed."""
     cfg, objs = dataclasses.replace(setup["cfg"], **patch), setup["objs"]
-    K0 = np.hstack([cfg.k0, np.zeros((objs.plant.m, objs.im.n_z))])
-    log = simulate(objs.plant, objs.exo, objs.known, objs.im, K0,
+    log = simulate(objs.plant, objs.exo, objs.known, objs.im, np.array(cfg.k0),
                    stack_state(objs.exo, objs.known, objs.im, cfg.x0), (0.0, cfg.t_switch),
                    cfg.h, [Tone(**t) for t in cfg.tones])
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)

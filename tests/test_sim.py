@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from regvi.experiment import (ExperimentConfig, build_objects, export_trajectory_csv, verify,
-                              write_ex_norm)
+from regvi.experiment import (PRESETS, ExperimentConfig, build_objects, export_trajectory_csv,
+                              verify, write_ex_norm)
 from regvi.sim import (STEPS_PER_CHECK, Tone, TrajectoryLog, _loop_matrices, _rk4_map,
                        exploration_signal, simulate, stack_state)
 
 
 def _explore(setup, tspan, h, x0=None, ex_norm=False):
-    """The preset's exploration input (K0 on zeta, its tones) from x0; with
+    """The preset's exploration input (K0, its tones) from x0; with
     ex_norm, the oracle's reconstruction error written as an unblinded run does."""
     cfg, objs = setup["cfg"], setup["objs"]
-    K0 = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
+    K0 = np.array(cfg.k0)
     s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0 if x0 is None else x0)
     log = simulate(objs.plant, objs.exo, objs.known, objs.im, K0, s0, tspan, h,
                    [Tone(**t) for t in cfg.tones])
@@ -74,9 +74,9 @@ def test_internal_stability_under_stabilizing_policy(nonzero_setup):
     assert end <= 1e-6 * start
 
 
-def _classic_rk4(plant, exo, known, im, K_rho, s0, tspan, h, tones):
+def _classic_rk4(plant, exo, known, im, K, s0, tspan, h, tones):
     """Reference: the four-stage RK4 loop, one step at a time."""
-    A_tot, B_tot, _ = _loop_matrices(plant, exo, known, im, K_rho)
+    A_tot, B_tot, _ = _loop_matrices(plant, exo, known, im, K)
     t = h * np.arange(round(tspan[0] / h), round(tspan[1] / h) + 1)
 
     def f(s, tau):
@@ -97,7 +97,7 @@ def _classic_rk4(plant, exo, known, im, K_rho, s0, tspan, h, tones):
 def test_affine_step_matches_classic_rk4(nonzero_setup, with_tones):
     """The precomputed affine step reproduces four-stage RK4 to 1e-12 relative."""
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
-    K = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
+    K = np.array(cfg.k0)
     tones = [Tone(**t) for t in cfg.tones] if with_tones else []
     s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
     args = (objs.plant, objs.exo, objs.known, objs.im, K, s0, (0.0, 1.0), cfg.h, tones)
@@ -108,10 +108,10 @@ def test_affine_step_matches_classic_rk4(nonzero_setup, with_tones):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _per_step(objs, K_rho, s0, n_steps, h, tones=(), t0=0.0):
+def _per_step(objs, K, s0, n_steps, h, tones=(), t0=0.0):
     """Reference: the recurrence s+ = Phi s + f, one matvec per step, with f
     the forcing of the step's tones (none: f = 0)."""
-    A_tot, B_tot, _ = _loop_matrices(objs.plant, objs.exo, objs.known, objs.im, K_rho)
+    A_tot, B_tot, _ = _loop_matrices(objs.plant, objs.exo, objs.known, objs.im, K)
     Phi, G = _rk4_map(A_tot, B_tot, h)
     t = h * (round(t0 / h) + np.arange(n_steps + 1))
     d = exploration_signal(tones, t, objs.plant.m)
@@ -152,7 +152,7 @@ def test_toned_phase_matches_per_step_recurrence(nonzero_setup):
     stepped in blocks of the power table plus each block's forced response,
     is the per-step recurrence to 1e-12 of each column's largest value."""
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
-    K0 = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))])
+    K0 = np.array(cfg.k0)
     s0 = stack_state(objs.exo, objs.known, objs.im, cfg.x0)
     log = _explore(nonzero_setup, (0.0, cfg.t_switch), cfg.h)
     n_steps = round(cfg.t_switch / cfg.h)
@@ -213,7 +213,7 @@ def test_continuation_matches_one_run(nonzero_setup, with_tones):
     move, so every signal agrees with that run's to rounding, not bitwise."""
     cfg, objs = nonzero_setup["cfg"], nonzero_setup["objs"]
     if with_tones:
-        K, tones = np.hstack([cfg.k0, np.zeros((1, objs.im.n_z))]), [Tone(**t) for t in cfg.tones]
+        K, tones = np.array(cfg.k0), [Tone(**t) for t in cfg.tones]
     else:
         K, tones = nonzero_setup["sol"].K, []
     args = (objs.plant, objs.exo, objs.known, objs.im, K)
@@ -337,3 +337,60 @@ def test_two_channel_plant_verifies():
     """verify places L by pole placement for p = 2 and passes every check."""
     failed = [row for row in verify(_two_channel_config()) if not row[1]]
     assert not failed, failed
+
+
+# ---------------------------------------------------------------------------
+# The width rule: a gain of n, n_zeta or n_zeta + n_z columns acts on x, zeta
+# or rho = col(zeta, z)
+# ---------------------------------------------------------------------------
+
+WIDTH_RULE_CASES = {"two-channel": _two_channel_config,
+                    "paper-e-nonzero": PRESETS["paper-e-nonzero"]}
+
+
+def _loop_args(case):
+    objs = build_objects(WIDTH_RULE_CASES[case]())
+    return objs, (objs.plant, objs.exo, objs.known, objs.im)
+
+
+@pytest.mark.parametrize("case", WIDTH_RULE_CASES)
+def test_a_gain_on_zeta_is_the_gain_on_rho_with_zero_z_columns(case):
+    objs, args = _loop_args(case)
+    K = np.random.default_rng(7).standard_normal((objs.plant.m, objs.known.n_zeta))
+    padded = np.hstack([K, np.zeros((objs.plant.m, objs.im.n_z))])
+    for got, want in zip(_loop_matrices(*args, K), _loop_matrices(*args, padded)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", WIDTH_RULE_CASES)
+def test_a_gain_on_x_changes_only_the_x_columns(case):
+    """A, the closed-loop matrix, differs from the open loop's only in the x
+    columns, by B_tot K; the input is u = K x."""
+    objs, args = _loop_args(case)
+    plant, q = objs.plant, objs.exo.q
+    K = np.random.default_rng(8).standard_normal((plant.m, plant.n))
+    A, B_tot, K_row = _loop_matrices(*args, K)
+    A_open = _loop_matrices(*args, np.zeros_like(K))[0]
+    on_x = np.arange(q, q + plant.n)
+    assert np.array_equal(np.delete(A, on_x, axis=1), np.delete(A_open, on_x, axis=1))
+    assert np.allclose(A[:, on_x], A_open[:, on_x] + B_tot @ K, rtol=1e-15,
+                       atol=1e-15 * np.abs(A).max())
+    assert np.array_equal(K_row[:, on_x], K)
+    assert not np.delete(K_row, on_x, axis=1).any()
+    s0 = stack_state(objs.exo, objs.known, objs.im, WIDTH_RULE_CASES[case]().x0)
+    log = simulate(*args, 0.1 * K, s0, (0.0, 0.2), 1e-3)
+    assert np.allclose(log.u, log.x @ (0.1 * K).T, rtol=0, atol=1e-15 * np.abs(log.u).max())
+
+
+@pytest.mark.parametrize("case", WIDTH_RULE_CASES)
+def test_a_gain_of_any_other_width_is_rejected(case):
+    objs, args = _loop_args(case)
+    m, n, n_zeta = objs.plant.m, objs.plant.n, objs.known.n_zeta
+    n_rho = n_zeta + objs.im.n_z
+    shapes = [(m, w) for w in range(n_rho + 2) if w not in (n, n_zeta, n_rho)]
+    for shape in shapes + [(m + 1, n), (m + 1, n_zeta), (m - 1, n_rho)]:
+        with pytest.raises(ValueError, match="gain is %d x %d, not" % shape):
+            _loop_matrices(*args, np.zeros(shape))
+    s0 = stack_state(objs.exo, objs.known, objs.im, WIDTH_RULE_CASES[case]().x0)
+    with pytest.raises(ValueError, match="gain is"):
+        simulate(*args, np.zeros((m, n_rho + 1)), s0, (0.0, 0.1), 1e-3)

@@ -1,0 +1,83 @@
+"""Every variant closes the loop: its learned gain acts on x, zeta or rho by
+its width, through `regvi run` and on a two-input plant."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from regvi import cli
+from regvi.experiment import PRESETS, build_objects, run_experiment, serialize_config
+from regvi.regression import VARIANTS
+
+
+def _gain_width(cfg, variant):
+    """Columns of the variant's learned gain: n on x, n_zeta on zeta, n_rho on rho."""
+    objs = build_objects(cfg)
+    n_zeta = objs.known.n_zeta
+    return {"x": objs.plant.n, "zeta": n_zeta, "rho": n_zeta + objs.im.n_z}[
+        VARIANTS[variant].state]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_every_variant_runs_through_the_cli(variant, tmp_path):
+    """paper-e-zero cut to t_end 30 with every weight set exits 0 for each
+    variant, blinded or not, and writes an m x (n, n_zeta or n_rho) gain."""
+    cfg = dataclasses.replace(PRESETS["paper-e-zero"](), variant=variant, t_end=30.0,
+                              settle_time=29.0, q_main=1.0, q_y=1.0, q_z=1.0)
+    path = tmp_path / "config.json"
+    path.write_text(serialize_config(cfg))
+    gains = []
+    for flags in ([], ["--blinded"]):
+        out = tmp_path / ("out%d" % len(flags))
+        assert cli.main(["run", str(path), "--out-dir", str(out), *flags]) == cli.EXIT_OK
+        gains.append((out / "learned_gain.csv").read_bytes())
+    K = np.loadtxt(tmp_path / "out0" / "learned_gain.csv", delimiter=",", ndmin=2)
+    assert K.shape == (1, _gain_width(cfg, variant))
+    assert gains[0] == gains[1]
+
+
+def two_input_config(variant):
+    """An m = 2, p = 1 plant under paper-e-nonzero's tones and VI parameters:
+    the preset's five tones on channel 0 and the same five, 0.5 rad/s higher,
+    on channel 1.  k0 is the oracle CARE gain on (A_rho, B_rho) with Q = I8,
+    R = I2, written as a literal since a user has no oracle."""
+    base = PRESETS["paper-e-nonzero"]()
+    tones = base.tones + [{**t, "frequency": t["frequency"] + 0.5, "channel": 1}
+                          for t in base.tones]
+    return dataclasses.replace(
+        base, name="two-input", plant_a=[[0.0, 1.0], [-1.0, -0.5]],
+        plant_b=[[1.0, 0.0], [0.0, 1.0]], plant_c=[[1.0, 0.3]],
+        plant_e=[[1.0, 0.0], [0.0, 0.5]], plant_f=[[0.5, -0.8]], x0=[1.0, -0.5],
+        observer_poles=[-5.0, -6.0], tones=tones, variant=variant,
+        k0=[[8.159318692616365, -1.0062259376651794, -1.5128216241709036,
+             -0.5702682431823948, -27.30572435514404, -18.204400668581975,
+             0.10291155633702997, -1.192251591757618],
+            [15.42900494704028, -0.5702682431823948, -1.6149767412163254,
+             -0.7426140943884459, -15.536660415499808, -21.033143165174103,
+             0.4463050769434644, -0.6072537622923428]],
+        q_main=1.0, q_y=1.0, q_z=1.0)
+
+
+# (iterations, resets) of each variant on the two-input plant, then the bound
+# on its gain error against the oracle (variants on rho only)
+TWO_INPUT_RUNS = {1: (545, 0, None), 2: (2385, 0, None), 3: (3060, 0, 1e-5),
+                  4: (3060, 0, 1e-5), 5: (2857, 0, 1e-2), 6: (2904, 0, 2e-2)}
+
+
+@pytest.mark.parametrize("variant", sorted(TWO_INPUT_RUNS))
+def test_two_input_plant_learns_with_every_variant(variant, tmp_path):
+    """The first m > 1 run end to end: each variant converges and closes the
+    loop with its m x (n, n_zeta or n_rho) gain; the regulators (3-6) track,
+    and identifying E (4 and 6) recovers it."""
+    cfg = two_input_config(variant)
+    report = run_experiment(cfg, str(tmp_path))
+    iters, resets, gain_bound = TWO_INPUT_RUNS[variant]
+    assert report.converged and (report.iters, report.resets) == (iters, resets)
+    K = np.loadtxt(tmp_path / "learned_gain.csv", delimiter=",", ndmin=2)
+    assert K.shape == (2, _gain_width(cfg, variant))
+    if gain_bound is not None:
+        assert report.gain_error <= gain_bound
+        assert report.tracking_max_error <= 1e-6
+    if VARIANTS[variant].exo == "identify":
+        assert report.e_rho_error <= 1e-7

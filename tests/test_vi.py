@@ -626,7 +626,8 @@ def reference_exo_stage(variant, data, cfg):
 
     W solves the Q_c-projected rhs by an lstsq over all rows of Q_c, E = S W,
     and the E term of vec(H) is lift_av vec(E^T P).  Returns (E_at, residual):
-    E at an iterate P, and H + Q - P M P with E solved at P.
+    E identified at an iterate P, on a rhs without the output cost, and
+    H + Q - P M P with E solved at P.
     """
     spec = VARIANTS[variant]
     n, q = data.dims["n_a"], data.dims["q"]
@@ -651,7 +652,7 @@ def reference_exo_stage(variant, data, cfg):
         return S @ np.linalg.lstsq(2.0 * C, rhs_c, rcond=None)[0].reshape((r, q), order="F")
 
     def E_at(P):
-        return solve_E(P, Q_c.T @ (G @ P.reshape(-1, order="F") + c))
+        return solve_E(P, Q_c.T @ (G @ P.reshape(-1, order="F")))
 
     def residual(P):
         p = P.reshape(-1, order="F")
@@ -714,8 +715,7 @@ def test_zero_preset_converges_on_held_out_phases(zero_setup, seed):
     cfg, objs = zero_setup["cfg"], zero_setup["objs"]
     rng = np.random.default_rng(seed)
     tones = [Tone(**{**t, "phase": float(rng.uniform(-0.1, 0.1))}) for t in cfg.tones]
-    K0 = np.hstack([cfg.k0, np.zeros((objs.plant.m, objs.im.n_z))])
-    log = simulate(objs.plant, objs.exo, objs.known, objs.im, K0,
+    log = simulate(objs.plant, objs.exo, objs.known, objs.im, np.array(cfg.k0),
                    stack_state(objs.exo, objs.known, objs.im, cfg.x0, cfg.zeta0, cfg.z0),
                    (0.0, cfg.t_switch), cfg.h, tones)
     data = build_regression(log, zero_setup["grid"], cfg.variant, known_B=objs.B_rho)
