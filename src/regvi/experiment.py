@@ -374,20 +374,22 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     lap("other_exports_s")
     if blinded:
         return
-    if spec.state == "rho":
-        if not spec.output_cost:
-            K_opt = _oracle_call(solve_care, aux.A_rho, aux.B_rho, vicfg.Q, vicfg.R).K
-        else:
-            t4 = _oracle_call(verify_theorem4, plant, aux, im, _qbar(cfg, plant.p, im.n_z),
-                              vicfg.R)
-            K_opt = t4.K_rho
-            report.theorem4_deviation = t4.deviation
-            report.theorem4_gain_deviation = t4.gain_deviation
-        report.gain_error = float(np.linalg.norm(vires.K_final - K_opt, "fro")
-                                  / np.linalg.norm(K_opt, "fro"))
-        if vires.E_rho_identified is not None:
-            report.e_rho_error = float(np.linalg.norm(vires.E_rho_identified - aux.E_rho, "fro")
-                                       / np.linalg.norm(aux.E_rho, "fro"))
+    if spec.state != "rho":     # variant 1 on x, variant 2 on zeta through x_hat = M zeta
+        Q_x = vicfg.Q if spec.state == "x" else plant.C.T @ vicfg.Q_y @ plant.C
+        K_x = _oracle_call(solve_care, plant.A, plant.B, Q_x, vicfg.R).K
+        K_opt = K_x if spec.state == "x" else K_x @ aux.M
+    elif not spec.output_cost:
+        K_opt = _oracle_call(solve_care, aux.A_rho, aux.B_rho, vicfg.Q, vicfg.R).K
+    else:
+        t4 = _oracle_call(verify_theorem4, plant, aux, im, _qbar(cfg, plant.p, im.n_z), vicfg.R)
+        K_opt = t4.K_rho
+        report.theorem4_deviation = t4.deviation
+        report.theorem4_gain_deviation = t4.gain_deviation
+    report.gain_error = float(np.linalg.norm(vires.K_final - K_opt, "fro")
+                              / np.linalg.norm(K_opt, "fro"))
+    if vires.E_rho_identified is not None:
+        report.e_rho_error = float(np.linalg.norm(vires.E_rho_identified - aux.E_rho, "fro")
+                                   / np.linalg.norm(aux.E_rho, "fro"))
     lap("oracle_s")
 
 

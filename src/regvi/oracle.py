@@ -1,8 +1,10 @@
 """Ground-truth computations the learner is forbidden to use.
 
-The paper's four standing assumptions, exact Riccati and Sylvester solvers,
-observer pole placement, the state parameterization matrix M, assembly of
-the augmented auxiliary system and the state/output LQR equivalence check.
+The paper's four standing assumptions and the solvers' entry checks, each
+one `rank_gap` of a PBH or Rosenbrock pencil at a set of eigenvalues; exact
+Riccati and Sylvester solvers, observer pole placement, the state
+parameterization matrix M, assembly of the augmented auxiliary system and
+the state/output LQR equivalence check.
 Tests certify every learned quantity against this layer; of the package
 only `experiment` imports it.  Every function takes float ndarrays
 (observer poles as a complex array) or the objects `experiment` builds.
@@ -14,7 +16,7 @@ import numpy as np
 
 from .linalg import is_hurwitz, poly_from_roots, require_sym_psd
 
-RANK_RTOL = 1e-8       # relative rank cutoff of the PBH and Rosenbrock tests
+RANK_RTOL = 1e-8       # relative rank cutoff of every rank_gap
 STABLE_EIG_TOL = 1e-9  # eigenvalues with Re >= -this count as unstable
 
 
@@ -27,75 +29,57 @@ class SpectraOverlapError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# PBH machinery and the standing assumptions
+# Rank tests: the standing assumptions and the solvers' entry checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PbhReport:
-    ok: bool
-    worst_eigenvalue: complex | None
-    worst_rank_gap: int
-
-
-def _worst_rank_gap(pencil, size, eigs):
-    """Largest rank gap size - rank(pencil(lam)) over the eigenvalues eigs."""
+def rank_gap(pencil, size, eigs):
+    """(gap, eigenvalue): the largest size - rank pencil(lam) over eigs and the
+    first lam that reaches it (eigs[0] if no rank is lost, None if eigs is empty)."""
     worst_gap, worst_eig = 0, None
     for lam in eigs:
         gap = size - np.linalg.matrix_rank(pencil(lam), rtol=RANK_RTOL)
         if gap > worst_gap or worst_eig is None:
             worst_gap, worst_eig = gap, complex(lam)
-    return PbhReport(ok=worst_gap == 0, worst_eigenvalue=worst_eig, worst_rank_gap=worst_gap)
+    return worst_gap, worst_eig
 
 
-def pbh_check(A, B_or_C, mode, upper=np.inf):
-    """Eigenvalue-wise PBH rank test.
-
-    mode is 'stabilizable' (B on the right) or 'observable' (C below).
-    'stabilizable' only tests eigenvalues with -1e-9 <= Re <= upper.
-    """
+def pbh_gap(A, B, eigs):
+    """rank_gap of the PBH pencil [A - lam I, B] at eigs.  (A, C) is observable
+    and (Q, A) detectable as their duals (A^T, C^T) and (A^T, Q) are
+    controllable and stabilizable."""
     n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError("A must be square")
-    if mode not in ("stabilizable", "observable"):
-        raise ValueError("unknown mode %r" % mode)
-    stack = np.vstack if mode == "observable" else np.hstack
+    return rank_gap(lambda lam: np.hstack([A - lam * np.eye(n), B]), n, eigs)
+
+
+def unstable_eigs(A, upper=np.inf):
+    """The eigenvalues of A with -STABLE_EIG_TOL <= Re <= upper."""
     eigs = np.linalg.eigvals(A)
-    if mode == "stabilizable":
-        eigs = eigs[(eigs.real >= -STABLE_EIG_TOL) & (eigs.real <= upper)]
-    return _worst_rank_gap(lambda lam: stack([A - lam * np.eye(n), B_or_C]), n, eigs)
+    return eigs[(eigs.real >= -STABLE_EIG_TOL) & (eigs.real <= upper)]
 
 
-def _require_pbh(A, B_or_C, mode, pair, upper=np.inf):
-    """Raise AssumptionError unless the pair passes pbh_check in mode."""
-    rep = pbh_check(A, B_or_C, mode, upper)
-    if not rep.ok:
-        raise AssumptionError("%s not %s; PBH fails at eigenvalue %s"
-                              % (pair, mode, rep.worst_eigenvalue))
-
-
-def transmission_zero_check(A, B, C, S):
-    """Rosenbrock rank test at the exosystem modes: rank [A-lam I, B; C, 0] = n+p."""
-    n, m = B.shape
-    p = C.shape[0]
-    eigs = np.linalg.eigvals(S)
-    return _worst_rank_gap(lambda lam: np.block([[A - lam * np.eye(n), B],
-                                                 [C, np.zeros((p, m))]]), n + p, eigs)
+def _require_full_rank(gap_eig, failure):
+    """Raise AssumptionError(failure) naming the eigenvalue unless the gap is 0."""
+    gap, lam = gap_eig
+    if gap:
+        raise AssumptionError("%s; PBH fails at eigenvalue %s" % (failure, lam))
 
 
 def standing_assumptions(plant, S):
     """Assumptions 1-4 of the plant and the exosystem matrix S, one row
     (name, ok, detail) each: (A, B) stabilizable, (A, C) observable, no
-    decaying exosystem mode, no transmission zero at an exosystem mode."""
-    stab = pbh_check(plant.A, plant.B, "stabilizable")
-    obs = pbh_check(plant.A, plant.C, "observable")
-    margin = float(np.min(np.linalg.eigvals(S).real))
-    zeros = transmission_zero_check(plant.A, plant.B, plant.C, S)
-    return [("assumption1_stabilizable", stab.ok, "worst eigenvalue %s" % stab.worst_eigenvalue),
-            ("assumption2_observable", obs.ok, "worst eigenvalue %s" % obs.worst_eigenvalue),
+    decaying exosystem mode, no transmission zero at an exosystem mode (the
+    (n+p) x (n+m) Rosenbrock pencil [A - lam I, B; C, 0] has rank n + p)."""
+    A, B, C = plant.A, plant.B, plant.C
+    (n, m), p, exo_eigs = B.shape, C.shape[0], np.linalg.eigvals(S)
+    stab, obs = pbh_gap(A, B, unstable_eigs(A)), pbh_gap(A.T, C.T, np.linalg.eigvals(A))
+    zeros = rank_gap(lambda lam: np.block([[A - lam * np.eye(n), B], [C, np.zeros((p, m))]]),
+                     n + p, exo_eigs)
+    margin = float(np.min(exo_eigs.real))
+    return [("assumption1_stabilizable", stab[0] == 0, "worst eigenvalue %s" % stab[1]),
+            ("assumption2_observable", obs[0] == 0, "worst eigenvalue %s" % obs[1]),
             ("assumption3_no_decaying_modes", margin >= -STABLE_EIG_TOL,
              "min Re eigenvalue %g" % margin),
-            ("assumption4_transmission_zeros", zeros.ok,
-             "rank gap %d at %s" % (zeros.worst_rank_gap, zeros.worst_eigenvalue))]
+            ("assumption4_transmission_zeros", zeros[0] == 0, "rank gap %d at %s" % zeros)]
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +134,9 @@ def care_residual(A, B, Q, R, P):
 def solve_care(A, B, Q, R):
     """Stabilizing solution of A^T P + P A + Q - P B R^-1 B^T P = 0.
 
-    (A, B) must pass the PBH stabilizability test, checked first so that the
-    failing eigenvalue is named.  P = sym(Re U2 U1^-1) from the n stable
-    eigenvectors [U1; U2] of the Hamiltonian H = [[A, -B R^-1 B^T], [-Q, -A^T]]
+    (A, B) must be stabilizable, checked first so that the failing eigenvalue
+    is named.  P = sym(Re U2 U1^-1) from the n stable eigenvectors [U1; U2]
+    of the Hamiltonian H = [[A, -B R^-1 B^T], [-Q, -A^T]]
     (none within sqrt(eps) (1 + ||H||_1) of the imaginary axis, or AssumptionError),
     and (Q, A) must pass the PBH detectability test, run on (A^T, Q), at the
     eigenvalues with -1e-9 <= Re <= eps^(1/n) (1 + ||A||_2): a defective axis
@@ -162,7 +146,7 @@ def solve_care(A, B, Q, R):
     Certified by the residual bound 1e-8 * (1 + ||P||) and a Hurwitz closed loop.
     """
     require_sym_psd(R, "R", definite=True)
-    _require_pbh(A, B, "stabilizable", "(A, B)")
+    _require_full_rank(pbh_gap(A, B, unstable_eigs(A)), "(A, B) not stabilizable")
     n = A.shape[0]
     H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
     lam, V = np.linalg.eig(H)
@@ -170,8 +154,8 @@ def solve_care(A, B, Q, R):
     if np.count_nonzero(stable) != n:
         raise AssumptionError("no stabilizing CARE solution: the Hamiltonian has eigenvalue "
                               "%s on the imaginary axis" % lam[np.argmin(np.abs(lam.real))])
-    _require_pbh(A.T, Q, "stabilizable", "(A^T, Q)",
-                 np.finfo(float).eps ** (1.0 / n) * (1.0 + np.linalg.norm(A, 2)))
+    window = np.finfo(float).eps ** (1.0 / n) * (1.0 + np.linalg.norm(A, 2))
+    _require_full_rank(pbh_gap(A.T, Q, unstable_eigs(A.T, window)), "(Q, A) not detectable")
     X = np.linalg.solve(V[:n, stable].T, V[n:, stable].T).real     # (U2 U1^-1)^T
     P = 0.5 * (X + X.T)
     D = care_residual(A, B, Q, R, P)
@@ -202,7 +186,7 @@ def place_observer_gain(A, C, desired):
     n, p = A.shape[0], C.shape[0]
     if desired.size != n:
         raise ValueError("need exactly n = %d poles" % n)
-    _require_pbh(A, C, "observable", "(A, C)")
+    _require_full_rank(pbh_gap(A.T, C.T, np.linalg.eigvals(A)), "(A, C) not observable")
     alpha = poly_from_roots(desired)  # also validates conjugate pairing
     if p == 1:
         # Ackermann on the dual: L^T = e_n^T O_ctrb^{-1} phi(A^T)
@@ -305,7 +289,8 @@ def build_augmented_aux(plant, L, M, known, im, exo):
     CXp = plant.C @ X_prime
     E_rho = np.vstack([known.E_zeta @ CXp,
                        im.G2 @ (CXp + plant.F)])
-    _require_pbh(A_rho, B_rho, "stabilizable", "(A_rho, B_rho)")
+    _require_full_rank(pbh_gap(A_rho, B_rho, unstable_eigs(A_rho)),
+                       "(A_rho, B_rho) not stabilizable")
     return AugmentedAux(L=L, M=M, A_rho=A_rho, B_rho=B_rho, W=W, E_rho=E_rho,
                         X_prime=X_prime)
 

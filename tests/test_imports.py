@@ -33,6 +33,18 @@ def _relative_imports(module):
     return found
 
 
+def test_readme_layout_has_one_row_per_module():
+    """README's "Library layout" table has exactly one row per module of the
+    package (not `__init__` or `__main__`), so renaming or removing a module
+    without its row fails here."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines()
+            if line.startswith("| `regvi.")]
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(rows) == sorted("`regvi.%s`" % m for m in modules)
+
+
 def test_relative_imports_are_found():
     assert _relative_imports("experiment") >= {"oracle", "sim", "vi", "linalg"}
 

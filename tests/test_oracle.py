@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from regvi.internal_model import Exosystem, InternalModel
 from regvi.linalg import is_hurwitz
 from regvi.observer import ObserverKnown
 from regvi.oracle import (RANK_RTOL, AssumptionError, SpectraOverlapError,
-                          care_residual,
+                          build_augmented_aux, care_residual,
                           compute_parameterization,
-                          parameterization_identity_errors, pbh_check,
+                          parameterization_identity_errors, pbh_gap,
                           place_observer_gain, solve_care,
-                          solve_sylvester_regulator, transmission_zero_check,
-                          verify_theorem4)
+                          solve_sylvester_regulator, standing_assumptions,
+                          unstable_eigs, verify_theorem4)
+from regvi.sim import LtiPlant
 
 A_PAPER = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
 B_PAPER = np.array([[0.0], [1.0], [0.0]])
@@ -18,39 +20,104 @@ C_PAPER = np.array([[1.0, 2.0, 3.0]])
 
 
 # ---------------------------------------------------------------------------
-# PBH tests
+# Rank tests: PBH, its duals and the Rosenbrock pencil
 # ---------------------------------------------------------------------------
 
+OSCILLATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _plant(A, B, C):
+    A, C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
+    return LtiPlant(A=A, B=B, C=C, E=np.zeros((len(A), 1)), F=np.zeros((len(C), 1)))
+
+
 def test_pbh_paper_plant():
-    assert pbh_check(A_PAPER, B_PAPER, "stabilizable").ok
-    assert pbh_check(A_PAPER, C_PAPER, "observable").ok
+    assert pbh_gap(A_PAPER, B_PAPER, unstable_eigs(A_PAPER))[0] == 0
+    assert pbh_gap(A_PAPER.T, C_PAPER.T, np.linalg.eigvals(A_PAPER))[0] == 0
 
 
 def test_pbh_detects_unstabilizable():
     A = np.diag([1.0, -1.0])
-    B = np.array([[0.0], [1.0]])
-    rep = pbh_check(A, B, "stabilizable")
-    assert not rep.ok and rep.worst_eigenvalue == pytest.approx(1.0)
+    gap, lam = pbh_gap(A, np.array([[0.0], [1.0]]), unstable_eigs(A))
+    assert gap == 1 and lam == pytest.approx(1.0)
 
 
 def test_pbh_reports_no_eigenvalue_when_none_is_tested():
-    rep = pbh_check(-np.eye(2), np.zeros((2, 1)), "stabilizable")
-    assert rep.ok and rep.worst_eigenvalue is None and rep.worst_rank_gap == 0
-
-
-def test_pbh_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        pbh_check(np.eye(2), np.ones((2, 1)), "nonsense")
+    assert pbh_gap(-np.eye(2), np.zeros((2, 1)), unstable_eigs(-np.eye(2))) == (0, None)
 
 
 def test_transmission_zero_check():
-    S = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert transmission_zero_check(A_PAPER, B_PAPER, C_PAPER, S).ok
-    # Rosenbrock pencil loses rank at the exosystem mode s = 0
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    B = np.array([[0.0], [1.0]])
-    C = np.array([[0.0, 1.0]])
-    assert not transmission_zero_check(A, B, C, np.zeros((1, 1))).ok
+    """Assumption 4 holds for the paper plant at the oscillator's modes +-j and
+    fails where the Rosenbrock pencil loses rank at the exosystem mode s = 0."""
+    assert standing_assumptions(_plant(A_PAPER, B_PAPER, C_PAPER), OSCILLATOR)[3][1]
+    plant = _plant([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[0.0, 1.0]])
+    assert standing_assumptions(plant, np.zeros((1, 1)))[3] == (
+        "assumption4_transmission_zeros", False, "rank gap 1 at 0j")
+
+
+def _planted(rng, n, k, width):
+    """A random n x n A and n x width B, rotated by an orthogonal T, whose last
+    k modes B does not reach: A = T [[A11, A12], [0, A22]] T^T, B = T [B1; 0]."""
+    A = rng.standard_normal((n, n))
+    A[n - k:, :n - k] = 0.0
+    B = rng.standard_normal((n, width))
+    B[n - k:] = 0.0
+    T = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return T @ A @ T.T, T @ B
+
+
+def _kalman_rank(A, B):
+    return np.linalg.matrix_rank(np.hstack([np.linalg.matrix_power(A, j) @ B
+                                            for j in range(A.shape[0])]))
+
+
+def test_pbh_gap_is_zero_exactly_when_the_kalman_rank_is_full():
+    """On seeded random systems with n <= 5, a third of them with one or two
+    planted unreachable modes, the PBH gap is 0 at every eigenvalue of A iff
+    the Kalman matrix has rank n: for (A, B), and for (A, C) through the dual
+    pencil [A^T - lam I, C^T] that observability and detectability use."""
+    rng = np.random.default_rng(7)
+    seen = set()
+    for trial in range(90):
+        n = int(rng.integers(2, 6))
+        k = min(int(rng.integers(1, 3)), n - 1) if trial % 3 == 0 else 0
+        A, B = _planted(rng, n, k, int(rng.integers(1, 3)))
+        A_obs, C_T = _planted(rng, n, k, int(rng.integers(1, 3)))
+        A_obs, C = A_obs.T, C_T.T           # (A_obs, C) has the planted unobservable modes
+        for pencil_gap, kalman in (
+                (pbh_gap(A, B, np.linalg.eigvals(A))[0], _kalman_rank(A, B)),
+                (pbh_gap(A_obs.T, C.T, np.linalg.eigvals(A_obs))[0],
+                 _kalman_rank(A_obs.T, C.T))):
+            assert (pencil_gap == 0) == (kalman == n)
+            seen.add(kalman == n)
+    assert seen == {True, False}
+
+
+def test_assumption4_fails_whenever_outputs_outnumber_inputs():
+    """The Rosenbrock pencil is (n+p) x (n+m), so with p > m its rank stays
+    below the n + p Assumption 4 requires: the gap is at least p - m."""
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+        p = m + int(rng.integers(1, 3))
+        plant = _plant(rng.standard_normal((n, n)), rng.standard_normal((n, m)),
+                       rng.standard_normal((p, n)))
+        name, ok, detail = standing_assumptions(plant, OSCILLATOR)[3]
+        assert not ok and int(detail.split()[2]) >= p - m
+
+
+def test_failing_assumption_rows_name_their_eigenvalue():
+    """The rows of Assumptions 1, 2 and 4 that fail name the eigenvalue or the
+    exosystem mode where the rank is lost."""
+    rows = standing_assumptions(_plant(np.diag([1.0, -1.0]), [[0.0], [1.0]], [[1.0, 1.0]]),
+                                OSCILLATOR)
+    assert rows[0] == ("assumption1_stabilizable", False, "worst eigenvalue (1+0j)")
+    rows = standing_assumptions(_plant(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 0.0]]),
+                                OSCILLATOR)
+    assert rows[1] == ("assumption2_observable", False, "worst eigenvalue (-2+0j)")
+    rows = standing_assumptions(_plant(np.diag([-1.0, -2.0]), [[1.0], [0.0]], np.eye(2)),
+                                OSCILLATOR)
+    assert rows[3] == ("assumption4_transmission_zeros", False, "rank gap 1 at 1j")
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +254,16 @@ def test_solve_care_requires_a_detectable_pair():
     and each of those CAREs solves."""
     A0, e1, e3 = np.diag([1.0, 1.0], 1), np.eye(3)[:, [0]], np.eye(3)[:, [2]]
     rng = np.random.default_rng(0)
+    undetectable = 0
     for _ in range(200):
         T = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         A, B = T.T @ A0 @ T, T.T @ e3
-        with pytest.raises(AssumptionError):
+        with pytest.raises(AssumptionError, match="imaginary axis|not detectable") as exc:
             solve_care(A, B, T.T @ e3 @ e3.T @ T, np.eye(1))
+        undetectable += str(exc.value).startswith(
+            "(Q, A) not detectable; PBH fails at eigenvalue ")
         assert solve_care(A, B, T.T @ e1 @ e1.T @ T, np.eye(1)).closed_loop_margin < 0.0
+    assert undetectable > 0
 
 
 def test_solve_care_accepts_an_unweighted_mode_off_the_axis():
@@ -304,6 +375,25 @@ def test_augmented_aux_shapes_and_lift(nonzero_setup):
     assert not aux.W[:3, 6:].any() and not aux.W[3:, :6].any()
     assert np.array_equal(aux.A_rho[6:, :6], im.G2 @ plant.C @ aux.M)
     assert np.array_equal(aux.A_rho[6:, 6:], im.G1) and not aux.A_rho[:6, 6:].any()
+
+
+def test_augmented_aux_requires_a_stabilizable_pair():
+    """A plant with transmission zeros at the oscillator's modes +-j leaves the
+    internal model's modes unreachable from u, so (A_rho, B_rho) is not
+    stabilizable and the failing eigenvalue is named."""
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.0, -2.0]])
+    plant = LtiPlant(A=A, B=[[0.0], [0.0], [1.0]], C=[[1.0, 0.0, 1.0]],
+                     E=np.zeros((3, 2)), F=np.zeros((1, 2)))
+    poles = np.array([-5.0, -6.0, -7.0])
+    known = ObserverKnown.from_poles(poles, 1, 1)
+    L = place_observer_gain(plant.A, plant.C, poles)
+    M = compute_parameterization(plant, L, known)
+    with pytest.raises(AssumptionError) as exc:
+        build_augmented_aux(plant, L, M, known, InternalModel([1.0, 0.0], 1),
+                            Exosystem(OSCILLATOR, [1.0, 0.0]))
+    failure, lam = str(exc.value).split(" at eigenvalue ")
+    assert failure == "(A_rho, B_rho) not stabilizable; PBH fails"
+    assert complex(lam) == pytest.approx(1j)
 
 
 @pytest.mark.parametrize("setup", ["zero_setup", "nonzero_setup"])
