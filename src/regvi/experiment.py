@@ -277,6 +277,7 @@ class ExperimentReport:
     iters: int | None = None
     resets: int | None = None
     vi_reset_iterations: list | None = None  # the iterate k of each reset
+    vi_exo_fallbacks: int | None = None  # ViResult.exo_fallbacks: W solves that took lstsq
     vi_final_step_metric: float | None = None  # ||P~ - P||_2 / eps at the last iterate
     vi_us_per_iter: float | None = None  # timings["vi_s"] per iterate, in microseconds
     converged: bool = False
@@ -348,6 +349,7 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         # j rises after each escape; appending the final j counts a last-iterate escape
         report.vi_reset_iterations = np.flatnonzero(
             np.diff(vires.history[:, 1], append=vires.resets)).tolist()
+        report.vi_exo_fallbacks = vires.exo_fallbacks
         report.vi_final_step_metric = float(vires.history[-1, 3])
         files.update(export_regression_csv(data, out_dir))
         files["vi_history"] = export_history_csv(vires, path("vi_history.csv"))

@@ -10,11 +10,15 @@ M = B R^{-1} B^T formed once, the update is one matrix-vector product and
 two small products, and K itself is formed only for the final gain.  A
 solved exogenous matrix E = S W stays unknown: at fit time I_aa is factored
 and the E term's columns are reduced to an (n*q)-row basis of their range,
-so each iterate solves an (n*q) x (q*r) least-squares system for W, whose rhs
-comes out of the same matrix-vector product as vec(H + Q), and subtracts E's
-term; an identified E is that solve at P0, with the output cost (no E in it)
-left out of the rhs, and is folded into L.  Every least-squares fit is
-numpy's, failing with RankConditionError under `regression.check_rank`'s rule.
+so each iterate solves an (n*q) x (q*r) least-squares system for W, whose
+matrix, rhs and E term, all linear in the iterate, come out of the same
+matrix-vector product as vec(H + Q); an identified E is that solve at P0,
+with the output cost (no E in it) left out of the rhs, and is folded into L.
+Least squares follow a two-tier rule.  The per-iterate W solve takes the
+normal equations, certified by an upper bound on cond_2(C^T C) at most
+EXO_BETA_MAX; every other fit, and a W solve that bound rejects, is numpy's
+`lstsq`, failing with RankConditionError under `regression.check_rank`'s
+rule, numpy's cutoff.
 
 All six variants then share one loop: a Robbins-Monro step
 P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
@@ -126,13 +130,17 @@ class ViResult:
     converged: bool
     history: np.ndarray               # rows (k, j, specnorm P_k, step metric)
     E_rho_identified: np.ndarray | None = None
+    # iterates whose W solve took `_lstsq`; None unless E is solved per iterate
+    exo_fallbacks: int | None = None
 
 
 def _lstsq(M, rhs):
     """Least-squares solution of M x = rhs for a vector or a matrix rhs.
 
     M must have full column rank under numpy's cutoff
-    max(shape)*eps*sigma_max, the one check_rank applies.
+    max(shape)*eps*sigma_max, the one check_rank applies.  Every least-squares
+    fit of the package is this one but the per-iterate W solve, whose
+    certified normal equations (`_solve_normal`) fall back to it.
     """
     x, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
     if rank < M.shape[1]:
@@ -140,6 +148,34 @@ def _lstsq(M, rhs):
             "stage matrix is numerically rank deficient (rank %d < %d columns)"
             % (rank, M.shape[1]), rank, M.shape[1])
     return x
+
+
+# The largest beta = ||C^T C||_F ||(C^T C)^-1||_F, an upper bound on
+# cond_2(C^T C), at which the normal equations' W is kept: it errs by about
+# 1e-8 relative at most.
+EXO_BETA_MAX = 1e8
+
+
+def _solve_normal(A, eye):
+    """(w, took_lstsq): the least-squares solution of C w = rhs, A = [rhs | C].
+
+    eye is np.eye(k, k + 1, 1) for C's k columns, left unchanged.  One product
+    A^T A gives C^T C and C^T rhs, and one solve of
+    C^T C [w | X] = [C^T rhs | I] gives w and X = (C^T C)^-1.  w is kept when
+    beta = ||C^T C||_F ||X||_F is at most EXO_BETA_MAX; otherwise, a NaN beta
+    or a singular C^T C included, w is `_lstsq`'s.
+    """
+    Ga = A.T @ A
+    CtC, B = Ga[1:, 1:], eye.copy()
+    B[:, 0] = Ga[1:, 0]
+    try:
+        X = np.linalg.solve(CtC, B)
+    except np.linalg.LinAlgError:       # C^T C is singular
+        pass
+    else:                               # a NaN beta fails the test too
+        if math.sqrt(np.vdot(CtC, CtC) * np.vdot(X[:, 1:], X[:, 1:])) <= EXO_BETA_MAX:
+            return X[:, 0], False
+    return _lstsq(A[:, 1:], A[:, 0]), True
 
 
 def _vec_maps(n):
@@ -165,9 +201,10 @@ class Stage:
     -R^{-1} B^T P is known, K^T R K = P M P with M = B R^{-1} B^T; M is None
     where K is fitted with H (state x).  exo is the term of an exogenous
     matrix solved at every iterate, and None without one; L and c0 then
-    carry extra rows after the n^2 of vec(H + Q), the rhs of that solve, so
-    one matrix-vector product v = L vec(P) + c0 feeds both and
-    vec(H + Q) = v[:n^2] - exo(P, v[n^2:]).
+    carry extra rows after the n^2 of vec(H + Q), the matrix and rhs of that
+    solve and the term's block, so one matrix-vector product
+    v = L vec(P) + c0 feeds both and vec(H + Q) = v[:n^2] - exo(v[n^2:]).
+    exo appends to exo_fell, per call that returns, whether it took `_lstsq`.
     """
 
     L: np.ndarray
@@ -176,13 +213,14 @@ class Stage:
     R: np.ndarray
     M: np.ndarray | None = None
     exo: Callable | None = None
+    exo_fell: list | None = None
 
     def residual(self, P):
         """H + Q - K^T R K at the iterate P."""
         p = P.reshape(-1, order="F")
         v = self.L @ p + self.c0
         if self.exo is not None:
-            v = v[:p.size] - self.exo(P, v[p.size:])
+            v = v[:p.size] - self.exo(v[p.size:])
         D = v.reshape(P.shape, order="F")
         if self.M is None:
             K = self.gain(P)
@@ -244,21 +282,32 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     def project(x):             # the reduced rhs rows of x
         return Q_g.T @ (Q_c.T @ x)
 
-    def solve_E(T, rhs):        # W with E = S W, at T = P^T S and the reduced rhs at P
-        C = (Gq @ T).reshape(n * q, q * r)
-        return _lstsq(C, rhs).reshape((r, q), order="F")
-
     if spec.exo == "identify":
-        E = S @ solve_E(cfg.P0.T @ S, project(G @ cfg.P0.reshape(-1, order="F")))
+        C = (Gq @ (cfg.P0.T @ S)).reshape(n * q, q * r)
+        E = S @ _lstsq(C, project(G @ cfg.P0.reshape(-1, order="F"))).reshape((r, q), order="F")
         G = G - 2.0 * data.Gamma_av @ np.kron(np.eye(n), E.T)
         return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M), E
-    lift_av = 2.0 * lift @ data.Gamma_av
+    # Solved at every iterate: with T = P^T S, entry (t, (a, rho)) of C is
+    # sum_i Gq[(t, a), i] T[i, rho], so C is kron(Gq, S^T) vec(P) reshaped, and
+    # column (a, rho) of the E term's (n^2, q*r) block is
+    # sum_i lift_av[:, i, a] T[i, rho].  Like the rhs, both are linear in P, so
+    # rows after vec(H + Q) in the one matrix-vector product give A = [rhs | C],
+    # then that block, row by row.
+    A_rows = np.concatenate([project(G)[:, None],
+                             np.kron(Gq, S.T).reshape(n * q, q * r, n * n)], axis=1)
+    A_c0 = np.column_stack([project(c), np.zeros((n * q, q * r))])
+    size_A = A_c0.size
+    lift_av = (2.0 * lift @ data.Gamma_av).reshape(n * n, n, q)
+    E_rows = np.einsum("mia,jr->marij", lift_av, S).reshape(-1, n * n)
+    eye, fell = np.eye(q * r, 1 + q * r, 1), []
 
-    def exo(P, rhs):            # vec(E^T P) = vec((T W)^T) is (T W).ravel()
-        T = P.T @ S
-        return lift_av @ (T @ solve_E(T, rhs)).ravel()
-    return Stage(np.vstack([lift @ G, project(G)]),
-                 np.concatenate([lift @ c + vec_Q, project(c)]), L_K, cfg.R, M, exo), None
+    def exo(v):                 # the E term of vec(H + Q), from the rows after it
+        w, took_lstsq = _solve_normal(v[:size_A].reshape(n * q, -1), eye)
+        fell.append(took_lstsq)
+        return v[size_A:].reshape(n * n, q * r) @ w
+    return Stage(np.vstack([lift @ G, A_rows.reshape(-1, n * n), E_rows]),
+                 np.concatenate([lift @ c + vec_Q, A_c0.ravel(), np.zeros(len(E_rows))]),
+                 L_K, cfg.R, M, exo, fell), None
 
 
 def check_vi_inputs(variant, cfg: ViConfig):
@@ -296,6 +345,8 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
     j = 0                               # bound-set index = resets so far
     history = []                        # each block's accepted rows
     pairs = np.empty((SPEC_ROWS, 2) + P.shape)     # rows (P~, P~ - P)
+    fell = stage.exo_fell               # one flag per block iterate, cleared per block
+    fallbacks = None if fell is None else 0
     k, converged = 0, False
     while k < cfg.max_iters and not converged:
         radius = cfg.bound_radius(j)
@@ -328,6 +379,9 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
         escape, stop = norm_tilde > radius, steps < cfg.eps_conv
         events = np.flatnonzero(escape | stop)
         rows = int(events[0]) + 1 if events.size else b
+        if fell is not None:
+            fallbacks += sum(fell[:rows])
+            fell.clear()
         history.append(np.column_stack(
             [np.arange(k, k + rows), np.full(rows, j),
              np.concatenate([[norm_P], norm_tilde[:rows - 1]]), steps[:rows]]))
@@ -343,4 +397,4 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
                 P = pairs[rows - 2, 0].copy()
     return ViResult(P_final=P, K_final=stage.gain(P), iters=k, resets=j,
                     converged=converged, history=np.concatenate(history),
-                    E_rho_identified=E_identified)
+                    E_rho_identified=E_identified, exo_fallbacks=fallbacks)

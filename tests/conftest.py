@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from regvi import vi
 from regvi.experiment import (PRESETS, _oracle_objects, build_objects, make_vi_config,
                               run_experiment)
 from regvi.internal_model import Exosystem, InternalModel
@@ -23,6 +24,18 @@ from regvi.sim import LtiPlant, Tone, simulate, stack_state
 # test's own code, no example database is replayed, and no case has a deadline.
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
 settings.load_profile("derandomized")
+
+
+@pytest.fixture
+def counted_lstsq(monkeypatch):
+    """The number of `vi._lstsq` calls so far, in a one-element list."""
+    calls, lstsq = [0], vi._lstsq
+
+    def counting(M, rhs):
+        calls[0] += 1
+        return lstsq(M, rhs)
+    monkeypatch.setattr(vi, "_lstsq", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------

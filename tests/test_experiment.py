@@ -375,6 +375,14 @@ def test_report_carries_vi_resets_and_final_step(zero_run):
     assert payload["vi_final_step_metric"] == history[-1, 3] < cfg.eps_conv
 
 
+@pytest.mark.parametrize("run", ["zero_run", "nonzero_run"])
+def test_report_has_no_fallback_count_where_E_is_identified(request, run):
+    """Variants 6 and 4 identify E once, so report.json's vi_exo_fallbacks,
+    the count of per-iterate W solves that took lstsq, is null."""
+    out_dir = request.getfixturevalue(run)["out_dir"]
+    assert _load_json(out_dir, "report.json")["vi_exo_fallbacks"] is None
+
+
 def test_a_final_escape_is_a_listed_reset(tmp_path):
     """A run whose every iterate escapes, the last included, lists each reset."""
     cfg = dataclasses.replace(PRESETS["paper-e-zero"](), max_iters=40, bound_scale=1e-6,

@@ -191,6 +191,24 @@ def test_scipy_is_imported_only_inside_a_function():
     assert found == [("oracle", "place_observer_gain")]
 
 
+def test_lstsq_is_named_only_inside_vi_lstsq():
+    """numpy's lstsq is reached only through `vi._lstsq`: no other function,
+    and no module-level code, of the package names it, as a call, a bound name
+    or an import.  So every least-squares fit that is not the per-iterate W
+    solve's certified normal equations falls back to the one rank rule."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if "lstsq" in (getattr(node, "attr", None), getattr(node, "id", None),
+                           getattr(node, "name", None)):
+                owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.stem, max(owners, key=lambda f: f.lineno).name
+                              if owners else None))
+    assert found == [("vi", "_lstsq")]
+
+
 def test_import_leaves_scipy_signal_unloaded():
     """Importing regvi, parsing both presets and running every oracle solver on
     them (the parameterization, the regulator Sylvester equation, the CAREs and

@@ -95,3 +95,15 @@ def test_two_input_plant_learns_with_every_variant(variant, tmp_path):
         assert report.tracking_max_error <= 1e-6
     if VARIANTS[variant].exo == "identify":
         assert report.e_rho_error <= 1e-7
+
+
+def test_variant3_preset_solves_W_without_a_fallback(tmp_path, counted_lstsq):
+    """paper-e-nonzero with variant 3 and t_end 44 converges in 5575 iterations
+    with no reset, and every per-iterate W solve keeps the certified normal
+    equations: `vi._lstsq` is never called, and the report counts 0."""
+    cfg = dataclasses.replace(PRESETS["paper-e-nonzero"](), variant=3, t_end=44.0,
+                              settle_time=42.0)
+    report = run_experiment(cfg, str(tmp_path), blinded=True)
+    assert report.converged and (report.iters, report.resets) == (5575, 0)
+    assert counted_lstsq == [0] and report.vi_exo_fallbacks == 0
+    assert json.loads((tmp_path / "report.json").read_text())["vi_exo_fallbacks"] == 0

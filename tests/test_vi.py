@@ -541,6 +541,8 @@ def test_speculation_past_an_escape_is_warning_free(fullstate_setup, eps_num):
 class _FailingStage:
     """A fitted stage whose residual raises RankConditionError from call `after` + 1 on."""
 
+    exo_fell = None                     # no exogenous matrix solved per iterate
+
     def __init__(self, stage, after):
         self.stage, self.after, self.calls = stage, after, 0
 
@@ -683,8 +685,9 @@ def test_solved_exo_residual_matches_full_projection(exo_stage_cases, variant):
     cases, iterates = exo_stage_cases
     data, cfg = cases[variant]
     stage, E = _fit_stage(variant, data, cfg)
-    n, q = data.dims["n_a"], data.dims["q"]
-    assert E is None and stage.L.shape == (n * n + n * q, n * n)
+    n, q, r = data.dims["n_a"], data.dims["q"], cfg.E_structure.shape[1]
+    # rows: vec(H + Q), then A = [rhs | C] and the E term's (n^2, q*r) block
+    assert E is None and stage.L.shape == (n * n + n * q * (1 + q * r) + n * n * q * r, n * n)
     _, reference = reference_exo_stage(variant, data, cfg)
     for P in iterates:
         assert rel(stage.residual(P), reference(P)) <= 1e-10
@@ -706,6 +709,117 @@ def test_solved_exo_at_zero_iterate_is_rank_deficient(exo_stage_cases):
     stage, _ = _fit_stage(3, *cases[3])
     with pytest.raises(RankConditionError):
         stage.residual(np.zeros((8, 8)))
+
+
+def _exo_rows(stage, data, cfg, P):
+    """(A, E_block, head) at P from the stage's one matrix-vector product:
+    A = [rhs | C] of the per-iterate W solve, the E term's (n^2, q*r) block
+    and the n^2 rows of vec(H + Q) before the E term is subtracted."""
+    n, q, r = data.dims["n_a"], data.dims["q"], cfg.E_structure.shape[1]
+    v = stage.L @ P.reshape(-1, order="F") + stage.c0
+    size_A = n * q * (1 + q * r)
+    return (v[n * n:n * n + size_A].reshape(n * q, -1),
+            v[n * n + size_A:].reshape(n * n, q * r), v[:n * n])
+
+
+def _lstsq_residual(stage, data, cfg, P):
+    """The stage's residual at P with W from `_lstsq`, in the stage's operations."""
+    A, E_block, head = _exo_rows(stage, data, cfg, P)
+    v = head - E_block @ _lstsq(A[:, 1:], A[:, 0])
+    return v.reshape(P.shape, order="F") - P @ stage.M @ P
+
+
+@pytest.mark.parametrize("variant", [3, 5])
+def test_normal_solve_matches_lstsq(exo_stage_cases, variant):
+    """At P0 and three random iterates the certified normal equations are
+    accepted, in the stage too, and their w is lstsq's to 1e-9 relative."""
+    cases, iterates = exo_stage_cases
+    data, cfg = cases[variant]
+    stage, _ = _fit_stage(variant, data, cfg)
+    for P in iterates:
+        A, _, _ = _exo_rows(stage, data, cfg, P)
+        k = A.shape[1] - 1
+        w, took_lstsq = vi._solve_normal(A, np.eye(k, k + 1, 1))
+        w_ref = np.linalg.lstsq(A[:, 1:], A[:, 0], rcond=None)[0]
+        assert not took_lstsq
+        assert np.linalg.norm(w - w_ref) <= 1e-9 * np.linalg.norm(w_ref)
+        stage.residual(P)
+    assert stage.exo_fell == [False] * len(iterates)
+
+
+def test_ill_conditioned_iterate_takes_lstsq(exo_stage_cases):
+    """A near-rank-one iterate makes T = P^T S nearly rank one, so the bound on
+    cond_2(C^T C) exceeds EXO_BETA_MAX: the residual is the `_lstsq` path's
+    bitwise, where numpy's cutoff still finds C of full rank."""
+    cases, _ = exo_stage_cases
+    data, cfg = cases[3]
+    stage, _ = _fit_stage(3, data, cfg)
+    u = np.linspace(1.0, 2.0, 8)
+    P = np.outer(u, u) + 1e-6 * np.eye(8)
+    A, _, _ = _exo_rows(stage, data, cfg, P)
+    CtC = A[:, 1:].T @ A[:, 1:]
+    assert np.linalg.cond(CtC) > vi.EXO_BETA_MAX
+    assert np.array_equal(stage.residual(P), _lstsq_residual(stage, data, cfg, P))
+    assert stage.exo_fell == [True]
+
+
+@pytest.mark.parametrize("how", ["limit", "nan_beta"])
+def test_rejected_normal_solve_is_the_lstsq_path(exo_stage_cases, monkeypatch, how):
+    """A limit below every beta, or a NaN beta from the solve, sends every
+    iterate to `_lstsq`: the residual is that path's bitwise."""
+    cases, iterates = exo_stage_cases
+    data, cfg = cases[5]
+    stage, _ = _fit_stage(5, data, cfg)
+    if how == "limit":
+        monkeypatch.setattr(vi, "EXO_BETA_MAX", 0.0)
+    else:
+        monkeypatch.setattr(vi.np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
+    for P in iterates:
+        assert np.array_equal(stage.residual(P), _lstsq_residual(stage, data, cfg, P))
+    assert stage.exo_fell == [True] * len(iterates)
+
+
+def test_normal_solve_at_zero_iterate_raises_rank_zero(exo_stage_cases):
+    """At P = 0, C = 0: the singular solve falls back, and `_lstsq` finds rank
+    0 of C's q*r = 4 columns."""
+    cases, _ = exo_stage_cases
+    stage, _ = _fit_stage(3, *cases[3])
+    with pytest.raises(RankConditionError) as info:
+        stage.residual(np.zeros((8, 8)))
+    assert (info.value.rank, info.value.required) == (0, 4)
+    with pytest.raises(RankConditionError) as info:
+        vi._solve_normal(np.zeros((16, 5)), np.eye(4, 5, 1))
+    assert (info.value.rank, info.value.required) == (0, 4)
+
+
+def test_forced_fallbacks_are_counted_per_reached_iterate(request, exo_stage_cases,
+                                                          monkeypatch, counted_lstsq):
+    """With every W solve sent to `_lstsq`, exo_fallbacks is the number of
+    iterates the loop reaches: all 150 of a cut run, one `_lstsq` call each,
+    and, on a run whose blocks step past its resets and stop (1669 iterates,
+    4 resets), the per-iterate loop's count, not the blocks' calls."""
+    monkeypatch.setattr(vi, "EXO_BETA_MAX", 0.0)
+    data, cfg = exo_stage_cases[0][3]
+    res = vi_run(3, data, replace(cfg, max_iters=150, eps_conv=1e-300))
+    assert (res.iters, res.exo_fallbacks, counted_lstsq[0]) == (150, 150, 150)
+    data, cfg = _run_case(request, "output_based_setup", 5)
+    counted_lstsq[0] = 0
+    ref = per_iterate_vi(5, data, cfg)
+    assert (ref.iters, ref.resets, ref.converged) == (1669, 4, True)
+    assert counted_lstsq[0] == ref.iters
+    counted_lstsq[0] = 0
+    res = vi_run(5, data, cfg)
+    assert_same_run(res, ref)
+    assert res.exo_fallbacks == ref.iters < counted_lstsq[0]
+
+
+@pytest.mark.parametrize("fixture, variant", [
+    ("fullstate_setup", 1), ("output_based_setup", 2), ("output_based_setup", 5),
+    ("nonzero_setup", 3), ("nonzero_setup", 4), ("output_based_setup", 6)])
+def test_exo_fallbacks_is_none_unless_E_is_solved(request, fixture, variant):
+    data, cfg = _run_case(request, fixture, variant)
+    res = vi_run(variant, data, replace(cfg, max_iters=50))
+    assert res.exo_fallbacks == (0 if VARIANTS[variant].exo == "solve" else None)
 
 
 @pytest.mark.parametrize("seed", [1, 9, 14, 28])
