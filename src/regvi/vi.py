@@ -1,24 +1,21 @@
 """Value-iteration engine over the regression data.
 
-The least-squares stage is affine in the iterate, so `_fit_stage` fits it
-once per run and returns it as a `Stage`: the operator
-vec(H + Q) = L vec(P) + c0, where H estimates A^T P + P A of the learner's
-system and c0 = h0 + vec(Q), and the gain map vec(K) = L_K vec(P).  The
-variant's row of `regression.VARIANTS` says which gain: on state x, K is
-fitted with H; otherwise K = -R^{-1} B^T P is known, so K^T R K = P M P with
-M = B R^{-1} B^T formed once, the update is one matrix-vector product and
-two small products, and K itself is formed only for the final gain.  A
-solved exogenous matrix E = S W stays unknown: at fit time I_aa is factored
-and the E term's columns are reduced to an (n*q)-row basis of their range,
-so each iterate solves an (n*q) x (q*r) least-squares system for W, whose
-matrix, rhs and E term, all linear in the iterate, come out of the same
-matrix-vector product as vec(H + Q); an identified E is that solve at P0,
-with the output cost (no E in it) left out of the rhs, and is folded into L.
-Least squares follow a two-tier rule.  The per-iterate W solve takes the
-normal equations, certified by an upper bound on cond_2(C^T C) at most
-EXO_BETA_MAX; every other fit, and a W solve that bound rejects, is numpy's
-`lstsq`, failing with RankConditionError under `regression.check_rank`'s
-rule, numpy's cutoff.
+The value matrix P is symmetric, so the engine works on its n(n+1)/2
+upper-triangle entries p.  The least-squares stage is affine in the iterate,
+so `_fit_stage` fits it once per run as a `Stage`: the upper triangle of
+H + Q is L p + c0, where H estimates A^T P + P A of the learner's system, and
+the gain is a map of P.  The variant's row of `regression.VARIANTS` says which
+gain: on state x, K is fitted with H; otherwise K = -R^{-1} B^T P is known,
+so K^T R K = P M P with M = B R^{-1} B^T formed once.  A solved exogenous
+matrix E = S W stays unknown: at fit time I_aa is factored and the E term's
+columns are reduced to an (n*q)-row basis of their range, so each iterate
+solves an (n*q) x (q*r) least-squares system for W, whose matrix, rhs and E
+term, all linear in p, come out of the same matrix-vector product as H + Q;
+an identified E is that solve at P0, with the output cost (no E in it) left
+out of the rhs, and is folded into L.  Least squares follow a two-tier rule: the per-iterate W solve
+takes the certified normal equations (`_solve_normal`); every other fit, and a
+W solve they reject, is numpy's `lstsq`, failing with RankConditionError
+under `regression.check_rank`'s rule, numpy's cutoff.
 
 All six variants then share one loop: a Robbins-Monro step
 P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
@@ -150,86 +147,84 @@ def _lstsq(M, rhs):
     return x
 
 
-# The largest beta = ||C^T C||_F ||(C^T C)^-1||_F, an upper bound on
-# cond_2(C^T C), at which the normal equations' W is kept: it errs by about
-# 1e-8 relative at most.
+# The largest trace(C^T C) ||(C^T C)^-1||_F, a bound on cond_2(C^T C) (a trace
+# bounds a semidefinite matrix's 2-norm), at which W is kept: it errs by ~1e-8.
 EXO_BETA_MAX = 1e8
 
 
-def _solve_normal(A, eye):
+def _solve_normal(A, B):
     """(w, took_lstsq): the least-squares solution of C w = rhs, A = [rhs | C].
 
-    eye is np.eye(k, k + 1, 1) for C's k columns, left unchanged.  One product
-    A^T A gives C^T C and C^T rhs, and one solve of
-    C^T C [w | X] = [C^T rhs | I] gives w and X = (C^T C)^-1.  w is kept when
-    beta = ||C^T C||_F ||X||_F is at most EXO_BETA_MAX; otherwise, a NaN beta
-    or a singular C^T C included, w is `_lstsq`'s.
+    B is a buffer [. | I] for C's k columns; its first column is overwritten.
+    One product A^T A gives C^T C and C^T rhs, and one LU solve of
+    C^T C [w | X] = [C^T rhs | I] gives w and X = (C^T C)^-1 (w formed as
+    X C^T rhs errs up to ten times more).  w is kept when trace(C^T C) ||X||_F
+    is at most EXO_BETA_MAX; otherwise, a NaN bound or a singular C^T C
+    included, w is `_lstsq`'s.
     """
     Ga = A.T @ A
-    CtC, B = Ga[1:, 1:], eye.copy()
     B[:, 0] = Ga[1:, 0]
     try:
-        X = np.linalg.solve(CtC, B)
+        wX = np.linalg.solve(Ga[1:, 1:], B)
     except np.linalg.LinAlgError:       # C^T C is singular
         pass
-    else:                               # a NaN beta fails the test too
-        if math.sqrt(np.vdot(CtC, CtC) * np.vdot(X[:, 1:], X[:, 1:])) <= EXO_BETA_MAX:
-            return X[:, 0], False
+    else:                               # a NaN bound fails the test too
+        X = wX[:, 1:].ravel()
+        if sum(Ga.diagonal()[1:].tolist()) * math.sqrt(X.dot(X)) <= EXO_BETA_MAX:
+            return wX[:, 0], False
     return _lstsq(A[:, 1:], A[:, 0]), True
 
 
 def _vec_maps(n):
-    """D, U with vecs(P) = D vec(P) and vec(P) = U vecs(P) for symmetric P.
+    """D, up, sym for a symmetric n x n matrix P and its upper triangle p.
 
-    vec stacks the columns of a matrix; like vecs, D reads only the
-    symmetric part of its argument.  Row k of D is 1 at the vec positions of
-    (i, j) and (j, i), the k-th pair in vecs order, and U = D^T with the
-    off-diagonal columns halved.
+    p = P.take(up) in vecs order, P = p.take(sym), vecs(P) = D vec(P) and
+    vec(P) = D^T p, so X D^T folds the columns (i, j), (j, i) of a map X of vec(P).
     """
     i, j = np.triu_indices(n)
-    k = np.arange(i.size)
-    D = np.zeros((i.size, n * n))
-    D[k, i + j * n] = D[k, j + i * n] = 1.0
-    return D, D.T * np.where(i == j, 1.0, 0.5)
+    sym = np.zeros((n, n), dtype=np.intp)
+    sym[i, j] = sym[j, i] = np.arange(i.size)
+    return np.equal.outer(np.arange(i.size), sym.ravel()).astype(float), i * n + j, sym
 
 
 @dataclass(frozen=True)
 class Stage:
     """The least-squares stage of one (variant, data) pair, fitted once.
 
-    vec(H + Q) = L vec(P) + c0, and vec(K) = L_K vec(P).  Where K =
-    -R^{-1} B^T P is known, K^T R K = P M P with M = B R^{-1} B^T; M is None
-    where K is fitted with H (state x).  exo is the term of an exogenous
-    matrix solved at every iterate, and None without one; L and c0 then
-    carry extra rows after the n^2 of vec(H + Q), the matrix and rhs of that
-    solve and the term's block, so one matrix-vector product
-    v = L vec(P) + c0 feeds both and vec(H + Q) = v[:n^2] - exo(v[n^2:]).
-    exo appends to exo_fell, per call that returns, whether it took `_lstsq`.
+    On p = P.take(up), H + Q is (L p + c0).take(sym).  vec(K) = K_map p where
+    K is fitted (M None); where it is known, K = K_map P = -R^{-1} B^T P and
+    K^T R K = P M P.  exo is the term of an exogenous matrix solved at every
+    iterate, and None without one; L and c0 then carry extra rows after
+    H + Q's, the matrix and rhs of that solve and the term's block, so
+    H + Q's rows are v[:p.size] - exo(v[p.size:]) with v = L p + c0.  exo
+    appends to exo_fell, per call that returns, whether it took `_lstsq`.
     """
 
     L: np.ndarray
     c0: np.ndarray
-    L_K: np.ndarray
+    K_map: np.ndarray
     R: np.ndarray
+    up: np.ndarray
+    sym: np.ndarray
     M: np.ndarray | None = None
     exo: Callable | None = None
     exo_fell: list | None = None
 
     def residual(self, P):
         """H + Q - K^T R K at the iterate P."""
-        p = P.reshape(-1, order="F")
-        v = self.L @ p + self.c0
+        v = self.L @ P.take(self.up) + self.c0
         if self.exo is not None:
-            v = v[:p.size] - self.exo(v[p.size:])
-        D = v.reshape(P.shape, order="F")
+            v[:self.up.size] -= self.exo(v[self.up.size:])
         if self.M is None:
             K = self.gain(P)
-            return D - K.T @ self.R @ K
-        return D - P @ self.M @ P
+            return v.take(self.sym) - K.T @ self.R @ K
+        return v.take(self.sym) - P @ self.M @ P
 
     def gain(self, P):
         """K at the iterate P."""
-        return (self.L_K @ P.reshape(-1, order="F")).reshape((-1, P.shape[0]), order="F")
+        if self.M is None:
+            return (self.K_map @ P.take(self.up)).reshape((-1, P.shape[0]), order="F")
+        return self.K_map @ P
 
 
 def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
@@ -243,28 +238,28 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     require_rank(check_rank(data, 3 if spec.exo == "identify" else variant))
     n = data.dims["n_a"]
     half = n * (n + 1) // 2
-    D, U = _vec_maps(n)
+    D, up, sym = _vec_maps(n)
     G = data.delta_a @ D
     c = np.zeros(G.shape[0])
     if spec.output_cost:
         c = c + data.I_yy @ vecs(cfg.Q_y)
     if spec.output_cost and spec.state == "rho":
         c = c + data.I_zz @ vecs(cfg.Q_z)
-    vec_Q = 0.0 if spec.output_cost else cfg.Q.reshape(-1, order="F")
+    Q_up = 0.0 if spec.output_cost else cfg.Q.take(up)
+    to_p = 1.0 / D.sum(axis=1)[:, None]     # vecs(H) -> p of H; maps of vec(P) end in @ D.T
 
     if spec.state == "x":
-        theta = _lstsq(np.hstack([data.I_aa, -2.0 * data.I_au]), G)
-        return Stage(U @ theta[:half], vec_Q, theta[half:], cfg.R), None
-    # the gain K = -R^{-1} B^T P is known exactly: vec(K) = L_K vec(P)
+        theta = _lstsq(np.hstack([data.I_aa, -2.0 * data.I_au]), G) @ D.T
+        return Stage(to_p * theta[:half], Q_up, theta[half:], cfg.R, up, sym), None
+    # the gain K = -R^{-1} B^T P is known exactly
     F = np.linalg.solve(cfg.R, data.known_B.T)
-    L_K = -np.kron(np.eye(n), F)
     M = data.known_B @ F
     # check_rank has accepted I_aa; its complete QR gives the lift and Q_c
     Q, R_aa = np.linalg.qr(data.I_aa, mode="complete")
-    lift = U @ np.linalg.solve(R_aa[:half], Q[:, :half].T)     # rhs -> vec(H)
+    lift = to_p * np.linalg.solve(R_aa[:half], Q[:, :half].T)     # rhs -> p of H
     G = G - 2.0 * data.Gamma_aBu
     if spec.exo is None:
-        return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M), None
+        return Stage(lift @ G @ D.T, lift @ c + Q_up, -F, cfg.R, up, sym, M), None
     # The E term of the rhs is 2 Gamma_av vec(E^T P) with E = S W.  Projected
     # onto Q_c, the complement of range(I_aa), it leaves r*q unknowns vec(W),
     # and its columns lie in range(Q_c^T Gamma_av): check_rank has accepted
@@ -286,28 +281,27 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
         C = (Gq @ (cfg.P0.T @ S)).reshape(n * q, q * r)
         E = S @ _lstsq(C, project(G @ cfg.P0.reshape(-1, order="F"))).reshape((r, q), order="F")
         G = G - 2.0 * data.Gamma_av @ np.kron(np.eye(n), E.T)
-        return Stage(lift @ G, lift @ c + vec_Q, L_K, cfg.R, M), E
+        return Stage(lift @ G @ D.T, lift @ c + Q_up, -F, cfg.R, up, sym, M), E
     # Solved at every iterate: with T = P^T S, entry (t, (a, rho)) of C is
     # sum_i Gq[(t, a), i] T[i, rho], so C is kron(Gq, S^T) vec(P) reshaped, and
-    # column (a, rho) of the E term's (n^2, q*r) block is
-    # sum_i lift_av[:, i, a] T[i, rho].  Like the rhs, both are linear in P, so
-    # rows after vec(H + Q) in the one matrix-vector product give A = [rhs | C],
-    # then that block, row by row.
+    # column (a, rho) of the E term's (half, q*r) block is sum_i lift_av[:, i, a]
+    # T[i, rho].  Like the rhs, both are linear in P, so rows after H + Q's in
+    # the one matrix-vector product give A = [rhs | C], then that block.
     A_rows = np.concatenate([project(G)[:, None],
                              np.kron(Gq, S.T).reshape(n * q, q * r, n * n)], axis=1)
     A_c0 = np.column_stack([project(c), np.zeros((n * q, q * r))])
     size_A = A_c0.size
-    lift_av = (2.0 * lift @ data.Gamma_av).reshape(n * n, n, q)
+    lift_av = (2.0 * lift @ data.Gamma_av).reshape(half, n, q)
     E_rows = np.einsum("mia,jr->marij", lift_av, S).reshape(-1, n * n)
-    eye, fell = np.eye(q * r, 1 + q * r, 1), []
+    B, fell = np.eye(q * r, 1 + q * r, 1), []
 
-    def exo(v):                 # the E term of vec(H + Q), from the rows after it
-        w, took_lstsq = _solve_normal(v[:size_A].reshape(n * q, -1), eye)
+    def exo(v):                 # the E term of H + Q, from the rows after it
+        w, took_lstsq = _solve_normal(v[:size_A].reshape(n * q, -1), B)
         fell.append(took_lstsq)
-        return v[size_A:].reshape(n * n, q * r) @ w
-    return Stage(np.vstack([lift @ G, A_rows.reshape(-1, n * n), E_rows]),
-                 np.concatenate([lift @ c + vec_Q, A_c0.ravel(), np.zeros(len(E_rows))]),
-                 L_K, cfg.R, M, exo, fell), None
+        return v[size_A:].reshape(half, q * r) @ w
+    return Stage(np.vstack([lift @ G, A_rows.reshape(-1, n * n), E_rows]) @ D.T,
+                 np.concatenate([lift @ c + Q_up, A_c0.ravel(), np.zeros(len(E_rows))]),
+                 -F, cfg.R, up, sym, M, exo, fell), None
 
 
 def check_vi_inputs(variant, cfg: ViConfig):

@@ -191,22 +191,36 @@ def test_scipy_is_imported_only_inside_a_function():
     assert found == [("oracle", "place_observer_gain")]
 
 
-def test_lstsq_is_named_only_inside_vi_lstsq():
-    """numpy's lstsq is reached only through `vi._lstsq`: no other function,
-    and no module-level code, of the package names it, as a call, a bound name
-    or an import.  So every least-squares fit that is not the per-iterate W
-    solve's certified normal equations falls back to the one rank rule."""
+def _named(name):
+    """(module, innermost function or None) of every node of the package that
+    names `name`, as a call, a bound name or an import."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
         for node in ast.walk(tree):
-            if "lstsq" in (getattr(node, "attr", None), getattr(node, "id", None),
-                           getattr(node, "name", None)):
+            if name in (getattr(node, "attr", None), getattr(node, "id", None),
+                        getattr(node, "name", None)):
                 owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                 found.append((path.stem, max(owners, key=lambda f: f.lineno).name
                               if owners else None))
-    assert found == [("vi", "_lstsq")]
+    return found
+
+
+def test_lstsq_is_named_only_inside_vi_lstsq():
+    """numpy's lstsq is reached only through `vi._lstsq`: no other function,
+    and no module-level code, of the package names it, as a call, a bound name
+    or an import.  So every least-squares fit that is not the per-iterate W
+    solve's certified normal equations falls back to the one rank rule."""
+    assert _named("lstsq") == [("vi", "_lstsq")]
+
+
+def test_inv_is_named_nowhere():
+    """No code of the package names numpy's inv: every linear system is
+    solved.  The W solve's (C^T C)^-1, which certifies it, comes from the one
+    LU solve that gives w, since w formed as (C^T C)^-1 C^T rhs errs up to
+    ten times more."""
+    assert _named("inv") == []
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regvi import vi
 from regvi.experiment import export_history_csv
@@ -179,15 +181,14 @@ def reference_vi(stage, cfg):
     """The loop as it stood before the fused update and the eigenvalue norms:
     H and K at every iterate, the residual H + Q - K^T R K, and two SVD 2-norms
     per iterate.  Returns (history, K_final)."""
-    n = cfg.P0.shape[0]
-    h0 = stage.c0 - cfg.Q.reshape(-1, order="F")
+    h0 = stage.c0 - cfg.Q.take(stage.up)
     P = cfg.P0.copy()
     norm_P0 = norm_P = np.linalg.norm(P, 2)
     j = 0
     history = np.empty((cfg.max_iters, 4))
     for k in range(cfg.max_iters):
         eps = cfg.eps(k)
-        H = (stage.L @ P.reshape(-1, order="F") + h0).reshape((n, n), order="F")
+        H = (stage.L @ P.take(stage.up) + h0).take(stage.sym)
         K = stage.gain(P)
         P_tilde = P + eps * (H + cfg.Q - K.T @ cfg.R @ K)
         step_metric = np.linalg.norm(P_tilde - P, 2) / eps
@@ -292,8 +293,9 @@ def test_stage_matches_lyapunov_operator_structured(nonzero_setup):
 
 
 def test_fused_residual_two_inputs():
-    """Variant 2 with m = 2: the fused residual unvec(L vec P + c0) - P M P is
-    unvec(L vec P + h0) + Q - K^T R K with the known gain K = -R^{-1} B^T P."""
+    """Variant 2 with m = 2: the fused residual (L p + c0).take(sym) - P M P, on
+    the upper triangle p of P, is (L p + h0).take(sym) + Q - K^T R K with the
+    known gain K = -R^{-1} B^T P."""
     _, known, log = two_input_log(12.0)
     R, B = TWO_INPUT_R, known.B_zeta
     data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=100), 2, R=R, known_B=B)
@@ -302,13 +304,13 @@ def test_fused_residual_two_inputs():
     stage, _ = _fit_stage(2, data, cfg)
     n = known.n_zeta
     Q = np.zeros((n, n))                # the output cost enters through h0
-    h0 = stage.c0 - Q.reshape(-1, order="F")
+    h0 = stage.c0 - Q.take(stage.up)
     for seed in range(3):
         P = random_symmetric(n, seed)
-        p = P.reshape(-1, order="F")
-        fused = (stage.L @ p + stage.c0).reshape((n, n), order="F") - P @ stage.M @ P
+        p = P.take(stage.up)
+        fused = (stage.L @ p + stage.c0).take(stage.sym) - P @ stage.M @ P
         K = -np.linalg.solve(R, B.T @ P)
-        H = (stage.L @ p + h0).reshape((n, n), order="F")
+        H = (stage.L @ p + h0).take(stage.sym)
         assert rel(fused, H + Q - K.T @ R @ K) <= 1e-12
         assert rel(stage.residual(P), fused) <= 1e-12
         assert rel(stage.gain(P), K) <= 1e-12
@@ -608,72 +610,113 @@ def _unvecs(v, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 12])
 def test_vec_maps_match_the_basis_loop(n):
-    """D and U, built by index arithmetic, equal bitwise the maps taken column
-    by column: vecs of the symmetric part of each vec basis matrix, and vec of
-    the symmetric matrix whose vecs is each unit vector."""
+    """D, built by index arithmetic, equals bitwise the map taken column by
+    column, vecs of the symmetric part of each vec basis matrix; up reads the
+    upper triangle p of a symmetric matrix in vecs order, sym scatters p back,
+    and D^T p is its vec, each bitwise; D^T with the off-diagonal rows of p
+    halved is the former map U, vec of the matrix whose vecs is each unit vector."""
     basis = np.eye(n * n).reshape(n * n, n, n)
     D_ref = np.column_stack([vecs(0.5 * (B + B.T)) for B in basis])
     U_ref = np.column_stack([_unvecs(e, n).reshape(-1, order="F")
                              for e in np.eye(n * (n + 1) // 2)])
-    D, U = _vec_maps(n)
-    assert np.array_equal(D, D_ref) and np.array_equal(U, U_ref)
+    D, up, sym = _vec_maps(n)
+    assert np.array_equal(D, D_ref) and np.array_equal(D.T / D.sum(axis=1), U_ref)
+    P = random_symmetric(n, n)
+    p = P.take(up)
+    assert np.array_equal(p, P[np.triu_indices(n)]) and np.array_equal(p.take(sym), P)
+    assert np.array_equal(D.T @ p, P.reshape(-1, order="F"))
 
 
 # ---------------------------------------------------------------------------
 # The exogenous solve against the full Q_c-projected system
 # ---------------------------------------------------------------------------
 
-def reference_exo_stage(variant, data, cfg):
-    """The structured-E stage as it stood before the reduced system.
+def reference_stage(variant, data, cfg):
+    """The stage on all n^2 entries of vec(P), as it stood before it moved to
+    the upper triangle and before the reduced exogenous system.
 
-    W solves the Q_c-projected rhs by an lstsq over all rows of Q_c, E = S W,
-    and the E term of vec(H) is lift_av vec(E^T P).  Returns (E_at, residual):
-    E identified at an iterate P, on a rhs without the output cost, and
-    H + Q - P M P with E solved at P.
+    vec(H + Q) = L vec(P) + c0, with L = U theta (state x) or lift G, where
+    U = D^T with the off-diagonal columns halved maps vecs to vec.  W solves
+    the Q_c-projected rhs by an lstsq over all rows of Q_c, E = S W, and the
+    E term of vec(H) is lift_av vec(E^T P).  Returns (E_at, residual): E
+    identified at an iterate P, on a rhs without the output cost (None
+    without an exogenous term), and H + Q - K^T R K, with E solved at P where
+    the variant solves it and E_at(P0) where it identifies it.
     """
     spec = VARIANTS[variant]
-    n, q = data.dims["n_a"], data.dims["q"]
+    n = data.dims["n_a"]
     half = n * (n + 1) // 2
-    S = cfg.E_structure
-    r = S.shape[1]
-    D, U = _vec_maps(n)
-    G = data.delta_a @ D - 2.0 * data.Gamma_aBu
+    D, _, _ = _vec_maps(n)
+    U = D.T / D.sum(axis=1)
+    G = data.delta_a @ D
     c = np.zeros(G.shape[0])
     if spec.output_cost:
-        c = c + data.I_yy @ vecs(cfg.Q_y) + data.I_zz @ vecs(cfg.Q_z)
+        c = c + data.I_yy @ vecs(cfg.Q_y)
+    if spec.output_cost and spec.state == "rho":
+        c = c + data.I_zz @ vecs(cfg.Q_z)
     vec_Q = 0.0 if spec.output_cost else cfg.Q.reshape(-1, order="F")
+
+    def vec(P):
+        return P.reshape(-1, order="F")
+
+    if spec.state == "x":
+        theta = np.linalg.lstsq(np.hstack([data.I_aa, -2.0 * data.I_au]), G, rcond=None)[0]
+
+        def residual_x(P):
+            K = (theta[half:] @ vec(P)).reshape((-1, n), order="F")
+            return (U @ theta[:half] @ vec(P) + vec_Q).reshape((n, n), order="F") - K.T @ cfg.R @ K
+        return None, residual_x
     M = data.known_B @ np.linalg.solve(cfg.R, data.known_B.T)
     Q, R_aa = np.linalg.qr(data.I_aa, mode="complete")
     lift = U @ np.linalg.solve(R_aa[:half], Q[:, :half].T)
+    G = G - 2.0 * data.Gamma_aBu
+
+    def residual_with(P, E):            # H + Q - P M P with the E term of E, if any
+        v = lift @ G @ vec(P) + lift @ c + vec_Q
+        if E is not None:
+            v = v - 2.0 * lift @ data.Gamma_av @ vec(E.T @ P)
+        return v.reshape((n, n), order="F") - P @ M @ P
+    if spec.exo is None:
+        return None, lambda P: residual_with(P, None)
+    S, q = cfg.E_structure, data.dims["q"]
+    r = S.shape[1]
     Q_c = Q[:, half:]
     Gq = (Q_c.T @ data.Gamma_av).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
-    G_c, c_c, lift_av = Q_c.T @ G, Q_c.T @ c, 2.0 * lift @ data.Gamma_av
 
-    def solve_E(P, rhs_c):
+    def solve_E(P, rhs):
         C = (Gq @ (P.T @ S)).reshape(Q_c.shape[1], q * r)
-        return S @ np.linalg.lstsq(2.0 * C, rhs_c, rcond=None)[0].reshape((r, q), order="F")
+        W = np.linalg.lstsq(2.0 * C, Q_c.T @ rhs, rcond=None)[0]
+        return S @ W.reshape((r, q), order="F")
 
     def E_at(P):
-        return solve_E(P, Q_c.T @ (G @ P.reshape(-1, order="F")))
+        return solve_E(P, G @ vec(P))
+    if spec.exo == "identify":
+        E0 = E_at(cfg.P0)
+        return E_at, lambda P: residual_with(P, E0)
+    return E_at, lambda P: residual_with(P, solve_E(P, G @ vec(P) + c))
 
-    def residual(P):
-        p = P.reshape(-1, order="F")
-        E = solve_E(P, G_c @ p + c_c)
-        v = (lift @ G) @ p + (lift @ c + vec_Q) - lift_av @ (E.T @ P).reshape(-1, order="F")
-        return v.reshape((n, n), order="F") - P @ M @ P
-    return E_at, residual
+
+def random_spd(n, seed):
+    """A random symmetric positive definite matrix, exactly symmetric."""
+    X = np.random.default_rng(seed).standard_normal((n, n))
+    S = X @ X.T + n * np.eye(n)
+    return 0.5 * (S + S.T)
 
 
 @pytest.fixture(scope="module")
 def exo_stage_cases(nonzero_setup):
-    """(data, cfg) per variant 3-6 on paper-e-nonzero data, and the iterates:
-    P0 and three random symmetric matrices."""
+    """(data, cfg) per variant on paper-e-nonzero data, and the iterates: P0
+    and three random symmetric matrices."""
     objs, vicfg = nonzero_setup["objs"], nonzero_setup["vicfg"]
     output_cfg = replace(vicfg, Q=None, Q_y=np.eye(1), Q_z=np.eye(objs.im.n_z))
-    cases = {}
-    for variant, cfg in ((3, vicfg), (4, vicfg), (5, output_cfg), (6, output_cfg)):
+    n, n_zeta = objs.plant.n, objs.known.n_zeta
+    cases = {1: replace(vicfg, P0=np.eye(n), Q=np.eye(n), E_structure=None),
+             2: replace(output_cfg, P0=np.eye(n_zeta), Q_z=None, E_structure=None),
+             3: vicfg, 4: vicfg, 5: output_cfg, 6: output_cfg}
+    for variant, cfg in cases.items():
+        known_B = objs.known.B_zeta if variant == 2 else objs.B_rho
         data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], variant,
-                                known_B=objs.B_rho)
+                                R=vicfg.R, known_B=known_B)
         cases[variant] = data, cfg
     return cases, [vicfg.P0] + [random_symmetric(8, seed) for seed in range(3)]
 
@@ -681,14 +724,16 @@ def exo_stage_cases(nonzero_setup):
 @pytest.mark.parametrize("variant", [3, 5])
 def test_solved_exo_residual_matches_full_projection(exo_stage_cases, variant):
     """The reduced (n*q)-row solve, fed by the stage's one matrix-vector
-    product, gives the residual of the full Q_c-projected solve."""
+    product on the n(n+1)/2 entries of the upper triangle, gives the residual
+    of the full Q_c-projected solve."""
     cases, iterates = exo_stage_cases
     data, cfg = cases[variant]
     stage, E = _fit_stage(variant, data, cfg)
     n, q, r = data.dims["n_a"], data.dims["q"], cfg.E_structure.shape[1]
-    # rows: vec(H + Q), then A = [rhs | C] and the E term's (n^2, q*r) block
-    assert E is None and stage.L.shape == (n * n + n * q * (1 + q * r) + n * n * q * r, n * n)
-    _, reference = reference_exo_stage(variant, data, cfg)
+    half = n * (n + 1) // 2
+    # rows: H + Q's, then A = [rhs | C] and the E term's (half, q*r) block
+    assert E is None and stage.L.shape == (half + n * q * (1 + q * r) + half * q * r, half)
+    _, reference = reference_stage(variant, data, cfg)
     for P in iterates:
         assert rel(stage.residual(P), reference(P)) <= 1e-10
 
@@ -698,9 +743,35 @@ def test_identified_E_matches_full_projection(exo_stage_cases, variant):
     cases, _ = exo_stage_cases
     data, cfg = cases[variant]
     stage, E = _fit_stage(variant, data, cfg)
-    assert stage.exo is None and stage.L.shape == (64, 64)
-    E_at, _ = reference_exo_stage(variant, data, cfg)
+    assert stage.exo is None and stage.L.shape == (36, 36)
+    E_at, _ = reference_stage(variant, data, cfg)
     assert rel(E, E_at(cfg.P0)) <= 1e-12
+
+
+def _two_input_case(variant):
+    """(data, cfg) of variant 1 or 2 on the 2-input plant of `two_input_log`."""
+    _, known, log = two_input_log(12.0)
+    data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=100), variant,
+                            R=TWO_INPUT_R, known_B=known.B_zeta)
+    n = data.dims["n_a"]
+    weights = dict(Q=np.eye(n)) if variant == 1 else dict(Q_y=np.eye(1))
+    return data, ViConfig(P0=np.eye(n), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
+                          max_iters=10, R=TWO_INPUT_R, **weights)
+
+
+@pytest.mark.parametrize("plant, variant", [("nonzero", v) for v in sorted(VARIANTS)]
+                         + [("two_input", 1), ("two_input", 2)])
+def test_residual_matches_the_full_vec_stage(exo_stage_cases, plant, variant):
+    """On exactly symmetric iterates, P0 and three random positive definite
+    ones, the stage on the upper triangle gives the residual of the stage on
+    all of vec(P), for every variant on paper-e-nonzero data and for variants
+    1 and 2 on the 2-input plant (m = 2, so K has two rows)."""
+    data, cfg = exo_stage_cases[0][variant] if plant == "nonzero" else _two_input_case(variant)
+    stage, _ = _fit_stage(variant, data, cfg)
+    _, reference = reference_stage(variant, data, cfg)
+    n = cfg.P0.shape[0]
+    for P in [cfg.P0] + [random_spd(n, seed) for seed in range(3)]:
+        assert rel(stage.residual(P), reference(P)) <= 1e-10
 
 
 def test_solved_exo_at_zero_iterate_is_rank_deficient(exo_stage_cases):
@@ -713,20 +784,21 @@ def test_solved_exo_at_zero_iterate_is_rank_deficient(exo_stage_cases):
 
 def _exo_rows(stage, data, cfg, P):
     """(A, E_block, head) at P from the stage's one matrix-vector product:
-    A = [rhs | C] of the per-iterate W solve, the E term's (n^2, q*r) block
-    and the n^2 rows of vec(H + Q) before the E term is subtracted."""
+    A = [rhs | C] of the per-iterate W solve, the E term's (half, q*r) block
+    and the half rows of H + Q before the E term is subtracted."""
     n, q, r = data.dims["n_a"], data.dims["q"], cfg.E_structure.shape[1]
-    v = stage.L @ P.reshape(-1, order="F") + stage.c0
+    half = stage.up.size
+    v = stage.L @ P.take(stage.up) + stage.c0
     size_A = n * q * (1 + q * r)
-    return (v[n * n:n * n + size_A].reshape(n * q, -1),
-            v[n * n + size_A:].reshape(n * n, q * r), v[:n * n])
+    return (v[half:half + size_A].reshape(n * q, -1),
+            v[half + size_A:].reshape(half, q * r), v[:half])
 
 
 def _lstsq_residual(stage, data, cfg, P):
     """The stage's residual at P with W from `_lstsq`, in the stage's operations."""
     A, E_block, head = _exo_rows(stage, data, cfg, P)
     v = head - E_block @ _lstsq(A[:, 1:], A[:, 0])
-    return v.reshape(P.shape, order="F") - P @ stage.M @ P
+    return v.take(stage.sym) - P @ stage.M @ P
 
 
 @pytest.mark.parametrize("variant", [3, 5])
@@ -765,7 +837,7 @@ def test_ill_conditioned_iterate_takes_lstsq(exo_stage_cases):
 
 @pytest.mark.parametrize("how", ["limit", "nan_beta"])
 def test_rejected_normal_solve_is_the_lstsq_path(exo_stage_cases, monkeypatch, how):
-    """A limit below every beta, or a NaN beta from the solve, sends every
+    """A limit below every bound, or a NaN bound from the solve, sends every
     iterate to `_lstsq`: the residual is that path's bitwise."""
     cases, iterates = exo_stage_cases
     data, cfg = cases[5]
@@ -790,6 +862,51 @@ def test_normal_solve_at_zero_iterate_raises_rank_zero(exo_stage_cases):
     with pytest.raises(RankConditionError) as info:
         vi._solve_normal(np.zeros((16, 5)), np.eye(4, 5, 1))
     assert (info.value.rank, info.value.required) == (0, 4)
+
+
+@given(st.floats(0.0, 12.0), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_w_solve_certificate(log_cond, inner, noise, seed):
+    """C of 16 x 4 with cond_2(C^T C) = 10^log_cond, from 1 to 1e12, and a rhs
+    off range(C) by noise: the bound trace(C^T C) ||(C^T C)^-1||_F is at least
+    cond_2(C^T C) and at most sqrt(k) beta, beta = ||C^T C||_F ||(C^T C)^-1||_F;
+    `_solve_normal` keeps its w exactly when the bound is at most
+    EXO_BETA_MAX, and a kept w is `_lstsq`'s to 1e-7 relative."""
+    k = 4
+    rng = np.random.default_rng(seed)
+    sigma = 10.0 ** (-0.5 * log_cond * np.array([0.0, *sorted(inner), 1.0]))
+    U = np.linalg.qr(rng.standard_normal((16, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    C = (U * sigma) @ V.T
+    rhs, r = C @ rng.standard_normal(k), rng.standard_normal(16)
+    rhs = rhs + noise * np.linalg.norm(rhs) / np.linalg.norm(r) * r
+    G = C.T @ C
+    X = np.linalg.inv(G)
+    cond, bound = np.linalg.cond(G), np.trace(G) * np.linalg.norm(X)
+    # the computed inverse and singular values of G err by about cond * eps relative
+    assert bound >= cond * (1.0 - k * np.finfo(float).eps * cond)
+    assert bound <= np.sqrt(k) * np.linalg.norm(G) * np.linalg.norm(X) * (1.0 + 1e-12)
+    assume(abs(bound / vi.EXO_BETA_MAX - 1.0) > 1e-3)     # not a rounding from the limit
+    w, took_lstsq = vi._solve_normal(np.column_stack([rhs, C]), np.eye(k, k + 1, 1))
+    assert took_lstsq == (bound > vi.EXO_BETA_MAX)
+    if not took_lstsq:
+        w_ref = _lstsq(C, rhs)
+        assert np.linalg.norm(w - w_ref) <= 1e-7 * np.linalg.norm(w_ref)
+
+
+@pytest.mark.parametrize("how", ["nan", "singular"])
+def test_w_solve_of_nan_or_singular_data_takes_lstsq(monkeypatch, how):
+    """A NaN in [rhs | C], or a repeated column of C, which makes C^T C
+    singular, sends the W solve to `_lstsq`."""
+    calls = []
+    monkeypatch.setattr(vi, "_lstsq", lambda M, rhs: calls.append(M) or "lstsq")
+    A = np.random.default_rng(0).standard_normal((16, 5))
+    if how == "nan":
+        A[3, 2] = np.nan
+    else:
+        A[:, 4] = A[:, 2]
+    assert vi._solve_normal(A, np.eye(4, 5, 1)) == ("lstsq", True) and len(calls) == 1
 
 
 def test_forced_fallbacks_are_counted_per_reached_iterate(request, exo_stage_cases,
