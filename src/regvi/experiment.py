@@ -387,12 +387,17 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         K_opt = t4.K_rho
         report.theorem4_deviation = t4.deviation
         report.theorem4_gain_deviation = t4.gain_deviation
-    report.gain_error = float(np.linalg.norm(vires.K_final - K_opt, "fro")
-                              / np.linalg.norm(K_opt, "fro"))
+    report.gain_error = _relative_error(vires.K_final, K_opt)
     if vires.E_rho_identified is not None:
-        report.e_rho_error = float(np.linalg.norm(vires.E_rho_identified - aux.E_rho, "fro")
-                                   / np.linalg.norm(aux.E_rho, "fro"))
+        report.e_rho_error = _relative_error(vires.E_rho_identified, aux.E_rho)
     lap("oracle_s")
+
+
+def _relative_error(value, reference):
+    """||value - reference||_F / ||reference||_F, or None (JSON null) where the
+    reference is 0, as the oracle's E_rho is for a plant with E = 0 and F = 0."""
+    scale = np.linalg.norm(reference, "fro")
+    return float(np.linalg.norm(value - reference, "fro") / scale) if scale else None
 
 
 def _oracle_call(fn, *args):

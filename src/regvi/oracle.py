@@ -177,11 +177,20 @@ def solve_care(A, B, Q, R):
     return RiccatiSolution(P=P, K=K, residual=res, closed_loop_margin=margin)
 
 
+def _horner(alpha, X):
+    """([D_0, ..., D_{n-1}], Lambda(X)) for Lambda(s) = s^n + sum_i alpha_i s^i, by Horner:
+    D_{n-1} = I, D_{i-1} = X D_i + alpha_i I, and Lambda(X) = X D_0 + alpha_0 I."""
+    D = [np.eye(alpha.size)]
+    for a in alpha[::-1]:               # D_{n-2}, ..., D_0, then Lambda(X)
+        D.append(X @ D[-1] + a * np.eye(alpha.size))
+    return D[-2::-1], D[-1]
+
+
 def place_observer_gain(A, C, desired):
     """Observer gain L with eigenvalues of A - LC at the desired locations.
 
-    Placed on the dual pair (A^T, C^T); single-output plants use Ackermann's
-    formula so repeated poles are allowed.
+    One output: Ackermann's formula L = Lambda(A) O^-1 e_n, O = [C; CA; ...; CA^{n-1}],
+    which allows repeated poles; more outputs: scipy's place_poles on (A^T, C^T).
     """
     n, p = A.shape[0], C.shape[0]
     if desired.size != n:
@@ -189,20 +198,10 @@ def place_observer_gain(A, C, desired):
     _require_full_rank(pbh_gap(A.T, C.T, np.linalg.eigvals(A)), "(A, C) not observable")
     alpha = poly_from_roots(desired)  # also validates conjugate pairing
     if p == 1:
-        # Ackermann on the dual: L^T = e_n^T O_ctrb^{-1} phi(A^T)
-        Ad, Bd = A.T, C.T
-        blocks, Ak = [Bd], Bd
+        rows = [C]
         for _ in range(n - 1):
-            Ak = Ad @ Ak
-            blocks.append(Ak)
-        ctrb = np.hstack(blocks)
-        phi = np.linalg.matrix_power(Ad, n)
-        power = np.eye(n)
-        for a in alpha:
-            phi = phi + a * power
-            power = power @ Ad
-        row = np.linalg.solve(ctrb.T, np.eye(n)[:, -1])  # e_n^T ctrb^{-1}
-        L = (row @ phi).reshape(n, 1)
+            rows.append(rows[-1] @ A)
+        L = _horner(alpha, A)[1] @ np.linalg.solve(np.vstack(rows), np.eye(n)[:, [-1]])
     else:
         from scipy.signal import place_poles   # heavy import, multi-output only
         L = place_poles(A.T, C.T, desired).gain_matrix.T
@@ -231,12 +230,7 @@ def compute_parameterization(plant, L, known):
     if np.max(np.abs(actual - alpha)) > 1e-6 * (1.0 + np.abs(alpha).max()):
         raise ValueError("lambda coefficients do not match det(sI - A + LC): %s vs %s"
                          % (alpha, actual))
-    # adjugate recursion for (sI - F)^{-1} = (sum_i D_i s^i) / Lambda(s)
-    D = [None] * n
-    D[n - 1] = np.eye(n)
-    for i in range(n - 1, 0, -1):
-        D[i - 1] = F_obs @ D[i] + alpha[i] * np.eye(n)
-    closure = F_obs @ D[0] + alpha[0] * np.eye(n)
+    D, closure = _horner(alpha, F_obs)     # (sI - F)^{-1} = (sum_i D_i s^i) / Lambda(s)
     scale = 1.0 + max(np.abs(Di).max() for Di in D)
     if np.abs(closure).max() > 1e-8 * scale:
         raise RuntimeError("adjugate recursion failed to close (residual %g)"

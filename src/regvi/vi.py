@@ -12,10 +12,10 @@ columns are reduced to an (n*q)-row basis of their range, so each iterate
 solves an (n*q) x (q*r) least-squares system for W, whose matrix, rhs and E
 term, all linear in p, come out of the same matrix-vector product as H + Q;
 an identified E is that solve at P0, with the output cost (no E in it) left
-out of the rhs, and is folded into L.  Least squares follow a two-tier rule: the per-iterate W solve
-takes the certified normal equations (`_solve_normal`); every other fit, and a
-W solve they reject, is numpy's `lstsq`, failing with RankConditionError
-under `regression.check_rank`'s rule, numpy's cutoff.
+out of the rhs, and is folded into L.  Least squares: variant 1's stage, the
+identified E and a W solve `_solve_normal`'s certificate rejects are `_lstsq`'s
+(numpy's `lstsq`, `check_rank`'s cutoff); variants 2-6 lift H with I_aa's
+triangular QR factor, guarded only by `check_rank`, and 3-6 reduce E by a second QR.
 
 All six variants then share one loop: a Robbins-Monro step
 P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
@@ -135,9 +135,9 @@ def _lstsq(M, rhs):
     """Least-squares solution of M x = rhs for a vector or a matrix rhs.
 
     M must have full column rank under numpy's cutoff
-    max(shape)*eps*sigma_max, the one check_rank applies.  Every least-squares
-    fit of the package is this one but the per-iterate W solve, whose
-    certified normal equations (`_solve_normal`) fall back to it.
+    max(shape)*eps*sigma_max, the one check_rank applies.  It fits variant 1's
+    stage and the identified E, and backs up `_solve_normal`; the H lift of
+    variants 2-6 is a solve on I_aa's QR factor, not this.
     """
     x, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
     if rank < M.shape[1]:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -250,9 +251,14 @@ def _quick_nonzero(**patch):
     return parse_config(json.dumps(payload))
 
 
+def _refuse_constant(name):
+    raise ValueError("%s is no JSON value" % name)
+
+
 def _load_json(*path):
+    """The JSON file at path, parsed strictly: NaN or +-Infinity raises."""
     with open(os.path.join(*path)) as fh:
-        return json.load(fh)
+        return json.loads(fh.read(), parse_constant=_refuse_constant)
 
 
 def _assert_nothing_left_running(out_dir):
@@ -328,11 +334,13 @@ PARTIAL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", ["zero_run", *PARTIAL_RUNS])
+@pytest.mark.parametrize("run", ["zero_run", "zero_run_blinded", "nonzero_run", *PARTIAL_RUNS])
 def test_report_counts_are_json_integers(run, request, tmp_path):
-    """The JSON files of a finished run and of two partial ones load, and
-    every count in them is a JSON integer: a numpy scalar is no JSON value,
-    so the writer raises on one instead of quoting it as a string."""
+    """The JSON files of the session's preset runs and of two partial runs
+    load as strict JSON (no NaN or Infinity, which json.dump writes but no
+    JSON parser need accept), and every count in them is a JSON integer: a
+    numpy scalar is no JSON value, so the writer raises on one instead of
+    quoting it as a string."""
     if run in PARTIAL_RUNS:
         error, patch = PARTIAL_RUNS[run]
         with pytest.raises(error):
@@ -354,6 +362,30 @@ def test_report_counts_are_json_integers(run, request, tmp_path):
                   *(n for shape in regression["blocks"].values() for n in shape)]
         assert all(type(n) is int for n in counts)
     assert ("regression_manifest" in listed) == (run != "rank_failure")
+
+
+# paper-e-nonzero with E = 0 and F = 0: a regulation problem with no exogenous input
+NO_EXOGENOUS_INPUT = dict(plant_e=[[0.0, 0.0]] * 3, plant_f=[[0.0, 0.0]], t_end=40.0,
+                          settle_time=30.0)
+
+
+@pytest.mark.parametrize("patch", [{}, dict(variant=6, q_main=None, q_y=1.0, q_z=1.0)],
+                         ids=["variant4", "variant6"])
+def test_a_zero_oracle_reference_reports_null(patch, tmp_path, capsys):
+    """Without exogenous input the oracle's E_rho is exactly 0: the run exits 0
+    without a RuntimeWarning and writes e_rho_error as null, not Infinity, in
+    a strict-JSON report.json.  A zero oracle gain gives a null gain_error alike."""
+    path = tmp_path / "cfg.json"
+    path.write_text(serialize_config(_quick_nonzero(**NO_EXOGENOUS_INPUT, **patch)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    payload = _load_json(tmp_path, "out", "report.json")
+    assert payload["e_rho_error"] is None and payload["gain_error"] < 1e-4
+    assert "exogenous" not in capsys.readouterr().out
+    assert experiment._relative_error(np.eye(2), np.zeros((2, 2))) is None
 
 
 def test_report_carries_published_reference(nonzero_run):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.signal import place_poles
 
 from regvi.internal_model import Exosystem, InternalModel
-from regvi.linalg import is_hurwitz
+from regvi.linalg import is_hurwitz, poly_from_roots
 from regvi.observer import ObserverKnown
 from regvi.oracle import (RANK_RTOL, AssumptionError, SpectraOverlapError,
                           build_augmented_aux, care_residual,
@@ -338,6 +339,51 @@ def test_place_observer_gain_two_outputs():
     assert L.shape == (3, 2)
     eigs = np.sort_complex(np.linalg.eigvals(A - L @ C))
     assert np.max(np.abs(eigs - [-6.0, -5.0, -4.0])) <= 1e-6
+
+
+def _dual_pair_ackermann(A, C, desired):
+    """The reference gain: Ackermann's formula on the dual pair (A^T, C^T),
+    L^T = e_n^T ctrb(A^T, C^T)^-1 phi(A^T), with phi summed over matrix powers."""
+    n = A.shape[0]
+    blocks = [C.T]
+    for _ in range(n - 1):
+        blocks.append(A.T @ blocks[-1])
+    ctrb = np.hstack(blocks)
+    phi, power = np.linalg.matrix_power(A.T, n), np.eye(n)
+    for a in poly_from_roots(desired):
+        phi, power = phi + a * power, power @ A.T
+    return (np.linalg.solve(ctrb.T, np.eye(n)[:, -1]) @ phi).reshape(n, 1)
+
+
+def _places(A, C, L, desired):
+    """place_observer_gain's certificate: the spectrum of A - LC within 1e-6."""
+    achieved = np.sort_complex(np.linalg.eigvals(A - L @ C))
+    want = np.sort_complex(desired)
+    return np.max(np.abs(achieved - want)) <= 1e-6 * (1.0 + np.abs(want).max())
+
+
+def test_place_observer_gain_matches_the_dual_pair_ackermann_and_scipy():
+    """On 300 seeded random single-output plants (n = 2-6, real poles in
+    [-8, -1]) where both gains certify, Ackermann on (A, C) agrees with the
+    dual-pair formula to 1e-12 and with scipy's place_poles to 1e-6, relative."""
+    rng = np.random.default_rng(35)
+    compared = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        A, C = rng.standard_normal((n, n)), rng.standard_normal((1, n))
+        poles = rng.uniform(-8.0, -1.0, n)
+        reference = _dual_pair_ackermann(A, C, poles)
+        try:
+            L = place_observer_gain(A, C, poles)
+        except RuntimeError:    # achieved eigenvalues this sensitive miss the certificate
+            continue
+        if not _places(A, C, reference, poles):
+            continue
+        compared += 1
+        scipy_gain = place_poles(A.T, C.T, poles).gain_matrix.T
+        assert np.linalg.norm(L - reference) <= 1e-12 * np.linalg.norm(reference)
+        assert np.linalg.norm(L - scipy_gain) <= 1e-6 * np.linalg.norm(scipy_gain)
+    assert compared >= 270
 
 
 def test_place_observer_gain_validates():
