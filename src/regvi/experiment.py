@@ -245,14 +245,14 @@ def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig,
 
     Touches only learner-visible channels and known matrices (known_B: None on x).
     lap(name) is the run's clock: the regression and its rank verdict go to
-    regression_s, value iteration (raising or not) to vi_s.
+    regression_s, the stage fit to vi_fit_s, the loop to vi_s, raising or not.
     """
     data = build_regression(log, grid, variant, R=vicfg.R, known_B=known_B)
     verdict = check_rank(data)
     lap("regression_s")
     require_rank(verdict)
     try:
-        result = vi_run(variant, data, vicfg)
+        result = vi_run(variant, data, vicfg, lap)
     finally:
         lap("vi_s")
     return data, verdict, result
@@ -279,7 +279,7 @@ class ExperimentReport:
     vi_reset_iterations: list | None = None  # the iterate k of each reset
     vi_exo_fallbacks: int | None = None  # ViResult.exo_fallbacks: W solves that took lstsq
     vi_final_step_metric: float | None = None  # ||P~ - P||_2 / eps at the last iterate
-    vi_us_per_iter: float | None = None  # timings["vi_s"] per iterate, in microseconds
+    vi_us_per_iter: float | None = None  # the loop's timings["vi_s"] per iterate, in microseconds
     converged: bool = False
     tracking_max_error: float | None = None
     gain_error: float | None = None

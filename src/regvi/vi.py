@@ -6,16 +6,17 @@ so `_fit_stage` fits it once per run as a `Stage`: the upper triangle of
 H + Q is L p + c0, where H estimates A^T P + P A of the learner's system, and
 the gain is a map of P.  The variant's row of `regression.VARIANTS` says which
 gain: on state x, K is fitted with H; otherwise K = -R^{-1} B^T P is known,
-so K^T R K = P M P with M = B R^{-1} B^T formed once.  A solved exogenous
-matrix E = S W stays unknown: at fit time I_aa is factored and the E term's
-columns are reduced to an (n*q)-row basis of their range, so each iterate
-solves an (n*q) x (q*r) least-squares system for W, whose matrix, rhs and E
-term, all linear in p, come out of the same matrix-vector product as H + Q;
-an identified E is that solve at P0, with the output cost (no E in it) left
-out of the rhs, and is folded into L.  Least squares: variant 1's stage, the
-identified E and a W solve `_solve_normal`'s certificate rejects are `_lstsq`'s
-(numpy's `lstsq`, `check_rank`'s cutoff); variants 2-6 lift H with I_aa's
-triangular QR factor, guarded only by `check_rank`, and 3-6 reduce E by a second QR.
+so K^T R K = P M P with M = B R^{-1} B^T formed once.  The fit is the R
+factor of one Householder QR of the unknowns' columns beside the rhs's, which
+carries Q^T of the rhs (Golub & Van Loan, Matrix Computations, 5.3): no Q is
+formed, and H (with K on state x) is one triangular solve.  A solved
+exogenous matrix E = S W stays unknown: the next n*q rows of R reduce the E
+term's columns to a basis of their range, so each iterate solves an (n*q) x
+(q*r) least-squares system for W, whose matrix, rhs and E term, all linear in
+p, come out of the same matrix-vector product as H + Q; an identified E is
+that solve at P0, with the output cost (no E in it) left out of the rhs, and
+is folded into L.  `_lstsq` (numpy's `lstsq`, `check_rank`'s cutoff) serves
+only those (n*q)-row systems.
 
 All six variants then share one loop: a Robbins-Monro step
 P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import require_sym_psd, vecs
-from .regression import VARIANTS, RegressionData, check_rank
+from .regression import VARIANTS, RegressionData, _rank_blocks, check_rank
 
 
 class RankConditionError(RuntimeError):
@@ -135,9 +136,9 @@ def _lstsq(M, rhs):
     """Least-squares solution of M x = rhs for a vector or a matrix rhs.
 
     M must have full column rank under numpy's cutoff
-    max(shape)*eps*sigma_max, the one check_rank applies.  It fits variant 1's
-    stage and the identified E, and backs up `_solve_normal`; the H lift of
-    variants 2-6 is a solve on I_aa's QR factor, not this.
+    max(shape)*eps*sigma_max, the one check_rank applies.  It solves the
+    (n*q)-row exogenous systems only: the identified E, and a W solve that
+    `_solve_normal` rejects.
     """
     x, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
     if rank < M.shape[1]:
@@ -235,72 +236,67 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     """
     spec = VARIANTS[variant]
     # identifying E needs the rank condition of the variant that solves for it
-    require_rank(check_rank(data, 3 if spec.exo == "identify" else variant))
+    blocks_of = 3 if spec.exo == "identify" else variant
+    require_rank(check_rank(data, blocks_of))
     n = data.dims["n_a"]
     half = n * (n + 1) // 2
     D, up, sym = _vec_maps(n)
-    G = data.delta_a @ D
-    c = np.zeros(G.shape[0])
-    if spec.output_cost:
-        c = c + data.I_yy @ vecs(cfg.Q_y)
-    if spec.output_cost and spec.state == "rho":
-        c = c + data.I_zz @ vecs(cfg.Q_z)
+    G = data.delta_a @ D - (0.0 if spec.state == "x" else 2.0 * data.Gamma_aBu)
+    c = np.zeros(len(G))
+    if spec.output_cost:                # Q_y on y, and Q_z on z on state rho
+        c = data.I_yy @ vecs(cfg.Q_y) + (data.I_zz @ vecs(cfg.Q_z) if spec.state == "rho" else 0.0)
     Q_up = 0.0 if spec.output_cost else cfg.Q.take(up)
     to_p = 1.0 / D.sum(axis=1)[:, None]     # vecs(H) -> p of H; maps of vec(P) end in @ D.T
-
-    if spec.state == "x":
-        theta = _lstsq(np.hstack([data.I_aa, -2.0 * data.I_au]), G) @ D.T
-        return Stage(to_p * theta[:half], Q_up, theta[half:], cfg.R, up, sym), None
+    # One QR, R factor only, of the k unknowns' columns check_rank accepted
+    # beside the rhs: G on p, c and, to identify E, G vec(P0) whole; it lies
+    # mostly in range(I_aa), and summing its projected columns errs 30x more.
+    unknowns = _rank_blocks(data, blocks_of)
+    k = sum(block.shape[1] for block in unknowns)
+    rhs = [G @ D.T, c] + ([G @ cfg.P0.reshape(-1, order="F")] if spec.exo == "identify" else [])
+    R = np.linalg.qr(np.column_stack(unknowns + rhs), mode="r")
+    G_cols, c_col = slice(k, k + half), k + half
+    if spec.state == "x":               # the I_au columns' unknowns are -2 vec(K)
+        theta = np.linalg.solve(R[:k, :k], R[:k, G_cols])
+        return Stage(to_p * theta[:half], Q_up, -0.5 * theta[half:], cfg.R, up, sym), None
     # the gain K = -R^{-1} B^T P is known exactly
     F = np.linalg.solve(cfg.R, data.known_B.T)
     M = data.known_B @ F
-    # check_rank has accepted I_aa; its complete QR gives the lift and Q_c
-    Q, R_aa = np.linalg.qr(data.I_aa, mode="complete")
-    lift = to_p * np.linalg.solve(R_aa[:half], Q[:, :half].T)     # rhs -> p of H
-    G = G - 2.0 * data.Gamma_aBu
+    # rows :half hold I_aa's triangle and Q_1^T of the later columns: their lift
+    lift = to_p * np.linalg.solve(R[:half, :half], R[:half, half:c_col + 1])
+    L, c0 = lift[:, k - half:-1], lift[:, -1] + Q_up
     if spec.exo is None:
-        return Stage(lift @ G @ D.T, lift @ c + Q_up, -F, cfg.R, up, sym, M), None
+        return Stage(L, c0, -F, cfg.R, up, sym, M), None
     # The E term of the rhs is 2 Gamma_av vec(E^T P) with E = S W.  Projected
-    # onto Q_c, the complement of range(I_aa), it leaves r*q unknowns vec(W),
-    # and its columns lie in range(Q_c^T Gamma_av): check_rank has accepted
-    # [I_aa, Gamma_av], so the reduced QR Q_c^T Gamma_av = Q_g R_g has full
-    # column rank n*q.  Projecting onto Q_g as well keeps the minimiser and
-    # leaves an (n*q) x (q*r) system: row (t, a) of Gq holds 2 R_g[t, (i, a)]
-    # over i.  The rhs is projected by Q_c^T, then by Q_g^T: G vec(P0) lies
-    # mostly in range(I_aa), and the product Q_c Q_g would lose ~1e-10 of E.
+    # onto Q_c, the complement of range(I_aa), its columns lie in range(Q_g)
+    # for Q_c^T Gamma_av = Q_g R_g, and rows half:k hold R_g and Q_g^T Q_c^T of
+    # the rhs.  That keeps the minimiser and leaves an (n*q) x (q*r) system
+    # for vec(W): row (t, a) of Gq holds 2 R_g[t, (i, a)] over i.
     S = cfg.E_structure
     r, q = S.shape[1], data.dims["q"]
-    Q_c = Q[:, half:]
-    Q_g, R_g = np.linalg.qr(Q_c.T @ data.Gamma_av)
-    Gq = (2.0 * R_g).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
-
-    def project(x):             # the reduced rhs rows of x
-        return Q_g.T @ (Q_c.T @ x)
-
+    Gq = (2.0 * R[half:k, half:k]).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
+    lift_av = 2.0 * lift[:, :k - half]          # p of H per column of 2 Gamma_av
     if spec.exo == "identify":
         C = (Gq @ (cfg.P0.T @ S)).reshape(n * q, q * r)
-        E = S @ _lstsq(C, project(G @ cfg.P0.reshape(-1, order="F"))).reshape((r, q), order="F")
-        G = G - 2.0 * data.Gamma_av @ np.kron(np.eye(n), E.T)
-        return Stage(lift @ G @ D.T, lift @ c + Q_up, -F, cfg.R, up, sym, M), E
+        E = S @ _lstsq(C, R[half:k, -1]).reshape((r, q), order="F")
+        return Stage(L - lift_av @ np.kron(np.eye(n), E.T) @ D.T, c0, -F, cfg.R, up, sym, M), E
     # Solved at every iterate: with T = P^T S, entry (t, (a, rho)) of C is
     # sum_i Gq[(t, a), i] T[i, rho], so C is kron(Gq, S^T) vec(P) reshaped, and
-    # column (a, rho) of the E term's (half, q*r) block is sum_i lift_av[:, i, a]
+    # column (a, rho) of the E term's (half, q*r) block is sum_i lift_av[:, (i, a)]
     # T[i, rho].  Like the rhs, both are linear in P, so rows after H + Q's in
     # the one matrix-vector product give A = [rhs | C], then that block.
-    A_rows = np.concatenate([project(G)[:, None],
-                             np.kron(Gq, S.T).reshape(n * q, q * r, n * n)], axis=1)
-    A_c0 = np.column_stack([project(c), np.zeros((n * q, q * r))])
+    A_rows = np.concatenate([R[half:k, None, G_cols],
+                             np.kron(Gq, S.T).reshape(n * q, q * r, n * n) @ D.T], axis=1)
+    A_c0 = np.column_stack([R[half:k, c_col], np.zeros((n * q, q * r))])
     size_A = A_c0.size
-    lift_av = (2.0 * lift @ data.Gamma_av).reshape(half, n, q)
-    E_rows = np.einsum("mia,jr->marij", lift_av, S).reshape(-1, n * n)
+    E_rows = np.einsum("mia,jr->marij", lift_av.reshape(half, n, q), S).reshape(-1, n * n)
     B, fell = np.eye(q * r, 1 + q * r, 1), []
 
     def exo(v):                 # the E term of H + Q, from the rows after it
         w, took_lstsq = _solve_normal(v[:size_A].reshape(n * q, -1), B)
         fell.append(took_lstsq)
         return v[size_A:].reshape(half, q * r) @ w
-    return Stage(np.vstack([lift @ G, A_rows.reshape(-1, n * n), E_rows]) @ D.T,
-                 np.concatenate([lift @ c + Q_up, A_c0.ravel(), np.zeros(len(E_rows))]),
+    return Stage(np.vstack([L, A_rows.reshape(-1, half), E_rows @ D.T]),
+                 np.concatenate([c0, A_c0.ravel(), np.zeros(len(E_rows))]),
                  -F, cfg.R, up, sym, M, exo, fell), None
 
 
@@ -330,10 +326,13 @@ def _spec_norms(mats):
 SPEC_ROWS = 64
 
 
-def vi_run(variant, data: RegressionData, cfg: ViConfig) -> ViResult:
+def vi_run(variant, data: RegressionData, cfg: ViConfig, lap=lambda name: None) -> ViResult:
     """Run the value-iteration loop; non-convergence is reported, not raised."""
     check_vi_inputs(variant, cfg)
-    stage, E_identified = _fit_stage(variant, data, cfg)
+    try:
+        stage, E_identified = _fit_stage(variant, data, cfg)
+    finally:                            # lap(name) is the caller's clock
+        lap("vi_fit_s")
     norm_P0 = _spec_norms(cfg.P0)
     P, norm_P = cfg.P0.copy(), norm_P0
     j = 0                               # bound-set index = resets so far

@@ -8,13 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from regvi import cli, csvrows, experiment
+from regvi import cli, csvrows, experiment, vi
 from regvi.experiment import (PRESETS, ConfigError, ExperimentConfig,
                               NotConvergedError, build_objects, parse_config,
                               run_experiment, serialize_config, validate_config,
                               verify)
 from regvi.linalg import is_hurwitz
 from regvi.oracle import verify_theorem4
+from regvi.regression import check_rank
 from regvi.vi import RankConditionError
 
 HOST_CPUS = len(os.sched_getaffinity(0))
@@ -296,7 +297,7 @@ def test_run_experiment_not_converged(tmp_path, monkeypatch, fork_pids, pin_cpus
     assert payload["resets"] == len(payload["vi_reset_iterations"])
     assert payload["vi_final_step_metric"] == history[-1, 3]
     assert set(payload["timings"]) == {"setup_s", "oracle_s", "explore_sim_s", "regression_s",
-                                        "vi_s", "other_exports_s"}
+                                        "vi_fit_s", "vi_s", "other_exports_s"}
     assert "trajectory.csv" not in os.listdir(tmp_path)
     assert fork_pids                    # the exploration rows went to a forked writer
     _assert_nothing_left_running(tmp_path)
@@ -324,6 +325,23 @@ def test_run_experiment_rank_failure(tmp_path, monkeypatch, fork_pids, pin_cpus)
     assert fork_pids
     _assert_nothing_left_running(tmp_path)
     assert sorted(os.listdir(tmp_path)) == ["manifest.json", "report.json"]
+
+
+def test_a_rank_failure_in_the_fit_closes_both_vi_laps(tmp_path, monkeypatch):
+    """The regression's verdict passes and the stage fit's own, on the stacked
+    matrix of variant 4, fails: the partial report holds its rank, the fit's
+    lap vi_fit_s and the loop's lap vi_s, which ran nothing."""
+    def rank_deficient(data, variant=None):
+        verdict = check_rank(data, variant)
+        return dataclasses.replace(verdict, rank=verdict.required - 1, satisfied=False)
+    monkeypatch.setattr(vi, "check_rank", rank_deficient)
+    with pytest.raises(RankConditionError):
+        run_experiment(_quick_nonzero(), str(tmp_path))
+    payload = _load_json(tmp_path, "report.json")
+    assert (payload["rank"], payload["rank_required"]) == (51, 52)
+    assert set(payload["timings"]) == {"setup_s", "oracle_s", "explore_sim_s", "regression_s",
+                                        "vi_fit_s", "vi_s"}
+    _assert_nothing_left_running(tmp_path)
 
 
 PARTIAL_RUNS = {
@@ -483,7 +501,7 @@ def test_every_csv_starts_with_its_header_or_a_number(run, request):
 
 def test_report_carries_layer_timings(nonzero_run):
     timings = _load_json(nonzero_run["out_dir"], "report.json")["timings"]
-    assert set(timings) == {"setup_s", "explore_sim_s", "regression_s", "vi_s",
+    assert set(timings) == {"setup_s", "explore_sim_s", "regression_s", "vi_fit_s", "vi_s",
                             "closed_loop_sim_s", "trajectory_export_s", "other_exports_s",
                             "oracle_s"}
     assert all(t >= 0 for t in timings.values())
