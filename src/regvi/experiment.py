@@ -227,8 +227,8 @@ def make_vi_config(cfg: ExperimentConfig, objs: ExperimentObjects) -> ViConfig:
                "Q_z": (cfg.q_z, n_z, "q_z")}
     # Exogenous signals reach the learner state rho = col(zeta, z) only
     # through the filters' output-injection columns and the internal model's
-    # input matrix; both are learner-known, so an exogenous matrix is solved
-    # for inside that column space.
+    # input matrix; both are learner-known, so an exogenous matrix is
+    # identified inside that column space.
     E_structure = np.block([[objs.known.E_zeta, np.zeros((n_zeta, p))],
                             [np.zeros((n_z, p)), objs.im.G2]])
     return ViConfig(P0=cfg.p0_scale * np.eye(n_a), eps_num=cfg.eps_num,
@@ -277,7 +277,6 @@ class ExperimentReport:
     iters: int | None = None
     resets: int | None = None
     vi_reset_iterations: list | None = None  # the iterate k of each reset
-    vi_exo_fallbacks: int | None = None  # ViResult.exo_fallbacks: W solves that took lstsq
     vi_final_step_metric: float | None = None  # ||P~ - P||_2 / eps at the last iterate
     vi_us_per_iter: float | None = None  # the loop's timings["vi_s"] per iterate, in microseconds
     converged: bool = False
@@ -349,7 +348,6 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
         # j rises after each escape; appending the final j counts a last-iterate escape
         report.vi_reset_iterations = np.flatnonzero(
             np.diff(vires.history[:, 1], append=vires.resets)).tolist()
-        report.vi_exo_fallbacks = vires.exo_fallbacks
         report.vi_final_step_metric = float(vires.history[-1, 3])
         files.update(export_regression_csv(data, out_dir))
         files["vi_history"] = export_history_csv(vires, path("vi_history.csv"))

@@ -37,8 +37,8 @@ class Variant:
 
     state: str          # learner state a: "x", "zeta" or "rho" = col(zeta, z)
     output_cost: bool   # Q_y on y (and Q_z on z when a = rho) instead of Q on a
-    exo: str | None     # exogenous term: None, "solve" at every iterate
-                        # (Algorithm 3) or "identify" once at P0 (Algorithm 4)
+    exo: str | None     # exogenous term: None, "solve" with E^T P free unknowns
+                        # (Algorithm 3) or "identify" E once at P0 (Algorithm 4)
 
 
 VARIANTS = {1: Variant("x", False, None),          # state-based learning

@@ -10,13 +10,13 @@ so K^T R K = P M P with M = B R^{-1} B^T formed once.  The fit is the R
 factor of one Householder QR of the unknowns' columns beside the rhs's, which
 carries Q^T of the rhs (Golub & Van Loan, Matrix Computations, 5.3): no Q is
 formed, and H (with K on state x) is one triangular solve.  A solved
-exogenous matrix E = S W stays unknown: the next n*q rows of R reduce the E
-term's columns to a basis of their range, so each iterate solves an (n*q) x
-(q*r) least-squares system for W, whose matrix, rhs and E term, all linear in
-p, come out of the same matrix-vector product as H + Q; an identified E is
-that solve at P0, with the output cost (no E in it) left out of the rhs, and
-is folded into L.  `_lstsq` (numpy's `lstsq`, `check_rank`'s cutoff) serves
-only those (n*q)-row systems.
+exogenous matrix enters as Algorithm 3 fits it, through the unknowns
+vec(E^T P), affine in P like vecs(H): the same solve gives both, and the
+stage keeps H's rows.  An identified E = S W is solved once, at P0: the next
+n*q rows of R reduce the E term's columns to a basis of their range, which
+leaves an (n*q) x (q*r) least-squares system for W, with the output cost (no
+E in it) left out of the rhs, and E is folded into L.  `_lstsq` (numpy's
+`lstsq`, `check_rank`'s cutoff) serves only that system.
 
 All six variants then share one loop: a Robbins-Monro step
 P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
@@ -37,7 +37,6 @@ bounds the loop and not an allocation.
 """
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +84,11 @@ class ViConfig:
     bound_scale: float = 1000.0
     bound_shift: float = 20.0
     # Known injection map S for the exogenous matrix, E = S @ W with W the
-    # reduced unknown; required with an exogenous term.  The observer filters
-    # and the internal model admit exogenous signals only through their input
-    # columns, so S is available to the learner; solving the stage for W
-    # instead of E is what keeps the identification error below the level the
-    # ill-conditioned reduced iteration can tolerate.
+    # reduced unknown; required where E is identified (variants 4 and 6).  The
+    # observer filters and the internal model admit exogenous signals only
+    # through their input columns, so S is available to the learner;
+    # identifying W instead of E is what keeps the identification error below
+    # the level the ill-conditioned reduced iteration can tolerate.
     E_structure: np.ndarray | None = None
 
     def __post_init__(self):
@@ -128,8 +127,6 @@ class ViResult:
     converged: bool
     history: np.ndarray               # rows (k, j, specnorm P_k, step metric)
     E_rho_identified: np.ndarray | None = None
-    # iterates whose W solve took `_lstsq`; None unless E is solved per iterate
-    exo_fallbacks: int | None = None
 
 
 def _lstsq(M, rhs):
@@ -137,8 +134,7 @@ def _lstsq(M, rhs):
 
     M must have full column rank under numpy's cutoff
     max(shape)*eps*sigma_max, the one check_rank applies.  It solves the
-    (n*q)-row exogenous systems only: the identified E, and a W solve that
-    `_solve_normal` rejects.
+    (n*q)-row system of the identified E only.
     """
     x, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
     if rank < M.shape[1]:
@@ -146,34 +142,6 @@ def _lstsq(M, rhs):
             "stage matrix is numerically rank deficient (rank %d < %d columns)"
             % (rank, M.shape[1]), rank, M.shape[1])
     return x
-
-
-# The largest trace(C^T C) ||(C^T C)^-1||_F, a bound on cond_2(C^T C) (a trace
-# bounds a semidefinite matrix's 2-norm), at which W is kept: it errs by ~1e-8.
-EXO_BETA_MAX = 1e8
-
-
-def _solve_normal(A, B):
-    """(w, took_lstsq): the least-squares solution of C w = rhs, A = [rhs | C].
-
-    B is a buffer [. | I] for C's k columns; its first column is overwritten.
-    One product A^T A gives C^T C and C^T rhs, and one LU solve of
-    C^T C [w | X] = [C^T rhs | I] gives w and X = (C^T C)^-1 (w formed as
-    X C^T rhs errs up to ten times more).  w is kept when trace(C^T C) ||X||_F
-    is at most EXO_BETA_MAX; otherwise, a NaN bound or a singular C^T C
-    included, w is `_lstsq`'s.
-    """
-    Ga = A.T @ A
-    B[:, 0] = Ga[1:, 0]
-    try:
-        wX = np.linalg.solve(Ga[1:, 1:], B)
-    except np.linalg.LinAlgError:       # C^T C is singular
-        pass
-    else:                               # a NaN bound fails the test too
-        X = wX[:, 1:].ravel()
-        if sum(Ga.diagonal()[1:].tolist()) * math.sqrt(X.dot(X)) <= EXO_BETA_MAX:
-            return wX[:, 0], False
-    return _lstsq(A[:, 1:], A[:, 0]), True
 
 
 def _vec_maps(n):
@@ -194,11 +162,7 @@ class Stage:
 
     On p = P.take(up), H + Q is (L p + c0).take(sym).  vec(K) = K_map p where
     K is fitted (M None); where it is known, K = K_map P = -R^{-1} B^T P and
-    K^T R K = P M P.  exo is the term of an exogenous matrix solved at every
-    iterate, and None without one; L and c0 then carry extra rows after
-    H + Q's, the matrix and rhs of that solve and the term's block, so
-    H + Q's rows are v[:p.size] - exo(v[p.size:]) with v = L p + c0.  exo
-    appends to exo_fell, per call that returns, whether it took `_lstsq`.
+    K^T R K = P M P.
     """
 
     L: np.ndarray
@@ -208,14 +172,10 @@ class Stage:
     up: np.ndarray
     sym: np.ndarray
     M: np.ndarray | None = None
-    exo: Callable | None = None
-    exo_fell: list | None = None
 
     def residual(self, P):
         """H + Q - K^T R K at the iterate P."""
         v = self.L @ P.take(self.up) + self.c0
-        if self.exo is not None:
-            v[:self.up.size] -= self.exo(v[self.up.size:])
         if self.M is None:
             K = self.gain(P)
             return v.take(self.sym) - K.T @ self.R @ K
@@ -254,63 +214,46 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     k = sum(block.shape[1] for block in unknowns)
     rhs = [G @ D.T, c] + ([G @ cfg.P0.reshape(-1, order="F")] if spec.exo == "identify" else [])
     R = np.linalg.qr(np.column_stack(unknowns + rhs), mode="r")
-    G_cols, c_col = slice(k, k + half), k + half
-    if spec.state == "x":               # the I_au columns' unknowns are -2 vec(K)
-        theta = np.linalg.solve(R[:k, :k], R[:k, G_cols])
-        return Stage(to_p * theta[:half], Q_up, -0.5 * theta[half:], cfg.R, up, sym), None
-    # the gain K = -R^{-1} B^T P is known exactly
-    F = np.linalg.solve(cfg.R, data.known_B.T)
-    M = data.known_B @ F
-    # rows :half hold I_aa's triangle and Q_1^T of the later columns: their lift
-    lift = to_p * np.linalg.solve(R[:half, :half], R[:half, half:c_col + 1])
-    L, c0 = lift[:, k - half:-1], lift[:, -1] + Q_up
-    if spec.exo is None:
+    if spec.state != "x":               # the gain K = -R^{-1} B^T P is known exactly
+        F = np.linalg.solve(cfg.R, data.known_B.T)
+        M = data.known_B @ F
+    if spec.exo != "identify":
+        # one triangular solve for every unknown: rows :half are vecs(H), the
+        # rest -2 vec(K) on state x, or vec(E^T P) where E is solved, fitted
+        # free as in Algorithm 3 and not needed by the iterate
+        theta = np.linalg.solve(R[:k, :k], R[:k, k:k + half + 1])
+        L, c0 = to_p * theta[:half, :-1], to_p[:, 0] * theta[:half, -1] + Q_up
+        if spec.state == "x":
+            return Stage(L, c0, -0.5 * theta[half:, :-1], cfg.R, up, sym), None
         return Stage(L, c0, -F, cfg.R, up, sym, M), None
+    # rows :half hold I_aa's triangle and Q_1^T of the later columns: their lift
+    lift = to_p * np.linalg.solve(R[:half, :half], R[:half, half:k + half + 1])
+    L, c0 = lift[:, k - half:-1], lift[:, -1] + Q_up
     # The E term of the rhs is 2 Gamma_av vec(E^T P) with E = S W.  Projected
     # onto Q_c, the complement of range(I_aa), its columns lie in range(Q_g)
     # for Q_c^T Gamma_av = Q_g R_g, and rows half:k hold R_g and Q_g^T Q_c^T of
     # the rhs.  That keeps the minimiser and leaves an (n*q) x (q*r) system
-    # for vec(W): row (t, a) of Gq holds 2 R_g[t, (i, a)] over i.
+    # for vec(W) at P0: row (t, a) of Gq holds 2 R_g[t, (i, a)] over i.
     S = cfg.E_structure
     r, q = S.shape[1], data.dims["q"]
     Gq = (2.0 * R[half:k, half:k]).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
     lift_av = 2.0 * lift[:, :k - half]          # p of H per column of 2 Gamma_av
-    if spec.exo == "identify":
-        C = (Gq @ (cfg.P0.T @ S)).reshape(n * q, q * r)
-        E = S @ _lstsq(C, R[half:k, -1]).reshape((r, q), order="F")
-        return Stage(L - lift_av @ np.kron(np.eye(n), E.T) @ D.T, c0, -F, cfg.R, up, sym, M), E
-    # Solved at every iterate: with T = P^T S, entry (t, (a, rho)) of C is
-    # sum_i Gq[(t, a), i] T[i, rho], so C is kron(Gq, S^T) vec(P) reshaped, and
-    # column (a, rho) of the E term's (half, q*r) block is sum_i lift_av[:, (i, a)]
-    # T[i, rho].  Like the rhs, both are linear in P, so rows after H + Q's in
-    # the one matrix-vector product give A = [rhs | C], then that block.
-    A_rows = np.concatenate([R[half:k, None, G_cols],
-                             np.kron(Gq, S.T).reshape(n * q, q * r, n * n) @ D.T], axis=1)
-    A_c0 = np.column_stack([R[half:k, c_col], np.zeros((n * q, q * r))])
-    size_A = A_c0.size
-    E_rows = np.einsum("mia,jr->marij", lift_av.reshape(half, n, q), S).reshape(-1, n * n)
-    B, fell = np.eye(q * r, 1 + q * r, 1), []
-
-    def exo(v):                 # the E term of H + Q, from the rows after it
-        w, took_lstsq = _solve_normal(v[:size_A].reshape(n * q, -1), B)
-        fell.append(took_lstsq)
-        return v[size_A:].reshape(half, q * r) @ w
-    return Stage(np.vstack([L, A_rows.reshape(-1, half), E_rows @ D.T]),
-                 np.concatenate([c0, A_c0.ravel(), np.zeros(len(E_rows))]),
-                 -F, cfg.R, up, sym, M, exo, fell), None
+    C = (Gq @ (cfg.P0.T @ S)).reshape(n * q, q * r)
+    E = S @ _lstsq(C, R[half:k, -1]).reshape((r, q), order="F")
+    return Stage(L - lift_av @ np.kron(np.eye(n), E.T) @ D.T, c0, -F, cfg.R, up, sym, M), E
 
 
 def check_vi_inputs(variant, cfg: ViConfig):
     """Raise ValueError unless cfg holds what the variant needs; the one such table."""
     spec = VARIANTS[variant]
-    # the state-cost variants need P0 > 0, and so does an exogenous term:
-    # its least-squares fit at P0 = 0 is singular
-    if ((not spec.output_cost or spec.exo)
+    # the state-cost variants need P0 > 0, and so does identifying E: its
+    # least-squares system at P0 = 0 is singular
+    if ((not spec.output_cost or spec.exo == "identify")
             and np.min(np.linalg.eigvalsh(cfg.P0)) <= 0):
         raise ValueError("variant %d requires a positive definite P0" % variant)
     needs = {"Q": not spec.output_cost, "Q_y": spec.output_cost,
              "Q_z": spec.output_cost and spec.state == "rho",
-             "E_structure": spec.exo is not None}
+             "E_structure": spec.exo == "identify"}
     for name, needed in needs.items():
         if needed and getattr(cfg, name) is None:
             raise ValueError("variant %d needs %s" % (variant, name))
@@ -338,8 +281,6 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig, lap=lambda name: None) 
     j = 0                               # bound-set index = resets so far
     history = []                        # each block's accepted rows
     pairs = np.empty((SPEC_ROWS, 2) + P.shape)     # rows (P~, P~ - P)
-    fell = stage.exo_fell               # one flag per block iterate, cleared per block
-    fallbacks = None if fell is None else 0
     k, converged = 0, False
     while k < cfg.max_iters and not converged:
         radius = cfg.bound_radius(j)
@@ -350,12 +291,7 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig, lap=lambda name: None) 
         # below decide, so the bounds' rounding moves no result.
         b, reach, base = 0, float(norm_P), P
         while b < len(eps) and (b == 0 or reach <= radius):
-            try:
-                step = eps[b] * stage.residual(base)
-            except RankConditionError:
-                if b == 0:              # only an iterate the loop reaches raises
-                    raise
-                break
+            step = eps[b] * stage.residual(base)
             base = np.add(base, step, out=pairs[b, 0])
             # np.vdot checks no floating-point flag: an overflow is a silent
             # inf, which ends the block as an escape would; so does a certain
@@ -372,9 +308,6 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig, lap=lambda name: None) 
         escape, stop = norm_tilde > radius, steps < cfg.eps_conv
         events = np.flatnonzero(escape | stop)
         rows = int(events[0]) + 1 if events.size else b
-        if fell is not None:
-            fallbacks += sum(fell[:rows])
-            fell.clear()
         history.append(np.column_stack(
             [np.arange(k, k + rows), np.full(rows, j),
              np.concatenate([[norm_P], norm_tilde[:rows - 1]]), steps[:rows]]))
@@ -390,4 +323,4 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig, lap=lambda name: None) 
                 P = pairs[rows - 2, 0].copy()
     return ViResult(P_final=P, K_final=stage.gain(P), iters=k, resets=j,
                     converged=converged, history=np.concatenate(history),
-                    E_rho_identified=E_identified, exo_fallbacks=fallbacks)
+                    E_rho_identified=E_identified)

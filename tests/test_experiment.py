@@ -15,7 +15,7 @@ from regvi.experiment import (PRESETS, ConfigError, ExperimentConfig,
                               verify)
 from regvi.linalg import is_hurwitz
 from regvi.oracle import verify_theorem4
-from regvi.regression import check_rank
+from regvi.regression import build_regression, check_rank
 from regvi.vi import RankConditionError
 
 HOST_CPUS = len(os.sched_getaffinity(0))
@@ -114,7 +114,7 @@ REJECTED = [
     {"observer_poles": [1.0, -6.0, -7.0]},  # the filter bank must be Hurwitz
     {"observer_poles": [0.0, -6.0, -7.0]},
     {"observer_poles": [[0.0, 2.0], [0.0, -2.0], -7.0]},
-    {"variant": 5, "p0_scale": 0.0, "q_y": 1.0, "q_z": 1.0},   # E solved at P0 = 0
+    {"variant": 6, "p0_scale": 0.0, "q_y": 1.0, "q_z": 1.0},   # E identified at P0 = 0
     {"k0": [[1.0], [1.0, 2.0]]},           # ragged
     {"grid_s": 10**400},                   # integers beyond the float range
     {"grid_dt": 10**400},
@@ -203,6 +203,21 @@ def test_verify_presets_all_ok():
         assert all(ok for _, ok, _ in rows), [row for row in rows if not row[1]]
         names = [name for name, _, _ in rows]
         assert "theorem4_identity" in names and "unknown_counts" in names
+
+
+@pytest.mark.parametrize("setup", ["nonzero_setup", "zero_setup"])
+def test_stage_unknowns_are_the_papers_counts(request, setup):
+    """On each preset's data the rank condition requires as many columns as
+    the verify row `unknown_counts` gives the paper's learning equation:
+    vecs(H) and E^T P of Algorithm 3 where E is solved (variants 3 and 5),
+    vecs(H) of Algorithm 4 where it is identified (4 and 6)."""
+    s = request.getfixturevalue(setup)
+    counts = json.loads(dict((name, detail) for name, _, detail in verify(s["cfg"]))
+                        ["unknown_counts"])
+    assert (counts["alg3"], counts["alg4"]) == (52, 36)
+    for variant, method in ((3, "alg3"), (5, "alg3"), (4, "alg4"), (6, "alg4")):
+        data = build_regression(s["log"], s["grid"], variant, known_B=s["objs"].B_rho)
+        assert check_rank(data).required == counts[method]
 
 
 def test_verify_reads_the_augmented_closed_loop_margin(zero_setup, nonzero_setup):
@@ -423,14 +438,6 @@ def test_report_carries_vi_resets_and_final_step(zero_run):
     for k in resets:                    # the epoch j moves on right after each reset
         assert history[k + 1, 1] == history[k, 1] + 1
     assert payload["vi_final_step_metric"] == history[-1, 3] < cfg.eps_conv
-
-
-@pytest.mark.parametrize("run", ["zero_run", "nonzero_run"])
-def test_report_has_no_fallback_count_where_E_is_identified(request, run):
-    """Variants 6 and 4 identify E once, so report.json's vi_exo_fallbacks,
-    the count of per-iterate W solves that took lstsq, is null."""
-    out_dir = request.getfixturevalue(run)["out_dir"]
-    assert _load_json(out_dir, "report.json")["vi_exo_fallbacks"] is None
 
 
 def test_a_final_escape_is_a_listed_reset(tmp_path):

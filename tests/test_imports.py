@@ -210,16 +210,15 @@ def _named(name):
 def test_lstsq_is_named_only_inside_vi_lstsq():
     """numpy's lstsq is reached only through `vi._lstsq`: no other function,
     and no module-level code, of the package names it, as a call, a bound name
-    or an import.  So every least-squares fit that is not the per-iterate W
-    solve's certified normal equations falls back to the one rank rule."""
+    or an import.  So the one least-squares fit that is not a triangular
+    solve on the stage's R factor, the identification of E, applies the one
+    rank rule."""
     assert _named("lstsq") == [("vi", "_lstsq")]
 
 
 def test_inv_is_named_nowhere():
     """No code of the package names numpy's inv: every linear system is
-    solved.  The W solve's (C^T C)^-1, which certifies it, comes from the one
-    LU solve that gives w, since w formed as (C^T C)^-1 C^T rhs errs up to
-    ten times more."""
+    solved."""
     assert _named("inv") == []
 
 

@@ -1,4 +1,3 @@
-import math
 import sys
 from collections.abc import Callable
 from dataclasses import replace
@@ -7,8 +6,6 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from regvi import vi
 from regvi.experiment import export_history_csv, make_vi_config
@@ -327,12 +324,12 @@ def test_vi_run_structured_input_errors(nonzero_setup):
     with pytest.raises(ValueError):
         vi_run(4, data, replace(vicfg, P0=np.zeros((8, 8))))   # P0 not positive definite
     with pytest.raises(ValueError):
-        vi_run(3, data, replace(vicfg, E_structure=None))
+        vi_run(4, data, replace(vicfg, E_structure=None))
 
 
 # Weights and structure each variant must be given; the rest may stay None.
-NEEDS = {1: {"Q"}, 2: {"Q_y"}, 3: {"Q", "E_structure"}, 4: {"Q", "E_structure"},
-         5: {"Q_y", "Q_z", "E_structure"}, 6: {"Q_y", "Q_z", "E_structure"}}
+NEEDS = {1: {"Q"}, 2: {"Q_y"}, 3: {"Q"}, 4: {"Q", "E_structure"},
+         5: {"Q_y", "Q_z"}, 6: {"Q_y", "Q_z", "E_structure"}}
 
 
 @pytest.mark.parametrize("variant", sorted(NEEDS))
@@ -348,8 +345,9 @@ def test_check_vi_inputs_per_variant(variant):
                 check_vi_inputs(variant, cfg)
         else:
             check_vi_inputs(variant, cfg)
+    # P0 > 0 is needed for a state cost or to identify E
     zero_P0 = replace(full, P0=np.zeros((2, 2)))
-    if variant in (1, 3, 4, 5, 6):
+    if variant in (1, 3, 4, 6):
         with pytest.raises(ValueError):
             check_vi_inputs(variant, zero_P0)
     else:
@@ -544,40 +542,18 @@ def test_speculation_past_an_escape_is_warning_free(fullstate_setup, eps_num):
     assert_same_run(vi_run(1, data, cfg), ref)
 
 
-class _FailingStage:
-    """A fitted stage whose residual raises RankConditionError from call `after` + 1 on."""
+class _CountingStage:
+    """A fitted stage that counts its residual calls."""
 
-    exo_fell = None                     # no exogenous matrix solved per iterate
-
-    def __init__(self, stage, after):
-        self.stage, self.after, self.calls = stage, after, 0
+    def __init__(self, stage):
+        self.stage, self.calls = stage, 0
 
     def residual(self, P):
         self.calls += 1
-        if self.calls > self.after:
-            raise RankConditionError("rank deficient", 0, 1)
         return self.stage.residual(P)
 
     def gain(self, P):
         return self.stage.gain(P)
-
-
-@pytest.mark.parametrize("after, raises", [(11, False), (5, True)])
-def test_only_a_reached_iterate_raises(fullstate_setup, monkeypatch, after, raises):
-    """A stop at iterate 10 (the 11th residual): a rank failure at a later,
-    speculative iterate is not raised; one at iterate 5 is, as in the loop."""
-    data = fullstate_setup["data"]
-    free, cfg = _free_run(data)
-    cfg = replace(cfg, eps_conv=np.nextafter(free.history[10, 3], np.inf))
-    fit = vi._fit_stage
-    monkeypatch.setattr(vi, "_fit_stage",
-                        lambda *a: (_FailingStage(fit(*a)[0], after), None))
-    if raises:
-        for run in (per_iterate_vi, vi_run):
-            with pytest.raises(RankConditionError):
-                run(1, data, cfg)
-    else:
-        assert_same_run(vi_run(1, data, cfg), per_iterate_vi(1, data, cfg))
 
 
 @pytest.mark.parametrize("k_stop", [vi.SPEC_ROWS // 2, 2 * vi.SPEC_ROWS + 5])
@@ -598,7 +574,7 @@ def test_a_certain_stop_ends_the_block(fullstate_setup, monkeypatch, k_stop):
     stages = []
     fit = vi._fit_stage
     monkeypatch.setattr(vi, "_fit_stage", lambda *a: (stages.append(
-        _FailingStage(fit(*a)[0], math.inf)) or stages[0], None))
+        _CountingStage(fit(*a)[0])) or stages[0], None))
     assert_same_run(vi_run(1, data, cfg), ref)
     assert ref.iters <= stages[0].calls <= k_stop + 1
     assert stages[0].calls < -(-ref.iters // vi.SPEC_ROWS) * vi.SPEC_ROWS
@@ -677,23 +653,22 @@ class Reference(NamedTuple):
 
 
 def stage_lift(stage):
-    """The fitted map: [L; K_map] on state x, else [L | c0] of H + Q's rows,
-    the rows before any exogenous matrix solved per iterate."""
+    """The fitted map: [L; K_map] on state x, else [L | c0]."""
     if stage.M is None:
         return np.vstack([stage.L, stage.K_map])
-    half = stage.up.size
-    return np.column_stack([stage.L[:half], stage.c0[:half]])
+    return np.column_stack([stage.L, stage.c0])
 
 
 def reference_stage(variant, data, cfg):
     """The stage of one (variant, data) pair, fitted exactly to REF_DIGITS digits.
 
-    The unknowns, vecs(H) with K on state x or with vec(W), E = S W, where
-    E is fitted, solve one least-squares problem over all rows of the data
-    whose rhs is G vec(P) + c on all n^2 entries of vec(P).  It is solved by
-    its normal equations, formed exactly from the float data and solved in
-    Decimal: E is identified at P0 on a rhs without the output cost and
-    solved at each iterate otherwise.  The results are rounded to float.
+    The unknowns, vecs(H) with K on state x, with vec(E^T P) where E is
+    solved or with vec(W), E = S W, where E is identified, solve one
+    least-squares problem over all rows of the data whose rhs is G vec(P) + c
+    on all n^2 entries of vec(P).  It is solved by its normal equations,
+    formed exactly from the float data and solved in Decimal: E is
+    identified at P0 on a rhs without the output cost.  The results are
+    rounded to float.
     """
     spec = VARIANTS[variant]
     n = data.dims["n_a"]
@@ -736,40 +711,35 @@ def reference_stage(variant, data, cfg):
         B = _dec(data.known_B)
         M = B @ _dec_solve(_dec(cfg.R), B.T)
         aa = slice(0, half)                 # I_aa's rows and columns of Z
-        lift = np.column_stack([Z_G[aa], Z_c[aa]])
-        if spec.exo:
+        E = None
+        if spec.exo == "solve":             # the joint fit: its rows aa are vecs(H)
+            lift = _dec_solve(Z, np.column_stack([Z_G, Z_c]))[aa]
+        else:
+            lift = np.column_stack([Z_G[aa], Z_c[aa]])
+        if spec.exo == "identify":          # W of the joint fit at P0
             S, q = _dec(cfg.E_structure), data.dims["q"]
             r = S.shape[1]
-
-            def fit(P, p, with_c):      # vecs(H) and W of the joint fit at P
-                T = np.zeros((n * q, q * r), dtype=object)   # vec(W) -> 2 vec(E^T P)
-                for i in range(n):
-                    for a in range(q):
-                        T[i * q + a, a * r:(a + 1) * r] = 2 * (S.T @ P)[:, i]
-                rhs = Z_G @ p + (Z_c if with_c else 0)
-                Z_hw = np.block([[Z[aa, aa], Z[aa, half:] @ T],
-                                 [T.T @ Z[half:, aa], T.T @ Z[half:, half:] @ T]])
-                hw = _dec_solve(Z_hw, np.concatenate([rhs[aa], T.T @ rhs[half:]]))
-                return hw[:half], hw[half:].reshape((r, q), order="F")
-        E = None
-        if spec.exo == "identify":
             P0 = _dec(cfg.P0)
-            E = S @ fit(P0, P0.take(up), False)[1]
+            T = np.zeros((n * q, q * r), dtype=object)   # vec(W) -> 2 vec(E^T P0)
+            for i in range(n):
+                for a in range(q):
+                    T[i * q + a, a * r:(a + 1) * r] = 2 * (S.T @ P0)[:, i]
+            rhs = Z_G @ P0.take(up)
+            Z_hw = np.block([[Z[aa, aa], Z[aa, half:] @ T],
+                             [T.T @ Z[half:, aa], T.T @ Z[half:, half:] @ T]])
+            hw = _dec_solve(Z_hw, np.concatenate([rhs[aa], T.T @ rhs[half:]]))
+            E = S @ hw[half:].reshape((r, q), order="F")
             E_term = np.zeros((n * q, n * n), dtype=object)   # vec(P) -> vec(E^T P)
             for i in range(n):
                 E_term[i * q:(i + 1) * q, i * n:(i + 1) * n] = E.T
             lift[:, :half] -= 2 * Z[aa, half:] @ E_term @ _dec(D.T)
-        lift = to_p * _dec_solve(Z[aa, aa], lift)
+        if spec.exo != "solve":             # the fit on I_aa alone
+            lift = _dec_solve(Z[aa, aa], lift)
+        lift = to_p * lift
         lift[:, -1] += Q_up
-        if spec.exo == "solve":
-            def H_Q(p, P):
-                return to_p[:, 0] * fit(P, p, True)[0] + Q_up
-        else:
-            def H_Q(p, P):
-                return lift @ np.append(p, 1)
         return Reference(np.array(lift, dtype=float),
                          None if E is None else np.array(E, dtype=float),
-                         residual_of(H_Q, lambda P: P @ M @ P))
+                         residual_of(lambda p, P: lift @ np.append(p, 1), lambda P: P @ M @ P))
 
 
 def random_spd(n, seed):
@@ -839,13 +809,18 @@ REFERENCE_CASES = ([("nonzero", v) for v in sorted(VARIANTS)]
 # lstsq on state x), as the tests below measure them: the fitted map, the
 # identified E and the largest residual at P0 and three random positive
 # definite iterates.  The fit must stay within twice each, or within
-# ROUNDING_NOISE.
+# ROUNDING_NOISE.  Variants 3 and 5 on paper-e-nonzero are the errors of the
+# free fit of vec(E^T P) as first measured, not of the former estimator
+# (E = S W solved at every iterate): the joint matrix [I_aa, Gamma_av] has
+# cond 4.45e11, so cond * eps is 5e-5, and H's rows err by far more than
+# they did on the structured fit, though far below the gain's error against
+# the oracle.
 FORMER_FIT_ERRORS = {
     ("nonzero", 1): {"lift": 1.666e-15, "residual": 1.461e-15},
     ("nonzero", 2): {"lift": 4.114e-15, "residual": 4.433e-15},
-    ("nonzero", 3): {"lift": 1.842e-12, "residual": 5.630e-11},
+    ("nonzero", 3): {"lift": 3.010e-8, "residual": 3.866e-8},
     ("nonzero", 4): {"lift": 1.972e-10, "E": 7.371e-11, "residual": 1.704e-10},
-    ("nonzero", 5): {"lift": 1.661e-12, "residual": 6.708e-12},
+    ("nonzero", 5): {"lift": 7.593e-10, "residual": 2.872e-9},
     ("nonzero", 6): {"lift": 4.552e-12, "E": 7.371e-11, "residual": 2.112e-11},
     ("zero", 2): {"lift": 1.793e-7, "residual": 9.547e-7},
     ("zero", 6): {"lift": 5.326e-7, "E": 1.178e-14, "residual": 2.111e-6},
@@ -861,30 +836,13 @@ def _within_former(plant, variant, name, error):
     assert error <= max(2.0 * FORMER_FIT_ERRORS[plant, variant][name], ROUNDING_NOISE)
 
 
-@pytest.mark.parametrize("variant", [3, 5])
-def test_solved_exo_residual_matches_full_projection(exo_stage_cases, reference_cases, variant):
-    """The reduced (n*q)-row solve, fed by the stage's one matrix-vector
-    product on the n(n+1)/2 entries of the upper triangle, gives the residual
-    of the full least-squares fit to 1e-10, at P0 and three random symmetric
-    iterates."""
-    _, iterates = exo_stage_cases
-    data, cfg, reference = reference_cases("nonzero", variant)
-    stage, E = _fit_stage(variant, data, cfg)
-    n, q, r = data.dims["n_a"], data.dims["q"], cfg.E_structure.shape[1]
-    half = n * (n + 1) // 2
-    # rows: H + Q's, then A = [rhs | C] and the E term's (half, q*r) block
-    assert E is None and stage.L.shape == (half + n * q * (1 + q * r) + half * q * r, half)
-    for P in iterates:
-        assert rel(stage.residual(P), reference.residual(P)) <= 1e-10
-
-
 @pytest.mark.parametrize("plant, variant", [pytest.param("nonzero", 4, id="4"),
                                             pytest.param("nonzero", 6, id="6"),
                                             pytest.param("zero", 6, id="zero-6")])
 def test_identified_E_matches_full_projection(reference_cases, plant, variant):
     data, cfg, reference = reference_cases(plant, variant)
     stage, E = _fit_stage(variant, data, cfg)
-    assert stage.exo is None and stage.L.shape == (36, 36)
+    assert stage.L.shape == (36, 36)
     _within_former(plant, variant, "E", rel(E, reference.E))
 
 
@@ -910,171 +868,6 @@ def test_residual_matches_the_full_vec_stage(reference_cases, plant, variant):
     _within_former(plant, variant, "residual", max(
         rel(stage.residual(P), reference.residual(P))
         for P in [cfg.P0] + [random_spd(n, seed) for seed in range(3)]))
-
-
-def test_solved_exo_at_zero_iterate_is_rank_deficient(exo_stage_cases):
-    """At P = 0 the solve matrix is zero, and the one rank rule rejects it."""
-    cases, _ = exo_stage_cases
-    stage, _ = _fit_stage(3, *cases[3])
-    with pytest.raises(RankConditionError):
-        stage.residual(np.zeros((8, 8)))
-
-
-def _exo_rows(stage, data, cfg, P):
-    """(A, E_block, head) at P from the stage's one matrix-vector product:
-    A = [rhs | C] of the per-iterate W solve, the E term's (half, q*r) block
-    and the half rows of H + Q before the E term is subtracted."""
-    n, q, r = data.dims["n_a"], data.dims["q"], cfg.E_structure.shape[1]
-    half = stage.up.size
-    v = stage.L @ P.take(stage.up) + stage.c0
-    size_A = n * q * (1 + q * r)
-    return (v[half:half + size_A].reshape(n * q, -1),
-            v[half + size_A:].reshape(half, q * r), v[:half])
-
-
-def _lstsq_residual(stage, data, cfg, P):
-    """The stage's residual at P with W from `_lstsq`, in the stage's operations."""
-    A, E_block, head = _exo_rows(stage, data, cfg, P)
-    v = head - E_block @ _lstsq(A[:, 1:], A[:, 0])
-    return v.take(stage.sym) - P @ stage.M @ P
-
-
-@pytest.mark.parametrize("variant", [3, 5])
-def test_normal_solve_matches_lstsq(exo_stage_cases, variant):
-    """At P0 and three random iterates the certified normal equations are
-    accepted, in the stage too, and their w is lstsq's to 1e-9 relative."""
-    cases, iterates = exo_stage_cases
-    data, cfg = cases[variant]
-    stage, _ = _fit_stage(variant, data, cfg)
-    for P in iterates:
-        A, _, _ = _exo_rows(stage, data, cfg, P)
-        k = A.shape[1] - 1
-        w, took_lstsq = vi._solve_normal(A, np.eye(k, k + 1, 1))
-        w_ref = np.linalg.lstsq(A[:, 1:], A[:, 0], rcond=None)[0]
-        assert not took_lstsq
-        assert np.linalg.norm(w - w_ref) <= 1e-9 * np.linalg.norm(w_ref)
-        stage.residual(P)
-    assert stage.exo_fell == [False] * len(iterates)
-
-
-def test_ill_conditioned_iterate_takes_lstsq(exo_stage_cases):
-    """A near-rank-one iterate makes T = P^T S nearly rank one, so the bound on
-    cond_2(C^T C) exceeds EXO_BETA_MAX: the residual is the `_lstsq` path's
-    bitwise, where numpy's cutoff still finds C of full rank."""
-    cases, _ = exo_stage_cases
-    data, cfg = cases[3]
-    stage, _ = _fit_stage(3, data, cfg)
-    u = np.linspace(1.0, 2.0, 8)
-    P = np.outer(u, u) + 1e-6 * np.eye(8)
-    A, _, _ = _exo_rows(stage, data, cfg, P)
-    CtC = A[:, 1:].T @ A[:, 1:]
-    assert np.linalg.cond(CtC) > vi.EXO_BETA_MAX
-    assert np.array_equal(stage.residual(P), _lstsq_residual(stage, data, cfg, P))
-    assert stage.exo_fell == [True]
-
-
-@pytest.mark.parametrize("how", ["limit", "nan_beta"])
-def test_rejected_normal_solve_is_the_lstsq_path(exo_stage_cases, monkeypatch, how):
-    """A limit below every bound, or a NaN bound from the solve, sends every
-    iterate to `_lstsq`: the residual is that path's bitwise."""
-    cases, iterates = exo_stage_cases
-    data, cfg = cases[5]
-    stage, _ = _fit_stage(5, data, cfg)
-    if how == "limit":
-        monkeypatch.setattr(vi, "EXO_BETA_MAX", 0.0)
-    else:
-        monkeypatch.setattr(vi.np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
-    for P in iterates:
-        assert np.array_equal(stage.residual(P), _lstsq_residual(stage, data, cfg, P))
-    assert stage.exo_fell == [True] * len(iterates)
-
-
-def test_normal_solve_at_zero_iterate_raises_rank_zero(exo_stage_cases):
-    """At P = 0, C = 0: the singular solve falls back, and `_lstsq` finds rank
-    0 of C's q*r = 4 columns."""
-    cases, _ = exo_stage_cases
-    stage, _ = _fit_stage(3, *cases[3])
-    with pytest.raises(RankConditionError) as info:
-        stage.residual(np.zeros((8, 8)))
-    assert (info.value.rank, info.value.required) == (0, 4)
-    with pytest.raises(RankConditionError) as info:
-        vi._solve_normal(np.zeros((16, 5)), np.eye(4, 5, 1))
-    assert (info.value.rank, info.value.required) == (0, 4)
-
-
-@given(st.floats(0.0, 12.0), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
-       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-@settings(max_examples=300)
-def test_w_solve_certificate(log_cond, inner, noise, seed):
-    """C of 16 x 4 with cond_2(C^T C) = 10^log_cond, from 1 to 1e12, and a rhs
-    off range(C) by noise: the bound trace(C^T C) ||(C^T C)^-1||_F is at least
-    cond_2(C^T C) and at most sqrt(k) beta, beta = ||C^T C||_F ||(C^T C)^-1||_F;
-    `_solve_normal` keeps its w exactly when the bound is at most
-    EXO_BETA_MAX, and a kept w is `_lstsq`'s to 1e-7 relative."""
-    k = 4
-    rng = np.random.default_rng(seed)
-    sigma = 10.0 ** (-0.5 * log_cond * np.array([0.0, *sorted(inner), 1.0]))
-    U = np.linalg.qr(rng.standard_normal((16, k)))[0]
-    V = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    C = (U * sigma) @ V.T
-    rhs, r = C @ rng.standard_normal(k), rng.standard_normal(16)
-    rhs = rhs + noise * np.linalg.norm(rhs) / np.linalg.norm(r) * r
-    G = C.T @ C
-    X = np.linalg.inv(G)
-    cond, bound = np.linalg.cond(G), np.trace(G) * np.linalg.norm(X)
-    # the computed inverse and singular values of G err by about cond * eps relative
-    assert bound >= cond * (1.0 - k * np.finfo(float).eps * cond)
-    assert bound <= np.sqrt(k) * np.linalg.norm(G) * np.linalg.norm(X) * (1.0 + 1e-12)
-    assume(abs(bound / vi.EXO_BETA_MAX - 1.0) > 1e-3)     # not a rounding from the limit
-    w, took_lstsq = vi._solve_normal(np.column_stack([rhs, C]), np.eye(k, k + 1, 1))
-    assert took_lstsq == (bound > vi.EXO_BETA_MAX)
-    if not took_lstsq:
-        w_ref = _lstsq(C, rhs)
-        assert np.linalg.norm(w - w_ref) <= 1e-7 * np.linalg.norm(w_ref)
-
-
-@pytest.mark.parametrize("how", ["nan", "singular"])
-def test_w_solve_of_nan_or_singular_data_takes_lstsq(monkeypatch, how):
-    """A NaN in [rhs | C], or a repeated column of C, which makes C^T C
-    singular, sends the W solve to `_lstsq`."""
-    calls = []
-    monkeypatch.setattr(vi, "_lstsq", lambda M, rhs: calls.append(M) or "lstsq")
-    A = np.random.default_rng(0).standard_normal((16, 5))
-    if how == "nan":
-        A[3, 2] = np.nan
-    else:
-        A[:, 4] = A[:, 2]
-    assert vi._solve_normal(A, np.eye(4, 5, 1)) == ("lstsq", True) and len(calls) == 1
-
-
-def test_forced_fallbacks_are_counted_per_reached_iterate(request, exo_stage_cases,
-                                                          monkeypatch, counted_lstsq):
-    """With every W solve sent to `_lstsq`, exo_fallbacks is the number of
-    iterates the loop reaches: all 150 of a cut run, one `_lstsq` call each,
-    and, on a run whose blocks step past its resets and stop (1669 iterates,
-    4 resets), the per-iterate loop's count, not the blocks' calls."""
-    monkeypatch.setattr(vi, "EXO_BETA_MAX", 0.0)
-    data, cfg = exo_stage_cases[0][3]
-    res = vi_run(3, data, replace(cfg, max_iters=150, eps_conv=1e-300))
-    assert (res.iters, res.exo_fallbacks, counted_lstsq[0]) == (150, 150, 150)
-    data, cfg = _run_case(request, "output_based_setup", 5)
-    counted_lstsq[0] = 0
-    ref = per_iterate_vi(5, data, cfg)
-    assert (ref.iters, ref.resets, ref.converged) == (1669, 4, True)
-    assert counted_lstsq[0] == ref.iters
-    counted_lstsq[0] = 0
-    res = vi_run(5, data, cfg)
-    assert_same_run(res, ref)
-    assert res.exo_fallbacks == ref.iters < counted_lstsq[0]
-
-
-@pytest.mark.parametrize("fixture, variant", [
-    ("fullstate_setup", 1), ("output_based_setup", 2), ("output_based_setup", 5),
-    ("nonzero_setup", 3), ("nonzero_setup", 4), ("output_based_setup", 6)])
-def test_exo_fallbacks_is_none_unless_E_is_solved(request, fixture, variant):
-    data, cfg = _run_case(request, fixture, variant)
-    res = vi_run(variant, data, replace(cfg, max_iters=50))
-    assert res.exo_fallbacks == (0 if VARIANTS[variant].exo == "solve" else None)
 
 
 @pytest.mark.parametrize("fixture, variant", [
