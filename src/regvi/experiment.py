@@ -88,7 +88,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         payload = json.loads(text)
         cfg = ExperimentConfig(**payload)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, TypeError) as exc:
         raise ConfigError("cannot parse experiment config: %s" % exc) from exc
     validate_config(cfg)
     return cfg

@@ -2,13 +2,12 @@
 
 The value matrix P is symmetric, so the engine works on its n(n+1)/2
 upper-triangle entries p.  The least-squares stage is affine in the iterate,
-so `_fit_stage` fits it once per run as a `Stage`: the upper triangle of
-H + Q is L p + c0, where H estimates A^T P + P A of the learner's system, and
-the gain is a map of P.  The variant's row of `regression.VARIANTS` says which
-gain: on state x, K is fitted with H; otherwise K = -R^{-1} B^T P is known,
-so K^T R K = P M P with M = B R^{-1} B^T formed once.  The fit is the R
-factor of one Householder QR of the unknowns' columns beside the rhs's, which
-carries Q^T of the rhs (Golub & Van Loan, Matrix Computations, 5.3): no Q is
+so `_fit_stage` fits it once per run as a `Stage`, one affine map
+v = L p + c0 that stacks the upper triangle of H + Q, where H estimates
+A^T P + P A of the learner's system, on vec(K).  On state x, K is fitted with
+H; on zeta and rho, K = -R^{-1} B^T P is known.  The fit is the R factor of
+one Householder QR of the unknowns' columns beside the rhs's, which carries
+Q^T of the rhs (Golub & Van Loan, Matrix Computations, 5.3): no Q is
 formed, and H (with K on state x) is one triangular solve.  A solved
 exogenous matrix enters as Algorithm 3 fits it, through the unknowns
 vec(E^T P), affine in P like vecs(H): the same solve gives both, and the
@@ -160,32 +159,29 @@ def _vec_maps(n):
 class Stage:
     """The least-squares stage of one (variant, data) pair, fitted once.
 
-    On p = P.take(up), H + Q is (L p + c0).take(sym).  vec(K) = K_map p where
-    K is fitted (M None); where it is known, K = K_map P = -R^{-1} B^T P and
-    K^T R K = P M P.
+    On p = P.take(up), v = L p + c0 stacks H + Q's triangle, scattered by
+    v.take(sym), on vec(K), column-major, in its last m*n rows.
     """
 
     L: np.ndarray
     c0: np.ndarray
-    K_map: np.ndarray
     R: np.ndarray
     up: np.ndarray
     sym: np.ndarray
-    M: np.ndarray | None = None
+
+    def _map(self, P):
+        """(H + Q, K) at the iterate P."""
+        v = self.L @ P.take(self.up) + self.c0
+        return v.take(self.sym), v[self.up.size:].reshape((-1, len(P)), order="F")
 
     def residual(self, P):
         """H + Q - K^T R K at the iterate P."""
-        v = self.L @ P.take(self.up) + self.c0
-        if self.M is None:
-            K = self.gain(P)
-            return v.take(self.sym) - K.T @ self.R @ K
-        return v.take(self.sym) - P @ self.M @ P
+        H_Q, K = self._map(P)
+        return H_Q - K.T @ self.R @ K
 
     def gain(self, P):
         """K at the iterate P."""
-        if self.M is None:
-            return (self.K_map @ P.take(self.up)).reshape((-1, P.shape[0]), order="F")
-        return self.K_map @ P
+        return self._map(P)[1]
 
 
 def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
@@ -214,33 +210,36 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     k = sum(block.shape[1] for block in unknowns)
     rhs = [G @ D.T, c] + ([G @ cfg.P0.reshape(-1, order="F")] if spec.exo == "identify" else [])
     R = np.linalg.qr(np.column_stack(unknowns + rhs), mode="r")
-    if spec.state != "x":               # the gain K = -R^{-1} B^T P is known exactly
-        F = np.linalg.solve(cfg.R, data.known_B.T)
-        M = data.known_B @ F
     if spec.exo != "identify":
         # one triangular solve for every unknown: rows :half are vecs(H), the
         # rest -2 vec(K) on state x, or vec(E^T P) where E is solved, fitted
         # free as in Algorithm 3 and not needed by the iterate
         theta = np.linalg.solve(R[:k, :k], R[:k, k:k + half + 1])
-        L, c0 = to_p * theta[:half, :-1], to_p[:, 0] * theta[:half, -1] + Q_up
-        if spec.state == "x":
-            return Stage(L, c0, -0.5 * theta[half:, :-1], cfg.R, up, sym), None
-        return Stage(L, c0, -F, cfg.R, up, sym, M), None
-    # rows :half hold I_aa's triangle and Q_1^T of the later columns: their lift
-    lift = to_p * np.linalg.solve(R[:half, :half], R[:half, half:k + half + 1])
-    L, c0 = lift[:, k - half:-1], lift[:, -1] + Q_up
-    # The E term of the rhs is 2 Gamma_av vec(E^T P) with E = S W.  Projected
-    # onto Q_c, the complement of range(I_aa), its columns lie in range(Q_g)
-    # for Q_c^T Gamma_av = Q_g R_g, and rows half:k hold R_g and Q_g^T Q_c^T of
-    # the rhs.  That keeps the minimiser and leaves an (n*q) x (q*r) system
-    # for vec(W) at P0: row (t, a) of Gq holds 2 R_g[t, (i, a)] over i.
-    S = cfg.E_structure
-    r, q = S.shape[1], data.dims["q"]
-    Gq = (2.0 * R[half:k, half:k]).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
-    lift_av = 2.0 * lift[:, :k - half]          # p of H per column of 2 Gamma_av
-    C = (Gq @ (cfg.P0.T @ S)).reshape(n * q, q * r)
-    E = S @ _lstsq(C, R[half:k, -1]).reshape((r, q), order="F")
-    return Stage(L - lift_av @ np.kron(np.eye(n), E.T) @ D.T, c0, -F, cfg.R, up, sym, M), E
+        lift, E = to_p * theta[:half], None
+    else:
+        # rows :half hold I_aa's triangle and Q_1^T of the later columns: their lift
+        lift = to_p * np.linalg.solve(R[:half, :half], R[:half, half:k + half + 1])
+        # The E term of the rhs is 2 Gamma_av vec(E^T P) with E = S W.  Projected
+        # onto Q_c, the complement of range(I_aa), its columns lie in range(Q_g)
+        # for Q_c^T Gamma_av = Q_g R_g, and rows half:k hold R_g and Q_g^T Q_c^T of
+        # the rhs.  That keeps the minimiser and leaves an (n*q) x (q*r) system
+        # for vec(W) at P0: row (t, a) of Gq holds 2 R_g[t, (i, a)] over i.
+        S = cfg.E_structure
+        r, q = S.shape[1], data.dims["q"]
+        Gq = (2.0 * R[half:k, half:k]).reshape(-1, n, q).transpose(0, 2, 1).reshape(-1, n)
+        lift_av = 2.0 * lift[:, :k - half]      # p of H per column of 2 Gamma_av
+        C = (Gq @ (cfg.P0.T @ S)).reshape(n * q, q * r)
+        E = S @ _lstsq(C, R[half:k, -1]).reshape((r, q), order="F")
+        lift = lift[:, k - half:]
+        lift[:, :-1] -= lift_av @ np.kron(np.eye(n), E.T) @ D.T
+    if spec.state == "x":               # theta's rows half: are -2 vec(K)
+        K_lift = -0.5 * theta[half:]
+    else:                               # K = -R^{-1} B^T P, known exactly
+        K_map = -np.kron(np.eye(n), np.linalg.solve(cfg.R, data.known_B.T)) @ D.T
+        K_lift = np.column_stack([K_map, np.zeros(len(K_map))])
+    lift = np.vstack([lift, K_lift])    # [L | c0] of [H + Q; vec(K)]
+    lift[:half, -1] += Q_up
+    return Stage(np.ascontiguousarray(lift[:, :-1]), lift[:, -1].copy(), cfg.R, up, sym), E
 
 
 def check_vi_inputs(variant, cfg: ViConfig):

@@ -80,6 +80,16 @@ def test_config_that_is_not_utf8(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("command", [["run"], ["verify"]])
+def test_config_nested_too_deep(tmp_path, capsys, command):
+    """JSON nested 10^5 levels deep, past the decoder's recursion limit, is a
+    configuration error, not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main([*command, str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def _patched_nonzero_file(tmp_path, **patch):
     payload = json.loads(serialize_config(PRESETS["paper-e-nonzero"]()))
     payload.update(patch)

@@ -182,14 +182,15 @@ def reference_vi(stage, cfg):
     """The loop as it stood before the fused update and the eigenvalue norms:
     H and K at every iterate, the residual H + Q - K^T R K, and two SVD 2-norms
     per iterate.  Returns (history, K_final)."""
-    h0 = stage.c0 - cfg.Q.take(stage.up)
+    half = stage.up.size                # H + Q's rows of the stacked map
+    h0 = stage.c0[:half] - cfg.Q.take(stage.up)
     P = cfg.P0.copy()
     norm_P0 = norm_P = np.linalg.norm(P, 2)
     j = 0
     history = np.empty((cfg.max_iters, 4))
     for k in range(cfg.max_iters):
         eps = cfg.eps(k)
-        H = (stage.L @ P.take(stage.up) + h0).take(stage.sym)
+        H = (stage.L[:half] @ P.take(stage.up) + h0).take(stage.sym)
         K = stage.gain(P)
         P_tilde = P + eps * (H + cfg.Q - K.T @ cfg.R @ K)
         step_metric = np.linalg.norm(P_tilde - P, 2) / eps
@@ -221,7 +222,7 @@ def test_history_matches_reference_loop_across_blocks(fullstate_setup):
 
 
 def test_fused_history_matches_reference_loop(nonzero_setup):
-    """Variant 4, whose update is fused: 300 iterates agree with the reference loop."""
+    """Variant 4, whose gain is known: 300 iterates agree with the reference loop."""
     data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
                             known_B=nonzero_setup["objs"].B_rho)
     cfg = replace(nonzero_setup["vicfg"], max_iters=300)
@@ -247,15 +248,16 @@ def stage_H_K(stage, P, Q):
 TWO_INPUT_R = np.array([[2.0, 0.5], [0.5, 1.0]])
 
 
-def two_input_log(t_end):
-    """A 3-state, 2-input, 1-output plant explored by four tones up to t_end."""
+def two_input_log(t_end, v0=0.0, freqs=(1.0, 2.7, 5.3, 9.1)):
+    """A 3-state, 2-input, 1-output plant explored up to t_end by one tone per
+    frequency, on channels 0 and 1 in turn; the constant exogenous state v0
+    reaches only rho's Gamma_av, since E = 0 and F = 0."""
     plant = LtiPlant(A=[[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [0.3, 0.0, -1.5]],
                      B=[[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]], C=[[1.0, 0.0, 0.0]],
                      E=np.zeros((3, 1)), F=np.zeros((1, 1)))
     known = ObserverKnown.from_poles(np.array([-2.0, -3.0, -4.0]), plant.m, plant.p)
-    tones = [Tone(1.0, 1.0, channel=0), Tone(1.0, 2.7, channel=1),
-             Tone(1.0, 5.3, channel=0), Tone(1.0, 9.1, channel=1)]
-    exo, im = Exosystem([[0.0]], [0.0]), InternalModel([0.0], 1)
+    tones = [Tone(1.0, f, channel=i % 2) for i, f in enumerate(freqs)]
+    exo, im = Exosystem([[0.0]], [v0]), InternalModel([0.0], 1)
     log = simulate(plant, exo, known, im, np.zeros((plant.m, known.n_zeta + im.n_z)),
                    stack_state(exo, known, im, [1.0, -1.0, 0.5]), (0.0, t_end), 1e-3, tones)
     return plant, known, log
@@ -293,28 +295,47 @@ def test_stage_matches_lyapunov_operator_structured(nonzero_setup):
                                rtol=0, atol=1e-12)
 
 
+def _known_gain_case(variant):
+    """(data, cfg, B) of a known-gain variant on the 2-input plant: variant 2
+    on zeta, B = B_zeta, or variant 3 on rho = col(zeta, z), B = col(B_zeta, 0),
+    explored with v = 1 and six tones to t = 20 so that its 65 unknowns,
+    vecs(H) and vec(E^T P), have full rank."""
+    if variant == 2:
+        _, known, log = two_input_log(12.0)
+        grid, B = SamplingGrid(t0=1.0, dt=0.1, s=100), known.B_zeta
+    else:
+        _, known, log = two_input_log(20.0, v0=1.0, freqs=(1.0, 2.7, 5.3, 9.1, 3.9, 7.3))
+        grid = SamplingGrid(t0=1.0, dt=0.1, s=180)
+        B = np.vstack([known.B_zeta, np.zeros((log.rho.shape[1] - known.n_zeta, 2))])
+    data = build_regression(log, grid, variant, R=TWO_INPUT_R, known_B=B)
+    n = data.dims["n_a"]
+    weights = dict(Q_y=np.eye(1)) if variant == 2 else dict(Q=np.eye(n))
+    return data, ViConfig(P0=np.eye(n), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
+                          max_iters=10, R=TWO_INPUT_R, **weights), B
+
+
 def test_fused_residual_two_inputs():
-    """Variant 2 with m = 2: the fused residual (L p + c0).take(sym) - P M P, on
-    the upper triangle p of P, is (L p + h0).take(sym) + Q - K^T R K with the
-    known gain K = -R^{-1} B^T P."""
-    _, known, log = two_input_log(12.0)
-    R, B = TWO_INPUT_R, known.B_zeta
-    data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=100), 2, R=R, known_B=B)
-    cfg = ViConfig(P0=np.eye(known.n_zeta), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
-                   max_iters=10, R=R, Q_y=np.eye(1))
-    stage, _ = _fit_stage(2, data, cfg)
-    n = known.n_zeta
-    Q = np.zeros((n, n))                # the output cost enters through h0
-    h0 = stage.c0 - Q.take(stage.up)
-    for seed in range(3):
-        P = random_symmetric(n, seed)
-        p = P.take(stage.up)
-        fused = (stage.L @ p + stage.c0).take(stage.sym) - P @ stage.M @ P
-        K = -np.linalg.solve(R, B.T @ P)
-        H = (stage.L @ p + h0).take(stage.sym)
-        assert rel(fused, H + Q - K.T @ R @ K) <= 1e-12
-        assert rel(stage.residual(P), fused) <= 1e-12
-        assert rel(stage.gain(P), K) <= 1e-12
+    """Known gains with m = 2 and R != I, variant 2 on zeta and variant 3 on
+    rho: H + Q's rows of the stacked map, less P M P with M = B R^{-1} B^T, on
+    the upper triangle p of P, are (L p + h0).take(sym) + Q - K^T R K with the
+    known gain K = -R^{-1} B^T P, and the stage's residual; its K rows are K."""
+    R = TWO_INPUT_R
+    for variant in (2, 3):
+        data, cfg, B = _known_gain_case(variant)
+        stage, _ = _fit_stage(variant, data, cfg)
+        n, half = len(cfg.P0), stage.up.size
+        Q = np.zeros((n, n)) if cfg.Q is None else cfg.Q    # an output cost enters through h0
+        L, c0, M = stage.L[:half], stage.c0[:half], B @ np.linalg.solve(R, B.T)
+        h0 = c0 - Q.take(stage.up)
+        for seed in range(3):
+            P = random_symmetric(n, seed)
+            p = P.take(stage.up)
+            fused = (L @ p + c0).take(stage.sym) - P @ M @ P
+            K = -np.linalg.solve(R, B.T @ P)
+            H = (L @ p + h0).take(stage.sym)
+            assert rel(fused, H + Q - K.T @ R @ K) <= 1e-12
+            assert rel(stage.residual(P), fused) <= 1e-12
+            assert rel(stage.gain(P), K) <= 1e-12
 
 
 def test_vi_run_structured_input_errors(nonzero_setup):
@@ -652,11 +673,13 @@ class Reference(NamedTuple):
     residual: Callable      # H + Q - K^T R K at an iterate
 
 
-def stage_lift(stage):
-    """The fitted map: [L; K_map] on state x, else [L | c0]."""
-    if stage.M is None:
-        return np.vstack([stage.L, stage.K_map])
-    return np.column_stack([stage.L, stage.c0])
+def stage_lift(stage, variant):
+    """The fitted map: all of L, H + Q's and K's rows, on state x, where K is
+    fitted; else H + Q's rows of [L | c0]."""
+    if VARIANTS[variant].state == "x":
+        return stage.L
+    half = stage.up.size
+    return np.column_stack([stage.L[:half], stage.c0[:half]])
 
 
 def reference_stage(variant, data, cfg):
@@ -842,7 +865,7 @@ def _within_former(plant, variant, name, error):
 def test_identified_E_matches_full_projection(reference_cases, plant, variant):
     data, cfg, reference = reference_cases(plant, variant)
     stage, E = _fit_stage(variant, data, cfg)
-    assert stage.L.shape == (36, 36)
+    assert stage.L.shape == (36 + 8, 36)   # H + Q's triangle on vec(K), m = 1
     _within_former(plant, variant, "E", rel(E, reference.E))
 
 
@@ -851,8 +874,8 @@ def test_lift_matches_the_reference(reference_cases, plant, variant):
     """The fitted map of H + Q (and K on state x) is the exact fit's, within
     twice the former fit's error."""
     data, cfg, reference = reference_cases(plant, variant)
-    _within_former(plant, variant, "lift", rel(stage_lift(_fit_stage(variant, data, cfg)[0]),
-                                               reference.lift))
+    stage, _ = _fit_stage(variant, data, cfg)
+    _within_former(plant, variant, "lift", rel(stage_lift(stage, variant), reference.lift))
 
 
 @pytest.mark.parametrize("plant, variant", REFERENCE_CASES)
