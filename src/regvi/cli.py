@@ -1,8 +1,9 @@
 """Command-line entry point; `run` and `verify` take a config path or a preset name.
 
 Exit codes: 0 success, 2 rank condition failed, 3 value iteration did not
-converge, 4 configuration or usage error, or an oracle step of an unblinded
-run failed, 5 a simulated state overflowed, 6 an artifact could not be written.
+converge, or diverged (its fit or an iterate left the float range), 4
+configuration or usage error, or an oracle step of an unblinded run failed, 5
+a simulated state overflowed, 6 an artifact could not be written.
 A run that fails after its config is accepted leaves a partial report.json
 and manifest.json in its output directory.
 """
@@ -113,6 +114,9 @@ def main(argv=None):
         return EXIT_RANK
     except NotConvergedError as exc:
         print("not converged: %s" % exc, file=sys.stderr)
+        return EXIT_NOT_CONVERGED
+    except FloatingPointError as exc:
+        print("value iteration diverged: %s" % exc, file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except OverflowError as exc:
         print("simulation diverged: %s" % exc, file=sys.stderr)

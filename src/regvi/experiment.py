@@ -96,6 +96,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _as_matrix(spec, dim, what):
     """Weight `what`: scalar -> scale * identity; nested list -> matrix; r is PD, the rest PSD."""
+    if spec is None:
+        raise ConfigError("the variant needs %s" % what)
     M = (float(spec) * np.eye(dim) if np.isscalar(spec)
          else np.atleast_2d(np.asarray(spec, dtype=float)))
     if M.shape != (dim, dim):
@@ -220,11 +222,18 @@ def validate_config(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def make_vi_config(cfg: ExperimentConfig, objs: ExperimentObjects) -> ViConfig:
+    spec = VARIANTS[cfg.variant]
     m, p, n_z, n_zeta = objs.plant.m, objs.plant.p, objs.im.n_z, objs.known.n_zeta
-    n_a = {"x": objs.plant.n, "zeta": n_zeta, "rho": n_zeta + n_z}[VARIANTS[cfg.variant].state]
-    # every weight the config sets; vi.check_vi_inputs says which the variant needs
-    weights = {"Q": (cfg.q_main, n_a, "q_main"), "Q_y": (cfg.q_y, p, "q_y"),
-               "Q_z": (cfg.q_z, n_z, "q_z")}
+    n_a = {"x": objs.plant.n, "zeta": n_zeta, "rho": n_zeta + n_z}[spec.state]
+    for name, dim in (("q_main", n_a), ("q_y", p), ("q_z", n_z)):
+        if getattr(cfg, name) is not None:      # every weight set is checked, read or not
+            _as_matrix(getattr(cfg, name), dim, name)
+    # The known state weight Q is q_main, or, with the output cost on rho =
+    # col(zeta, z), blockdiag(0, Q_z), for the learner runs z; zeta has none.
+    weights = ({"Q": _as_matrix(cfg.q_main, n_a, "q_main")} if not spec.output_cost
+               else {"Q_y": _as_matrix(cfg.q_y, p, "q_y")})
+    if spec.output_cost and spec.state == "rho":
+        weights["Q"] = np.pad(_as_matrix(cfg.q_z, n_z, "q_z"), (n_zeta, 0))
     # Exogenous signals reach the learner state rho = col(zeta, z) only
     # through the filters' output-injection columns and the internal model's
     # input matrix; both are learner-known, so an exogenous matrix is
@@ -235,8 +244,7 @@ def make_vi_config(cfg: ExperimentConfig, objs: ExperimentObjects) -> ViConfig:
                     eps_shift=cfg.eps_shift, eps_conv=cfg.eps_conv,
                     max_iters=cfg.max_iters, R=_as_matrix(cfg.r, m, "r"),
                     bound_scale=cfg.bound_scale, bound_shift=cfg.bound_shift,
-                    E_structure=E_structure,
-                    **{k: _as_matrix(*w) for k, w in weights.items() if w[0] is not None})
+                    E_structure=E_structure, **weights)
 
 
 def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig,
@@ -427,8 +435,7 @@ def write_ex_norm(log, aux):
 def export_regression_csv(data, out_dir):
     """One CSV per block plus a manifest of dims and the grid; returns file map."""
     blocks = {"delta_a": data.delta_a, "I_aa": data.I_aa, "I_au": data.I_au,
-              "Gamma_av": data.Gamma_av, "Gamma_aBu": data.Gamma_aBu,
-              "I_yy": data.I_yy, "I_zz": data.I_zz}
+              "Gamma_av": data.Gamma_av, "Gamma_aBu": data.Gamma_aBu, "I_yy": data.I_yy}
     blocks = {name: arr for name, arr in blocks.items() if arr is not None}
     files = {name: write_csv(os.path.join(out_dir, "regression_%s.csv" % name), arr)
              for name, arr in blocks.items()}

@@ -15,7 +15,7 @@ must stay orders of magnitude below the smallest data singular value;
 Simpson on the h-grid achieves that where trapezoid does not.  Each variant,
 a row of `VARIANTS`, packs the blocks its choices read: I_au on state x and
 Gamma_aBu otherwise, Gamma_av with an exogenous term, I_yy with the output
-cost and I_zz with it on rho.  The columns of the matrix `check_rank` tests
+cost (z's weight is known).  The columns of the matrix `check_rank` tests
 are the stage's unknowns: I_aa's are vecs(H), and I_au's (K) on state x or
 Gamma_av's (vec(E^T P)) where E is solved join them (`_rank_blocks`).
 """
@@ -36,7 +36,7 @@ class Variant:
     """The three choices that set one learner apart from the others."""
 
     state: str          # learner state a: "x", "zeta" or "rho" = col(zeta, z)
-    output_cost: bool   # Q_y on y (and Q_z on z when a = rho) instead of Q on a
+    output_cost: bool   # Q_y on y instead of Q on a (on rho, Q weighs z alone)
     exo: str | None     # exogenous term: None, "solve" with E^T P free unknowns
                         # (Algorithm 3) or "identify" E once at P0 (Algorithm 4)
 
@@ -78,7 +78,6 @@ class RegressionData:
     Gamma_av: np.ndarray | None = None    # int a (x) v    (exogenous term)
     Gamma_aBu: np.ndarray | None = None   # int a (x) B u  (state zeta or rho)
     I_yy: np.ndarray | None = None        # output cost
-    I_zz: np.ndarray | None = None        # output cost on rho
     known_B: np.ndarray | None = None     # B_zeta or B_rho
 
 
@@ -161,9 +160,6 @@ def build_regression(log, grid: SamplingGrid, variant: int,
     if spec.output_cost:
         data.I_yy = _quadratic(log.y[lo:hi], step, h)
         dims["p"] = log.y.shape[1]
-    if spec.output_cost and spec.state == "rho":
-        data.I_zz = _quadratic(log.z[lo:hi], step, h)
-        dims["n_z"] = log.z.shape[1]
     required = sum(block.shape[1] for block in _rank_blocks(data, variant))
     if grid.s < required:
         warnings.warn("only s = %d rows for %d unknowns; rank condition will fail"

@@ -5,7 +5,8 @@ upper-triangle entries p.  The least-squares stage is affine in the iterate,
 so `_fit_stage` fits it once per run as a `Stage`, one affine map
 v = L p + c0 that stacks the upper triangle of H + Q, where H estimates
 A^T P + P A of the learner's system, on vec(K).  On state x, K is fitted with
-H; on zeta and rho, K = -R^{-1} B^T P is known.  The fit is the R factor of
+H; on zeta and rho, K = -R^{-1} B^T P is known, as is Q: the data fit only
+the output cost Q_y on y, whose map CM is unknown.  The fit is the R factor of
 one Householder QR of the unknowns' columns beside the rhs's, which carries
 Q^T of the rhs (Golub & Van Loan, Matrix Computations, 5.3): no Q is
 formed, and H (with K on state x) is one triangular solve.  A solved
@@ -14,8 +15,9 @@ vec(E^T P), affine in P like vecs(H): the same solve gives both, and the
 stage keeps H's rows.  An identified E = S W is solved once, at P0: the next
 n*q rows of R reduce the E term's columns to a basis of their range, which
 leaves an (n*q) x (q*r) least-squares system for W, with the output cost (no
-E in it) left out of the rhs, and E is folded into L.  `_lstsq` (numpy's
-`lstsq`, `check_rank`'s cutoff) serves only that system.
+E in it) left out of the rhs, and E is folded into L; the output cost is
+fitted on all the unknowns' columns, as where E is solved.  `_lstsq`
+(numpy's `lstsq`, `check_rank`'s cutoff) serves only the system for W.
 
 All six variants then share one loop: a Robbins-Monro step
 P~ = P + eps_k (H + Q - K^T R K), a reset to the initial iterate when
@@ -32,7 +34,10 @@ certain; one eigvalsh call on the block's pairs gives every norm, eigenvalue
 for eigenvalue those of a call on one pair; the first escape or stop in loop
 order is applied, and the rows after it are discarded.  The history is the
 list of each block's accepted rows, joined once at the end, so max_iters
-bounds the loop and not an allocation.
+bounds the loop and not an allocation.  `vi_run` raises FloatingPointError
+where the fit or an iterate leaves the float range: at the first overflow
+or invalid operation, or on a non-finite block, for numpy's linear algebra
+does not flag the infinities it makes.
 """
 
 import math
@@ -77,9 +82,8 @@ class ViConfig:
     eps_conv: float
     max_iters: int
     R: np.ndarray
-    Q: np.ndarray | None = None       # cost on the learner state
-    Q_y: np.ndarray | None = None     # output cost on y
-    Q_z: np.ndarray | None = None     # output cost on z (state rho)
+    Q: np.ndarray | None = None       # known cost on the learner state
+    Q_y: np.ndarray | None = None     # output cost on y, fitted from data
     bound_scale: float = 1000.0
     bound_shift: float = 20.0
     # Known injection map S for the exogenous matrix, E = S @ W with W the
@@ -91,7 +95,7 @@ class ViConfig:
     E_structure: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("P0", "R", "Q", "Q_y", "Q_z", "E_structure"):
+        for name in ("P0", "R", "Q", "Q_y", "E_structure"):
             val = getattr(self, name)
             if val is not None:
                 setattr(self, name, np.atleast_2d(np.asarray(val, dtype=float)))
@@ -104,9 +108,9 @@ class ViConfig:
             raise ValueError("max_iters must be at least 1")
         if not (self.bound_scale > 0 and self.bound_shift > 0):
             raise ValueError("bound-set radii must be positive and increasing")
-        if np.abs(self.P0 - self.P0.T).max() > 1e-12 * max(1.0, np.abs(self.P0).max()):
-            raise ValueError("P0 must be symmetric")
-        for name in ("R", "Q", "Q_y", "Q_z"):   # R definite, the costs semidefinite
+        if not np.abs(self.P0 - self.P0.T).max() <= 1e-12 * max(1.0, np.abs(self.P0).max()):
+            raise ValueError("P0 must be finite and symmetric")
+        for name in ("R", "Q", "Q_y"):      # R definite, the costs semidefinite
             if getattr(self, name) is not None:
                 require_sym_psd(getattr(self, name), name, definite=name == "R")
 
@@ -198,10 +202,7 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     half = n * (n + 1) // 2
     D, up, sym = _vec_maps(n)
     G = data.delta_a @ D - (0.0 if spec.state == "x" else 2.0 * data.Gamma_aBu)
-    c = np.zeros(len(G))
-    if spec.output_cost:                # Q_y on y, and Q_z on z on state rho
-        c = data.I_yy @ vecs(cfg.Q_y) + (data.I_zz @ vecs(cfg.Q_z) if spec.state == "rho" else 0.0)
-    Q_up = 0.0 if spec.output_cost else cfg.Q.take(up)
+    c = data.I_yy @ vecs(cfg.Q_y) if spec.output_cost else np.zeros(len(G))     # Q_y on y
     to_p = 1.0 / D.sum(axis=1)[:, None]     # vecs(H) -> p of H; maps of vec(P) end in @ D.T
     # One QR, R factor only, of the k unknowns' columns check_rank accepted
     # beside the rhs: G on p, c and, to identify E, G vec(P0) whole; it lies
@@ -232,13 +233,16 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
         E = S @ _lstsq(C, R[half:k, -1]).reshape((r, q), order="F")
         lift = lift[:, k - half:]
         lift[:, :-1] -= lift_av @ np.kron(np.eye(n), E.T) @ D.T
+        # y^T Q_y y has cross terms in range(Gamma_av), which are not H's: c is
+        # fitted on all the unknowns' columns, as where E is solved
+        lift[:, -1] = to_p[:, 0] * np.linalg.solve(R[:k, :k], R[:k, k + half])[:half]
     if spec.state == "x":               # theta's rows half: are -2 vec(K)
         K_lift = -0.5 * theta[half:]
     else:                               # K = -R^{-1} B^T P, known exactly
         K_map = -np.kron(np.eye(n), np.linalg.solve(cfg.R, data.known_B.T)) @ D.T
         K_lift = np.column_stack([K_map, np.zeros(len(K_map))])
     lift = np.vstack([lift, K_lift])    # [L | c0] of [H + Q; vec(K)]
-    lift[:half, -1] += Q_up
+    lift[:half, -1] += 0.0 if cfg.Q is None else cfg.Q.take(up)    # none on zeta
     return Stage(np.ascontiguousarray(lift[:, :-1]), lift[:, -1].copy(), cfg.R, up, sym), E
 
 
@@ -250,8 +254,7 @@ def check_vi_inputs(variant, cfg: ViConfig):
     if ((not spec.output_cost or spec.exo == "identify")
             and np.min(np.linalg.eigvalsh(cfg.P0)) <= 0):
         raise ValueError("variant %d requires a positive definite P0" % variant)
-    needs = {"Q": not spec.output_cost, "Q_y": spec.output_cost,
-             "Q_z": spec.output_cost and spec.state == "rho",
+    needs = {"Q": not spec.output_cost or spec.state == "rho", "Q_y": spec.output_cost,
              "E_structure": spec.exo == "identify"}
     for name, needed in needs.items():
         if needed and getattr(cfg, name) is None:
@@ -268,8 +271,10 @@ def _spec_norms(mats):
 SPEC_ROWS = 64
 
 
+@np.errstate(over="raise", invalid="raise")
 def vi_run(variant, data: RegressionData, cfg: ViConfig, lap=lambda name: None) -> ViResult:
-    """Run the value-iteration loop; non-convergence is reported, not raised."""
+    """Run the value-iteration loop; non-convergence is reported, not raised,
+    and divergence, as a huge P0 or a tiny R makes it, is a FloatingPointError."""
     check_vi_inputs(variant, cfg)
     try:
         stage, E_identified = _fit_stage(variant, data, cfg)
@@ -301,6 +306,9 @@ def vi_run(variant, data: RegressionData, cfg: ViConfig, lap=lambda name: None) 
         P_tilde = pairs[:b, 0]
         np.subtract(P_tilde[0], P, out=pairs[0, 1])
         np.subtract(P_tilde[1:], P_tilde[:-1], out=pairs[1:b, 1])
+        # eigvalsh fails on a non-finite pair, or gives finite norms of a NaN
+        if not np.isfinite(pairs[:b]).all():
+            raise FloatingPointError("an iterate from k = %d on is not finite" % k)
         norm_tilde, norm_step = _spec_norms(pairs[:b]).T
         steps = norm_step / eps[:b]
         # the first escape or stop in loop order; every row before it is accepted

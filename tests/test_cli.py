@@ -108,7 +108,8 @@ def _patched_nonzero_file(tmp_path, **patch):
                                    ZEROS_AT_THE_EXO_MODES, {"q_main": ASYMMETRIC_Q_MAIN},
                                    {"q_main": -1.0},
                                    dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())),
-                                        q_z=[[1.0, 2.0], [0.0, 1.0]])])
+                                        q_z=[[1.0, 2.0], [0.0, 1.0]]),
+                                   {"variant": 5, "q_main": None, "q_y": 1.0, "q_z": None}])
 def test_run_inconsistent_config(tmp_path, capsys, patch):
     path = _patched_nonzero_file(tmp_path, **patch)
     for blinded in ([], ["--blinded"]):
@@ -191,6 +192,31 @@ def test_run_overflow_exit_code(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["manifest.json", "report.json"]
     with open(out / "report.json") as fh:
         assert json.load(fh)["converged"] is False
+
+
+def _strict_json(path):
+    """The JSON file at path, which may hold no NaN or Infinity."""
+    with open(path) as fh:
+        return json.load(fh, parse_constant=lambda name: pytest.fail("%s in %s" % (name, path)))
+
+
+@pytest.mark.parametrize("patch, where", [
+    ({"variant": 3, "p0_scale": 1e200}, "overflow"),     # K^T R K at P0
+    ({"r": 1e-320}, "invalid value"),                    # R^-1 B^T in the known-gain map
+    ({"p0_scale": 1e308}, "overflow")])                  # G vec(P0), to identify E
+def test_a_diverging_vi_exits_3(tmp_path, capsys, patch, where):
+    """A value iteration whose fit or first step leaves the float range exits
+    3 with one line on stderr, not a traceback, and writes no history or gain;
+    its partial report is strict JSON."""
+    path = _patched_nonzero_file(tmp_path, **patch)
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out-dir", str(out)]) == cli.EXIT_NOT_CONVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("value iteration diverged: %s" % where) and err.count("\n") == 1
+    assert sorted(os.listdir(out)) == ["manifest.json", "report.json"]
+    report = _strict_json(out / "report.json")
+    assert report["converged"] is False and report["iters"] is None
+    assert {"vi_fit_s", "vi_s"} <= set(report["timings"])
 
 
 def test_run_into_an_uncreatable_directory_exit_code(tmp_path, capsys):

@@ -131,6 +131,8 @@ REJECTED = [
      "q_z must be symmetric positive semidefinite"),
     (dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())), q_y=-1.0),
      "q_y must be symmetric positive semidefinite"),
+    ({"variant": 5, "q_main": None, "q_y": 1.0, "q_z": None},   # z's known weight is unset
+     "the variant needs q_z"),
 ]
 
 

@@ -80,7 +80,7 @@ def test_blocks_match_per_interval_simpson(fullstate_setup, h, dt):
         (d1.I_aa, vecv_rows(log.x)), (d1.I_au, _kron_rows(log.x, log.u @ R.T)),
         (d6.I_aa, vecv_rows(rho)), (d6.Gamma_av, _kron_rows(rho, log.v)),
         (d6.Gamma_aBu, _kron_rows(rho, log.u @ B_rho.T)),
-        (d6.I_yy, vecv_rows(log.y)), (d6.I_zz, vecv_rows(log.z)),
+        (d6.I_yy, vecv_rows(log.y)),
     ]
     for block, products in expected:
         ref = np.array([simpson(products[i:j + 1], dx=h, axis=0)

@@ -76,10 +76,13 @@ def two_input_config(variant):
 
 # (iterations, resets) of each variant on the two-input plant, then the bound
 # on its gain error against the oracle.  Variants 1 and 2 assume no
-# disturbance, and E != 0 here, so their gains leak the v terms.  Variant 5's
-# bound is twice its measured 1.45e-4.
+# disturbance, and E != 0 here, so their gains leak the v terms.  Variants 5
+# and 6 are bound by twice their measured 1.45e-4: variant 6 fits the output
+# cost on all its unknowns' columns, as variant 5 does, since y^T Q_y y has
+# cross terms in Gamma_av's range (it erred 1.18e-2 in 2904 iterations when
+# the cost was fitted on I_aa alone).
 TWO_INPUT_RUNS = {1: (545, 0, 3e-2), 2: (2385, 0, 2e-1), 3: (3060, 0, 1e-5),
-                  4: (3060, 0, 1e-5), 5: (2818, 0, 2.9e-4), 6: (2904, 0, 2e-2)}
+                  4: (3060, 0, 1e-5), 5: (2818, 0, 2.9e-4), 6: (2818, 0, 2.9e-4)}
 
 
 @pytest.mark.parametrize("variant", sorted(TWO_INPUT_RUNS))

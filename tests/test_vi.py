@@ -46,8 +46,8 @@ def test_config_validation():
                 dict(R=np.array([[1.0, 0.5], [0.0, 1.0]])),
                 dict(max_iters=0), dict(max_iters=-1),
                 dict(Q=np.array([[1.0, 0.5], [0.0, 1.0]])), dict(Q=-np.eye(2)),
-                dict(Q_y=-np.eye(1)), dict(Q_z=np.array([[1.0, 2.0], [0.0, 1.0]])),
-                dict(Q_z=[[nan]])):
+                dict(Q_y=-np.eye(1)), dict(Q_y=np.array([[1.0, 2.0], [0.0, 1.0]])),
+                dict(Q_y=[[nan]]), dict(P0=np.diag([1.0, nan]))):
         with pytest.raises(ValueError):
             ViConfig(**{**good, **bad})
     # the costs may be singular: Q = 0, or ones((3, 3)), whose zero eigenvalues
@@ -338,6 +338,20 @@ def test_fused_residual_two_inputs():
             assert rel(stage.gain(P), K) <= 1e-12
 
 
+def test_the_z_weight_is_added_exactly(nonzero_setup):
+    """Variant 5 with q_y = 0 fits no cost from data: the constant of H + Q's
+    rows is the known state weight blockdiag(0, Q_z) on rho itself, bit for bit."""
+    q_z = [[2.0, 0.5], [0.5, 1.0]]
+    objs = nonzero_setup["objs"]
+    cfg = make_vi_config(replace(nonzero_setup["cfg"], variant=5, q_main=None, q_y=0.0, q_z=q_z),
+                         objs)
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 5, known_B=objs.B_rho)
+    stage, _ = _fit_stage(5, data, cfg)
+    Q = np.zeros((8, 8))
+    Q[6:, 6:] = q_z
+    assert stage.c0[:stage.up.size].tobytes() == Q.take(stage.up).tobytes()
+
+
 def test_vi_run_structured_input_errors(nonzero_setup):
     data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
                             known_B=nonzero_setup["objs"].B_rho)
@@ -350,16 +364,16 @@ def test_vi_run_structured_input_errors(nonzero_setup):
 
 # Weights and structure each variant must be given; the rest may stay None.
 NEEDS = {1: {"Q"}, 2: {"Q_y"}, 3: {"Q"}, 4: {"Q", "E_structure"},
-         5: {"Q_y", "Q_z"}, 6: {"Q_y", "Q_z", "E_structure"}}
+         5: {"Q", "Q_y"}, 6: {"Q", "Q_y", "E_structure"}}
 
 
 @pytest.mark.parametrize("variant", sorted(NEEDS))
 def test_check_vi_inputs_per_variant(variant):
     full = ViConfig(P0=np.eye(2), eps_num=1.0, eps_shift=1.0, eps_conv=0.01,
                     max_iters=10, R=np.eye(1), Q=np.eye(2), Q_y=np.eye(1),
-                    Q_z=np.eye(1), E_structure=np.eye(2))
+                    E_structure=np.eye(2))
     check_vi_inputs(variant, full)
-    for name in ("Q", "Q_y", "Q_z", "E_structure"):
+    for name in ("Q", "Q_y", "E_structure"):
         cfg = replace(full, **{name: None})
         if name in NEEDS[variant]:
             with pytest.raises(ValueError):
@@ -475,7 +489,7 @@ def _run_case(request, fixture, variant):
         if variant == 2:
             return (build_regression(s["log"], s["grid"], 2, R=np.eye(1),
                                      known_B=s["known"].B_zeta),
-                    replace(s["vicfg"], P0=np.eye(s["known"].n_zeta), Q_z=None,
+                    replace(s["vicfg"], P0=np.eye(s["known"].n_zeta), Q=None,
                             E_structure=None))
         return build_regression(s["log"], s["grid"], variant, known_B=s["B_rho"]), s["vicfg"]
     if fixture == "exo_stage_cases":
@@ -601,6 +615,28 @@ def test_a_certain_stop_ends_the_block(fullstate_setup, monkeypatch, k_stop):
     assert stages[0].calls < -(-ref.iters // vi.SPEC_ROWS) * vi.SPEC_ROWS
 
 
+class _NanStage(_CountingStage):
+    """A fitted stage whose residual has a NaN as its first entry."""
+
+    def residual(self, P):
+        res = self.stage.residual(P)
+        res[0, 0] = np.nan
+        return res
+
+
+def test_a_nan_iterate_raises(fullstate_setup, monkeypatch):
+    """A step with one NaN entry: eigvalsh can give finite norms of such a
+    pair (of diag(nan, 1, 2) it gave 0, -0, 2), which a loose stop test would
+    accept with a NaN iterate.  NaN propagates without a floating-point flag,
+    so the block's own check raises FloatingPointError."""
+    data = fullstate_setup["data"]
+    _, cfg = _free_run(data, eps_conv=1e6)
+    fit = vi._fit_stage
+    monkeypatch.setattr(vi, "_fit_stage", lambda *a: (_NanStage(fit(*a)[0]), None))
+    with pytest.raises(FloatingPointError, match="not finite"):
+        vi_run(1, data, cfg)
+
+
 def _unvecs(v, n):
     """The symmetric n x n matrix whose vecs is v (the package's former unvecs)."""
     P = np.zeros((n, n))
@@ -690,8 +726,9 @@ def reference_stage(variant, data, cfg):
     least-squares problem over all rows of the data whose rhs is G vec(P) + c
     on all n^2 entries of vec(P).  It is solved by its normal equations,
     formed exactly from the float data and solved in Decimal: E is
-    identified at P0 on a rhs without the output cost.  The results are
-    rounded to float.
+    identified at P0 on a rhs without the output cost, which is fitted on
+    all the unknowns, vecs(H) and vec(E^T P).  The results are rounded to
+    float.
     """
     spec = VARIANTS[variant]
     n = data.dims["n_a"]
@@ -706,13 +743,10 @@ def reference_stage(variant, data, cfg):
             Z_G = Z_G - 2 * _exact_gram(U, data.Gamma_aBu)
         Z_G = Z_G @ _dec(D.T)                                       # on p, vec(P) = D^T p
         Z_c = np.zeros(len(U.T), dtype=object)
-        costs = [(data.I_yy, cfg.Q_y)] if spec.output_cost else []
-        if spec.output_cost and spec.state == "rho":
-            costs.append((data.I_zz, cfg.Q_z))
-        for block, weight in costs:
-            Z_c = Z_c + _exact_gram(U, block) @ _dec(vecs(weight))
+        if spec.output_cost:
+            Z_c = _exact_gram(U, data.I_yy) @ _dec(vecs(cfg.Q_y))
         to_p = _dec(1.0 / D.sum(axis=1))[:, None]
-        Q_up = _dec(np.zeros(half) if spec.output_cost else cfg.Q.take(up))
+        Q_up = _dec(np.zeros(half) if cfg.Q is None else cfg.Q.take(up))
 
     def residual_of(H_Q, K_R_K):
         def residual(P):
@@ -758,6 +792,8 @@ def reference_stage(variant, data, cfg):
             lift[:, :half] -= 2 * Z[aa, half:] @ E_term @ _dec(D.T)
         if spec.exo != "solve":             # the fit on I_aa alone
             lift = _dec_solve(Z[aa, aa], lift)
+        if spec.exo == "identify":          # but the output cost's on all the unknowns
+            lift[:, -1] = _dec_solve(Z, Z_c)[aa]
         lift = to_p * lift
         lift[:, -1] += Q_up
         return Reference(np.array(lift, dtype=float),
@@ -777,10 +813,10 @@ def exo_stage_cases(nonzero_setup):
     """(data, cfg) per variant on paper-e-nonzero data, and the iterates: P0
     and three random symmetric matrices."""
     objs, vicfg = nonzero_setup["objs"], nonzero_setup["vicfg"]
-    output_cfg = replace(vicfg, Q=None, Q_y=np.eye(1), Q_z=np.eye(objs.im.n_z))
     n, n_zeta = objs.plant.n, objs.known.n_zeta
+    output_cfg = replace(vicfg, Q=np.pad(np.eye(objs.im.n_z), (n_zeta, 0)), Q_y=np.eye(1))
     cases = {1: replace(vicfg, P0=np.eye(n), Q=np.eye(n), E_structure=None),
-             2: replace(output_cfg, P0=np.eye(n_zeta), Q_z=None, E_structure=None),
+             2: replace(output_cfg, P0=np.eye(n_zeta), Q=None, E_structure=None),
              3: vicfg, 4: vicfg, 5: output_cfg, 6: output_cfg}
     for variant, cfg in cases.items():
         known_B = objs.known.B_zeta if variant == 2 else objs.B_rho
@@ -955,7 +991,7 @@ def output_based_setup():
     S[known.n_zeta:, 1:] = im.G2
     vicfg = ViConfig(P0=np.eye(n_rho), eps_num=8.0, eps_shift=10.0, eps_conv=1e-3,
                      max_iters=100000, R=np.eye(1), Q_y=np.eye(1),
-                     Q_z=np.eye(im.n_z), E_structure=S,
+                     Q=np.pad(np.eye(im.n_z), (known.n_zeta, 0)), E_structure=S,
                      bound_scale=1000.0, bound_shift=200.0)
     L = place_observer_gain(plant.A, plant.C, np.array([-3.0, -4.0]))
     M = compute_parameterization(plant, L, known)
@@ -972,7 +1008,7 @@ def test_variant2_matches_lifted_solution(output_based_setup):
     plant, M = s["plant"], s["M"]
     data = build_regression(s["log"], s["grid"], 2, R=np.eye(1),
                             known_B=s["known"].B_zeta)
-    vicfg = replace(s["vicfg"], P0=np.eye(s["known"].n_zeta), Q_z=None, E_structure=None)
+    vicfg = replace(s["vicfg"], P0=np.eye(s["known"].n_zeta), Q=None, E_structure=None)
     res = vi_run(2, data, vicfg)
     assert res.converged
     P_x = solve_care(plant.A, plant.B, plant.C.T @ plant.C, np.eye(1)).P
