@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 rank condition failed, 3 value iteration did not
 converge, or diverged (its fit or an iterate left the float range), 4
-configuration or usage error, or an oracle step of an unblinded run failed, 5
-a simulated state overflowed, 6 an artifact could not be written.
+configuration or usage error, a failed oracle step of an unblinded run, or
+an allocation too large for memory, 5 a simulated state overflowed, 6 an
+artifact could not be written.
 A run that fails after its config is accepted leaves a partial report.json
 and manifest.json in its output directory.
 """
@@ -118,6 +119,9 @@ def main(argv=None):
     except FloatingPointError as exc:
         print("value iteration diverged: %s" % exc, file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    except MemoryError as exc:
+        print("out of memory: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
     except OverflowError as exc:
         print("simulation diverged: %s" % exc, file=sys.stderr)
         return EXIT_OVERFLOW

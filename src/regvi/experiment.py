@@ -243,19 +243,20 @@ def make_vi_config(cfg: ExperimentConfig, objs: ExperimentObjects) -> ViConfig:
     return ViConfig(P0=cfg.p0_scale * np.eye(n_a), eps_num=cfg.eps_num,
                     eps_shift=cfg.eps_shift, eps_conv=cfg.eps_conv,
                     max_iters=cfg.max_iters, R=_as_matrix(cfg.r, m, "r"),
+                    B={"x": None, "zeta": objs.known.B_zeta, "rho": objs.B_rho}[spec.state],
                     bound_scale=cfg.bound_scale, bound_shift=cfg.bound_shift,
                     E_structure=E_structure, **weights)
 
 
-def learn_from_log(log, variant, grid: SamplingGrid, known_B, vicfg: ViConfig,
-                   lap=lambda name: None):
+def learn_from_log(log, variant, grid: SamplingGrid, vicfg: ViConfig, lap=lambda name: None):
     """Regression + rank check + value iteration from the logged trajectory.
 
-    Touches only learner-visible channels and known matrices (known_B: None on x).
+    The regression reads only learner-visible channels; the known matrices
+    (R, and B on zeta or rho) reach the stage fit through vicfg.
     lap(name) is the run's clock: the regression and its rank verdict go to
     regression_s, the stage fit to vi_fit_s, the loop to vi_s, raising or not.
     """
-    data = build_regression(log, grid, variant, R=vicfg.R, known_B=known_B)
+    data = build_regression(log, grid, variant)
     verdict = check_rank(data)
     lap("regression_s")
     require_rank(verdict)
@@ -334,7 +335,6 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     if not blinded:                     # before the exploration rows' writer starts
         write_ex_norm(log_explore, aux)
         lap("oracle_s")
-    known_B = {"x": None, "zeta": known.B_zeta, "rho": objs.B_rho}[spec.state]
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
     # The trajectory CSV holds the exploration rows but the last (the closed
     # loop repeats that state), then the closed loop's.  The exploration rows
@@ -342,8 +342,7 @@ def _run_layers(cfg, objs, out_dir, blinded, report, lap):
     # counts as learning); leaving the block by any path stops and reaps it.
     with PendingRows(log_explore.table[:-1], out_dir) as traj_head:
         try:
-            data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, known_B,
-                                                  vicfg, lap)
+            data, verdict, vires = learn_from_log(log_explore, cfg.variant, grid, vicfg, lap)
         except RankConditionError as exc:
             report.rank, report.rank_required, report.data_quality = (
                 exc.rank, exc.required, exc.quality)
@@ -435,7 +434,7 @@ def write_ex_norm(log, aux):
 def export_regression_csv(data, out_dir):
     """One CSV per block plus a manifest of dims and the grid; returns file map."""
     blocks = {"delta_a": data.delta_a, "I_aa": data.I_aa, "I_au": data.I_au,
-              "Gamma_av": data.Gamma_av, "Gamma_aBu": data.Gamma_aBu, "I_yy": data.I_yy}
+              "Gamma_av": data.Gamma_av, "I_yy": data.I_yy}
     blocks = {name: arr for name, arr in blocks.items() if arr is not None}
     files = {name: write_csv(os.path.join(out_dir, "regression_%s.csv" % name), arr)
              for name, arr in blocks.items()}

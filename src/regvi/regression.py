@@ -12,15 +12,16 @@ the quadratic-monomial vector.  The least-squares systems built from these
 blocks are severely ill-conditioned whenever the plant has unreachable stable
 modes (the filter states become asymptotically dependent), so the quadrature
 must stay orders of magnitude below the smallest data singular value;
-Simpson on the h-grid achieves that where trapezoid does not.  Each variant,
-a row of `VARIANTS`, packs the blocks its choices read: I_au on state x and
-Gamma_aBu otherwise, Gamma_av with an exogenous term, I_yy with the output
-cost (z's weight is known).  The columns of the matrix `check_rank` tests
-are the stage's unknowns: I_aa's are vecs(H), and I_au's (K) on state x or
-Gamma_av's (vec(E^T P)) where E is solved join them (`_rank_blocks`).
+Simpson on the h-grid achieves that where trapezoid does not.  The blocks
+hold data only, raw integrals of the learner's signals; the known R and B
+enter in the stage fit (`vi._fit_stage`).  Each variant, a row of
+`VARIANTS`, packs the blocks its choices read: I_aa and I_au always,
+Gamma_av with an exogenous term, I_yy with the output cost (z's weight is
+known).  The columns of the matrix `check_rank` tests are the stage's
+unknowns: I_aa's are vecs(H), and I_au's (K) on state x or Gamma_av's
+(vec(E^T P)) where E is solved join them (`_rank_blocks`).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +75,9 @@ class RegressionData:
     dims: dict
     delta_a: np.ndarray
     I_aa: np.ndarray
-    I_au: np.ndarray | None = None        # int a (x) R u  (state x)
+    I_au: np.ndarray                      # int a (x) u
     Gamma_av: np.ndarray | None = None    # int a (x) v    (exogenous term)
-    Gamma_aBu: np.ndarray | None = None   # int a (x) B u  (state zeta or rho)
     I_yy: np.ndarray | None = None        # output cost
-    known_B: np.ndarray | None = None     # B_zeta or B_rho
 
 
 def _sample_window(log, grid: SamplingGrid):
@@ -121,24 +120,16 @@ def _quadratic(x, step, h):
     return _interval_integrals(x, x, step, h)[:, i, j]
 
 
-def build_regression(log, grid: SamplingGrid, variant: int,
-                     R=None, known_B=None) -> RegressionData:
+def build_regression(log, grid: SamplingGrid, variant: int) -> RegressionData:
     """Pack the data matrices for one algorithm variant.
 
     log carries the views of a `sim.TrajectoryLog` (times, h and the signal
     arrays, rho among them); the learner state a is the view named by the
     variant, and only the learner-visible channels are read.
-    R weights the input integral of the state-x variant; known_B is the known
-    input-matrix block (B_zeta or B_rho) of the others.  Both act on
-    int a u^T after integration, which is linear in u.
     """
     if variant not in VARIANTS:
         raise ValueError("variant must be in %s" % sorted(VARIANTS))
     spec = VARIANTS[variant]
-    if spec.state == "x" and R is None:
-        raise ValueError("variant %d needs the weight R" % variant)
-    if spec.state != "x" and known_B is None:
-        raise ValueError("variant %d needs its known input block" % variant)
     lo, hi, step = _sample_window(log, grid)
     h, s = log.h, grid.s
     u = log.u[lo:hi]
@@ -146,13 +137,8 @@ def build_regression(log, grid: SamplingGrid, variant: int,
     dims = {"n_a": a.shape[1], "m": u.shape[1]}
     data = RegressionData(variant=variant, grid=grid, dims=dims,
                           delta_a=np.diff(vecv_rows(a[::step]), axis=0),
-                          I_aa=_quadratic(a, step, h))
-    int_au = _interval_integrals(a, u, step, h)
-    if spec.state == "x":
-        data.I_au = (int_au @ R.T).reshape(s, -1)
-    else:
-        data.known_B = known_B
-        data.Gamma_aBu = (int_au @ known_B.T).reshape(s, -1)
+                          I_aa=_quadratic(a, step, h),
+                          I_au=_interval_integrals(a, u, step, h).reshape(s, -1))
     if spec.exo:
         v = log.v[lo:hi]
         dims["q"] = v.shape[1]
@@ -160,10 +146,6 @@ def build_regression(log, grid: SamplingGrid, variant: int,
     if spec.output_cost:
         data.I_yy = _quadratic(log.y[lo:hi], step, h)
         dims["p"] = log.y.shape[1]
-    required = sum(block.shape[1] for block in _rank_blocks(data, variant))
-    if grid.s < required:
-        warnings.warn("only s = %d rows for %d unknowns; rank condition will fail"
-                      % (grid.s, required))
     return data
 
 

@@ -4,9 +4,11 @@ The value matrix P is symmetric, so the engine works on its n(n+1)/2
 upper-triangle entries p.  The least-squares stage is affine in the iterate,
 so `_fit_stage` fits it once per run as a `Stage`, one affine map
 v = L p + c0 that stacks the upper triangle of H + Q, where H estimates
-A^T P + P A of the learner's system, on vec(K).  On state x, K is fitted with
-H; on zeta and rho, K = -R^{-1} B^T P is known, as is Q: the data fit only
-the output cost Q_y on y, whose map CM is unknown.  The fit is the R factor of
+A^T P + P A of the learner's system, on vec(K).  The regression holds the
+raw int a u^T; the known matrices act on it here.  On state x, K is fitted
+with H from its columns times R; on zeta and rho, K = -R^{-1} B^T P is known,
+as is Q, and the rhs takes 2 int a (B u)^T: the data fit only the output
+cost Q_y on y, whose map CM is unknown.  The fit is the R factor of
 one Householder QR of the unknowns' columns beside the rhs's, which carries
 Q^T of the rhs (Golub & Van Loan, Matrix Computations, 5.3): no Q is
 formed, and H (with K on state x) is one triangular solve.  A solved
@@ -84,6 +86,7 @@ class ViConfig:
     R: np.ndarray
     Q: np.ndarray | None = None       # known cost on the learner state
     Q_y: np.ndarray | None = None     # output cost on y, fitted from data
+    B: np.ndarray | None = None       # known input matrix of zeta or rho; None on x
     bound_scale: float = 1000.0
     bound_shift: float = 20.0
     # Known injection map S for the exogenous matrix, E = S @ W with W the
@@ -95,7 +98,7 @@ class ViConfig:
     E_structure: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("P0", "R", "Q", "Q_y", "E_structure"):
+        for name in ("P0", "R", "Q", "Q_y", "B", "E_structure"):
             val = getattr(self, name)
             if val is not None:
                 setattr(self, name, np.atleast_2d(np.asarray(val, dtype=float)))
@@ -201,13 +204,17 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     n = data.dims["n_a"]
     half = n * (n + 1) // 2
     D, up, sym = _vec_maps(n)
-    G = data.delta_a @ D - (0.0 if spec.state == "x" else 2.0 * data.Gamma_aBu)
+    s = len(data.I_au)
+    fold = lambda M: (data.I_au.reshape(s, n, -1) @ M.T).reshape(s, -1)    # int a (M u)^T
+    G = data.delta_a @ D - (0.0 if spec.state == "x" else 2.0 * fold(cfg.B))
     c = data.I_yy @ vecs(cfg.Q_y) if spec.output_cost else np.zeros(len(G))     # Q_y on y
     to_p = 1.0 / D.sum(axis=1)[:, None]     # vecs(H) -> p of H; maps of vec(P) end in @ D.T
     # One QR, R factor only, of the k unknowns' columns check_rank accepted
     # beside the rhs: G on p, c and, to identify E, G vec(P0) whole; it lies
     # mostly in range(I_aa), and summing its projected columns errs 30x more.
     unknowns = _rank_blocks(data, blocks_of)
+    if spec.state == "x":               # K's columns: int a (R u)^T
+        unknowns[1] = fold(cfg.R)
     k = sum(block.shape[1] for block in unknowns)
     rhs = [G @ D.T, c] + ([G @ cfg.P0.reshape(-1, order="F")] if spec.exo == "identify" else [])
     R = np.linalg.qr(np.column_stack(unknowns + rhs), mode="r")
@@ -239,7 +246,7 @@ def _fit_stage(variant, data: RegressionData, cfg: ViConfig):
     if spec.state == "x":               # theta's rows half: are -2 vec(K)
         K_lift = -0.5 * theta[half:]
     else:                               # K = -R^{-1} B^T P, known exactly
-        K_map = -np.kron(np.eye(n), np.linalg.solve(cfg.R, data.known_B.T)) @ D.T
+        K_map = -np.kron(np.eye(n), np.linalg.solve(cfg.R, cfg.B.T)) @ D.T
         K_lift = np.column_stack([K_map, np.zeros(len(K_map))])
     lift = np.vstack([lift, K_lift])    # [L | c0] of [H + Q; vec(K)]
     lift[:half, -1] += 0.0 if cfg.Q is None else cfg.Q.take(up)    # none on zeta
@@ -255,7 +262,7 @@ def check_vi_inputs(variant, cfg: ViConfig):
             and np.min(np.linalg.eigvalsh(cfg.P0)) <= 0):
         raise ValueError("variant %d requires a positive definite P0" % variant)
     needs = {"Q": not spec.output_cost or spec.state == "rho", "Q_y": spec.output_cost,
-             "E_structure": spec.exo == "identify"}
+             "B": spec.state != "x", "E_structure": spec.exo == "identify"}
     for name, needed in needs.items():
         if needed and getattr(cfg, name) is None:
             raise ValueError("variant %d needs %s" % (variant, name))

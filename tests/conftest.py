@@ -155,7 +155,7 @@ def fullstate_setup():
     log = simulate(plant, exo, known, im, K,
                    stack_state(exo, known, im, [1.0, -1.0, 0.5]), (0.0, 6.0), 1e-3, tones)
     grid = SamplingGrid(t0=1.0, dt=0.1, s=40)
-    data = build_regression(log, grid, 1, R=np.eye(1))
+    data = build_regression(log, grid, 1)
     sol = solve_care(plant.A, plant.B, np.eye(3), np.eye(1))
     return {"plant": plant, "exo": exo, "known": known, "im": im,
             "log": log, "grid": grid, "data": data, "sol": sol}

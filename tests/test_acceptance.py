@@ -127,15 +127,16 @@ def test_08_reconstruction_error_decay(zero_setup):
 
 def test_09_regression_residual_with_oracle_h(nonzero_setup):
     assert nonzero_setup["cfg"].h == 1e-3
-    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 3,
-                            known_B=nonzero_setup["objs"].B_rho)
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 3)
     aux = nonzero_setup["aux"]
     P = nonzero_setup["sol"].P
     H = aux.A_rho.T @ P + P @ aux.A_rho
     lhs = data.delta_a @ vecs(P)
     t1 = data.I_aa @ vecs(H)
     t2 = 2.0 * data.Gamma_av @ (aux.E_rho.T @ P).reshape(-1, order="F")
-    t3 = 2.0 * data.Gamma_aBu @ P.reshape(-1, order="F")
+    s, n = len(data.I_au), data.dims["n_a"]
+    Gamma_aBu = (data.I_au.reshape(s, n, -1) @ aux.B_rho.T).reshape(s, -1)    # int a (B u)^T
+    t3 = 2.0 * Gamma_aBu @ P.reshape(-1, order="F")
     scale = np.abs(lhs) + np.abs(t1) + np.abs(t2) + np.abs(t3) + 1.0
     assert np.max(np.abs(lhs - t1 - t2 - t3) / scale) <= 1e-6
 
@@ -146,10 +147,12 @@ def test_10_blinded_run_is_byte_identical(zero_run, zero_run_blinded):
         "learned_gain.csv", "vi_history.csv", "tracking_error.csv",
         "regression_manifest.json", "regression_delta_a.csv",
         "regression_I_aa.csv", "regression_Gamma_av.csv",
-        "regression_Gamma_aBu.csv", "regression_I_yy.csv",
+        "regression_I_au.csv", "regression_I_yy.csv",
     ]
-    # z's weight is known, so its integrals are only I_aa's columns
-    assert not os.path.exists(os.path.join(zero_run["out_dir"], "regression_I_zz.csv"))
+    # z's weight is known, so its integrals are only I_aa's columns; the
+    # regression holds the raw int a u^T, and B acts on it in the stage fit
+    for name in ("regression_I_zz.csv", "regression_Gamma_aBu.csv"):
+        assert not os.path.exists(os.path.join(zero_run["out_dir"], name))
     for name in learner_files:
         plain = os.path.join(zero_run["out_dir"], name)
         blind = os.path.join(zero_run_blinded["out_dir"], name)

@@ -219,6 +219,22 @@ def test_a_diverging_vi_exits_3(tmp_path, capsys, patch, where):
     assert {"vi_fit_s", "vi_s"} <= set(report["timings"])
 
 
+def test_a_log_that_cannot_be_allocated_exits_4(tmp_path, capsys):
+    """paper-e-zero at h = 1e-12 asks numpy for a 3.58 PiB trajectory log, more
+    than any user address space, so the allocation fails at once: exit 4 with
+    one line on stderr, not a traceback, and a strict-JSON partial report."""
+    payload = dict(json.loads(serialize_config(PRESETS["paper-e-zero"]())), h=1e-12)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert sorted(os.listdir(out)) == ["manifest.json", "report.json"]
+    report = _strict_json(out / "report.json")
+    assert report["converged"] is False and report["rank"] is None
+
+
 def test_run_into_an_uncreatable_directory_exit_code(tmp_path, capsys):
     """An output directory below a regular file cannot be made: exit 6 with
     one line on stderr, not a traceback."""

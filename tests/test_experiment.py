@@ -218,7 +218,7 @@ def test_stage_unknowns_are_the_papers_counts(request, setup):
                         ["unknown_counts"])
     assert (counts["alg3"], counts["alg4"]) == (52, 36)
     for variant, method in ((3, "alg3"), (5, "alg3"), (4, "alg4"), (6, "alg4")):
-        data = build_regression(s["log"], s["grid"], variant, known_B=s["objs"].B_rho)
+        data = build_regression(s["log"], s["grid"], variant)
         assert check_rank(data).required == counts[method]
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -332,11 +333,12 @@ def test_package_exports_resolve():
 
 
 def test_learner_runs_on_known_matrices_only(nonzero_setup, nonzero_run):
-    """learn_from_log takes the log, the variant, the grid, the known input
-    block and the loop parameters -- no plant -- and learns the run's gain."""
+    """learn_from_log takes the log, the variant, the grid and the loop
+    parameters with the known input block -- no plant -- and learns the run's gain."""
     known, im = nonzero_setup["objs"].known, nonzero_setup["objs"].im
     B_rho = np.vstack([known.B_zeta, np.zeros((im.n_z, known.B_zeta.shape[1]))])
-    args = (nonzero_setup["log"], 4, nonzero_setup["grid"], B_rho, nonzero_setup["vicfg"])
+    vicfg = replace(nonzero_setup["vicfg"], B=B_rho)
+    args = (nonzero_setup["log"], 4, nonzero_setup["grid"], vicfg)
     assert not any(isinstance(arg, LtiPlant) for arg in args)
     _, verdict, result = learn_from_log(*args)
     assert verdict.satisfied and result.converged

@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -12,39 +11,36 @@ from regvi.regression import (GridAlignmentError, RegressionData, SamplingGrid,
 from regvi.sim import Tone, simulate, stack_state
 
 
-def _residual_rows(data, P, A_rho, E_rho):
+def _residual_rows(data, P, A_rho, E_rho, B_rho):
     """Rows of the learning-equation residual at the true (H, E) pair."""
     H = A_rho.T @ P + P @ A_rho
     lhs = data.delta_a @ vecs(P)
     t1 = data.I_aa @ vecs(H)
     t2 = 2.0 * data.Gamma_av @ (E_rho.T @ P).reshape(-1, order="F")
-    t3 = 2.0 * data.Gamma_aBu @ P.reshape(-1, order="F")
+    s, n = len(data.I_au), data.dims["n_a"]
+    Gamma_aBu = (data.I_au.reshape(s, n, -1) @ B_rho.T).reshape(s, -1)    # int a (B u)^T
+    t3 = 2.0 * Gamma_aBu @ P.reshape(-1, order="F")
     scale = np.abs(lhs) + np.abs(t1) + np.abs(t2) + np.abs(t3) + 1.0
     return np.abs(lhs - t1 - t2 - t3) / scale
 
 
 def test_consistency_with_oracle_dynamics(nonzero_setup):
     """Quadrature keeps the learning equation exact to well below 1e-6 per row."""
-    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 3,
-                            known_B=nonzero_setup["objs"].B_rho)
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 3)
     aux = nonzero_setup["aux"]
     rng = np.random.default_rng(7)
     X = rng.standard_normal((8, 8))
-    rel = _residual_rows(data, X + X.T, aux.A_rho, aux.E_rho)
+    rel = _residual_rows(data, X + X.T, aux.A_rho, aux.E_rho, aux.B_rho)
     assert np.max(rel) <= 1e-6
-    rel = _residual_rows(data, nonzero_setup["sol"].P, aux.A_rho, aux.E_rho)
+    rel = _residual_rows(data, nonzero_setup["sol"].P, aux.A_rho, aux.E_rho, aux.B_rho)
     assert np.max(rel) <= 1e-6
 
 
 def test_sampling_interval_additivity(nonzero_setup):
     """Halving dt partitions each integral exactly (same fine-grid quadrature)."""
-    coarse = build_regression(nonzero_setup["log"],
-                              SamplingGrid(t0=4.0, dt=0.2, s=60), 3,
-                              known_B=nonzero_setup["objs"].B_rho)
-    fine = build_regression(nonzero_setup["log"],
-                            SamplingGrid(t0=4.0, dt=0.1, s=120), 3,
-                            known_B=nonzero_setup["objs"].B_rho)
-    for name in ("I_aa", "Gamma_av", "Gamma_aBu", "delta_a"):
+    coarse = build_regression(nonzero_setup["log"], SamplingGrid(t0=4.0, dt=0.2, s=60), 3)
+    fine = build_regression(nonzero_setup["log"], SamplingGrid(t0=4.0, dt=0.1, s=120), 3)
+    for name in ("I_aa", "Gamma_av", "I_au", "delta_a"):
         c = getattr(coarse, name)
         f = getattr(fine, name)
         merged = f[0::2] + f[1::2]
@@ -68,19 +64,14 @@ def test_blocks_match_per_interval_simpson(fullstate_setup, h, dt):
                        (0.0, 6.0), h, tones)
     grid = SamplingGrid(t0=1.0, dt=dt, s=40)
     step = round(dt / h)
-    B_rho = np.vstack([s["known"].B_zeta, np.zeros((s["im"].n_z, 1))])
     rows = int(round(1.0 / h)) + step * np.arange(grid.s + 1)
-    R = np.array([[2.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # too few rows for variant 6's rank
-        d1 = build_regression(log, grid, 1, R=R)
-        d6 = build_regression(log, grid, 6, known_B=B_rho)
+    d1 = build_regression(log, grid, 1)
+    d6 = build_regression(log, grid, 6)
     rho = np.hstack([log.zeta, log.z])
     expected = [
-        (d1.I_aa, vecv_rows(log.x)), (d1.I_au, _kron_rows(log.x, log.u @ R.T)),
+        (d1.I_aa, vecv_rows(log.x)), (d1.I_au, _kron_rows(log.x, log.u)),
         (d6.I_aa, vecv_rows(rho)), (d6.Gamma_av, _kron_rows(rho, log.v)),
-        (d6.Gamma_aBu, _kron_rows(rho, log.u @ B_rho.T)),
-        (d6.I_yy, vecv_rows(log.y)),
+        (d6.I_au, _kron_rows(rho, log.u)), (d6.I_yy, vecv_rows(log.y)),
     ]
     for block, products in expected:
         ref = np.array([simpson(products[i:j + 1], dx=h, axis=0)
@@ -102,7 +93,7 @@ def test_integrals_converge_with_h(fullstate_setup):
     def blocks(h):
         log = simulate(s["plant"], s["exo"], s["known"], s["im"], K, s0,
                        (0.0, 4.0), h, tones)
-        d = build_regression(log, grid, 1, R=np.eye(1))
+        d = build_regression(log, grid, 1)
         return d.I_aa, d.I_au
     a1, b1 = blocks(4e-3)
     a2, b2 = blocks(2e-3)
@@ -114,8 +105,7 @@ def test_integrals_converge_with_h(fullstate_setup):
 
 
 def test_rank_conditions_on_preset_data(nonzero_setup):
-    data3 = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 3,
-                             known_B=nonzero_setup["objs"].B_rho)
+    data3 = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 3)
     v3 = check_rank(data3, 3)
     v4 = check_rank(data3, 4)
     assert v3.satisfied and v3.required == 52
@@ -132,7 +122,7 @@ def _transient_verdicts(setup, **patch):
                    stack_state(objs.exo, objs.known, objs.im, cfg.x0), (0.0, cfg.t_switch),
                    cfg.h, [Tone(**t) for t in cfg.tones])
     grid = SamplingGrid(t0=cfg.grid_t0, dt=cfg.grid_dt, s=cfg.grid_s)
-    data = build_regression(log, grid, 3, known_B=objs.B_rho)
+    data = build_regression(log, grid, 3)
     return check_rank(data, 4), check_rank(data, 3)
 
 
@@ -181,30 +171,27 @@ def test_rank_fails_without_excitation(nonzero_setup):
     log = simulate(objs.plant, objs.exo, objs.known, objs.im,
                    np.zeros((1, objs.known.n_zeta + objs.im.n_z)),
                    stack_state(objs.exo, objs.known, objs.im, cfg.x0), (0.0, 10.0), 1e-3)
-    with pytest.warns(UserWarning):
-        data = build_regression(log, SamplingGrid(t0=1.0, dt=0.25, s=30), 4,
-                                known_B=objs.B_rho)
+    data = build_regression(log, SamplingGrid(t0=1.0, dt=0.25, s=30), 4)
     assert not check_rank(data).satisfied
 
 
 def test_grid_alignment_errors(fullstate_setup):
     log = fullstate_setup["log"]
     with pytest.raises(GridAlignmentError):
-        build_regression(log, SamplingGrid(t0=1.0, dt=0.00025, s=10), 1, R=np.eye(1))
+        build_regression(log, SamplingGrid(t0=1.0, dt=0.00025, s=10), 1)
     with pytest.raises(GridAlignmentError):
-        build_regression(log, SamplingGrid(t0=1.0, dt=1e-10, s=10), 1, R=np.eye(1))
+        build_regression(log, SamplingGrid(t0=1.0, dt=1e-10, s=10), 1)
     with pytest.raises(GridAlignmentError):
-        build_regression(log, SamplingGrid(t0=1.00033, dt=0.1, s=10), 1, R=np.eye(1))
+        build_regression(log, SamplingGrid(t0=1.00033, dt=0.1, s=10), 1)
     with pytest.raises(GridAlignmentError):
-        build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=1000), 1, R=np.eye(1))
+        build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=1000), 1)
 
 
 def test_dt_within_grid_tolerance_is_accepted(fullstate_setup):
     """dt off k*h by less than the config tolerance gives the same blocks."""
     log = fullstate_setup["log"]
-    exact = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=40), 1, R=np.eye(1))
-    near = build_regression(log, SamplingGrid(t0=1.0, dt=0.1 + 5e-10, s=40), 1,
-                            R=np.eye(1))
+    exact = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=40), 1)
+    near = build_regression(log, SamplingGrid(t0=1.0, dt=0.1 + 5e-10, s=40), 1)
     for name in ("delta_a", "I_aa", "I_au"):
         assert np.array_equal(getattr(exact, name), getattr(near, name))
 
@@ -213,11 +200,7 @@ def test_missing_weights_rejected(fullstate_setup):
     log = fullstate_setup["log"]
     grid = fullstate_setup["grid"]
     with pytest.raises(ValueError):
-        build_regression(log, grid, 1)              # no R
-    with pytest.raises(ValueError):
-        build_regression(log, grid, 3)              # no known_B
-    with pytest.raises(ValueError):
-        build_regression(log, grid, 7, R=np.eye(1))
+        build_regression(log, grid, 7)
 
 
 @pytest.mark.parametrize("variant, unknowns",
@@ -225,19 +208,15 @@ def test_missing_weights_rejected(fullstate_setup):
 def test_rank_matrix_columns_are_the_unknowns(nonzero_setup, variant, unknowns):
     """check_rank requires the column count of the matrix it tests: I_aa (vecs(H)),
     joined by I_au (K) on state x or by Gamma_av (vec(E^T P)) where E is solved;
-    build_regression warns with the same count when there are fewer rows."""
-    log, grid, objs = nonzero_setup["log"], nonzero_setup["grid"], nonzero_setup["objs"]
-    kwargs = ({"R": np.eye(1)} if variant == 1
-              else {"known_B": objs.known.B_zeta if variant == 2 else objs.B_rho})
-    data = build_regression(log, grid, variant, **kwargs)
+    one row fewer fails the verdict, which names the same count."""
+    log, grid = nonzero_setup["log"], nonzero_setup["grid"]
+    data = build_regression(log, grid, variant)
     extra = data.I_au if variant == 1 else data.Gamma_av if variant in (3, 5) else None
     columns = data.I_aa.shape[1] + (0 if extra is None else extra.shape[1])
     assert check_rank(data).required == columns == unknowns
-    with pytest.warns(UserWarning, match="for %d unknowns" % unknowns):
-        build_regression(log, SamplingGrid(grid.t0, grid.dt, unknowns - 1), variant, **kwargs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        build_regression(log, SamplingGrid(grid.t0, grid.dt, unknowns), variant, **kwargs)
+    short = build_regression(log, SamplingGrid(grid.t0, grid.dt, unknowns - 1), variant)
+    verdict = check_rank(short)
+    assert (verdict.required, verdict.satisfied) == (unknowns, False)
 
 
 def test_unknown_count_table():
@@ -268,7 +247,7 @@ def test_check_rank_is_matrix_rank_and_grades_its_matrix(setup, request):
     """One SVD gives numpy's matrix_rank and the singular values of the
     matrix each verdict is taken on: I_aa, and [I_aa, Gamma_av] where E is solved."""
     s = request.getfixturevalue(setup)
-    data = build_regression(s["log"], s["grid"], 3, known_B=s["objs"].B_rho)
+    data = build_regression(s["log"], s["grid"], 3)
     for variant, M in ((s["cfg"].variant, data.I_aa),
                        (3, np.hstack([data.I_aa, data.Gamma_av]))):
         verdict = check_rank(data, variant)
@@ -287,7 +266,7 @@ def test_check_rank_of_zero_data_leaves_undefined_grades_out():
     """All-zero data has rank 0; its margin and condition number are None, not NaN."""
     data = RegressionData(variant=4, grid=SamplingGrid(t0=0.0, dt=0.1, s=40),
                           dims={"n_a": 8, "m": 1}, delta_a=np.zeros((40, 36)),
-                          I_aa=np.zeros((40, 36)))
+                          I_aa=np.zeros((40, 36)), I_au=np.zeros((40, 8)))
     verdict = check_rank(data)
     assert (verdict.rank, verdict.required, verdict.satisfied) == (0, 36, False)
     assert verdict.quality == {"sigma_max": 0.0, "sigma_min": 0.0,

@@ -52,6 +52,23 @@ def test_every_variant_runs_through_the_cli(variant, tmp_path):
         assert report["gain_error"] == pytest.approx(gain_error, rel=5e-3)
 
 
+def test_variant_1_verdict_grades_the_data(tmp_path, capsys):
+    """Variant 1's rank verdict is taken on the raw [I_aa, I_au], so the weight
+    R does not move it: on paper-e-zero cut, r = 1, 4 and 1e-12 report one
+    rank and one data_quality.  max_iters 3 stops every run unconverged (exit 3)."""
+    verdicts = []
+    for r in (1.0, 4.0, 1e-12):
+        cfg = dataclasses.replace(PRESETS["paper-e-zero"](), variant=1, t_end=30.0,
+                                  settle_time=29.0, q_main=1.0, r=r, max_iters=3)
+        path, out = tmp_path / "config.json", tmp_path / ("out%g" % r)
+        path.write_text(serialize_config(cfg))
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == cli.EXIT_NOT_CONVERGED
+        report = json.loads((out / "report.json").read_text())
+        verdicts.append((report["rank"], report["rank_required"], report["data_quality"]))
+    assert verdicts[0][:2] == (9, 9)
+    assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
+
+
 def two_input_config(variant):
     """An m = 2, p = 1 plant under paper-e-nonzero's tones and VI parameters:
     the preset's five tones on channel 0 and the same five, 0.5 rad/s higher,

@@ -146,9 +146,7 @@ def test_nonconvergence_reported(fullstate_setup):
 def test_rank_gate(fullstate_setup):
     """Insufficient data rows raise before any iteration runs."""
     log = fullstate_setup["log"]
-    with pytest.warns(UserWarning):
-        data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=5), 1,
-                                R=np.eye(1))
+    data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=5), 1)
     cfg = ViConfig(P0=0.05 * np.eye(3), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
                    max_iters=10, R=np.eye(1), Q=np.eye(3))
     with pytest.raises(RankConditionError):
@@ -169,7 +167,8 @@ def test_rank_gate_and_lstsq_share_one_threshold(factor, accepted):
     if factor == 0.0:
         M[:, -1] = M[:, 0]              # exactly singular
     data = RegressionData(variant=2, grid=SamplingGrid(0.0, 0.1, rows),
-                          dims={"n_a": 3, "m": 1}, delta_a=np.zeros((rows, half)), I_aa=M)
+                          dims={"n_a": 3, "m": 1}, delta_a=np.zeros((rows, half)), I_aa=M,
+                          I_au=np.zeros((rows, 3)))
     assert check_rank(data).satisfied == accepted
     if accepted:
         assert np.allclose(M @ _lstsq(M, M @ np.ones(half)), M @ np.ones(half))
@@ -223,8 +222,7 @@ def test_history_matches_reference_loop_across_blocks(fullstate_setup):
 
 def test_fused_history_matches_reference_loop(nonzero_setup):
     """Variant 4, whose gain is known: 300 iterates agree with the reference loop."""
-    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
-                            known_B=nonzero_setup["objs"].B_rho)
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4)
     cfg = replace(nonzero_setup["vicfg"], max_iters=300)
     res = vi_run(4, data, cfg)
     history, K_final = reference_vi(_fit_stage(4, data, cfg)[0], cfg)
@@ -267,7 +265,7 @@ def test_stage_matches_lyapunov_operator_two_inputs():
     """Variant 1 on a 2-input plant: H(P) = A^T P + P A and K(P) = -R^{-1} B^T P."""
     plant, _, log = two_input_log(6.0)
     R = TWO_INPUT_R
-    data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=40), 1, R=R)
+    data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=40), 1)
     cfg = ViConfig(P0=np.eye(3), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
                    max_iters=10, R=R, Q=np.eye(3))
     stage, E = _fit_stage(1, data, cfg)
@@ -283,8 +281,7 @@ def test_stage_matches_lyapunov_operator_structured(nonzero_setup):
     """Variants 3 and 4 on preset data: H(P) = A_rho^T P + P A_rho, and the
     gain K = -R^{-1} B_rho^T P is an exact function of the iterate."""
     aux, vicfg = nonzero_setup["aux"], nonzero_setup["vicfg"]
-    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
-                            known_B=aux.B_rho)
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4)
     for variant in (3, 4):
         stage, _ = _fit_stage(variant, data, vicfg)
         for seed in range(3):
@@ -307,11 +304,11 @@ def _known_gain_case(variant):
         _, known, log = two_input_log(20.0, v0=1.0, freqs=(1.0, 2.7, 5.3, 9.1, 3.9, 7.3))
         grid = SamplingGrid(t0=1.0, dt=0.1, s=180)
         B = np.vstack([known.B_zeta, np.zeros((log.rho.shape[1] - known.n_zeta, 2))])
-    data = build_regression(log, grid, variant, R=TWO_INPUT_R, known_B=B)
+    data = build_regression(log, grid, variant)
     n = data.dims["n_a"]
     weights = dict(Q_y=np.eye(1)) if variant == 2 else dict(Q=np.eye(n))
     return data, ViConfig(P0=np.eye(n), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
-                          max_iters=10, R=TWO_INPUT_R, **weights), B
+                          max_iters=10, R=TWO_INPUT_R, B=B, **weights), B
 
 
 def test_fused_residual_two_inputs():
@@ -345,7 +342,7 @@ def test_the_z_weight_is_added_exactly(nonzero_setup):
     objs = nonzero_setup["objs"]
     cfg = make_vi_config(replace(nonzero_setup["cfg"], variant=5, q_main=None, q_y=0.0, q_z=q_z),
                          objs)
-    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 5, known_B=objs.B_rho)
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 5)
     stage, _ = _fit_stage(5, data, cfg)
     Q = np.zeros((8, 8))
     Q[6:, 6:] = q_z
@@ -353,8 +350,7 @@ def test_the_z_weight_is_added_exactly(nonzero_setup):
 
 
 def test_vi_run_structured_input_errors(nonzero_setup):
-    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
-                            known_B=nonzero_setup["objs"].B_rho)
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4)
     vicfg = nonzero_setup["vicfg"]
     with pytest.raises(ValueError):
         vi_run(4, data, replace(vicfg, P0=np.zeros((8, 8))))   # P0 not positive definite
@@ -363,17 +359,17 @@ def test_vi_run_structured_input_errors(nonzero_setup):
 
 
 # Weights and structure each variant must be given; the rest may stay None.
-NEEDS = {1: {"Q"}, 2: {"Q_y"}, 3: {"Q"}, 4: {"Q", "E_structure"},
-         5: {"Q", "Q_y"}, 6: {"Q", "Q_y", "E_structure"}}
+NEEDS = {1: {"Q"}, 2: {"Q_y", "B"}, 3: {"Q", "B"}, 4: {"Q", "B", "E_structure"},
+         5: {"Q", "Q_y", "B"}, 6: {"Q", "Q_y", "B", "E_structure"}}
 
 
 @pytest.mark.parametrize("variant", sorted(NEEDS))
 def test_check_vi_inputs_per_variant(variant):
     full = ViConfig(P0=np.eye(2), eps_num=1.0, eps_shift=1.0, eps_conv=0.01,
-                    max_iters=10, R=np.eye(1), Q=np.eye(2), Q_y=np.eye(1),
+                    max_iters=10, R=np.eye(1), Q=np.eye(2), Q_y=np.eye(1), B=np.ones((2, 1)),
                     E_structure=np.eye(2))
     check_vi_inputs(variant, full)
-    for name in ("Q", "Q_y", "E_structure"):
+    for name in ("Q", "Q_y", "B", "E_structure"):
         cfg = replace(full, **{name: None})
         if name in NEEDS[variant]:
             with pytest.raises(ValueError):
@@ -395,10 +391,8 @@ def test_check_vi_inputs_per_variant(variant):
 
 @pytest.fixture(scope="module")
 def nonzero_vi_runs(nonzero_setup):
-    data3 = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 3,
-                             known_B=nonzero_setup["objs"].B_rho)
-    data4 = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
-                             known_B=nonzero_setup["objs"].B_rho)
+    data3 = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 3)
+    data4 = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4)
     vicfg = nonzero_setup["vicfg"]
     return vi_run(3, data3, vicfg), vi_run(4, data4, vicfg)
 
@@ -424,8 +418,7 @@ def test_variant3_variant4_agree(nonzero_vi_runs):
 def test_huge_max_iters_changes_nothing(nonzero_setup, nonzero_vi_runs):
     """The history grows with the loop: max_iters = 10**12 allocates nothing up
     front and gives the preset's run (max_iters 31806) bitwise."""
-    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4,
-                            known_B=nonzero_setup["objs"].B_rho)
+    data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], 4)
     res = vi_run(4, data, replace(nonzero_setup["vicfg"], max_iters=10**12))
     _, res4 = nonzero_vi_runs
     assert res.converged and res.iters == res4.iters == len(res.history)
@@ -487,14 +480,13 @@ def _run_case(request, fixture, variant):
                                    bound_scale=0.2, bound_shift=1.0)
     if fixture == "output_based_setup":
         if variant == 2:
-            return (build_regression(s["log"], s["grid"], 2, R=np.eye(1),
-                                     known_B=s["known"].B_zeta),
+            return (build_regression(s["log"], s["grid"], 2),
                     replace(s["vicfg"], P0=np.eye(s["known"].n_zeta), Q=None,
-                            E_structure=None))
-        return build_regression(s["log"], s["grid"], variant, known_B=s["B_rho"]), s["vicfg"]
+                            B=s["known"].B_zeta, E_structure=None))
+        return build_regression(s["log"], s["grid"], variant), s["vicfg"]
     if fixture == "exo_stage_cases":
         return s[0][variant]
-    data = build_regression(s["log"], s["grid"], variant, known_B=s["objs"].B_rho)
+    data = build_regression(s["log"], s["grid"], variant)
     return data, s["vicfg"]
 
 
@@ -735,12 +727,15 @@ def reference_stage(variant, data, cfg):
     D, up, sym = _vec_maps(n)
     half = up.size
     with localcontext(prec=REF_DIGITS):
-        U = np.hstack([data.I_aa, -2.0 * data.I_au] if spec.state == "x" else
+        # R on state x and B otherwise act on int a u^T in float, as the fit applies them
+        int_au = data.I_au.reshape(len(data.I_au), n, -1)
+        U = np.hstack([data.I_aa, -2.0 * (int_au @ cfg.R.T).reshape(len(int_au), -1)]
+                      if spec.state == "x" else
                       [data.I_aa] + ([data.Gamma_av] if spec.exo else []))
         Z = _exact_gram(U, U)
         Z_G = _exact_gram(U, data.delta_a)[:, D.argmax(axis=0)]    # of G = delta_a D - 2 Gamma_aBu
-        if spec.state != "x":
-            Z_G = Z_G - 2 * _exact_gram(U, data.Gamma_aBu)
+        if spec.state != "x":                                       # Gamma_aBu = int a (B u)^T
+            Z_G = Z_G - 2 * _exact_gram(U, (int_au @ cfg.B.T).reshape(len(int_au), -1))
         Z_G = Z_G @ _dec(D.T)                                       # on p, vec(P) = D^T p
         Z_c = np.zeros(len(U.T), dtype=object)
         if spec.output_cost:
@@ -765,7 +760,7 @@ def reference_stage(variant, data, cfg):
             return Reference(np.array(np.vstack([L, K_map]), dtype=float), None,
                              residual_of(lambda p, P: L @ p + Q_up,
                                          lambda P: gain(P.take(up)).T @ R @ gain(P.take(up))))
-        B = _dec(data.known_B)
+        B = _dec(cfg.B)
         M = B @ _dec_solve(_dec(cfg.R), B.T)
         aa = slice(0, half)                 # I_aa's rows and columns of Z
         E = None
@@ -815,13 +810,12 @@ def exo_stage_cases(nonzero_setup):
     objs, vicfg = nonzero_setup["objs"], nonzero_setup["vicfg"]
     n, n_zeta = objs.plant.n, objs.known.n_zeta
     output_cfg = replace(vicfg, Q=np.pad(np.eye(objs.im.n_z), (n_zeta, 0)), Q_y=np.eye(1))
-    cases = {1: replace(vicfg, P0=np.eye(n), Q=np.eye(n), E_structure=None),
-             2: replace(output_cfg, P0=np.eye(n_zeta), Q=None, E_structure=None),
+    cases = {1: replace(vicfg, P0=np.eye(n), Q=np.eye(n), B=None, E_structure=None),
+             2: replace(output_cfg, P0=np.eye(n_zeta), Q=None, B=objs.known.B_zeta,
+                        E_structure=None),
              3: vicfg, 4: vicfg, 5: output_cfg, 6: output_cfg}
     for variant, cfg in cases.items():
-        known_B = objs.known.B_zeta if variant == 2 else objs.B_rho
-        data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], variant,
-                                R=vicfg.R, known_B=known_B)
+        data = build_regression(nonzero_setup["log"], nonzero_setup["grid"], variant)
         cases[variant] = data, cfg
     return cases, [vicfg.P0] + [random_symmetric(8, seed) for seed in range(3)]
 
@@ -829,10 +823,9 @@ def exo_stage_cases(nonzero_setup):
 def _two_input_case(variant):
     """(data, cfg) of variant 1 or 2 on the 2-input plant of `two_input_log`."""
     _, known, log = two_input_log(12.0)
-    data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=100), variant,
-                            R=TWO_INPUT_R, known_B=known.B_zeta)
+    data = build_regression(log, SamplingGrid(t0=1.0, dt=0.1, s=100), variant)
     n = data.dims["n_a"]
-    weights = dict(Q=np.eye(n)) if variant == 1 else dict(Q_y=np.eye(1))
+    weights = dict(Q=np.eye(n)) if variant == 1 else dict(Q_y=np.eye(1), B=known.B_zeta)
     return data, ViConfig(P0=np.eye(n), eps_num=5.0, eps_shift=5.0, eps_conv=1e-4,
                           max_iters=10, R=TWO_INPUT_R, **weights)
 
@@ -851,8 +844,7 @@ def reference_cases(exo_stage_cases, zero_setup):
             elif plant == "zero":
                 objs = zero_setup["objs"]
                 cfg = make_vi_config(replace(zero_setup["cfg"], variant=variant), objs)
-                data = build_regression(zero_setup["log"], zero_setup["grid"], variant, R=cfg.R,
-                                        known_B=objs.known.B_zeta if variant == 2 else objs.B_rho)
+                data = build_regression(zero_setup["log"], zero_setup["grid"], variant)
             else:
                 data, cfg = _two_input_case(variant)
             built[plant, variant] = data, cfg, reference_stage(variant, data, cfg)
@@ -963,7 +955,7 @@ def test_zero_preset_converges_on_held_out_phases(zero_setup, seed):
     log = simulate(objs.plant, objs.exo, objs.known, objs.im, np.array(cfg.k0),
                    stack_state(objs.exo, objs.known, objs.im, cfg.x0, cfg.zeta0, cfg.z0),
                    (0.0, cfg.t_switch), cfg.h, tones)
-    data = build_regression(log, zero_setup["grid"], cfg.variant, known_B=objs.B_rho)
+    data = build_regression(log, zero_setup["grid"], cfg.variant)
     assert vi_run(cfg.variant, data, zero_setup["vicfg"]).converged
 
 
@@ -990,7 +982,7 @@ def output_based_setup():
     S[:known.n_zeta, :1] = known.E_zeta
     S[known.n_zeta:, 1:] = im.G2
     vicfg = ViConfig(P0=np.eye(n_rho), eps_num=8.0, eps_shift=10.0, eps_conv=1e-3,
-                     max_iters=100000, R=np.eye(1), Q_y=np.eye(1),
+                     max_iters=100000, R=np.eye(1), Q_y=np.eye(1), B=B_rho,
                      Q=np.pad(np.eye(im.n_z), (known.n_zeta, 0)), E_structure=S,
                      bound_scale=1000.0, bound_shift=200.0)
     L = place_observer_gain(plant.A, plant.C, np.array([-3.0, -4.0]))
@@ -1006,9 +998,9 @@ def test_variant2_matches_lifted_solution(output_based_setup):
     """Output-based LQR on zeta: P = M^T P_x M with P_x the LQR solution for y^T y."""
     s = output_based_setup
     plant, M = s["plant"], s["M"]
-    data = build_regression(s["log"], s["grid"], 2, R=np.eye(1),
-                            known_B=s["known"].B_zeta)
-    vicfg = replace(s["vicfg"], P0=np.eye(s["known"].n_zeta), Q=None, E_structure=None)
+    data = build_regression(s["log"], s["grid"], 2)
+    vicfg = replace(s["vicfg"], P0=np.eye(s["known"].n_zeta), Q=None, B=s["known"].B_zeta,
+                    E_structure=None)
     res = vi_run(2, data, vicfg)
     assert res.converged
     P_x = solve_care(plant.A, plant.B, plant.C.T @ plant.C, np.eye(1)).P
@@ -1017,7 +1009,7 @@ def test_variant2_matches_lifted_solution(output_based_setup):
 
 def test_variant5_matches_lifted_solution(output_based_setup):
     s = output_based_setup
-    data = build_regression(s["log"], s["grid"], 5, known_B=s["B_rho"])
+    data = build_regression(s["log"], s["grid"], 5)
     res = vi_run(5, data, s["vicfg"])
     assert res.converged
     assert rel(res.P_final, s["P_lift"]) <= 0.02
@@ -1025,7 +1017,7 @@ def test_variant5_matches_lifted_solution(output_based_setup):
 
 def test_variant6_matches_lifted_solution(output_based_setup):
     s = output_based_setup
-    data = build_regression(s["log"], s["grid"], 6, known_B=s["B_rho"])
+    data = build_regression(s["log"], s["grid"], 6)
     res = vi_run(6, data, s["vicfg"])
     assert res.converged
     assert rel(res.P_final, s["P_lift"]) <= 0.02
